@@ -35,6 +35,7 @@ from .multirel import (
 )
 from .proofnet import (
     BOT,
+    Builder,
     Cell,
     Formula,
     Net,

@@ -95,10 +95,15 @@ def cmd_compile(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    from .proofnet import parse, serialize, to_dot
+    from .proofnet import parse, serialize, to_dot, validate
     from .rewrite import normalize
 
     nets = parse(_read(args.net).encode())
+    problems = [f"summand {k}: {msg}" for k, n in enumerate(nets) for msg in validate(n)]
+    if problems:
+        for msg in problems:
+            print(f"routenet: invalid net: {msg}", file=sys.stderr)
+        return EX_DATAERR
     s = normalize(nets, budget=args.budget)
     if args.emit == "dot":
         for n in s.summands:

@@ -16,14 +16,12 @@ from .lang import parse_region_ctx, parse_term, step, values
 from .multirel import LabelSet, Multirelation, compose, trace_formula
 from .paths import count_paths_all
 from .proofnet import (
+    Builder,
     Formula,
     Net,
     ONE,
     bang,
-    canonical_equal,
-    canonicalize,
     certificate,
-    dual,
     tensor,
     validate,
 )
@@ -38,7 +36,7 @@ from .routing import (
     trace_net,
     transit,
 )
-from .translate import _Build, compile_program, is_value_net, value_certs
+from .translate import compile_program, is_value_net, value_certs
 
 # ---------------------------------------------------------------------------
 # Random multirelations and areas
@@ -144,14 +142,14 @@ def _producible(f: Formula) -> bool:
     return False
 
 
-def _producer(b: _Build, rng: random.Random, f: Formula, depth: int) -> int:
+def _producer(b: Builder, rng: random.Random, f: Formula, depth: int) -> int:
     """A dangling end emitting f."""
     if f.kind == "bang":
         r = rng.random()
         if depth > 0 and r < 0.45 and _producible(f.left):
-            ib = _Build()
+            ib = Builder()
             q = _producer(ib, rng, f.left, depth - 1)
-            inner = Net(ib.cells, ib.wires, [(q, "main")])
+            inner = Net(ib.net.cells, ib.net.wires, [(q, "main")])
             box = b.cell("Box", 0, inner)
             qo = b.port()
             b.wire(box.principal, qo, f)
@@ -182,7 +180,7 @@ def _producer(b: _Build, rng: random.Random, f: Formula, depth: int) -> int:
     raise RoutenetError(f"cannot produce {f!r}")
 
 
-def _consumer(b: _Build, rng: random.Random, f: Formula, depth: int) -> int:
+def _consumer(b: Builder, rng: random.Random, f: Formula, depth: int) -> int:
     """A dangling end consuming f (its outward formula is dual(f))."""
     if f.kind == "bang":
         r = rng.random()
@@ -215,13 +213,13 @@ def _consumer(b: _Build, rng: random.Random, f: Formula, depth: int) -> int:
 
 def gen_typed_net(rng: random.Random, max_cells: int = 12) -> Net:
     for _ in range(100):
-        b = _Build()
+        b = Builder()
         for _ in range(rng.randint(1, 2)):
             f = _gen_formula(rng, rng.randint(1, 2))
             qp = _producer(b, rng, f, rng.randint(1, 2))
             qc = _consumer(b, rng, f, rng.randint(1, 2))
             b.fuse(qp, qc)
-        n = Net(b.cells, b.wires, [])
+        n = b.net
         if len(n.cells) <= max_cells:
             problems = validate(n)
             if problems:
@@ -415,20 +413,21 @@ def check_simulation(name: str, budget: int = 200000):
 
 
 def check_adequacy(name: str, budget: int = 200000):
+    from .lang import _threads, alpha_normalize, value_trees
+
     R, p = suite_program(name)
+    # the value nets of every final interpreter state, and its outcome
+    by_cert = {}
+    for tree in value_trees(p):
+        ms = tuple(sorted(repr(alpha_normalize(t)) for t in _threads(tree)))
+        for s in normalize(compile_program(tree, R), budget=budget):
+            by_cert[certificate(s)] = ms
+    certs = set(by_cert)
     nf = normalize(compile_program(p, R), budget=budget)
-    certs = value_certs(p, R)
-    matched = {certificate(s) for s in nf.summands if is_value_net(s, certs)}
+    matched = nf.certs() & certs
     if matched != certs:
         return False, f"{name}: value summands {len(matched)} != targets {len(certs)}"
     # every source outcome is realized by at least one value summand
-    from .lang import value_trees, _threads, alpha_normalize, is_value
-
-    by_cert = {}
-    for tree in value_trees(p):
-        for s in normalize(compile_program(tree, R), budget=budget):
-            ms = tuple(sorted(repr(alpha_normalize(t)) for t in _threads(tree)))
-            by_cert[certificate(s)] = ms
     realized = {by_cert[c] for c in matched}
     if realized != values(p):
         return False, f"{name}: realized outcomes differ from the interpreter"

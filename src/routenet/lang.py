@@ -15,7 +15,7 @@ from __future__ import annotations
 import graphlib
 import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import BudgetExhausted, NotStratified, ParseError, TypingError
 
@@ -987,11 +987,6 @@ def _thread_steps(t: TermA, stores: list[tuple[str, TermA]]):
     return out
 
 
-def _state_of(p: TermA):
-    tree, stores = split_stores(p)
-    return tree, stores
-
-
 def _rebuild(tree: TermA | None, stores) -> TermA:
     t = tree
     for r, v in stores:
@@ -1007,7 +1002,7 @@ def _state_key(tree, stores):
 
 
 def step(p: TermA) -> set[TermA]:
-    tree, stores = _state_of(p)
+    tree, stores = split_stores(p)
     out = {}
     if tree is not None:
         for m, new_store in _thread_steps(tree, stores):
@@ -1018,7 +1013,7 @@ def step(p: TermA) -> set[TermA]:
 
 def normal_forms(p: TermA, budget: int = 20000):
     """All states with no reduct, as (thread tree, stores) pairs."""
-    tree, stores = _state_of(p)
+    tree, stores = split_stores(p)
     start = (tree, tuple(stores))
     seen = {_state_key(*start)}
     queue = [start]

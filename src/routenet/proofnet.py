@@ -13,9 +13,9 @@ decided through an exact canonical form.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-from .errors import ParseError
+from .errors import DerivationMismatch, ParseError
 
 # ---------------------------------------------------------------------------
 # Formulas
@@ -241,9 +241,92 @@ class Net:
         return self.wire_of()[port].toward(port)
 
 
-def free_wire(label_a: str, label_b: str, ty: Formula) -> Net:
-    """A single floating wire; the formula reads label_a -> label_b."""
-    return Net([], [Wire(1, 2, ty)], [(1, label_a), (2, label_b)])
+class Builder:
+    """Grows a net: the one place that allocates ports and cell ids, re-ends
+    wires and copies one net into another.
+
+    Numbering contract:
+
+    * ports continue after the highest wired port of `net` at the moment
+      the builder is made (from 1 for a new net);
+    * cell ids continue after the highest cell id of `net`;
+    * `merge` shifts the ports of the copied net by the port counter and
+      gives its cells the ids counter+1, counter+2, ... in list order.
+
+    New cells only need names fresh for the net they join, and a rewrite
+    rule only touches the wires at its interface, so rules, area algebra
+    and the compiler all build through this class.
+    """
+
+    def __init__(self, net: Net | None = None):
+        self.net = Net() if net is None else net
+        self.nport = self.net.max_port()
+        self.ncid = max((c.id for c in self.net.cells), default=0)
+
+    def port(self) -> int:
+        self.nport += 1
+        return self.nport
+
+    def cell(self, sym: str, naux: int, inner: Net | None = None) -> Cell:
+        """A new cell on fresh ports, principal first."""
+        self.ncid += 1
+        c = Cell(self.ncid, sym, self.port(), [self.port() for _ in range(naux)], inner)
+        self.net.cells.append(c)
+        return c
+
+    def wire(self, a: int, b: int, ty: Formula) -> Wire:
+        w = Wire(a, b, ty)
+        self.net.wires.append(w)
+        return w
+
+    def wire_at(self, q: int) -> Wire:
+        for w in self.net.wires:
+            if q in (w.a, w.b):
+                return w
+        raise KeyError(q)
+
+    def end_ty(self, q: int) -> Formula:
+        """Formula flowing toward the end q."""
+        return self.wire_at(q).toward(q)
+
+    def reend(self, q: int, newp: int):
+        """Move the end of the wire at q to port newp, keeping its formula."""
+        w = self.wire_at(q)
+        if w.a == q:
+            w.a = newp
+        else:
+            w.b = newp
+
+    def fuse(self, q1: int, q2: int):
+        """Join two dangling ends; their formulas must be dual."""
+        w1, w2 = self.wire_at(q1), self.wire_at(q2)
+        if w1 is w2:
+            raise DerivationMismatch("cannot fuse the two ends of one wire")
+        t1 = w1.toward(q1)
+        if t1 != dual(w2.toward(q2)):
+            raise DerivationMismatch(
+                f"interface type clash: {t1!r} vs {w2.toward(q2)!r}"
+            )
+        far1, far2 = w1.other(q1), w2.other(q2)
+        self.net.wires.remove(w1)
+        self.net.wires.remove(w2)
+        # t1 flows out of side 1 and into side 2, i.e. toward far2
+        self.wire(far1, far2, t1)
+
+    def merge(self, n: Net) -> int:
+        """Copy the cells and wires of `n` in (not its free list); returns
+        the shift added to its port numbers."""
+        off = self.nport
+        self.nport += n.max_port()
+        for c in n.cells:
+            self.ncid += 1
+            inner = c.inner.copy() if c.inner is not None else None
+            self.net.cells.append(
+                Cell(self.ncid, c.sym, c.principal + off, [a + off for a in c.aux], inner)
+            )
+        for w in n.wires:
+            self.wire(w.a + off, w.b + off, w.ty)
+        return off
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +393,8 @@ def _validate(net: Net, out: list[str], where: str):
 
     for c in net.cells:
         if any(p not in seen for p in c.ports()):
+            continue
+        if c.sym in ARITY and len(c.aux) != ARITY[c.sym]:
             continue
         tag = f"{where}TypeMismatch: cell {c.id} {c.sym}"
         if c.sym == "One":

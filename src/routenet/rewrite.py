@@ -14,13 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BudgetExhausted, StaleRedex
-from .proofnet import (
-    Cell,
-    Net,
-    NetSum,
-    Wire,
-    dual,
-)
+from .proofnet import Builder, Cell, Net, NetSum, Wire
 
 SURFACE = "surface"
 ANYDEPTH_EER = "anydepth_eer"
@@ -115,17 +109,6 @@ def _level(net: Net, path: tuple[int, ...]) -> Net:
     return net
 
 
-def _reattach(n: Net, old_port: int, new_port: int):
-    for i, w in enumerate(n.wires):
-        if w.a == old_port:
-            n.wires[i] = Wire(new_port, w.b, w.ty)
-            return
-        if w.b == old_port:
-            n.wires[i] = Wire(w.a, new_port, w.ty)
-            return
-    raise StaleRedex(f"port {old_port} not wired")
-
-
 def _resplice(n: Net, dead: set[int], pairs: dict[int, int]):
     """Rewire around removed cells.
 
@@ -167,39 +150,24 @@ def _remove_cells(n: Net, cells):
     n.cells = [c for c in n.cells if c.id not in ids]
 
 
-def _fresh_ports(n: Net, k: int) -> list[int]:
-    base = n.max_port()
-    return [base + i + 1 for i in range(k)]
-
-
-def _fresh_cid(n: Net) -> int:
-    return max((c.id for c in n.cells), default=0) + 1
-
-
-def _renumber(net: Net, offset: int) -> Net:
-    """Shift every port id at the top level of `net` by `offset`."""
-    m = net.copy()
-    for c in m.cells:
-        c.principal += offset
-        c.aux = [p + offset for p in c.aux]
-    m.wires = [Wire(w.a + offset, w.b + offset, w.ty) for w in m.wires]
-    m.free = [(p + offset, l) for p, l in m.free]
-    return m
-
-
 # ---------------------------------------------------------------------------
 # Rule application
 
 
 def apply_redex(net: Net, redex: Redex) -> list[Net]:
     """Apply one reduction step; returns the resulting summands."""
+    try:
+        return _apply(net, redex)
+    except KeyError as exc:
+        # a cell the redex names, or a port a rule re-ends, is gone
+        raise StaleRedex(f"missing cell or port {exc}") from exc
+
+
+def _apply(net: Net, redex: Redex) -> list[Net]:
     out = net.copy()
     lvl = _level(out, redex.path)
-    try:
-        cx = lvl.cell_by_id(redex.cells[0])
-        cy = lvl.cell_by_id(redex.cells[1])
-    except KeyError as exc:
-        raise StaleRedex(str(exc)) from exc
+    cx = lvl.cell_by_id(redex.cells[0])
+    cy = lvl.cell_by_id(redex.cells[1])
     px, py = redex.wire
     cut = next(
         (w for w in lvl.wires if {w.a, w.b} == {px, py}), None
@@ -222,11 +190,9 @@ def apply_redex(net: Net, redex: Redex) -> list[Net]:
         return [out]
 
     if rule == "e":
-        inner = _renumber(cx.inner, lvl.max_port())
-        f0 = inner.free[0][0]
         _remove_cells(lvl, [cx, cy])
-        lvl.cells.extend(_recell(lvl, inner))
-        lvl.wires.extend(inner.wires)
+        off = Builder(lvl).merge(cx.inner)
+        f0 = cx.inner.free[0][0] + off
         dead = {cx.principal, cy.principal, cy.aux[0], f0}
         pairs = {cy.aux[0]: f0, f0: cy.aux[0]}
         _resplice(lvl, dead, pairs)
@@ -235,11 +201,9 @@ def apply_redex(net: Net, redex: Redex) -> list[Net]:
     if rule == "d":
         _remove_cells(lvl, [cx, cy])
         lvl.wires.remove(cut)
+        b = Builder(lvl)
         for aux in cy.aux:
-            (p,) = _fresh_ports(lvl, 1)
-            copy = Cell(_fresh_cid(lvl), "Box", p, [], cx.inner.copy())
-            lvl.cells.append(copy)
-            _reattach(lvl, aux, p)
+            b.reend(aux, b.cell("Box", 0, cx.inner.copy()).principal)
         return [out]
 
     if rule == "er":
@@ -254,18 +218,10 @@ def apply_redex(net: Net, redex: Redex) -> list[Net]:
         door = redex.door
         cy.aux = cy.aux[:door] + cy.aux[door + 1 :]
         inner = cy.inner
-        p = inner.max_port() + 1
-        moved = Cell(
-            max((c.id for c in inner.cells), default=0) + 1,
-            "Box",
-            p,
-            [],
-            cx.inner.copy(),
-        )
-        inner.cells.append(moved)
+        b = Builder(inner)
         door_port = inner.free[door + 1][0]
         inner.free = inner.free[: door + 1] + inner.free[door + 2 :]
-        _reattach(inner, door_port, p)
+        b.reend(door_port, b.cell("Box", 0, cx.inner.copy()).principal)
         return [out]
 
     if rule == "nd":
@@ -274,14 +230,11 @@ def apply_redex(net: Net, redex: Redex) -> list[Net]:
             alt = net.copy()
             lv = _level(alt, redex.path)
             k = lv.cell_by_id(cx.id)
-            d = lv.cell_by_id(cy.id)
-            cw = next(w for w in lv.wires if {w.a, w.b} == {px, py})
             _remove_cells(lv, [k])
-            lv.wires.remove(cw)
-            _reattach(lv, k.aux[i], d.principal)
-            (q,) = _fresh_ports(lv, 1)
-            lv.cells.append(Cell(_fresh_cid(lv), "Weakening", q))
-            _reattach(lv, k.aux[1 - i], q)
+            lv.wires.remove(next(w for w in lv.wires if {w.a, w.b} == {px, py}))
+            b = Builder(lv)
+            b.reend(k.aux[i], py)
+            b.reend(k.aux[1 - i], b.cell("Weakening", 0).principal)
             res.append(alt)
         return res
 
@@ -289,23 +242,14 @@ def apply_redex(net: Net, redex: Redex) -> list[Net]:
         lvl.wires.remove(cut)
         _remove_cells(lvl, [cx, cy])
         bang_b = cut.toward(cy.principal)  # the !B flowing out of cx
-        ports = _fresh_ports(lvl, 12)
-        it = iter(ports)
-        contr = []
-        for aux in cx.aux:
-            p, a1, a2 = next(it), next(it), next(it)
-            contr.append(Cell(_fresh_cid(lvl), "Contraction", p, [a1, a2]))
-            lvl.cells.append(contr[-1])
-            _reattach(lvl, aux, p)
-        cocontr = []
-        for aux in cy.aux:
-            p, a1, a2 = next(it), next(it), next(it)
-            cocontr.append(Cell(_fresh_cid(lvl), "Cocontraction", p, [a1, a2]))
-            lvl.cells.append(cocontr[-1])
-            _reattach(lvl, aux, p)
+        b = Builder(lvl)
+        contr = [b.cell("Contraction", 2) for _ in cx.aux]
+        cocontr = [b.cell("Cocontraction", 2) for _ in cy.aux]
+        for aux, c in zip(cx.aux + cy.aux, contr + cocontr):
+            b.reend(aux, c.principal)
         for i in (0, 1):
             for j in (0, 1):
-                lvl.wires.append(Wire(contr[i].aux[j], cocontr[j].aux[i], bang_b))
+                b.wire(contr[i].aux[j], cocontr[j].aux[i], bang_b)
         return [out]
 
     if rule in ("s2", "s1"):
@@ -313,10 +257,9 @@ def apply_redex(net: Net, redex: Redex) -> list[Net]:
         _remove_cells(lvl, [cx, cy])
         cap_sym = "Weakening" if rule == "s2" else "Coweakening"
         branching = cx if rule == "s2" else cy
+        b = Builder(lvl)
         for aux in branching.aux:
-            (q,) = _fresh_ports(lvl, 1)
-            lvl.cells.append(Cell(_fresh_cid(lvl), cap_sym, q))
-            _reattach(lvl, aux, q)
+            b.reend(aux, b.cell(cap_sym, 0).principal)
         return [out]
 
     if rule == "zero_wd":
@@ -328,17 +271,6 @@ def apply_redex(net: Net, redex: Redex) -> list[Net]:
         return [out]
 
     raise StaleRedex(f"unknown rule {rule}")
-
-
-def _recell(lvl: Net, inner: Net) -> list[Cell]:
-    """Give the cells of `inner` ids fresh for `lvl`."""
-    base = _fresh_cid(lvl)
-    cells = []
-    for i, c in enumerate(inner.cells):
-        c2 = c.copy()
-        c2.id = base + i
-        cells.append(c2)
-    return cells
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +285,7 @@ def step(net: Net, policy: str = ANYDEPTH_EER):
     return apply_redex(net, rs[0])
 
 
-def normalize(x, budget: int = 10000, policy: str = ANYDEPTH_EER, trace=None) -> NetSum:
+def normalize(x, budget: int = 10000, policy: str = ANYDEPTH_EER) -> NetSum:
     """Reduce to normal form under the given policy.
 
     The budget counts rule applications over the whole sum; running out
@@ -379,11 +311,7 @@ def normalize(x, budget: int = 10000, policy: str = ANYDEPTH_EER, trace=None) ->
             partial = NetSum(work + [n])
             raise BudgetExhausted(partial.union(done))
         steps += 1
-        r = rs[0]
-        results = apply_redex(n, r)
-        if trace is not None:
-            trace.append(f"depth {len(r.path)} rule {r.rule} at {r.cells} -> {len(results)} summands")
-        work.extend(results)
+        work.extend(apply_redex(n, rs[0]))
     return done
 
 

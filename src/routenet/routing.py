@@ -18,6 +18,7 @@ from .errors import CycleRisk, NotAreaShaped, NotNormal, RoutenetError
 from .multirel import LabelSet, Multirelation
 from .paths import check_acyclic, count_paths_all
 from .proofnet import (
+    Builder,
     Cell,
     Net,
     ONE,
@@ -285,17 +286,8 @@ def path_semantics(n: Net) -> Multirelation:
 def juxtapose(a: Net, b: Net) -> Net:
     """Disjoint union; free labels tagged 'L.'/'R.' like multirel.coproduct."""
     out = a.copy()
-    out.free = [(p, "L." + l) for p, l in out.free]
-    off = out.max_port()
-    cidoff = max((c.id for c in out.cells), default=0)
-    for c in b.cells:
-        c2 = c.copy()
-        c2.id += cidoff
-        c2.principal += off
-        c2.aux = [p + off for p in c2.aux]
-        out.cells.append(c2)
-    out.wires.extend(Wire(w.a + off, w.b + off, w.ty) for w in b.wires)
-    out.free.extend((p + off, "R." + l) for p, l in b.free)
+    off = Builder(out).merge(b)
+    out.free = [(p, "L." + l) for p, l in a.free] + [(p + off, "R." + l) for p, l in b.free]
     return out
 
 
@@ -367,37 +359,19 @@ def transit(a: Net, i: str, payload: Net | None = None, budget: int = 10000):
     if payload is None:
         payload = boxed_one()
     n = a.copy()
+    b = Builder(n)
     pi = _find_free(n, i, True)
-    w = n.wire_of()[pi]
+    w = b.wire_at(pi)
     A = w.ty if w.ty.kind == "bang" else dual(w.ty)
     far = w.other(pi)
-    base = n.max_port()
-    p, a1, a2 = base + 1, base + 2, base + 3
-    cidoff = max((c.id for c in n.cells), default=0)
-    n.cells.append(Cell(cidoff + 1, "Cocontraction", p, [a1, a2]))
+    cc = b.cell("Cocontraction", 2)
     # input wire now feeds aux 1; the principal takes the old far end
-    if w.a == pi:
-        n.wires[n.wires.index(w)] = Wire(pi, a1, w.ty)
-    else:
-        n.wires[n.wires.index(w)] = Wire(a1, pi, w.ty)
-    n.wires.append(Wire(p, far, A))
+    b.reend(far, cc.aux[0])
+    b.wire(cc.principal, far, A)
     # merge the payload net, fusing its free port onto aux 2
-    off = max(n.max_port(), a2)
-    pcidoff = cidoff + 1
-    for c in payload.cells:
-        c2 = c.copy()
-        c2.id += pcidoff
-        c2.principal += off
-        c2.aux = [q + off for q in c2.aux]
-        n.cells.append(c2)
     (pf, _), = payload.free
-    for pw in payload.wires:
-        x, y = pw.a + off, pw.b + off
-        if pw.a == pf:
-            x = a2
-        if pw.b == pf:
-            y = a2
-        n.wires.append(Wire(x, y, pw.ty))
+    off = b.merge(payload)
+    b.reend(pf + off, cc.aux[1])
 
     s = normalize(n, budget)
     if len(s) != 1:

@@ -23,8 +23,6 @@ output wire remains.
 """
 from __future__ import annotations
 
-import itertools
-
 from .errors import DerivationMismatch, InterfaceMismatch, NotStratified, TypingError
 from .lang import (
     Arrow,
@@ -47,25 +45,21 @@ from .lang import (
     VarSubst,
     check_stratified,
     embed_lthis,
-    split_stores,
     typecheck_amadio,
     typecheck_lthis,
     value_trees,
 )
 from .proofnet import (
-    Cell,
+    Builder,
     Formula,
     Net,
     ONE,
-    Wire,
     bang,
-    canonicalize,
     certificate,
     dual,
     par,
     tensor,
     validate,
-    whynot,
 )
 from .routing import delta as delta_area
 from .routing import gamma as gamma_area
@@ -111,99 +105,12 @@ def _tensor_chain(fs: list[Formula]) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# Net builder
-
-
-class _Build:
-    def __init__(self):
-        self.nport = 0
-        self.ncid = 0
-        self.cells: list[Cell] = []
-        self.wires: list[Wire] = []
-
-    def port(self) -> int:
-        self.nport += 1
-        return self.nport
-
-    def cell(self, sym: str, naux: int, inner: Net | None = None) -> Cell:
-        self.ncid += 1
-        c = Cell(self.ncid, sym, self.port(), [self.port() for _ in range(naux)], inner)
-        self.cells.append(c)
-        return c
-
-    def wire(self, a: int, b: int, ty: Formula) -> Wire:
-        w = Wire(a, b, ty)
-        self.wires.append(w)
-        return w
-
-    def wire_at(self, q: int) -> Wire:
-        for w in self.wires:
-            if q in (w.a, w.b):
-                return w
-        raise KeyError(q)
-
-    def end_ty(self, q: int) -> Formula:
-        """Formula flowing toward the dangling end q."""
-        return self.wire_at(q).toward(q)
-
-    def reend(self, q: int, newp: int):
-        w = self.wire_at(q)
-        if w.a == q:
-            w.a = newp
-        else:
-            w.b = newp
-
-    def fuse(self, q1: int, q2: int):
-        """Join two dangling ends; their formulas must be dual."""
-        w1, w2 = self.wire_at(q1), self.wire_at(q2)
-        if w1 is w2:
-            raise DerivationMismatch("cannot fuse the two ends of one wire")
-        t1 = w1.toward(q1)
-        if t1 != dual(w2.toward(q2)):
-            raise DerivationMismatch(
-                f"interface type clash: {t1!r} vs {w2.toward(q2)!r}"
-            )
-        far1, far2 = w1.other(q1), w2.other(q2)
-        self.wires.remove(w1)
-        self.wires.remove(w2)
-        # t1 flows out of side 1 and into side 2, i.e. toward far2
-        self.wire(far1, far2, t1)
-
-    def merge(self, n: Net) -> dict[int, int]:
-        """Copy a foreign net in, renumbering ports and top-level cell ids;
-        returns the port map."""
-        poff, coff = self.nport, self.ncid
-        self.nport += n.max_port()
-        self.ncid += len(n.cells)
-        pm = {}
-
-        def mp(p: int) -> int:
-            if p not in pm:
-                pm[p] = p + poff
-            return pm[p]
-
-        for c in n.cells:
-            self.cells.append(
-                Cell(
-                    c.id + coff,
-                    c.sym,
-                    mp(c.principal),
-                    [mp(a) for a in c.aux],
-                    c.inner.copy() if c.inner is not None else None,
-                )
-            )
-        for w in n.wires:
-            self.wire(mp(w.a), mp(w.b), w.ty)
-        return pm
-
-
-# ---------------------------------------------------------------------------
 # Wiring helpers
 
 Iface = dict  # label -> dangling wire-end port
 
 
-def _contract_shared(b: _Build, if1: Iface, if2: Iface) -> Iface:
+def _contract_shared(b: Builder, if1: Iface, if2: Iface) -> Iface:
     """Merge two interfaces; shared variable wires join in a contraction."""
     out = dict(if1)
     for label, q2 in if2.items():
@@ -223,7 +130,7 @@ def _contract_shared(b: _Build, if1: Iface, if2: Iface) -> Iface:
     return out
 
 
-def _attach(b: _Build, item, target: int, ty_toward_target: Formula):
+def _attach(b: Builder, item, target: int, ty_toward_target: Formula):
     """Connect a chain result (dangling end or bare cell port) to a port."""
     kind, p = item
     if kind == "end":
@@ -232,7 +139,7 @@ def _attach(b: _Build, item, target: int, ty_toward_target: Formula):
         b.wire(p, target, ty_toward_target)
 
 
-def _bundle(b: _Build, tys: list[Formula], ends: list[int]):
+def _bundle(b: Builder, tys: list[Formula], ends: list[int]):
     """Left-associated tensor of producer ends; result emits the bundle."""
     if len(ends) == 1:
         return ("end", ends[0])
@@ -243,7 +150,7 @@ def _bundle(b: _Build, tys: list[Formula], ends: list[int]):
     return ("cell", t.principal)
 
 
-def _split(b: _Build, tys: list[Formula], ends: list[int]):
+def _split(b: Builder, tys: list[Formula], ends: list[int]):
     """Dual of _bundle: ends consume the components; the result consumes
     the left-associated tensor bundle (emits its dual)."""
     if len(ends) == 1:
@@ -255,7 +162,7 @@ def _split(b: _Build, tys: list[Formula], ends: list[int]):
     return ("cell", s.principal)
 
 
-def _cocontract(b: _Build, ends: list[int], ty: Formula):
+def _cocontract(b: Builder, ends: list[int], ty: Formula):
     """Merge producer ends of a common !X into one stream."""
     acc = ("end", ends[0])
     for q in ends[1:]:
@@ -266,7 +173,7 @@ def _cocontract(b: _Build, ends: list[int], ty: Formula):
     return acc
 
 
-def _producer_end(b: _Build, item, ty: Formula) -> int:
+def _producer_end(b: Builder, item, ty: Formula) -> int:
     kind, p = item
     if kind == "end":
         return p
@@ -275,7 +182,7 @@ def _producer_end(b: _Build, item, ty: Formula) -> int:
     return q
 
 
-def _cap_weakening(b: _Build, q: int):
+def _cap_weakening(b: Builder, q: int):
     """Absorb an unconsumed producer end (its formula must be a bang)."""
     f = b.end_ty(q)
     if f.kind != "bang":
@@ -284,7 +191,7 @@ def _cap_weakening(b: _Build, q: int):
     b.reend(q, wk.principal)
 
 
-def _cap_coweakening(b: _Build, q: int):
+def _cap_coweakening(b: Builder, q: int):
     """Feed an unsupplied consumer end with the empty stream."""
     f = b.end_ty(q)
     if f.kind != "whynot":
@@ -293,7 +200,7 @@ def _cap_coweakening(b: _Build, q: int):
     b.reend(q, cw.principal)
 
 
-def _boxed_value_end(b: _Build, vnet: Net, content: Formula):
+def _boxed_value_end(b: Builder, vnet: Net, content: Formula):
     """Box a value net; returns (producer end of !content, variable iface).
 
     Captured variables of the value leave the box through auxiliary doors.
@@ -314,15 +221,15 @@ def _boxed_value_end(b: _Build, vnet: Net, content: Formula):
     return q, var_iface
 
 
-def _area_ports(b: _Build, area: Net):
+def _area_ports(b: Builder, area: Net):
     """Merge a routing area; returns ({label: in_end}, {label: out_end})."""
-    pm = b.merge(area)
+    off = b.merge(area)
     ins, outs = {}, {}
     for p, lbl in area.free:
         if area.outward(p).kind == "whynot":
-            ins[lbl] = pm[p]
+            ins[lbl] = p + off
         else:
-            outs[lbl] = pm[p]
+            outs[lbl] = p + off
     return ins, outs
 
 
@@ -334,7 +241,7 @@ class _Translator:
     def __init__(self, R: RegionCtx, inf):
         self.R = R
         self.ann = inf.annotations()
-        self.b = _Build()
+        self.b = Builder()
 
     def wtype(self, r: str) -> Formula:
         return ref_wire_type(r, self.R)
@@ -360,7 +267,7 @@ class _Translator:
         free = [(iface["out"], "out")] + sorted(
             ((q, lbl) for lbl, q in iface.items() if lbl != "out"), key=lambda t: t[1]
         )
-        net = Net(sub.b.cells, sub.b.wires, free)
+        net = Net(sub.b.net.cells, sub.b.net.wires, free)
         if want is not None and net.outward(iface["out"]) != want:
             raise DerivationMismatch("stored value type does not match its reference")
         return net
@@ -390,11 +297,11 @@ class _Translator:
             b.wire(qv, qo, f)
             return {"v:" + t.name: qv, "out": qo}
         if isinstance(t, StarL):
-            ib = _Build()
+            ib = Builder()
             one = ib.cell("One", 0)
             q = ib.port()
             ib.wire(one.principal, q, ONE)
-            inner = Net(ib.cells, ib.wires, [(q, "main")])
+            inner = Net(ib.net.cells, ib.net.wires, [(q, "main")])
             box = b.cell("Box", 0, inner)
             qo = b.port()
             b.wire(box.principal, qo, bang(ONE))
@@ -467,7 +374,7 @@ class _Translator:
 
         # remaining wires are captured variables and leave through doors
         doors = sorted(iface.items())
-        inner = Net(ib.cells, ib.wires, [(f0, "main")] + [(q, l) for l, q in doors])
+        inner = Net(ib.net.cells, ib.net.wires, [(f0, "main")] + [(q, l) for l, q in doors])
         box = self.b.cell("Box", len(doors), inner)
         out_iface: Iface = {}
         for i, (label, q) in enumerate(doors):
@@ -619,13 +526,13 @@ class _Translator:
         iface = self.tr(t.body)
         for x, v in t.subst:
             vnet = self.value_net(v)
-            pm = b.merge(vnet)
-            q_out = pm[vnet.free[0][0]]
+            off = b.merge(vnet)
+            q_out = vnet.free[0][0] + off
             if "v:" + x in iface:
                 b.fuse(q_out, iface.pop("v:" + x))
             else:
                 _cap_weakening(b, q_out)
-            captured = {lbl: pm[p] for p, lbl in vnet.free if lbl != "out"}
+            captured = {lbl: p + off for p, lbl in vnet.free if lbl != "out"}
             iface = _contract_shared(b, iface, captured)
         return iface
 
@@ -703,7 +610,7 @@ def translate(term: TermL, R: RegionCtx, gamma: dict | None = None) -> Net:
     (_ty, _eff), inf = typecheck_lthis(R, gamma or {}, term, want_infer=True)
     tr = _Translator(R, inf)
     iface = tr.tr(term)
-    net = Net(tr.b.cells, tr.b.wires, _sorted_iface(iface))
+    net = Net(tr.b.net.cells, tr.b.net.wires, _sorted_iface(iface))
     problems = validate(net)
     if problems:
         raise DerivationMismatch("; ".join(problems))
@@ -717,10 +624,7 @@ def close(net: Net, effect) -> Net:
     want = {"ri:" + s for s in effect} | {"ro:" + s for s in effect} | {"out"}
     if labels != want:
         raise InterfaceMismatch(f"interface {sorted(labels)} != {sorted(want)}")
-    b = _Build()
-    b.nport = n.max_port()
-    b.ncid = max((c.id for c in n.cells), default=0)
-    b.cells, b.wires = n.cells, n.wires
+    b = Builder(n)
     keep = []
     for q, label in n.free:
         if label == "out":
@@ -763,4 +667,4 @@ def value_certs(P: TermA, R: RegionCtx, budget: int = 20000) -> set:
 
 def is_value_net(n: Net, certs: set) -> bool:
     """Whether a normal summand is one of the program's value nets."""
-    return certificate(canonicalize(n)) in certs
+    return certificate(n) in certs

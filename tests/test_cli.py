@@ -1,7 +1,13 @@
 """Command-line interface: exit codes, output formats, determinism."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import routenet
 
 from routenet.cli import main
 from routenet.proofnet import canonical_equal, parse
@@ -122,3 +128,63 @@ def test_budget_flag_overrides_env(tmp_path, capsys, monkeypatch):
     # an explicit flag bypasses the bad environment value
     assert main(["--budget", "100", "values", prog]) == 0
     capsys.readouterr()
+
+
+def _net_file(tmp_path, free, cells, wires):
+    obj = {"sum": [{"free": free, "cells": cells, "wires": wires}]}
+    return _write(tmp_path, "bad.json", json.dumps(obj))
+
+
+def _wire(a, b, ty):
+    return {"a": a, "b": b, "ty": ty, "dir": "ab"}
+
+
+_OUT = {"port": 2, "label": "o"}
+_ONE = {"id": 1, "sym": "One", "pal": 1, "aux": []}
+
+MALFORMED_NETS = {
+    "tensor-unwired-aux": (
+        [_OUT],
+        [{"id": 1, "sym": "Tensor", "pal": 1, "aux": [3, 4]}],
+        [_wire(1, 2, "(1*1)")],
+    ),
+    "tensor-missing-aux": (
+        [_OUT, {"port": 5, "label": "x"}],
+        [{"id": 1, "sym": "Tensor", "pal": 1, "aux": [3]}],
+        [_wire(1, 2, "(1*1)"), _wire(5, 3, "1")],
+    ),
+    "unknown-symbol": ([_OUT], [dict(_ONE, sym="Frob")], [_wire(1, 2, "1")]),
+    "one-on-bang-wire": ([_OUT], [_ONE], [_wire(1, 2, "!1")]),
+    "self-wire": ([_OUT], [_ONE], [_wire(1, 2, "1"), _wire(3, 3, "!1")]),
+    "box-without-box": ([_OUT], [dict(_ONE, sym="Box")], [_wire(1, 2, "!1")]),
+}
+
+
+def _cli(*argv):
+    """Run the CLI in a fresh interpreter, as a user would."""
+    src = str(Path(routenet.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-m", "routenet.cli", *argv], capture_output=True, text=True, env=env
+    )
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_NETS))
+def test_reduce_rejects_malformed_net_with_65(tmp_path, case):
+    path = _net_file(tmp_path, *MALFORMED_NETS[case])
+    got = _cli("reduce", path)
+    assert got.returncode == 65
+    assert got.stdout == ""
+    assert "Traceback" not in got.stderr
+    assert "invalid net" in got.stderr
+
+
+def test_reduce_accepts_its_own_output(tmp_path, capsys):
+    prog = _write(tmp_path, "M.term", "set r * || get r\n")
+    ctx = _write(tmp_path, "R.ctx", "r : Unit\n")
+    assert main(["compile", ctx, prog]) == 0
+    netfile = _write(tmp_path, "n.json", capsys.readouterr().out)
+    assert main(["reduce", netfile]) == 0
+    first = capsys.readouterr().out
+    assert main(["reduce", _write(tmp_path, "nf.json", first)]) == 0
+    assert capsys.readouterr().out == first

@@ -2,7 +2,7 @@
 expected result constructed independently and compared canonically."""
 import pytest
 
-from routenet.errors import BudgetExhausted
+from routenet.errors import BudgetExhausted, StaleRedex
 from routenet.proofnet import (
     BOT,
     Cell,
@@ -83,12 +83,17 @@ def test_box_dereliction_opens_box():
     assert canonical_equal(_check(m), _check(want))
 
 
-def test_box_contraction_duplicates_box():
+def _box_against_contraction():
+    """A closed !1 box cut against a contraction."""
     n = one_box()
     n.cells.append(Cell(2, "Contraction", 3, [4, 5]))
     n.wires = [Wire(1, 3, bang(ONE)), Wire(6, 4, whynot(BOT)), Wire(7, 5, whynot(BOT))]
     n.free = [(6, "x1"), (7, "x2")]
-    _check(n)
+    return _check(n)
+
+
+def test_box_contraction_duplicates_box():
+    n = _box_against_contraction()
     (m,) = _single(n, "d")
     b1, b2 = one_box(), one_box()
     want = Net(
@@ -141,13 +146,18 @@ def _cocontr_two_boxes():
     return _check(n)
 
 
-def test_cocontraction_dereliction_sums_choices():
+def _cocontr_against_dereliction():
+    """The two-box cocontraction cut against a dereliction."""
     n = _cocontr_two_boxes()
     n.cells.append(Cell(4, "Dereliction", 9, [10]))
     n.wires.remove(Wire(5, 8, bang(ONE)))
     n.wires.extend([Wire(5, 9, bang(ONE)), Wire(11, 10, BOT)])
     n.free = [(11, "x")]
-    _check(n)
+    return _check(n)
+
+
+def test_cocontraction_dereliction_sums_choices():
+    n = _cocontr_against_dereliction()
     res = _single(n, "nd")
     assert len(res) == 2
     # each choice: one box consumed by the dereliction, the other weakened
@@ -243,6 +253,19 @@ def test_coweakening_weakening_cancels():
     assert canonical_equal(m, Net())
 
 
+@pytest.mark.parametrize(
+    "make, unwire",
+    [(_box_against_contraction, 4), (_cocontr_against_dereliction, 6)],
+    ids=["d", "nd"],
+)
+def test_unwired_port_to_reend_is_a_stale_redex(make, unwire):
+    n = make()
+    (r,) = find_redexes(n, ALL)
+    n.wires = [w for w in n.wires if unwire not in (w.a, w.b)]
+    with pytest.raises(StaleRedex):
+        apply_redex(n, r)
+
+
 # ---------------------------------------------------------------------------
 # policies, budget, reduction graph
 
@@ -282,11 +305,7 @@ def test_step_none_on_normal():
 
 
 def test_reduction_graph_nd_diamond():
-    n = _cocontr_two_boxes()
-    n.cells.append(Cell(4, "Dereliction", 9, [10]))
-    n.wires.remove(Wire(5, 8, bang(ONE)))
-    n.wires.extend([Wire(5, 9, bang(ONE)), Wire(11, 10, BOT)])
-    n.free = [(11, "x")]
+    n = _cocontr_against_dereliction()
     nodes, edges, truncated = reduction_graph(n)
     assert not truncated
     sinks = [i for i in range(len(nodes)) if all(a != i for a, b in edges)]

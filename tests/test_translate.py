@@ -1,7 +1,10 @@
 """Compilation of programs to nets: type translation, interfaces, values."""
+import random
+
 import pytest
 
 from routenet.errors import RoutenetError
+from routenet.gen import PROGRAM_SUITE, gen_routing_net, gen_typed_net, suite_program
 from routenet.lang import parse_region_ctx, parse_term, parse_type, Behavior
 from routenet.proofnet import (
     Cell,
@@ -11,6 +14,8 @@ from routenet.proofnet import (
     Wire,
     bang,
     canonical_equal,
+    canonicalize,
+    certificate,
     fmt_formula,
     validate,
     whynot,
@@ -123,6 +128,19 @@ def test_value_recognition():
     assert len(matched) == 1
     # the pure unit program's net is NOT a value of the two-thread program
     assert not is_value_net(normalize(_compile("", "*")).summands[0], certs)
+
+
+def test_certificate_needs_no_canonicalize_first():
+    # is_value_net certifies a summand as it is
+    nets = []
+    for name, _, _ in PROGRAM_SUITE:
+        R, p = suite_program(name)
+        nets += normalize(compile_program(p, R), budget=200000).summands
+    for seed in range(10):
+        rng = random.Random(seed)
+        nets += [gen_typed_net(rng), gen_routing_net(rng)]
+    for n in nets:
+        assert certificate(canonicalize(n)) == certificate(n)
 
 
 def test_starved_get_compiles_to_zero():

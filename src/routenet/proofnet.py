@@ -286,7 +286,7 @@ class Builder:
         raise KeyError(q)
 
     def end_ty(self, q: int) -> Formula:
-        """Formula flowing toward the end q."""
+        """Formula flowing toward the dangling end q."""
         return self.wire_at(q).toward(q)
 
     def reend(self, q: int, newp: int):

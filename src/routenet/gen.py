@@ -149,7 +149,7 @@ def _producer(b: Builder, rng: random.Random, f: Formula, depth: int) -> int:
         if depth > 0 and r < 0.45 and _producible(f.left):
             ib = Builder()
             q = _producer(ib, rng, f.left, depth - 1)
-            inner = Net(ib.net.cells, ib.net.wires, [(q, "main")])
+            inner = ib.finish([(q, "main")])
             box = b.cell("Box", 0, inner)
             qo = b.port()
             b.wire(box.principal, qo, f)

@@ -263,6 +263,11 @@ class Builder:
         self.nport = self.net.max_port()
         self.ncid = max((c.id for c in self.net.cells), default=0)
 
+    def finish(self, free: list[tuple[int, str]]) -> Net:
+        """The built net, with `free` as its interface."""
+        self.net.free = free
+        return self.net
+
     def port(self) -> int:
         self.nport += 1
         return self.nport

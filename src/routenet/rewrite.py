@@ -154,20 +154,23 @@ def _remove_cells(n: Net, cells):
 # Rule application
 
 
+def _need_wired(n: Net, ports):
+    """Raise StaleRedex unless every port in `ports` ends a wire of `n`."""
+    ends = {p for w in n.wires for p in (w.a, w.b)}
+    loose = [p for p in ports if p not in ends]
+    if loose:
+        raise StaleRedex(f"ports {loose} not wired")
+
+
 def apply_redex(net: Net, redex: Redex) -> list[Net]:
     """Apply one reduction step; returns the resulting summands."""
-    try:
-        return _apply(net, redex)
-    except KeyError as exc:
-        # a cell the redex names, or a port a rule re-ends, is gone
-        raise StaleRedex(f"missing cell or port {exc}") from exc
-
-
-def _apply(net: Net, redex: Redex) -> list[Net]:
     out = net.copy()
     lvl = _level(out, redex.path)
-    cx = lvl.cell_by_id(redex.cells[0])
-    cy = lvl.cell_by_id(redex.cells[1])
+    try:
+        cx = lvl.cell_by_id(redex.cells[0])
+        cy = lvl.cell_by_id(redex.cells[1])
+    except KeyError as exc:
+        raise StaleRedex(str(exc)) from exc
     px, py = redex.wire
     cut = next(
         (w for w in lvl.wires if {w.a, w.b} == {px, py}), None
@@ -177,6 +180,8 @@ def _apply(net: Net, redex: Redex) -> list[Net]:
     check = _classify(lvl, cut)
     if check is None or check[0] != redex.rule:
         raise StaleRedex("wire no longer matches the rule")
+    # the rules below re-end or splice the wires at these ports
+    _need_wired(lvl, cx.aux + cy.aux)
 
     rule = redex.rule
     if rule == "m":
@@ -220,6 +225,7 @@ def _apply(net: Net, redex: Redex) -> list[Net]:
         inner = cy.inner
         b = Builder(inner)
         door_port = inner.free[door + 1][0]
+        _need_wired(inner, [door_port])
         inner.free = inner.free[: door + 1] + inner.free[door + 2 :]
         b.reend(door_port, b.cell("Box", 0, cx.inner.copy()).principal)
         return [out]
@@ -232,8 +238,10 @@ def _apply(net: Net, redex: Redex) -> list[Net]:
             k = lv.cell_by_id(cx.id)
             _remove_cells(lv, [k])
             lv.wires.remove(next(w for w in lv.wires if {w.a, w.b} == {px, py}))
+            # re-end onto the dereliction first, so that py counts as used
+            # when the builder picks the weakening's port
+            Builder(lv).reend(k.aux[i], py)
             b = Builder(lv)
-            b.reend(k.aux[i], py)
             b.reend(k.aux[1 - i], b.cell("Weakening", 0).principal)
             res.append(alt)
         return res

@@ -267,7 +267,7 @@ class _Translator:
         free = [(iface["out"], "out")] + sorted(
             ((q, lbl) for lbl, q in iface.items() if lbl != "out"), key=lambda t: t[1]
         )
-        net = Net(sub.b.net.cells, sub.b.net.wires, free)
+        net = sub.b.finish(free)
         if want is not None and net.outward(iface["out"]) != want:
             raise DerivationMismatch("stored value type does not match its reference")
         return net
@@ -301,7 +301,7 @@ class _Translator:
             one = ib.cell("One", 0)
             q = ib.port()
             ib.wire(one.principal, q, ONE)
-            inner = Net(ib.net.cells, ib.net.wires, [(q, "main")])
+            inner = ib.finish([(q, "main")])
             box = b.cell("Box", 0, inner)
             qo = b.port()
             b.wire(box.principal, qo, bang(ONE))
@@ -374,7 +374,7 @@ class _Translator:
 
         # remaining wires are captured variables and leave through doors
         doors = sorted(iface.items())
-        inner = Net(ib.net.cells, ib.net.wires, [(f0, "main")] + [(q, l) for l, q in doors])
+        inner = ib.finish([(f0, "main")] + [(q, l) for l, q in doors])
         box = self.b.cell("Box", len(doors), inner)
         out_iface: Iface = {}
         for i, (label, q) in enumerate(doors):
@@ -610,7 +610,7 @@ def translate(term: TermL, R: RegionCtx, gamma: dict | None = None) -> Net:
     (_ty, _eff), inf = typecheck_lthis(R, gamma or {}, term, want_infer=True)
     tr = _Translator(R, inf)
     iface = tr.tr(term)
-    net = Net(tr.b.net.cells, tr.b.net.wires, _sorted_iface(iface))
+    net = tr.b.finish(_sorted_iface(iface))
     problems = validate(net)
     if problems:
         raise DerivationMismatch("; ".join(problems))

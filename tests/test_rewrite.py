@@ -114,15 +114,19 @@ def test_box_weakening_erases_box():
     assert canonical_equal(m, Net())
 
 
-def test_closed_box_enters_door():
-    # outer box whose content is a pass-through of !1 from its one door
+def _door_redex():
+    """A closed !1 box entering the one door of a pass-through box."""
     inner = Net([], [Wire(1, 2, bang(ONE))], [(2, "main"), (1, "door")])
     outer = Cell(2, "Box", 3, [4], inner)
     n = one_box()
     n.cells.append(outer)
     n.wires = [Wire(1, 4, bang(ONE)), Wire(3, 5, bang(bang(ONE)))]
     n.free = [(5, "out")]
-    _check(n)
+    return _check(n)
+
+
+def test_closed_box_enters_door():
+    n = _door_redex()
     (m,) = _single(n, "c")
     # the closed !1 box has moved inside; the outer box is now closed
     inner2 = one_box()
@@ -172,6 +176,22 @@ def test_cocontraction_dereliction_sums_choices():
         assert canonical_equal(_check(m), want)
     # both summands are canonically equal here, so the idempotent sum merges
     assert len(NetSum(res)) == 1
+
+
+def test_nd_weakening_port_avoids_the_dereliction_principal():
+    # the dereliction's principal (12) is the highest port and one above every
+    # other wired port once the cut is gone; the new weakening must not take it
+    n = _cocontr_two_boxes()
+    n.cells.append(Cell(4, "Dereliction", 12, [10]))
+    n.wires.remove(Wire(5, 8, bang(ONE)))
+    n.wires.extend([Wire(5, 12, bang(ONE)), Wire(11, 10, BOT)])
+    n.free = [(11, "x")]
+    _check(n)
+    res = _single(n, "nd")
+    assert len(res) == 2
+    for m in res:
+        _check(m)
+        assert canonical_equal(m, _single(_cocontr_against_dereliction(), "nd")[0])
 
 
 def test_coweakening_dereliction_is_zero():
@@ -255,13 +275,14 @@ def test_coweakening_weakening_cancels():
 
 @pytest.mark.parametrize(
     "make, unwire",
-    [(_box_against_contraction, 4), (_cocontr_against_dereliction, 6)],
-    ids=["d", "nd"],
+    [(_box_against_contraction, 4), (_cocontr_against_dereliction, 6), (_door_redex, 1)],
+    ids=["d", "nd", "c"],
 )
 def test_unwired_port_to_reend_is_a_stale_redex(make, unwire):
     n = make()
     (r,) = find_redexes(n, ALL)
-    n.wires = [w for w in n.wires if unwire not in (w.a, w.b)]
+    level = n.cells[1].inner if r.rule == "c" else n
+    level.wires = [w for w in level.wires if unwire not in (w.a, w.b)]
     with pytest.raises(StaleRedex):
         apply_redex(n, r)
 

@@ -400,7 +400,11 @@ class _TermParser:
 
 
 def parse_term(text: str) -> TermA:
-    return _TermParser(text).parse()
+    parser = _TermParser(text)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise ParseError("term nested too deeply", parser.offset()) from None
 
 
 _TYPE_TOKEN = re.compile(r"\s*(-\{[^}]*\}>|->|[()]|[A-Za-z_][A-Za-z0-9_']*)")
@@ -466,7 +470,10 @@ def parse_type(text: str) -> TypeExpr:
             return Reg(r, atom())
         raise ParseError(f"unexpected type token {tok!r}", offset())
 
-    t = arrow()
+    try:
+        t = arrow()
+    except RecursionError:
+        raise ParseError("type nested too deeply", offset()) from None
     if peek() is not None:
         raise ParseError(f"trailing type input {peek()!r}", offset())
     return t

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from .errors import DerivationMismatch, ParseError
+from .errors import CyclicNet, DerivationMismatch, ParseError
 
 # ---------------------------------------------------------------------------
 # Formulas
@@ -274,8 +275,12 @@ class Builder:
 
     def cell(self, sym: str, naux: int, inner: Net | None = None) -> Cell:
         """A new cell on fresh ports, principal first."""
+        return self.cell_on(sym, self.port(), [self.port() for _ in range(naux)], inner)
+
+    def cell_on(self, sym: str, principal: int, aux: list[int], inner: Net | None = None) -> Cell:
+        """A new cell on the given ports."""
         self.ncid += 1
-        c = Cell(self.ncid, sym, self.port(), [self.port() for _ in range(naux)], inner)
+        c = Cell(self.ncid, sym, principal, aux, inner)
         self.net.cells.append(c)
         return c
 
@@ -334,15 +339,57 @@ class Builder:
         return off
 
 
+def left_comb(b: Builder, sym: str, leaves: list[int], ty: Formula) -> tuple[int, int]:
+    """Join two or more dangling leaf ports by a left comb of binary `sym`
+    cells: each cell takes the previous result and the next leaf.
+
+    Per cell, in order, it allocates a cell id, the principal port and the
+    port where that cell's result wire ends, which is the next cell's first
+    aux.  A result wire carries the !-formula `ty` out of a cocontraction
+    and into a contraction.  Returns the last cell's principal and its result
+    port; the wire between them is left to the caller."""
+    pr, acc = None, leaves[0]
+    for leaf in leaves[1:]:
+        if pr is not None:  # the previous cell's result wire
+            if sym == "Cocontraction":
+                b.wire(pr, acc, ty)
+            else:
+                b.wire(acc, pr, ty)
+        pr = b.port()
+        b.cell_on(sym, pr, [acc, leaf])
+        acc = b.port()
+    return pr, acc
+
+
 # ---------------------------------------------------------------------------
 # Validation
 
 
 def validate(net: Net) -> list[str]:
     """Return the list of well-formedness violations (empty if valid)."""
-    out: list[str] = []
-    _validate(net, out, "")
+    out = _bad_fields(net, "")
+    if not out:  # the structural checks assume the field types
+        _validate(net, out, "")
     return out
+
+
+def _bad_fields(net: Net, where: str) -> list[str]:
+    """JSON fields of the wrong type, in `net` and its boxes: ports and cell
+    ids must be ints, labels and symbols strings."""
+    fields = [(p, int, "free port") for p, _ in net.free]
+    fields += [(lbl, str, "free label") for _, lbl in net.free]
+    out = []
+    for c in net.cells:
+        fields += [(c.id, int, "cell id"), (c.sym, str, f"cell {c.id!r} sym")]
+        fields += [(p, int, f"cell {c.id!r} port") for p in c.ports()]
+        if c.inner is not None:
+            out += _bad_fields(c.inner, where + f"box{c.id}/")
+    fields += [(p, int, "wire end") for w in net.wires for p in (w.a, w.b)]
+    return [
+        f"{where}BadField: {what} {v!r} is not {t.__name__}"
+        for v, t, what in fields
+        if type(v) is not t
+    ] + out
 
 
 def _validate(net: Net, out: list[str], where: str):
@@ -494,6 +541,20 @@ class _FlatEdge:
         return (self.n0, self.s0, self.ty) if i == 0 else (self.n1, self.s1, dual(self.ty))
 
 
+class _End(NamedTuple):
+    """One end of a flattened edge, with the texts the labelling compares."""
+
+    node: int
+    slot: object
+    slot_text: str  # repr(slot)
+    ty: Formula  # read from this end toward the other
+    ty_text: str  # fmt_formula(ty)
+
+
+def _ends(e: _FlatEdge) -> tuple[_End, _End]:
+    return tuple(_End(n, s, repr(s), ty, fmt_formula(ty)) for n, s, ty in (e.end(0), e.end(1)))
+
+
 _NARY = {"Contraction": "NContr", "Cocontraction": "NCocontr"}
 _NEUTRAL = {"NContr": "Weakening", "NCocontr": "Coweakening"}
 
@@ -608,22 +669,15 @@ def _flatten(net: Net):
     return nodes, edges
 
 
-def _refine(nodes, edges, colors):
+def _refine(adj, colors):
     """Iterated colour refinement; returns stable colors (dense ranks)."""
-    adj: dict[int, list] = {n: [] for n in nodes}
-    for e in edges:
-        for i in (0, 1):
-            (nu, su, tyu) = e.end(i)
-            (nv, sv, _) = e.end(1 - i)
-            adj[nu].append((repr(su), repr(sv), fmt_formula(tyu), nv, e))
-            # tyu reads nu -> nv
     while True:
         sigs = {}
-        for n in nodes:
-            nb = sorted((s0, s1, ty, colors[v]) for (s0, s1, ty, v, _) in adj[n])
+        for n, nbrs in adj.items():
+            nb = sorted((s0, s1, ty, colors[v]) for (s0, s1, ty, v) in nbrs)
             sigs[n] = (colors[n], tuple(nb))
         ranking = {s: i for i, s in enumerate(sorted(set(sigs.values())))}
-        new = {n: ranking[sigs[n]] for n in nodes}
+        new = {n: ranking[sigs[n]] for n in adj}
         if new == colors:
             return colors
         colors = new
@@ -631,10 +685,14 @@ def _refine(nodes, edges, colors):
 
 def _canonical_labelling(nodes, edges):
     """Exact canonical labelling; returns (certificate, node -> position)."""
+    adj: dict[int, list] = {n: [] for n in nodes}
+    for ends in edges:
+        for u, v in (ends, ends[::-1]):
+            adj[u.node].append((u.slot_text, v.slot_text, u.ty_text, v.node))
 
     init = {n: nodes[n].key for n in nodes}
     base_rank = {k: i for i, k in enumerate(sorted(set(init.values()), key=repr))}
-    colors = _refine(nodes, edges, {n: base_rank[init[n]] for n in nodes})
+    colors = _refine(adj, {n: base_rank[init[n]] for n in nodes})
 
     def finish(colors):
         classes: dict[int, list[int]] = {}
@@ -652,7 +710,7 @@ def _canonical_labelling(nodes, edges):
         for pick in target:
             c2 = dict(colors)
             c2[pick] = mx + 1
-            cert, pos = finish(_refine(nodes, edges, c2))
+            cert, pos = finish(_refine(adj, c2))
             if best is None or cert < best[0]:
                 best = (cert, pos)
         return best
@@ -660,128 +718,72 @@ def _canonical_labelling(nodes, edges):
     return finish(colors)
 
 
+def _oriented(edges, pos):
+    """Each edge read from its lesser end by (position, slot text), as
+    (certificate entry, near end, far end), in certificate order."""
+    out = []
+    for e0, e1 in edges:
+        i, j = pos[e0.node], pos[e1.node]
+        if (i, e0.slot_text) > (j, e1.slot_text):
+            e0, e1, i, j = e1, e0, j, i
+        out.append(((i, j, e0.slot_text, e1.slot_text, e0.ty_text), e0, e1))
+    out.sort(key=lambda t: t[0])
+    return out
+
+
 def _certificate(nodes, edges, order):
-    pos = {n: i for i, n in enumerate(sorted(nodes, key=lambda n: order[n]))}
-    node_part = tuple(
-        nodes[n].key for n in sorted(nodes, key=lambda n: pos[n])
-    )
-    edge_part = []
-    for e in edges:
-        i, j = pos[e.n0], pos[e.n1]
-        if (i, repr(e.s0)) <= (j, repr(e.s1)):
-            edge_part.append((i, j, repr(e.s0), repr(e.s1), fmt_formula(e.ty)))
-        else:
-            edge_part.append((j, i, repr(e.s1), repr(e.s0), fmt_formula(dual(e.ty))))
-    return (node_part, tuple(sorted(edge_part))), pos
+    ranked = sorted(nodes, key=lambda n: order[n])
+    pos = {n: i for i, n in enumerate(ranked)}
+    node_part = tuple(nodes[n].key for n in ranked)
+    return (node_part, tuple(entry for entry, _, _ in _oriented(edges, pos))), pos
 
 
-def _rebuild(net: Net, nodes, edges, pos) -> Net:
-    """Build the concrete canonical representative."""
-    counter = [0]
-
-    def newp():
-        counter[0] += 1
-        return counter[0]
-
-    # Deterministic edge order; orientation normalized to the sort key so
-    # the rebuilt net is a function of the canonical data alone.
-    def ecanon(e):
-        i, j = pos[e.n0], pos[e.n1]
-        if (i, repr(e.s0)) <= (j, repr(e.s1)):
-            return _FlatEdge(e.n0, e.s0, e.n1, e.s1, e.ty)
-        return _FlatEdge(e.n1, e.s1, e.n0, e.s0, dual(e.ty))
-
-    def ekey(e):
-        return (pos[e.n0], pos[e.n1], repr(e.s0), repr(e.s1), fmt_formula(e.ty))
-
-    sedges = sorted((ecanon(e) for e in edges), key=ekey)
-    # Allocate a port per edge endpoint; orient each wire canonically.
-    wires = []
-    endpoint_port = {}  # (edge index, end) -> port
-    for k, e in enumerate(sedges):
-        pa, pb = newp(), newp()
-        endpoint_port[(k, 0)] = pa
-        endpoint_port[(k, 1)] = pb
-        ta, tb = fmt_formula(e.ty), fmt_formula(dual(e.ty))
-        if ta <= tb:
-            wires.append(Wire(pa, pb, e.ty))
-        else:
-            wires.append(Wire(pb, pa, dual(e.ty)))
-
-    # Slots per node.
+def _rebuild(nodes, edges, pos) -> Net:
+    """Build the concrete canonical representative: one wire per edge in
+    certificate order, then the cells in position order, n-ary nodes as left
+    combs whose last cell takes over the root wire."""
+    b = Builder()
+    wire_of: dict[int, Wire] = {}
     slots: dict[int, dict] = {n: {"a": []} for n in nodes}
-    for k, e in enumerate(sedges):
-        for i, (n, s, _) in enumerate([e.end(0), e.end(1)]):
-            p = endpoint_port[(k, i)]
-            if s == "a":
-                slots[n]["a"].append((pos[e.end(1 - i)[0]], k, p))
+    for k, (_, e0, e1) in enumerate(_oriented(edges, pos)):
+        p0, p1 = b.port(), b.port()
+        if e0.ty_text <= e1.ty_text:
+            wire_of[p0] = wire_of[p1] = b.wire(p0, p1, e0.ty)
+        else:
+            wire_of[p0] = wire_of[p1] = b.wire(p1, p0, e1.ty)
+        for e, p, other in ((e0, p0, e1), (e1, p1, e0)):
+            if e.slot == "a":
+                slots[e.node]["a"].append((pos[other.node], k, p))
             else:
-                slots[n][s] = p
-
-    cells = []
-    cid = [0]
-
-    def newc():
-        cid[0] += 1
-        return cid[0]
-
-    wire_of = {}
-    for w in wires:
-        wire_of[w.a] = w
-        wire_of[w.b] = w
+                slots[e.node][e.slot] = p
 
     for n in sorted(nodes, key=lambda n: pos[n]):
         node = nodes[n]
         if node.sym == "free":
             continue
-        if node.sym in _NEUTRAL:  # n-ary node, arity >= 2 by flattening
-            sym = "Contraction" if node.sym == "NContr" else "Cocontraction"
+        if node.sym in _NEUTRAL:
             leaves = [p for (_, _, p) in sorted(slots[n]["a"])]
+            if len(leaves) < 2:  # flattening leaves only a unary self-loop
+                raise CyclicNet("a (co)contraction tree feeds its own root")
+            sym = "Contraction" if node.sym == "NContr" else "Cocontraction"
             root = slots[n]["p"]
-            ty = dual(wire_of[root].toward(root))  # principal type away
-            # left comb: combine first two leaves, then fold the rest
-            acc = None
-            for leaf in leaves:
-                if acc is None:
-                    acc = leaf
-                    continue
-                pr = newp()
-                cells.append(Cell(newc(), sym, pr, [acc, leaf]))
-                mid = newp()
-                wires.append(
-                    Wire(pr, mid, ty) if sym == "Cocontraction" else Wire(mid, pr, dual(ty))
-                )
-                acc = mid
-            # fuse acc with root: both are dangling ports of existing wires
-            wa = next(w for w in wires if acc in (w.a, w.b))
-            wb = next(w for w in wires if root in (w.a, w.b))
-            wires.remove(wa)
-            wires.remove(wb)
-            fa, fb = wa.other(acc), wb.other(root)
-            # the merged wire read fa -> fb carries what flowed fa -> acc
-            wires.append(Wire(fa, fb, wa.toward(acc)))
-            wire_of = {}
-            for w in wires:
-                wire_of[w.a] = w
-                wire_of[w.b] = w
-        elif node.sym == "Box":
-            ordered = [(s, p) for s, p in slots[n].items() if isinstance(s, tuple)]
-            aux = [p for (s, p) in sorted(ordered, key=lambda kv: kv[0][1])]
-            cells.append(Cell(newc(), "Box", slots[n]["p"], aux, node.inner.copy()))
+            w = wire_of[root]
+            into = w.toward(root)
+            pr, _ = left_comb(b, sym, leaves, into if sym == "Contraction" else dual(into))
+            if w.a == root:
+                w.a = pr
+            else:
+                w.b = pr
         else:
             ordered = [(s, p) for s, p in slots[n].items() if isinstance(s, tuple)]
             aux = [p for (s, p) in sorted(ordered, key=lambda kv: kv[0][1])]
-            cells.append(Cell(newc(), node.sym, slots[n]["p"], aux))
+            inner = node.inner.copy() if node.sym == "Box" else None
+            b.cell_on(node.sym, slots[n]["p"], aux, inner)
 
-    free = []
-    for n in sorted(nodes, key=lambda n: pos[n]):
-        if nodes[n].sym == "free":
-            (_, lbl) = nodes[n].key
-            free.append((lbl, slots[n]["f"]))
-    free.sort()
-    out = Net(cells, wires, [(p, lbl) for (lbl, p) in free])
-
-    # normalize wire orientation once more (comb fusions may have flipped)
+    free = sorted((nodes[n].key[1], slots[n]["f"]) for n in nodes if nodes[n].sym == "free")
+    out = b.finish([(p, lbl) for (lbl, p) in free])
+    # a comb over an ill-typed tree may carry its formula against the
+    # canonical reading direction
     for i, w in enumerate(out.wires):
         if fmt_formula(w.ty) > fmt_formula(dual(w.ty)):
             out.wires[i] = Wire(w.b, w.a, dual(w.ty))
@@ -790,10 +792,10 @@ def _rebuild(net: Net, nodes, edges, pos) -> Net:
 
 
 def canonicalize_with_cert(net: Net):
-    nodes, edges = _flatten(net)
+    nodes, flat = _flatten(net)
+    edges = [_ends(e) for e in flat]
     cert, pos = _canonical_labelling(nodes, edges)
-    rebuilt = _rebuild(net, nodes, edges, pos)
-    return rebuilt, cert
+    return _rebuild(nodes, edges, pos), cert
 
 
 def canonicalize(net: Net) -> Net:
@@ -916,11 +918,13 @@ def parse(data: bytes):
     written, without canonicalization) wrapped so iteration works."""
     try:
         obj = json.loads(data)
+        if not isinstance(obj, dict) or "sum" not in obj or not isinstance(obj["sum"], list):
+            raise ParseError("expected top-level object with 'sum' list")
+        return [_net_from_obj(o) for o in obj["sum"]]
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, exc.pos) from exc
-    if not isinstance(obj, dict) or "sum" not in obj or not isinstance(obj["sum"], list):
-        raise ParseError("expected top-level object with 'sum' list")
-    return [_net_from_obj(o) for o in obj["sum"]]
+    except RecursionError:
+        raise ParseError("net nested too deeply") from None
 
 
 # ---------------------------------------------------------------------------

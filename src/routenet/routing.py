@@ -27,6 +27,7 @@ from .proofnet import (
     canonical_equal,
     canonicalize,
     dual,
+    left_comb,
 )
 from .rewrite import ALL, find_redexes, normalize
 
@@ -51,65 +52,39 @@ def build_area(area: RoutingArea) -> Net:
     """Left-comb trees in label order; degenerate arities become a bare
     wire (1) or a (co)weakening (0)."""
     R, A = area.rel, area.payload
-    net = Net()
-    port = [0]
-    cid = [0]
-
-    def newp():
-        port[0] += 1
-        return port[0]
-
-    def newc():
-        cid[0] += 1
-        return cid[0]
-
+    b = Builder()
     # one crossing wire per unit of R(i,o); endpoints dangle until combed
     in_leaves: dict[str, list[int]] = {i: [] for i in R.domain}
     out_leaves: dict[str, list[int]] = {o: [] for o in R.codomain}
     for i in R.domain:
         for o in R.codomain:
             for _ in range(R(i, o)):
-                u, v = newp(), newp()
-                net.wires.append(Wire(u, v, A))
+                u, v = b.port(), b.port()
+                b.wire(u, v, A)
                 in_leaves[i].append(u)
                 out_leaves[o].append(v)
 
-    def comb(sym: str, leaves: list[int]) -> int:
-        """Build a left comb over the leaf ports; return its root port."""
-        acc = leaves[0]
-        for leaf in leaves[1:]:
-            p = newp()
-            net.cells.append(Cell(newc(), sym, p, [acc, leaf]))
-            q = newp()
-            # wire between this root and its consumer, !A oriented
-            if sym == "Contraction":
-                net.wires.append(Wire(q, p, A))
+    free = []
+    trees = (
+        (in_leaves, "Contraction", "Weakening"),
+        (out_leaves, "Cocontraction", "Coweakening"),
+    )
+    for leaves_of, sym, neutral in trees:
+        for label, leaves in leaves_of.items():
+            if len(leaves) == 1:
+                free.append((leaves[0], label))
+                continue
+            if leaves:
+                pr, q = left_comb(b, sym, leaves, A)
             else:
-                net.wires.append(Wire(p, q, A))
-            acc = q
-        return acc
-
-    for i in R.domain:
-        leaves = in_leaves[i]
-        if not leaves:
-            w = newp()
-            net.cells.append(Cell(newc(), "Weakening", w))
-            pi = newp()
-            net.wires.append(Wire(pi, w, A))
-            net.free.append((pi, i))
-        else:
-            net.free.append((comb("Contraction", leaves), i))
-    for o in R.codomain:
-        leaves = out_leaves[o]
-        if not leaves:
-            w = newp()
-            net.cells.append(Cell(newc(), "Coweakening", w))
-            po = newp()
-            net.wires.append(Wire(w, po, A))
-            net.free.append((po, o))
-        else:
-            net.free.append((comb("Cocontraction", leaves), o))
-    return net
+                pr, q = b.cell(neutral, 0).principal, b.port()
+            # the free end q of the root wire: !A flows in at an input
+            if sym == "Contraction":
+                b.wire(q, pr, A)
+            else:
+                b.wire(pr, q, A)
+            free.append((q, label))
+    return b.finish(free)
 
 
 def gamma(payload: "Formula" = bang(ONE)) -> Net:
@@ -160,11 +135,19 @@ def _free_io(n: Net):
 
 def read_area(n: Net) -> RoutingArea:
     """Decompose a normal routing net into its multirelation."""
+    _check_normal_routing(n)
+    return _read_canonical(canonicalize(n))
+
+
+def _check_normal_routing(n: Net):
     if not is_routing_net(n):
         raise NotAreaShaped("not a routing net")
     if find_redexes(n, ALL):
         raise NotNormal("net has residual cuts")
-    n = canonicalize(n)
+
+
+def _read_canonical(n: Net) -> RoutingArea:
+    """`read_area` of a checked net already in canonical form."""
     ins, outs = _free_io(n)
     if len({l for _, l in ins}) != len(ins) or len({l for _, l in outs}) != len(outs):
         raise NotAreaShaped("duplicate free labels within a direction")
@@ -262,7 +245,9 @@ def semantics(n: Net, budget: int = 10000) -> Multirelation:
     s = normalize(n, budget)
     if len(s) != 1:
         raise NotAreaShaped(f"routing net reduced to {len(s)} summands")
-    return read_area(s.summands[0]).rel
+    (m,) = s  # a NetSum holds its summands in canonical form
+    _check_normal_routing(m)
+    return _read_canonical(m).rel
 
 
 def path_semantics(n: Net) -> Multirelation:
@@ -406,6 +391,6 @@ def transit(a: Net, i: str, payload: Net | None = None, budget: int = 10000):
         if c.sym == "Box":
             c.sym = "Coweakening"
             c.inner = None
-    if not canonical_equal(canonicalize(residual), canonicalize(a)):
+    if not canonical_equal(residual, a):
         raise RoutenetError("transit disturbed the area")
     return counts

@@ -238,9 +238,9 @@ def _area_ports(b: Builder, area: Net):
 
 
 class _Translator:
-    def __init__(self, R: RegionCtx, inf):
+    def __init__(self, R: RegionCtx, ann):
         self.R = R
-        self.ann = inf.annotations()
+        self.ann = ann
         self.b = Builder()
 
     def wtype(self, r: str) -> Formula:
@@ -260,7 +260,7 @@ class _Translator:
     def value_net(self, v: TermL, want: Formula | None = None) -> Net:
         """A value as a standalone net: an `out` wire plus one wire per
         captured variable (values are pure, so no reference wires)."""
-        sub = _Translator(self.R, _InfView(self.ann))
+        sub = _Translator(self.R, self.ann)
         iface = sub.tr(v)
         if any(not (k == "out" or k.startswith("v:")) for k in iface):
             raise DerivationMismatch("injected values must be pure")
@@ -345,7 +345,7 @@ class _Translator:
         ws = [self.wtype(s) for s in refs]
         a_out = self.fmla(arrow.cod)
 
-        sub = _Translator(self.R, _InfView(self.ann))
+        sub = _Translator(self.R, self.ann)
         iface = sub.tr(t.body)
         ib = sub.b
 
@@ -579,16 +579,6 @@ class _Translator:
         return iface
 
 
-class _InfView:
-    """Adapter exposing precomputed annotations to a sub-translator."""
-
-    def __init__(self, ann):
-        self._ann = ann
-
-    def annotations(self):
-        return self._ann
-
-
 # ---------------------------------------------------------------------------
 # Entry points
 
@@ -608,7 +598,7 @@ def _sorted_iface(iface: Iface) -> list[tuple[int, str]]:
 def translate(term: TermL, R: RegionCtx, gamma: dict | None = None) -> Net:
     """Compile a typed term; free ports follow the labelled interface."""
     (_ty, _eff), inf = typecheck_lthis(R, gamma or {}, term, want_infer=True)
-    tr = _Translator(R, inf)
+    tr = _Translator(R, inf.annotations())
     iface = tr.tr(term)
     net = tr.b.finish(_sorted_iface(iface))
     problems = validate(net)

@@ -157,6 +157,13 @@ MALFORMED_NETS = {
     "one-on-bang-wire": ([_OUT], [_ONE], [_wire(1, 2, "!1")]),
     "self-wire": ([_OUT], [_ONE], [_wire(1, 2, "1"), _wire(3, 3, "!1")]),
     "box-without-box": ([_OUT], [dict(_ONE, sym="Box")], [_wire(1, 2, "!1")]),
+    "port-not-int": ([_OUT], [dict(_ONE, pal=[1])], [_wire(1, 2, "1")]),
+    # `routenet area` output for "in: a / out: x y / 1 1", label x replaced by 7
+    "label-not-str": (
+        [{"port": 6, "label": "a"}, {"port": 2, "label": 7}, {"port": 4, "label": "y"}],
+        [{"id": 1, "sym": "Contraction", "pal": 5, "aux": [1, 3]}],
+        [_wire(1, 2, "!1"), _wire(3, 4, "!1"), _wire(6, 5, "!1")],
+    ),
 }
 
 
@@ -188,3 +195,20 @@ def test_reduce_accepts_its_own_output(tmp_path, capsys):
     first = capsys.readouterr().out
     assert main(["reduce", _write(tmp_path, "nf.json", first)]) == 0
     assert capsys.readouterr().out == first
+
+
+DEEP_INPUTS = {
+    "term": ("check", {"M.term": "(" * 3000 + "*" + ")" * 3000}),
+    "type": ("check", {"R.ctx": "r : " + "(" * 3000 + "Unit" + ")" * 3000, "M.term": "*"}),
+    "json": ("reduce", {"n.json": "[" * 100000 + "]" * 100000}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEEP_INPUTS))
+def test_deeply_nested_input_is_65(tmp_path, case):
+    cmd, files = DEEP_INPUTS[case]
+    got = _cli(cmd, *(_write(tmp_path, name, text) for name, text in files.items()))
+    assert got.returncode == 65
+    assert got.stdout == ""
+    assert "Traceback" not in got.stderr
+    assert "nested too deeply" in got.stderr

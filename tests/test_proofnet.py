@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from routenet.errors import ParseError
+from routenet.errors import CyclicNet, ParseError
 from routenet.proofnet import (
     BOT,
     Cell,
@@ -150,6 +150,19 @@ def test_canonical_weakening_neutrality():
     assert validate(n) == []
     plain = Net([], [Wire(1, 2, WN)], [(1, "x"), (2, "r")])
     assert canonical_equal(n, plain)
+
+
+def test_canonical_rejects_contraction_fed_by_its_own_root():
+    # the principal feeds aux 1 and aux 2 holds a weakening: well typed,
+    # but flattening leaves a unary node looped onto itself
+    n = Net(
+        [Cell(1, "Contraction", 1, [2, 3]), Cell(2, "Weakening", 4), Cell(3, "One", 5)],
+        [Wire(1, 2, WN), Wire(4, 3, WN), Wire(5, 6, ONE)],
+        [(6, "o")],
+    )
+    assert validate(n) == []
+    with pytest.raises(CyclicNet):
+        canonicalize(n)
 
 
 def test_canonical_invariant_under_port_renaming():

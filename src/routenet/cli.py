@@ -204,8 +204,12 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"routenet: {exc}", file=sys.stderr)
         return EX_DATAERR
-    except BudgetExhausted:
-        print("routenet: reduction budget exhausted", file=sys.stderr)
+    except BudgetExhausted as exc:
+        msg = "routenet: reduction budget exhausted"
+        if exc.steps:
+            counts = ", ".join(f"{rule} {n}" for rule, n in sorted(exc.steps.items()))
+            msg += f" after {sum(exc.steps.values())} steps ({counts})"
+        print(msg, file=sys.stderr)
         return EX_TEMPFAIL
     except (TypingError, NotStratified) as exc:
         # compile/values on an ill-typed program

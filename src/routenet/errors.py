@@ -31,11 +31,13 @@ class StaleRedex(RoutenetError):
 
 
 class BudgetExhausted(RoutenetError):
-    """Reduction ran out of steps; carries the partial result."""
+    """Reduction ran out of steps; carries the partial result and, from the
+    net rewriter, the steps taken per rule (a Counter)."""
 
-    def __init__(self, partial):
+    def __init__(self, partial, steps=None):
         super().__init__("reduction budget exhausted")
         self.partial = partial
+        self.steps = steps
 
 
 class HasBoxes(RoutenetError):

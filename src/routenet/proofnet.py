@@ -164,15 +164,6 @@ class Cell:
     def ports(self) -> list[int]:
         return [self.principal] + list(self.aux)
 
-    def copy(self) -> "Cell":
-        return Cell(
-            self.id,
-            self.sym,
-            self.principal,
-            list(self.aux),
-            self.inner.copy() if self.inner is not None else None,
-        )
-
 
 @dataclass
 class Wire:
@@ -188,48 +179,219 @@ class Wire:
         return self.ty if port == self.b else dual(self.ty)
 
 
-@dataclass
 class Net:
-    cells: list[Cell] = field(default_factory=list)
-    wires: list[Wire] = field(default_factory=list)
-    free: list[tuple[int, str]] = field(default_factory=list)
+    """One level of a net: its cells and wires, in the order they were added,
+    and its labelled free ports.  `cells` and `wires` read as tuples, and
+    assigning either replaces it whole; `free` is a plain list.
 
-    # -- basic queries ------------------------------------------------------
+    A net shares its cells, wires and box contents with the nets it was
+    copied from, so none of them is edited in place: `Builder` makes every
+    edit and replaces a changed cell or wire in its position.  From the first
+    query by port or cell id on, the net keeps these indexes current as the
+    Builder edits it:
+
+    * port -> wire, port -> (cell, slot) with slot 'p' or an aux index, and
+      cell id -> cell;
+    * the highest wired port and the highest cell id, which the Builder's
+      numbering contract reads.
+
+    `redexes` holds the rewriter's redex candidates for this level (see
+    rewrite.py), and `touched` the ports edited since those were last
+    brought up to date; both are copied with the net.  The indexes and the
+    candidates are filled in by reads, so nets that share box contents are
+    not to be read or rewritten from several threads at once.
+    """
+
+    __slots__ = (
+        "free", "redexes", "touched", "_cells", "_wires", "_next",
+        "_owner", "_cell_key", "_wire_key", "_top_port", "_top_cid",
+    )
+
+    def __init__(self, cells=(), wires=(), free=()):
+        self._next = 0
+        self.free = list(free)
+        self.cells = cells
+        self.wires = wires
+
+    # -- contents -----------------------------------------------------------
+
+    @property
+    def cells(self) -> tuple[Cell, ...]:
+        return tuple(self._cells.values())
+
+    @cells.setter
+    def cells(self, cells):
+        self._cells = self._keyed(cells)
+        self._unindex()
+
+    @property
+    def wires(self) -> tuple[Wire, ...]:
+        return tuple(self._wires.values())
+
+    @wires.setter
+    def wires(self, wires):
+        self._wires = self._keyed(wires)
+        self._unindex()
+
+    def _keyed(self, items) -> dict:
+        # keys grow with insertion and a replaced item keeps its key, so the
+        # dict order is the list order
+        start = self._next
+        out = dict(enumerate(items, start))
+        self._next = start + len(out)
+        return out
+
+    def _unindex(self):
+        self._owner = None
+        self.redexes = None
+        self.touched = set()
+
+    def __eq__(self, other):
+        if not isinstance(other, Net):
+            return NotImplemented
+        return (self.cells, self.wires, self.free) == (other.cells, other.wires, other.free)
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"Net(cells={list(self.cells)!r}, wires={list(self.wires)!r}, free={self.free!r})"
 
     def copy(self) -> "Net":
-        return Net(
-            [c.copy() for c in self.cells],
-            [Wire(w.a, w.b, w.ty) for w in self.wires],
-            list(self.free),
-        )
+        """A net with the same contents, sharing every cell, wire and box."""
+        n = Net.__new__(Net)
+        n.free = list(self.free)
+        n._cells, n._wires, n._next = dict(self._cells), dict(self._wires), self._next
+        n._owner = None
+        if self._owner is not None:
+            n._owner, n._cell_key = dict(self._owner), dict(self._cell_key)
+            n._wire_key = dict(self._wire_key)
+            n._top_port, n._top_cid = self._top_port, self._top_cid
+        n.redexes = None if self.redexes is None else tuple(list(h) for h in self.redexes)
+        n.touched = set(self.touched)
+        return n
+
+    # -- indexes ------------------------------------------------------------
+
+    def _indexed(self) -> "Net":
+        """Build the indexes on first use (a parsed net may carry ports of
+        the wrong type until `validate` has looked at it)."""
+        if self._owner is None:
+            self._owner, self._cell_key, self._wire_key = {}, {}, {}
+            self._top_port = self._top_cid = 0
+            for k, c in self._cells.items():
+                self._index_cell(k, c)
+            for k, w in self._wires.items():
+                self._index_wire(k, w)
+        return self
+
+    def _index_cell(self, k: int, c: Cell):
+        if not self._cell_key or c.id > self._top_cid:
+            self._top_cid = c.id
+        self._cell_key[c.id] = k
+        owner = self._owner
+        owner[c.principal] = (c, "p")
+        for i, p in enumerate(c.aux):
+            owner[p] = (c, i)
+        if self.redexes is not None:
+            self.touched.add(c.principal)
+            self.touched.update(c.aux)
+
+    def _unindex_cell(self, c: Cell):
+        owner = self._owner
+        for p in c.ports():
+            if owner.get(p, (None,))[0] is c:
+                del owner[p]
+
+    def _index_wire(self, k: int, w: Wire):
+        wire_key = self._wire_key
+        wire_key[w.a] = wire_key[w.b] = k
+        top = w.a if w.a > w.b else w.b
+        if top > self._top_port:
+            self._top_port = top
+        if self.redexes is not None:
+            self.touched.add(w.a)  # one end names the wire
+
+    def _unindex_wire(self, k: int, w: Wire):
+        wire_key = self._wire_key
+        for p in (w.a, w.b):
+            if wire_key.get(p) == k:
+                del wire_key[p]
+
+    # -- edits, made through Builder ------------------------------------------
+
+    def _add_cell(self, c: Cell):
+        k = self._next
+        self._next += 1
+        self._cells[k] = c
+        if self._owner is not None:
+            self._index_cell(k, c)
+
+    def _remove_cell(self, cid: int):
+        k = self._indexed()._cell_key.pop(cid)
+        self._unindex_cell(self._cells.pop(k))
+
+    def _replace_cell(self, c: Cell):
+        k = self._indexed()._cell_key[c.id]
+        self._unindex_cell(self._cells[k])
+        self._cells[k] = c
+        self._index_cell(k, c)
+
+    def _add_wire(self, w: Wire):
+        k = self._next
+        self._next += 1
+        self._wires[k] = w
+        if self._owner is not None:
+            self._index_wire(k, w)
+
+    def _remove_wire(self, w: Wire):
+        k = self._indexed()._wire_key[w.a]
+        self._unindex_wire(k, self._wires.pop(k))
+
+    def _replace_wire(self, port: int, w: Wire):
+        k = self._indexed()._wire_key[port]
+        self._unindex_wire(k, self._wires[k])
+        self._wires[k] = w
+        self._index_wire(k, w)
+
+    # -- queries ------------------------------------------------------------
+
+    def is_wired(self, port: int) -> bool:
+        return port in self._indexed()._wire_key
+
+    def wire_at(self, port: int) -> Wire:
+        """The wire ending at `port`; KeyError if there is none."""
+        return self._wires[self._indexed()._wire_key[port]]
+
+    def wires_at(self, ports) -> list[Wire]:
+        """The distinct wires ending at `ports`, in list order."""
+        wire_key = self._indexed()._wire_key
+        return [self._wires[k] for k in sorted({wire_key[p] for p in ports if p in wire_key})]
 
     def wire_of(self) -> dict[int, Wire]:
-        m: dict[int, Wire] = {}
-        for w in self.wires:
-            m[w.a] = w
-            m[w.b] = w
-        return m
+        wires = self._wires
+        return {p: wires[k] for p, k in self._indexed()._wire_key.items()}
 
     def owner(self) -> dict[int, tuple[Cell, object]]:
-        """Map port -> (cell, slot) with slot 'p' or aux index."""
-        m: dict[int, tuple[Cell, object]] = {}
-        for c in self.cells:
-            m[c.principal] = (c, "p")
-            for i, p in enumerate(c.aux):
-                m[p] = (c, i)
-        return m
+        """Map port -> (cell, slot) with slot 'p' or aux index; the net's own
+        index, to be read and not edited."""
+        return self._indexed()._owner
 
     def max_port(self) -> int:
-        mx = 0
-        for w in self.wires:
-            mx = max(mx, w.a, w.b)
-        return mx
+        """The highest wired port, or 0."""
+        top = self._indexed()._top_port
+        if top and top not in self._wire_key:
+            top = self._top_port = max(_highest_below(top, self._wire_key), 0)
+        return top
+
+    def max_cid(self) -> int:
+        """The highest cell id, or 0 for a net without cells."""
+        top = self._indexed()._top_cid
+        if top not in self._cell_key:
+            top = self._top_cid = _highest_below(top, self._cell_key)
+        return top
 
     def cell_by_id(self, cid: int) -> Cell:
-        for c in self.cells:
-            if c.id == cid:
-                return c
-        raise KeyError(cid)
+        return self._cells[self._indexed()._cell_key[cid]]
 
     def free_port(self, label: str) -> int:
         for p, l in self.free:
@@ -239,12 +401,24 @@ class Net:
 
     def outward(self, port: int) -> Formula:
         """Formula carried out of the net through a free port."""
-        return self.wire_of()[port].toward(port)
+        return self.wire_at(port).toward(port)
+
+
+def _highest_below(top: int, used: dict) -> int:
+    """The highest key of `used`, all of which are below `top` (0 if there
+    is none): a short walk down from `top`, or a scan past a wide gap."""
+    if not used:
+        return 0
+    for k in range(top - 1, top - 33, -1):
+        if k in used:
+            return k
+    return max(used)
 
 
 class Builder:
-    """Grows a net: the one place that allocates ports and cell ids, re-ends
-    wires and copies one net into another.
+    """Grows and edits a net: the one place that allocates ports and cell
+    ids, adds, removes and replaces cells and wires, re-ends wires and copies
+    one net into another.
 
     Numbering contract:
 
@@ -254,15 +428,21 @@ class Builder:
     * `merge` shifts the ports of the copied net by the port counter and
       gives its cells the ids counter+1, counter+2, ... in list order.
 
+    The net keeps both highest values as it is edited: an insertion raises
+    them, and when the port or cell holding one goes, the next value in use
+    is found by a short walk down, so making a builder scans nothing.
+
     New cells only need names fresh for the net they join, and a rewrite
     rule only touches the wires at its interface, so rules, area algebra
-    and the compiler all build through this class.
+    and the compiler all build through this class.  Edits never change a
+    cell or wire in place: nets copied from one another share them.
     """
 
     def __init__(self, net: Net | None = None):
-        self.net = Net() if net is None else net
-        self.nport = self.net.max_port()
-        self.ncid = max((c.id for c in self.net.cells), default=0)
+        if net is None:
+            self.net, self.nport, self.ncid = Net(), 0, 0
+        else:
+            self.net, self.nport, self.ncid = net, net.max_port(), net.max_cid()
 
     def finish(self, free: list[tuple[int, str]]) -> Net:
         """The built net, with `free` as its interface."""
@@ -281,19 +461,26 @@ class Builder:
         """A new cell on the given ports."""
         self.ncid += 1
         c = Cell(self.ncid, sym, principal, aux, inner)
-        self.net.cells.append(c)
+        self.net._add_cell(c)
         return c
+
+    def replace_cell(self, c: Cell):
+        """Put `c` in the place of the cell with its id."""
+        self.net._replace_cell(c)
+
+    def remove_cell(self, c: Cell):
+        self.net._remove_cell(c.id)
 
     def wire(self, a: int, b: int, ty: Formula) -> Wire:
         w = Wire(a, b, ty)
-        self.net.wires.append(w)
+        self.net._add_wire(w)
         return w
 
+    def remove_wire(self, w: Wire):
+        self.net._remove_wire(w)
+
     def wire_at(self, q: int) -> Wire:
-        for w in self.net.wires:
-            if q in (w.a, w.b):
-                return w
-        raise KeyError(q)
+        return self.net.wire_at(q)
 
     def end_ty(self, q: int) -> Formula:
         """Formula flowing toward the dangling end q."""
@@ -302,10 +489,7 @@ class Builder:
     def reend(self, q: int, newp: int):
         """Move the end of the wire at q to port newp, keeping its formula."""
         w = self.wire_at(q)
-        if w.a == q:
-            w.a = newp
-        else:
-            w.b = newp
+        self.net._replace_wire(q, Wire(newp, w.b, w.ty) if w.a == q else Wire(w.a, newp, w.ty))
 
     def fuse(self, q1: int, q2: int):
         """Join two dangling ends; their formulas must be dual."""
@@ -318,21 +502,20 @@ class Builder:
                 f"interface type clash: {t1!r} vs {w2.toward(q2)!r}"
             )
         far1, far2 = w1.other(q1), w2.other(q2)
-        self.net.wires.remove(w1)
-        self.net.wires.remove(w2)
+        self.remove_wire(w1)
+        self.remove_wire(w2)
         # t1 flows out of side 1 and into side 2, i.e. toward far2
         self.wire(far1, far2, t1)
 
     def merge(self, n: Net) -> int:
-        """Copy the cells and wires of `n` in (not its free list); returns
-        the shift added to its port numbers."""
+        """Copy the cells and wires of `n` in (not its free list), sharing
+        its box contents; returns the shift added to its port numbers."""
         off = self.nport
         self.nport += n.max_port()
         for c in n.cells:
             self.ncid += 1
-            inner = c.inner.copy() if c.inner is not None else None
-            self.net.cells.append(
-                Cell(self.ncid, c.sym, c.principal + off, [a + off for a in c.aux], inner)
+            self.net._add_cell(
+                Cell(self.ncid, c.sym, c.principal + off, [a + off for a in c.aux], c.inner)
             )
         for w in n.wires:
             self.wire(w.a + off, w.b + off, w.ty)
@@ -757,6 +940,7 @@ def _rebuild(nodes, edges, pos) -> Net:
             else:
                 slots[e.node][e.slot] = p
 
+    comb_root: dict[int, int] = {}  # root port -> principal of its comb
     for n in sorted(nodes, key=lambda n: pos[n]):
         node = nodes[n]
         if node.sym == "free":
@@ -767,28 +951,27 @@ def _rebuild(nodes, edges, pos) -> Net:
                 raise CyclicNet("a (co)contraction tree feeds its own root")
             sym = "Contraction" if node.sym == "NContr" else "Cocontraction"
             root = slots[n]["p"]
-            w = wire_of[root]
-            into = w.toward(root)
-            pr, _ = left_comb(b, sym, leaves, into if sym == "Contraction" else dual(into))
-            if w.a == root:
-                w.a = pr
-            else:
-                w.b = pr
+            into = wire_of[root].toward(root)
+            comb_root[root], _ = left_comb(
+                b, sym, leaves, into if sym == "Contraction" else dual(into)
+            )
         else:
             ordered = [(s, p) for s, p in slots[n].items() if isinstance(s, tuple)]
             aux = [p for (s, p) in sorted(ordered, key=lambda kv: kv[0][1])]
-            inner = node.inner.copy() if node.sym == "Box" else None
-            b.cell_on(node.sym, slots[n]["p"], aux, inner)
+            b.cell_on(node.sym, slots[n]["p"], aux, node.inner)
 
     free = sorted((nodes[n].key[1], slots[n]["f"]) for n in nodes if nodes[n].sym == "free")
-    out = b.finish([(p, lbl) for (lbl, p) in free])
-    # a comb over an ill-typed tree may carry its formula against the
-    # canonical reading direction
-    for i, w in enumerate(out.wires):
-        if fmt_formula(w.ty) > fmt_formula(dual(w.ty)):
-            out.wires[i] = Wire(w.b, w.a, dual(w.ty))
-    out.wires.sort(key=lambda w: (w.a, w.b))
-    return out
+    wires = []
+    for w in b.net.wires:
+        a, c = comb_root.get(w.a, w.a), comb_root.get(w.b, w.b)
+        # a comb over an ill-typed tree may carry its formula against the
+        # canonical reading direction
+        if fmt_formula(w.ty) <= fmt_formula(dual(w.ty)):
+            wires.append(Wire(a, c, w.ty))
+        else:
+            wires.append(Wire(c, a, dual(w.ty)))
+    wires.sort(key=lambda w: (w.a, w.b))
+    return Net(b.net.cells, wires, [(p, lbl) for (lbl, p) in free])
 
 
 def canonicalize_with_cert(net: Net):
@@ -828,6 +1011,17 @@ class NetSum:
         s._by_cert.update(self._by_cert)
         s._by_cert.update(other._by_cert)
         return s
+
+    def without(self, cert) -> "NetSum":
+        """The sum less the summand with certificate `cert`; the summands
+        kept are not canonicalized again."""
+        s = NetSum()
+        s._by_cert = {c: n for c, n in self._by_cert.items() if c != cert}
+        return s
+
+    def items(self):
+        """(certificate, canonical summand) pairs."""
+        return self._by_cert.items()
 
     @property
     def summands(self) -> list[Net]:

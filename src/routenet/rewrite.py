@@ -11,6 +11,8 @@ Exponential rules only fire on closed boxes (no auxiliary doors).
 """
 from __future__ import annotations
 
+import heapq
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import BudgetExhausted, StaleRedex
@@ -54,10 +56,10 @@ def _closed(c: Cell) -> bool:
     return c.sym == "Box" and not c.aux
 
 
-def _classify(net: Net, w: Wire, owner=None):
-    """Return (rule, port_x, port_y, cell_x, cell_y, door) or None."""
-    if owner is None:
-        owner = net.owner()
+def _classify(net: Net, w: Wire):
+    """The redex on wire `w` as a candidate ((id_x, id_y), (port_x, port_y),
+    rule, door), or None."""
+    owner = net.owner()
     for x, y in ((w.a, w.b), (w.b, w.a)):
         ox, oy = owner.get(x), owner.get(y)
         if ox is None or oy is None:
@@ -69,27 +71,30 @@ def _classify(net: Net, w: Wire, owner=None):
                 continue
             if cx.sym == "Box" and not _closed(cx):
                 continue
-            return rule, x, y, cx, cy, -1
+            return (cx.id, cy.id), (x, y), rule, -1
         if sx == "p" and isinstance(sy, int) and _closed(cx) and cy.sym == "Box":
-            return "c", x, y, cx, cy, sy
+            return (cx.id, cy.id), (x, y), "c", sy
     return None
+
+
+def _redex(path: tuple[int, ...], cand) -> Redex:
+    cells, wire, rule, door = cand
+    return Redex(path, rule, wire, cells, door)
 
 
 def find_redexes(net: Net, policy: str = SURFACE) -> list[Redex]:
     out: list[Redex] = []
 
     def walk(n: Net, path: tuple[int, ...]):
-        owner = n.owner()
         for w in n.wires:
-            hit = _classify(n, w, owner)
+            hit = _classify(n, w)
             if hit is None:
                 continue
-            rule, x, y, cx, cy, door = hit
             if path and policy == SURFACE:
                 continue
-            if path and policy == ANYDEPTH_EER and rule not in _DEEP_RULES:
+            if path and policy == ANYDEPTH_EER and hit[2] not in _DEEP_RULES:
                 continue
-            out.append(Redex(path, rule, (x, y), (cx.id, cy.id), door))
+            out.append(_redex(path, hit))
         if policy != SURFACE:
             for c in n.cells:
                 if c.sym == "Box":
@@ -97,6 +102,88 @@ def find_redexes(net: Net, policy: str = SURFACE) -> list[Redex]:
 
     walk(net, ())
     return sorted(out, key=Redex.key)
+
+
+# ---------------------------------------------------------------------------
+# Redex index
+#
+# Each level of a net carries its redex candidates, as two heaps ordered like
+# Redex.key within the level: the rules that also fire inside boxes under
+# ANYDEPTH_EER (e, er), and the others.  The Builder records the ports that
+# an edit touches; before a level is searched, the wires at those ports are
+# classified again and pushed.  A redex only depends on its wire and the two
+# cells at its ends, so every redex of the level is among the candidates.
+# Candidates that an edit has undone stay in the heaps until they reach the
+# top, where a lookup finds them stale.  Box contents are shared between a
+# net and its reducts, and so are their candidates.
+
+
+def _candidates(n: Net) -> tuple[list, list]:
+    """The level's candidate heaps, brought up to date with its edits."""
+    heaps = n.redexes
+    if heaps is None:
+        heaps = n.redexes = ([], [])
+        for w in n.wires:
+            _push(heaps, _classify(n, w))
+    elif n.touched:
+        seen = set()
+        for p in n.touched:
+            if n.is_wired(p):
+                w = n.wire_at(p)
+                if id(w) not in seen:
+                    seen.add(id(w))
+                    _push(heaps, _classify(n, w))
+        n.touched.clear()
+    return heaps
+
+
+def _push(heaps, cand):
+    if cand is not None:
+        heapq.heappush(heaps[0] if cand[2] in _DEEP_RULES else heaps[1], cand)
+
+
+def _still_valid(n: Net, cand) -> bool:
+    x, y = cand[1]
+    if not n.is_wired(x):
+        return False
+    w = n.wire_at(x)
+    return w.other(x) == y and _classify(n, w) == cand
+
+
+def _least_at(n: Net, deep_only: bool):
+    """The level's least valid candidate (of rule e or er only, when
+    `deep_only`), or None."""
+    heaps = _candidates(n)
+    best = None
+    for h in heaps[:1] if deep_only else heaps:
+        while h and not _still_valid(n, h[0]):
+            heapq.heappop(h)
+        if h and (best is None or h[0] < best):
+            best = h[0]
+    return best
+
+
+def _least(net: Net, policy: str) -> Redex | None:
+    """find_redexes(net, policy)[0] from the candidates, or None: the
+    surface first, then the boxes depth by depth in path order."""
+    hit = _least_at(net, False)
+    if hit is not None:
+        return _redex((), hit)
+    if policy == SURFACE:
+        return None
+    deep_only = policy == ANYDEPTH_EER
+    levels = [((), net)]
+    while levels:
+        levels = [
+            (path + (c.id,), c.inner)
+            for path, n in levels
+            for c in sorted((c for c in n.cells if c.sym == "Box"), key=lambda c: c.id)
+        ]
+        for path, n in levels:
+            hit = _least_at(n, deep_only)
+            if hit is not None:
+                return _redex(path, hit)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -109,20 +196,41 @@ def _level(net: Net, path: tuple[int, ...]) -> Net:
     return net
 
 
-def _resplice(n: Net, dead: set[int], pairs: dict[int, int]):
+def _open(net: Net, path: tuple[int, ...]) -> tuple[Net, Net]:
+    """A copy of `net` and its level at `path`, which may be edited: the
+    levels along the path are copies, everything else is shared."""
+    out = lvl = net.copy()
+    for cid in path:
+        box = lvl.cell_by_id(cid)
+        inner = box.inner.copy()
+        Builder(lvl).replace_cell(Cell(box.id, box.sym, box.principal, box.aux, inner))
+        lvl = inner
+    return out, lvl
+
+
+def _cut(lvl: Net, cells, wire: Wire | None = None) -> Builder:
+    """Remove `cells` and the cut `wire` from `lvl`; returns a builder made
+    after the removals, so its counters continue from what is left."""
+    b = Builder(lvl)
+    for c in cells:
+        b.remove_cell(c)
+    if wire is not None:
+        b.remove_wire(wire)
+    return Builder(lvl)
+
+
+def _resplice(b: Builder, dead: set[int], pairs: dict[int, int]):
     """Rewire around removed cells.
 
     `dead` are ports of deleted cells; `pairs` identifies dead ports in both
     directions.  Chains of wires through identified dead ports become single
-    wires; all-dead chains and cycles vanish.
+    wires, appended in the list order of their first wire; all-dead chains
+    and cycles vanish.
     """
-    keep, visited = [], set()
-    wire_at = n.wire_of()
-    for w in n.wires:
-        if w.a not in dead and w.b not in dead:
-            keep.append(w)
-            visited.add(id(w))
-    for w in n.wires:
+    chained = b.net.wires_at(dead)
+    wire_at = {p: w for w in chained for p in (w.a, w.b)}
+    spliced, visited = [], set()
+    for w in chained:
         if id(w) in visited:
             continue
         for start in (w.a, w.b):
@@ -139,15 +247,13 @@ def _resplice(n: Net, dead: set[int], pairs: dict[int, int]):
                 at = cur.other(nxt)
             if at in dead:
                 raise StaleRedex("chain ended on an unidentified dead port")
-            keep.append(Wire(start, at, ty))
+            spliced.append((start, at, ty))
             break
     # wires never reached from a live end are dropped
-    n.wires = keep
-
-
-def _remove_cells(n: Net, cells):
-    ids = {c.id for c in cells}
-    n.cells = [c for c in n.cells if c.id not in ids]
+    for w in chained:
+        b.remove_wire(w)
+    for start, at, ty in spliced:
+        b.wire(start, at, ty)
 
 
 # ---------------------------------------------------------------------------
@@ -156,101 +262,88 @@ def _remove_cells(n: Net, cells):
 
 def _need_wired(n: Net, ports):
     """Raise StaleRedex unless every port in `ports` ends a wire of `n`."""
-    ends = {p for w in n.wires for p in (w.a, w.b)}
-    loose = [p for p in ports if p not in ends]
+    loose = [p for p in ports if not n.is_wired(p)]
     if loose:
         raise StaleRedex(f"ports {loose} not wired")
 
 
 def apply_redex(net: Net, redex: Redex) -> list[Net]:
-    """Apply one reduction step; returns the resulting summands."""
-    out = net.copy()
-    lvl = _level(out, redex.path)
+    """Apply one reduction step; returns the resulting summands.
+
+    `net` is left as it was.  A reduct is a copy of the levels on the
+    redex's path; it shares every other level, cell and wire with `net`.
+    """
+    lvl = _level(net, redex.path)
     try:
         cx = lvl.cell_by_id(redex.cells[0])
         cy = lvl.cell_by_id(redex.cells[1])
     except KeyError as exc:
         raise StaleRedex(str(exc)) from exc
     px, py = redex.wire
-    cut = next(
-        (w for w in lvl.wires if {w.a, w.b} == {px, py}), None
-    )
-    if cut is None:
+    cut = lvl.wire_at(px) if lvl.is_wired(px) else None
+    if cut is None or cut.other(px) != py:
         raise StaleRedex("cut wire vanished")
     check = _classify(lvl, cut)
-    if check is None or check[0] != redex.rule:
+    if check is None or check[2] != redex.rule:
         raise StaleRedex("wire no longer matches the rule")
     # the rules below re-end or splice the wires at these ports
     _need_wired(lvl, cx.aux + cy.aux)
 
     rule = redex.rule
-    if rule == "m":
-        _remove_cells(lvl, [cx, cy])
-        dead = set(cx.ports()) | set(cy.ports())
-        pairs = {}
-        for a, b in zip(cx.aux, cy.aux):
-            pairs[a] = b
-            pairs[b] = a
-        _resplice(lvl, dead, pairs)
-        return [out]
-
-    if rule == "e":
-        _remove_cells(lvl, [cx, cy])
-        off = Builder(lvl).merge(cx.inner)
-        f0 = cx.inner.free[0][0] + off
-        dead = {cx.principal, cy.principal, cy.aux[0], f0}
-        pairs = {cy.aux[0]: f0, f0: cy.aux[0]}
-        _resplice(lvl, dead, pairs)
-        return [out]
-
-    if rule == "d":
-        _remove_cells(lvl, [cx, cy])
-        lvl.wires.remove(cut)
-        b = Builder(lvl)
-        for aux in cy.aux:
-            b.reend(aux, b.cell("Box", 0, cx.inner.copy()).principal)
-        return [out]
-
-    if rule == "er":
-        _remove_cells(lvl, [cx, cy])
-        lvl.wires.remove(cut)
-        return [out]
-
-    if rule == "c":
-        # cx: closed box entering through door redex.door of box cy
-        _remove_cells(lvl, [cx])
-        lvl.wires.remove(cut)
-        door = redex.door
-        cy.aux = cy.aux[:door] + cy.aux[door + 1 :]
-        inner = cy.inner
-        b = Builder(inner)
-        door_port = inner.free[door + 1][0]
-        _need_wired(inner, [door_port])
-        inner.free = inner.free[: door + 1] + inner.free[door + 2 :]
-        b.reend(door_port, b.cell("Box", 0, cx.inner.copy()).principal)
-        return [out]
-
+    if rule == "zero_wd":
+        return []
     if rule == "nd":
         res = []
         for i in (0, 1):
-            alt = net.copy()
-            lv = _level(alt, redex.path)
-            k = lv.cell_by_id(cx.id)
-            _remove_cells(lv, [k])
-            lv.wires.remove(next(w for w in lv.wires if {w.a, w.b} == {px, py}))
+            alt, lv = _open(net, redex.path)
+            _cut(lv, [cx], cut)
             # re-end onto the dereliction first, so that py counts as used
             # when the builder picks the weakening's port
-            Builder(lv).reend(k.aux[i], py)
+            Builder(lv).reend(cx.aux[i], py)
             b = Builder(lv)
-            b.reend(k.aux[1 - i], b.cell("Weakening", 0).principal)
+            b.reend(cx.aux[1 - i], b.cell("Weakening", 0).principal)
             res.append(alt)
         return res
 
-    if rule == "ba":
-        lvl.wires.remove(cut)
-        _remove_cells(lvl, [cx, cy])
+    out, lvl = _open(net, redex.path)
+    if rule == "m":
+        b = _cut(lvl, [cx, cy])
+        pairs = {}
+        for a, c in zip(cx.aux, cy.aux):
+            pairs[a] = c
+            pairs[c] = a
+        _resplice(b, set(cx.ports()) | set(cy.ports()), pairs)
+
+    elif rule == "e":
+        b = _cut(lvl, [cx, cy])
+        off = b.merge(cx.inner)
+        f0 = cx.inner.free[0][0] + off
+        dead = {cx.principal, cy.principal, cy.aux[0], f0}
+        _resplice(b, dead, {cy.aux[0]: f0, f0: cy.aux[0]})
+
+    elif rule == "d":
+        b = _cut(lvl, [cx, cy], cut)
+        for aux in cy.aux:
+            b.reend(aux, b.cell("Box", 0, cx.inner).principal)
+
+    elif rule in ("er", "eps_ww"):
+        _cut(lvl, [cx, cy], cut)
+
+    elif rule == "c":
+        # cx: closed box entering through door redex.door of box cy
+        b = _cut(lvl, [cx], cut)
+        door = redex.door
+        inner = cy.inner.copy()
+        b.replace_cell(Cell(cy.id, cy.sym, cy.principal, cy.aux[:door] + cy.aux[door + 1 :], inner))
+        ib = Builder(inner)
+        door_port = inner.free[door + 1][0]
+        _need_wired(inner, [door_port])
+        inner.free = inner.free[: door + 1] + inner.free[door + 2 :]
+        ib.reend(door_port, ib.cell("Box", 0, cx.inner).principal)
+
+    elif rule == "ba":
+        b = _cut(lvl, [cx, cy], cut)
         bang_b = cut.toward(cy.principal)  # the !B flowing out of cx
-        b = Builder(lvl)
         contr = [b.cell("Contraction", 2) for _ in cx.aux]
         cocontr = [b.cell("Cocontraction", 2) for _ in cy.aux]
         for aux, c in zip(cx.aux + cy.aux, contr + cocontr):
@@ -258,27 +351,16 @@ def apply_redex(net: Net, redex: Redex) -> list[Net]:
         for i in (0, 1):
             for j in (0, 1):
                 b.wire(contr[i].aux[j], cocontr[j].aux[i], bang_b)
-        return [out]
 
-    if rule in ("s2", "s1"):
-        lvl.wires.remove(cut)
-        _remove_cells(lvl, [cx, cy])
+    elif rule in ("s2", "s1"):
+        b = _cut(lvl, [cx, cy], cut)
         cap_sym = "Weakening" if rule == "s2" else "Coweakening"
-        branching = cx if rule == "s2" else cy
-        b = Builder(lvl)
-        for aux in branching.aux:
+        for aux in (cx if rule == "s2" else cy).aux:
             b.reend(aux, b.cell(cap_sym, 0).principal)
-        return [out]
 
-    if rule == "zero_wd":
-        return []
-
-    if rule == "eps_ww":
-        lvl.wires.remove(cut)
-        _remove_cells(lvl, [cx, cy])
-        return [out]
-
-    raise StaleRedex(f"unknown rule {rule}")
+    else:
+        raise StaleRedex(f"unknown rule {rule}")
+    return [out]
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +378,12 @@ def step(net: Net, policy: str = ANYDEPTH_EER):
 def normalize(x, budget: int = 10000, policy: str = ANYDEPTH_EER) -> NetSum:
     """Reduce to normal form under the given policy.
 
-    The budget counts rule applications over the whole sum; running out
-    raises BudgetExhausted carrying the partial sum (normal summands found
-    so far plus the unfinished work items).
+    Each step fires the least redex under (depth, cell ids, wire), found
+    from the redex index that the nets carry; `find_redexes` confirms each
+    normal summand.  The budget counts rule applications over the whole
+    sum; running out raises BudgetExhausted carrying the normal summands
+    found so far followed by the unfinished raw nets, and the steps taken
+    per rule.
     """
     if isinstance(x, Net):
         x = [x]
@@ -308,18 +393,21 @@ def normalize(x, budget: int = 10000, policy: str = ANYDEPTH_EER) -> NetSum:
     # step would dominate the running time.
     work: list = [n.copy() for n in x]
     done = NetSum()
-    steps = 0
+    steps: Counter = Counter()
+    taken = 0
     while work:
         n = work.pop()
-        rs = find_redexes(n, policy)
-        if not rs:
+        r = _least(n, policy)
+        if r is None:
+            if find_redexes(n, policy):
+                raise AssertionError("the redex index missed a redex")
             done.add(n)
             continue
-        if steps >= budget:
-            partial = NetSum(work + [n])
-            raise BudgetExhausted(partial.union(done))
-        steps += 1
-        work.extend(apply_redex(n, rs[0]))
+        if taken >= budget:
+            raise BudgetExhausted(done.summands + work + [n], steps)
+        taken += 1
+        steps[r.rule] += 1
+        work.extend(apply_redex(n, r))
     return done
 
 
@@ -328,7 +416,8 @@ def reduction_graph(x, policy: str = ALL, max_nodes: int = 2000):
 
     Nodes are canonical sums; an edge per (summand, redex) choice.  Returns
     (nodes, edges, truncated) with nodes[0] the start and edges as index
-    pairs.
+    pairs.  A successor keeps the other summands of its node as they are
+    and canonicalizes only the new reducts.
     """
     start = x if isinstance(x, NetSum) else NetSum([x] if isinstance(x, Net) else x)
     index = {start.certs(): 0}
@@ -339,10 +428,11 @@ def reduction_graph(x, policy: str = ALL, max_nodes: int = 2000):
     while queue:
         i = queue.pop(0)
         s = nodes[i]
-        for summand in s.summands:
-            rest = [m for m in s.summands if m is not summand]
+        for cert, summand in list(s.items()):
             for r in find_redexes(summand, policy):
-                nxt = NetSum(rest + apply_redex(summand, r))
+                nxt = s.without(cert)
+                for m in apply_redex(summand, r):
+                    nxt.add(m)
                 key = nxt.certs()
                 if key not in index:
                     if len(nodes) >= max_nodes:

@@ -291,14 +291,14 @@ def trace_net(a: Net, i: str, o: str, budget: int = 10000) -> Net:
     n = a.copy()
     pi = _find_free(n, i, True)
     po = _find_free(n, o, False)
-    wa = n.wire_of()[pi]
-    wb = n.wire_of()[po]
+    b = Builder(n)
+    wa, wb = b.wire_at(pi), b.wire_at(po)
     n.free = [(p, l) for p, l in n.free if p not in (pi, po)]
-    n.wires.remove(wa)
+    b.remove_wire(wa)
     if wb is not wa:
-        n.wires.remove(wb)
+        b.remove_wire(wb)
         # flow leaves the net at o and re-enters at i
-        n.wires.append(Wire(wb.other(po), wa.other(pi), wb.toward(po)))
+        b.wire(wb.other(po), wa.other(pi), wb.toward(po))
     s = normalize(n, budget)
     if len(s) != 1:
         raise NotAreaShaped(f"trace produced {len(s)} summands")
@@ -387,10 +387,10 @@ def transit(a: Net, i: str, payload: Net | None = None, budget: int = 10000):
 
     # residual check: replacing every copy by a coweakening restores the area
     residual = m.copy()
-    for c in residual.cells:
+    b = Builder(residual)
+    for c in m.cells:
         if c.sym == "Box":
-            c.sym = "Coweakening"
-            c.inner = None
+            b.replace_cell(Cell(c.id, "Coweakening", c.principal, c.aux))
     if not canonical_equal(residual, a):
         raise RoutenetError("transit disturbed the area")
     return counts

@@ -122,6 +122,19 @@ def test_budget_exhausted_is_75(tmp_path, capsys, monkeypatch):
     assert main(["values", prog]) == 75
 
 
+def test_reduce_budget_exhausted_names_rule_counts(tmp_path, capsys):
+    ctx = _write(tmp_path, "R.ctx", "r : Unit\n")
+    prog = _write(tmp_path, "M.term", "set r * || get r || get r || get r || get r\n")
+    assert main(["compile", ctx, prog]) == 0
+    netfile = _write(tmp_path, "n.json", capsys.readouterr().out)
+    assert main(["--budget", "1000", "reduce", netfile]) == 75
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("routenet: reduction budget exhausted after 1000 steps (ba ")
+    counts = dict(item.split() for item in err.strip()[:-1].split("(", 1)[1].split(", "))
+    assert sum(map(int, counts.values())) == 1000 and "nd" in counts
+
+
 def test_budget_flag_overrides_env(tmp_path, capsys, monkeypatch):
     prog = _write(tmp_path, "M.term", r"(\x. x) *")
     monkeypatch.setenv("ROUTENET_BUDGET", "not-a-number")

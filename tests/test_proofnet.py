@@ -101,7 +101,7 @@ def _comb_left(labels, root="r"):
         p[0] += 1
         return p[0]
 
-    leaves = []
+    leaves, cells, wires = [], [], []
     for lbl in labels:
         q = newp()
         leaves.append(q)
@@ -110,13 +110,14 @@ def _comb_left(labels, root="r"):
     for k, leaf in enumerate(leaves[1:], start=1):
         pr = newp()
         a1, a2 = newp(), newp()
-        n.cells.append(Cell(k, "Contraction", pr, [a1, a2]))
-        n.wires.append(Wire(acc, a1, WN))
-        n.wires.append(Wire(leaf, a2, WN))
+        cells.append(Cell(k, "Contraction", pr, [a1, a2]))
+        wires.append(Wire(acc, a1, WN))
+        wires.append(Wire(leaf, a2, WN))
         acc = pr
     q = newp()
-    n.wires.append(Wire(acc, q, WN))
+    wires.append(Wire(acc, q, WN))
     n.free.append((q, root))
+    n.cells, n.wires = cells, wires
     return n
 
 
@@ -141,11 +142,12 @@ def test_canonical_distinguishes_leaf_labels():
 def test_canonical_weakening_neutrality():
     # (x ?c weakening) == plain wire x -> r
     n = Net()
-    n.cells.append(Cell(1, "Contraction", 3, [4, 5]))
-    n.cells.append(Cell(2, "Weakening", 1))
-    n.wires.append(Wire(2, 4, WN))  # free x into aux 1
-    n.wires.append(Wire(1, 5, WN))  # weakening principal into aux 2
-    n.wires.append(Wire(3, 6, WN))  # principal to free r
+    n.cells = [Cell(1, "Contraction", 3, [4, 5]), Cell(2, "Weakening", 1)]
+    n.wires = [
+        Wire(2, 4, WN),  # free x into aux 1
+        Wire(1, 5, WN),  # weakening principal into aux 2
+        Wire(3, 6, WN),  # principal to free r
+    ]
     n.free = [(2, "x"), (6, "r")]
     assert validate(n) == []
     plain = Net([], [Wire(1, 2, WN)], [(1, "x"), (2, "r")])

@@ -1,8 +1,13 @@
 """Cut elimination: every rule exercised on a hand-built redex, with the
 expected result constructed independently and compared canonically."""
+from collections import Counter
+
 import pytest
 
+from routenet import proofnet
 from routenet.errors import BudgetExhausted, StaleRedex
+from routenet.gen import suite_program
+from routenet.lang import parse_region_ctx, parse_term
 from routenet.proofnet import (
     BOT,
     Cell,
@@ -28,6 +33,7 @@ from routenet.rewrite import (
     step,
 )
 from routenet.routing import path_semantics
+from routenet.translate import compile_program
 
 A = bang(ONE)
 B = bang(bang(ONE))
@@ -74,7 +80,7 @@ def test_multiplicative():
 
 def test_box_dereliction_opens_box():
     n = one_box()
-    n.cells.append(Cell(2, "Dereliction", 3, [4]))
+    n.cells = [*n.cells, Cell(2, "Dereliction", 3, [4])]
     n.wires = [Wire(1, 3, bang(ONE)), Wire(5, 4, BOT)]
     n.free = [(5, "x")]
     _check(n)
@@ -86,7 +92,7 @@ def test_box_dereliction_opens_box():
 def _box_against_contraction():
     """A closed !1 box cut against a contraction."""
     n = one_box()
-    n.cells.append(Cell(2, "Contraction", 3, [4, 5]))
+    n.cells = [*n.cells, Cell(2, "Contraction", 3, [4, 5])]
     n.wires = [Wire(1, 3, bang(ONE)), Wire(6, 4, whynot(BOT)), Wire(7, 5, whynot(BOT))]
     n.free = [(6, "x1"), (7, "x2")]
     return _check(n)
@@ -106,7 +112,7 @@ def test_box_contraction_duplicates_box():
 
 def test_box_weakening_erases_box():
     n = one_box()
-    n.cells.append(Cell(2, "Weakening", 3))
+    n.cells = [*n.cells, Cell(2, "Weakening", 3)]
     n.wires = [Wire(1, 3, bang(ONE))]
     n.free = []
     _check(n)
@@ -119,7 +125,7 @@ def _door_redex():
     inner = Net([], [Wire(1, 2, bang(ONE))], [(2, "main"), (1, "door")])
     outer = Cell(2, "Box", 3, [4], inner)
     n = one_box()
-    n.cells.append(outer)
+    n.cells = [*n.cells, outer]
     n.wires = [Wire(1, 4, bang(ONE)), Wire(3, 5, bang(bang(ONE)))]
     n.free = [(5, "out")]
     return _check(n)
@@ -153,9 +159,9 @@ def _cocontr_two_boxes():
 def _cocontr_against_dereliction():
     """The two-box cocontraction cut against a dereliction."""
     n = _cocontr_two_boxes()
-    n.cells.append(Cell(4, "Dereliction", 9, [10]))
-    n.wires.remove(Wire(5, 8, bang(ONE)))
-    n.wires.extend([Wire(5, 9, bang(ONE)), Wire(11, 10, BOT)])
+    n.cells = [*n.cells, Cell(4, "Dereliction", 9, [10])]
+    n.wires = [w for w in n.wires if w != Wire(5, 8, bang(ONE))]
+    n.wires = [*n.wires, Wire(5, 9, bang(ONE)), Wire(11, 10, BOT)]
     n.free = [(11, "x")]
     return _check(n)
 
@@ -166,9 +172,12 @@ def test_cocontraction_dereliction_sums_choices():
     assert len(res) == 2
     # each choice: one box consumed by the dereliction, the other weakened
     want = one_box()
-    want.cells.append(Cell(2, "Dereliction", 3, [4]))
-    want.cells.append(Cell(3, "Weakening", 5))
-    want.cells.append(Cell(4, "Box", 6, [], one_box().cells[0].inner))
+    want.cells = [
+        *want.cells,
+        Cell(2, "Dereliction", 3, [4]),
+        Cell(3, "Weakening", 5),
+        Cell(4, "Box", 6, [], one_box().cells[0].inner),
+    ]
     want.wires = [Wire(1, 3, bang(ONE)), Wire(7, 4, BOT), Wire(6, 5, bang(ONE))]
     want.free = [(7, "x")]
     _check(want)
@@ -182,9 +191,9 @@ def test_nd_weakening_port_avoids_the_dereliction_principal():
     # the dereliction's principal (12) is the highest port and one above every
     # other wired port once the cut is gone; the new weakening must not take it
     n = _cocontr_two_boxes()
-    n.cells.append(Cell(4, "Dereliction", 12, [10]))
-    n.wires.remove(Wire(5, 8, bang(ONE)))
-    n.wires.extend([Wire(5, 12, bang(ONE)), Wire(11, 10, BOT)])
+    n.cells = [*n.cells, Cell(4, "Dereliction", 12, [10])]
+    n.wires = [w for w in n.wires if w != Wire(5, 8, bang(ONE))]
+    n.wires = [*n.wires, Wire(5, 12, bang(ONE)), Wire(11, 10, BOT)]
     n.free = [(11, "x")]
     _check(n)
     res = _single(n, "nd")
@@ -313,7 +322,7 @@ def test_surface_policy_ignores_deep_redexes():
 
 def test_budget_exhaustion_carries_partial():
     n = one_box()
-    n.cells.append(Cell(2, "Dereliction", 3, [4]))
+    n.cells = [*n.cells, Cell(2, "Dereliction", 3, [4])]
     n.wires = [Wire(1, 3, bang(ONE)), Wire(5, 4, BOT)]
     n.free = [(5, "x")]
     with pytest.raises(BudgetExhausted) as exc:
@@ -334,3 +343,70 @@ def test_reduction_graph_nd_diamond():
     # the unique sink is the opened box content on the free wire
     want = Net([Cell(1, "One", 1)], [Wire(1, 2, ONE)], [(2, "x")])
     assert nodes[sinks[0]] == NetSum([want])
+
+
+def _all_canonicalizing_graph(x, policy=ALL, max_nodes=2000):
+    """reduction_graph as it was: every successor sum canonicalizes all of
+    its summands again."""
+    start = NetSum([x])
+    index = {start.certs(): 0}
+    nodes, edges, queue, truncated = [start], set(), [0], False
+    while queue:
+        i = queue.pop(0)
+        s = nodes[i]
+        for summand in s.summands:
+            rest = [m for m in s.summands if m is not summand]
+            for r in find_redexes(summand, policy):
+                nxt = NetSum(rest + apply_redex(summand, r))
+                key = nxt.certs()
+                if key not in index:
+                    if len(nodes) >= max_nodes:
+                        truncated = True
+                        continue
+                    index[key] = len(nodes)
+                    nodes.append(nxt)
+                    queue.append(index[key])
+                edges.add((i, index[key]))
+    return nodes, edges, truncated
+
+
+@pytest.mark.parametrize(
+    "name, cap",
+    [("store-get", 2000), ("discard", 2000), ("nested-beta", 2000), ("second", 2000),
+     ("set-get", 2000), ("latent-get", 40)],
+)
+def test_reduction_graph_matches_the_all_canonicalizing_construction(name, cap):
+    net = compile_program(*reversed(suite_program(name)))
+    nodes, edges, truncated = reduction_graph(net, max_nodes=cap)
+    want_nodes, want_edges, want_truncated = _all_canonicalizing_graph(net, max_nodes=cap)
+    assert [s.certs() for s in nodes] == [s.certs() for s in want_nodes]
+    assert (edges, truncated) == (want_edges, want_truncated)
+
+
+def _chain(depth):
+    src = "*"
+    for _ in range(depth):
+        src = rf"(\x. x) ({src})"
+    return compile_program(parse_term(src), parse_region_ctx(""))
+
+
+def test_budget_exhaustion_canonicalizes_nothing(monkeypatch):
+    calls = []
+    monkeypatch.setattr(proofnet, "canonicalize_with_cert", lambda n: calls.append(n))
+    net = _chain(40)  # one summand, normal only after 80 steps
+    with pytest.raises(BudgetExhausted) as exc:
+        normalize(net, budget=10)
+    assert calls == []
+    (raw,) = exc.value.partial
+    assert isinstance(raw, Net) and find_redexes(raw, ANYDEPTH_EER)
+    assert exc.value.steps == Counter({"e": 10})  # the chain opens its boxes first
+
+
+def test_budget_partial_lists_normal_forms_then_raw_nets():
+    net = compile_program(*reversed(suite_program("race")))
+    with pytest.raises(BudgetExhausted) as exc:
+        normalize(net, budget=10)
+    partial = exc.value.partial
+    assert sum(exc.value.steps.values()) == 10
+    # the normal form found so far first, then the raw unfinished nets
+    assert [find_redexes(n, ANYDEPTH_EER) == [] for n in partial] == [True, False, False]

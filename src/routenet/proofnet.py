@@ -197,14 +197,26 @@ class Net:
 
     `redexes` holds the rewriter's redex candidates for this level (see
     rewrite.py), and `touched` the ports edited since those were last
-    brought up to date; both are copied with the net.  The indexes and the
-    candidates are filled in by reads, so nets that share box contents are
-    not to be read or rewritten from several threads at once.
+    brought up to date; both are copied with the net.
+
+    Box contents remember their canonical form: canonicalizing a net stores
+    (free list, canonical net, certificate) on the inner net of each of its
+    boxes, and on that canonical inner net itself, and reads it back the
+    next time that inner net is met.  Every Builder edit and every
+    assignment of `cells` or `wires` clears the entry, `copy()` starts
+    without one, and an entry whose free list differs from `free` is not
+    used.  An edit of a box's contents in place would leave stale the
+    entries of the nets above it, which is one more reason box contents are
+    edited only on a copy (`_open` and rule `c` in rewrite.py).
+
+    The indexes, the candidates and the canonical form are filled in by
+    reads, so nets that share box contents are not to be read or rewritten
+    from several threads at once.
     """
 
     __slots__ = (
         "free", "redexes", "touched", "_cells", "_wires", "_next",
-        "_owner", "_cell_key", "_wire_key", "_top_port", "_top_cid",
+        "_owner", "_cell_key", "_wire_key", "_top_port", "_top_cid", "_canon",
     )
 
     def __init__(self, cells=(), wires=(), free=()):
@@ -242,7 +254,7 @@ class Net:
         return out
 
     def _unindex(self):
-        self._owner = None
+        self._owner = self._canon = None
         self.redexes = None
         self.touched = set()
 
@@ -261,7 +273,7 @@ class Net:
         n = Net.__new__(Net)
         n.free = list(self.free)
         n._cells, n._wires, n._next = dict(self._cells), dict(self._wires), self._next
-        n._owner = None
+        n._owner = n._canon = None
         if self._owner is not None:
             n._owner, n._cell_key = dict(self._owner), dict(self._cell_key)
             n._wire_key = dict(self._wire_key)
@@ -320,6 +332,7 @@ class Net:
     # -- edits, made through Builder ------------------------------------------
 
     def _add_cell(self, c: Cell):
+        self._canon = None
         k = self._next
         self._next += 1
         self._cells[k] = c
@@ -327,16 +340,19 @@ class Net:
             self._index_cell(k, c)
 
     def _remove_cell(self, cid: int):
+        self._canon = None
         k = self._indexed()._cell_key.pop(cid)
         self._unindex_cell(self._cells.pop(k))
 
     def _replace_cell(self, c: Cell):
+        self._canon = None
         k = self._indexed()._cell_key[c.id]
         self._unindex_cell(self._cells[k])
         self._cells[k] = c
         self._index_cell(k, c)
 
     def _add_wire(self, w: Wire):
+        self._canon = None
         k = self._next
         self._next += 1
         self._wires[k] = w
@@ -344,10 +360,12 @@ class Net:
             self._index_wire(k, w)
 
     def _remove_wire(self, w: Wire):
+        self._canon = None
         k = self._indexed()._wire_key[w.a]
         self._unindex_wire(k, self._wires.pop(k))
 
     def _replace_wire(self, port: int, w: Wire):
+        self._canon = None
         k = self._indexed()._wire_key[port]
         self._unindex_wire(k, self._wires[k])
         self._wires[k] = w
@@ -755,7 +773,7 @@ def _flatten(net: Net):
         nid += 1
     for c in net.cells:
         if c.sym == "Box":
-            inner, cert = canonicalize_with_cert(c.inner)
+            inner, cert = _canonical_contents(c.inner)
             node = _FlatNode(("cell", "Box", cert), "Box", inner)
         elif c.sym in _NARY:
             node = _FlatNode(("cell", _NARY[c.sym]), _NARY[c.sym])
@@ -850,6 +868,21 @@ def _flatten(net: Net):
     while step():
         pass
     return nodes, edges
+
+
+def _canonical_contents(inner: Net):
+    """canonicalize_with_cert of a box's contents, read from and stored in
+    the slot `Net` keeps for it.  The canonical net also gets an entry for
+    itself, since reducts share it with their parents; that relies on
+    canonicalize returning a canonical net byte for byte."""
+    free = tuple(inner.free)
+    hit = inner._canon
+    if hit is not None and hit[0] == free:
+        return hit[1], hit[2]
+    canon, cert = canonicalize_with_cert(inner)
+    inner._canon = (free, canon, cert)
+    canon._canon = (tuple(canon.free), canon, cert)
+    return canon, cert
 
 
 def _refine(adj, colors):
@@ -1007,9 +1040,12 @@ class NetSum:
             self._by_cert[cert] = canon
 
     def union(self, other: "NetSum") -> "NetSum":
+        """Both sums; on a shared certificate this sum's summand is kept,
+        as `add` keeps the summand already there."""
         s = NetSum()
-        s._by_cert.update(self._by_cert)
-        s._by_cert.update(other._by_cert)
+        s._by_cert = dict(self._by_cert)
+        for cert, net in other._by_cert.items():
+            s._by_cert.setdefault(cert, net)
         return s
 
     def without(self, cert) -> "NetSum":

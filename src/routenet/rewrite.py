@@ -12,7 +12,7 @@ Exponential rules only fire on closed boxes (no auxiliary doors).
 from __future__ import annotations
 
 import heapq
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 
 from .errors import BudgetExhausted, StaleRedex
@@ -416,23 +416,29 @@ def reduction_graph(x, policy: str = ALL, max_nodes: int = 2000):
 
     Nodes are canonical sums; an edge per (summand, redex) choice.  Returns
     (nodes, edges, truncated) with nodes[0] the start and edges as index
-    pairs.  A successor keeps the other summands of its node as they are
-    and canonicalizes only the new reducts.
+    pairs.  A successor keeps the other summands of its node as they are,
+    with the reducts joined after them (a node's summand wins over an equal
+    reduct).  Each distinct summand is reduced and its reducts canonicalized
+    once per call: summands with one certificate are the same canonical
+    net, so their reducts are too.
     """
     start = x if isinstance(x, NetSum) else NetSum([x] if isinstance(x, Net) else x)
     index = {start.certs(): 0}
     nodes = [start]
     edges = set()
-    queue = [0]
+    queue = deque([0])
     truncated = False
+    reducts: dict = {}  # summand certificate -> one NetSum per redex, in order
     while queue:
-        i = queue.pop(0)
+        i = queue.popleft()
         s = nodes[i]
         for cert, summand in list(s.items()):
-            for r in find_redexes(summand, policy):
-                nxt = s.without(cert)
-                for m in apply_redex(summand, r):
-                    nxt.add(m)
+            if cert not in reducts:
+                reducts[cert] = [
+                    NetSum(apply_redex(summand, r)) for r in find_redexes(summand, policy)
+                ]
+            for red in reducts[cert]:
+                nxt = s.without(cert).union(red)
                 key = nxt.certs()
                 if key not in index:
                     if len(nodes) >= max_nodes:

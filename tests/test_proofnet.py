@@ -4,9 +4,13 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from routenet import proofnet
 from routenet.errors import CyclicNet, ParseError
+from routenet.gen import PROGRAM_SUITE, gen_routing_net, gen_typed_net, suite_program
+from routenet.multirel import from_rows
 from routenet.proofnet import (
     BOT,
+    Builder,
     Cell,
     Formula,
     Net,
@@ -27,6 +31,9 @@ from routenet.proofnet import (
     validate,
     whynot,
 )
+from routenet.rewrite import ALL, apply_redex, find_redexes, reduction_graph
+from routenet.routing import RoutingArea, build_area
+from routenet.translate import compile_program
 
 # ---------------------------------------------------------------------------
 # formulas
@@ -189,11 +196,115 @@ def test_canonicalize_idempotent():
         assert serialize(canonicalize(c1)) == serialize(c1)
 
 
+# ---------------------------------------------------------------------------
+# canonical forms remembered on box contents
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    """Compiled suite programs, a built area, seeded generator nets, the
+    nodes of a capped reduction graph, and the one-step reducts of the
+    canonical form of each, which share its canonical box contents.  The
+    three largest programs are left out: they passed, at twice the time."""
+    large = ("stored-effectful-fn", "two-refs", "proj")
+    nets = [
+        compile_program(*reversed(suite_program(name)))
+        for name, _, _ in PROGRAM_SUITE
+        if name not in large
+    ]
+    nets.append(build_area(RoutingArea(from_rows(["a", "b"], ["x", "y"], [[2, 0], [1, 3]]))))
+    for seed in range(30):
+        rng = random.Random(seed)
+        nets += [gen_typed_net(rng), gen_routing_net(rng)]
+    two_readers = compile_program(*reversed(suite_program("two-readers")))
+    nodes, _, _ = reduction_graph(two_readers, max_nodes=10)
+    nets += [m for s in nodes for m in s]
+    for n in list(nets):
+        c = canonicalize(n)
+        nets += [m for r in find_redexes(c, ALL) for m in apply_redex(c, r)]
+    return nets
+
+
+def _counting(monkeypatch):
+    calls = []
+    real = proofnet.canonicalize_with_cert
+
+    def counted(net):
+        calls.append(net)
+        return real(net)
+
+    monkeypatch.setattr(proofnet, "canonicalize_with_cert", counted)
+    return calls
+
+
+def test_warm_box_cache_gives_the_cold_canonical_form(corpus, monkeypatch):
+    assert sum(c.sym == "Box" for n in corpus for c in n.cells) > 100
+    calls = _counting(monkeypatch)
+    for n in corpus:
+        cold = proofnet.canonicalize_with_cert(parse(serialize(n))[0])
+        proofnet.canonicalize_with_cert(n)
+        del calls[:]
+        warm = proofnet.canonicalize_with_cert(n)
+        assert len(calls) == 1  # every box's contents read from the cache
+        assert (serialize(warm[0]), warm[1]) == (serialize(cold[0]), cold[1])
+
+
+def test_canonicalize_returns_a_canonical_net_byte_for_byte(corpus):
+    # a canonical box content is its own cache entry, which needs this
+    for n in corpus:
+        c, cert = proofnet.canonicalize_with_cert(parse(serialize(n))[0])
+        again = proofnet.canonicalize_with_cert(parse(serialize(c))[0])
+        assert (serialize(again[0]), again[1]) == (serialize(c), cert)
+
+
+def test_box_cache_follows_edits_of_the_contents():
+    outer = boxed_one()
+    inner = outer.cells[0].inner
+
+    def cert_now():
+        cert = certificate(outer)  # fills the cache, which the next edit clears
+        assert cert == certificate(parse(serialize(outer))[0])
+        return cert
+
+    before = cert_now()
+    b = Builder(inner)  # add a closed !w-?w pair
+    cw, wk = b.cell("Coweakening", 0), b.cell("Weakening", 0)
+    b.wire(cw.principal, wk.principal, A)
+    paired = cert_now()
+    assert paired != before
+    # replace a cell: a !w-!w pair is ill-typed but still a port graph
+    b.replace_cell(Cell(wk.id, "Coweakening", wk.principal))
+    assert cert_now() != paired
+    b.replace_cell(wk)
+    assert cert_now() == paired
+    wk2 = b.cell("Weakening", 0)  # replace the wire: move its end to wk2
+    b.reend(wk.principal, wk2.principal)
+    b.remove_cell(wk)
+    assert cert_now() == paired
+    b.remove_wire(b.wire_at(cw.principal))
+    b.remove_cell(cw)
+    b.remove_cell(wk2)
+    assert cert_now() == before
+    inner.free = [(inner.free[0][0], "other")]  # reassign the free list
+    assert cert_now() != before
+    inner.free[0] = (inner.free[0][0], "main")  # or edit it in place
+    assert cert_now() == before
+
+
 def test_netsum_idempotent_and_zero():
     s = NetSum([boxed_one(), boxed_one()])
     assert len(s) == 1
     assert NetSum().is_zero()
     assert s.union(NetSum()) == s
+
+
+def test_netsum_union_keeps_the_receivers_summand():
+    a, b = NetSum([boxed_one()]), NetSum([boxed_one(), _comb_left(["x", "y"])])
+    assert a.summands[0] is not b.summands[0]
+    ab, ba = a.union(b), b.union(a)
+    assert ab == ba and len(ab) == 2
+    assert [id(m) for m in ab] == [id(a.summands[0]), id(b.summands[1])]
+    assert [id(m) for m in ba] == [id(m) for m in b]
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from routenet import proofnet
+from routenet import proofnet, rewrite
 from routenet.errors import BudgetExhausted, StaleRedex
 from routenet.gen import suite_program
 from routenet.lang import parse_region_ctx, parse_term
@@ -18,6 +18,8 @@ from routenet.proofnet import (
     bang,
     canonical_equal,
     dual,
+    parse,
+    serialize,
     tensor,
     validate,
     whynot,
@@ -346,8 +348,9 @@ def test_reduction_graph_nd_diamond():
 
 
 def _all_canonicalizing_graph(x, policy=ALL, max_nodes=2000):
-    """reduction_graph as it was: every successor sum canonicalizes all of
-    its summands again."""
+    """reduction_graph without sharing: every successor sum reduces its
+    summand again and canonicalizes all of its summands from a fresh parse,
+    so no canonical form remembered on a box is read."""
     start = NetSum([x])
     index = {start.certs(): 0}
     nodes, edges, queue, truncated = [start], set(), [0], False
@@ -357,7 +360,7 @@ def _all_canonicalizing_graph(x, policy=ALL, max_nodes=2000):
         for summand in s.summands:
             rest = [m for m in s.summands if m is not summand]
             for r in find_redexes(summand, policy):
-                nxt = NetSum(rest + apply_redex(summand, r))
+                nxt = NetSum(parse(serialize(rest + apply_redex(summand, r))))
                 key = nxt.certs()
                 if key not in index:
                     if len(nodes) >= max_nodes:
@@ -373,14 +376,33 @@ def _all_canonicalizing_graph(x, policy=ALL, max_nodes=2000):
 @pytest.mark.parametrize(
     "name, cap",
     [("store-get", 2000), ("discard", 2000), ("nested-beta", 2000), ("second", 2000),
-     ("set-get", 2000), ("latent-get", 40)],
+     ("set-get", 2000), ("race", 2000), ("latent-get", 40), ("two-readers", 40),
+     ("stored-fn", 40)],
 )
 def test_reduction_graph_matches_the_all_canonicalizing_construction(name, cap):
     net = compile_program(*reversed(suite_program(name)))
     nodes, edges, truncated = reduction_graph(net, max_nodes=cap)
     want_nodes, want_edges, want_truncated = _all_canonicalizing_graph(net, max_nodes=cap)
+    assert [serialize(s) for s in nodes] == [serialize(s) for s in want_nodes]
     assert [s.certs() for s in nodes] == [s.certs() for s in want_nodes]
     assert (edges, truncated) == (want_edges, want_truncated)
+
+
+def test_reduction_graph_reduces_each_distinct_summand_once(monkeypatch):
+    searched = []
+
+    def counted(net, policy):
+        searched.append(net)
+        return find_redexes(net, policy)
+
+    monkeypatch.setattr(rewrite, "find_redexes", counted)
+    net = compile_program(*reversed(suite_program("race")))
+    nodes, _, truncated = reduction_graph(net)
+    assert not truncated
+    held = [cert for s in nodes for cert, _ in s.items()]
+    certs = [proofnet.certificate(n) for n in searched]
+    assert len(set(certs)) == len(certs) and set(certs) == set(held)  # each one, once
+    assert len(certs) < len(held)
 
 
 def _chain(depth):

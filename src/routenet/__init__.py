@@ -16,6 +16,7 @@ from .errors import (
     StaleRedex,
     TypingError,
     UnknownLabel,
+    UnwiredPort,
 )
 from .multirel import (
     LabelSet,

@@ -23,8 +23,10 @@ EX_USAGE = 64
 EX_DATAERR = 65
 EX_TEMPFAIL = 75
 
-_SUITES = ("trace", "compose", "paths", "simulate", "adequacy")
-_DEFAULT_CASES = {"trace": 200, "compose": 100, "paths": 200, "simulate": 0, "adequacy": 0}
+_SUITES = ("trace", "compose", "paths", "transit", "simulate", "adequacy")
+_DEFAULT_CASES = {
+    "trace": 200, "compose": 100, "paths": 200, "transit": 200, "simulate": 0, "adequacy": 0
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -116,9 +118,13 @@ def cmd_reduce(args) -> int:
 def cmd_values(args) -> int:
     import json
 
-    from .lang import _threads, alpha_normalize, fmt_term, value_trees
+    from .lang import _threads, alpha_normalize, fmt_term, typecheck_amadio, value_trees
 
-    R, term = _program(args.files)  # context accepted for symmetry, unused
+    R, term = _program(args.files)
+    if len(args.files) == 2:
+        # a program given with its reference context must type-check in it,
+        # as for `check`; a lone term runs untyped
+        typecheck_amadio(R, {}, term)
     outcomes = {
         tuple(sorted(fmt_term(alpha_normalize(t)) for t in _threads(tree)))
         for tree in value_trees(term, budget=args.budget)

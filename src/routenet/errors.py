@@ -48,6 +48,10 @@ class CyclicNet(RoutenetError):
     """Path counting requires an acyclic net."""
 
 
+class UnwiredPort(RoutenetError):
+    """A cell's principal port, or a free port, has no wire."""
+
+
 class NotNormal(RoutenetError):
     """Operation requires a net in normal form."""
 

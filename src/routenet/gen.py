@@ -32,6 +32,7 @@ from .routing import (
     compose_areas,
     juxtapose,
     path_semantics,
+    read_area,
     semantics,
     trace_net,
     transit,
@@ -329,9 +330,13 @@ def check_compose(rng: random.Random):
 
 
 def check_characterize(rng: random.Random):
+    """The normal form of a routing net, in canonical form, is an area."""
     net = gen_routing_net(rng)
+    nf = normalize(net)
+    if len(nf) != 1:
+        return False, f"normal form has {len(nf)} summands"
     try:
-        semantics(net)
+        read_area(nf.summands[0])
     except NotAreaShaped as e:
         return False, f"normal form not an area: {e}"
     return True, "characterization"
@@ -438,27 +443,27 @@ def check_adequacy(name: str, budget: int = 200000):
 # Suite runners (shared by `verify` and the acceptance gate)
 
 
+# suite name -> (check, whether it runs per suite program); a program check
+# takes a program name, the others a seeded generator
+SUITES = {
+    "trace": (check_trace, False),
+    "compose": (check_compose, False),
+    "paths": (check_paths_net, False),
+    "transit": (check_transit, False),
+    "simulate": (check_simulation, True),
+    "adequacy": (check_adequacy, True),
+}
+
+
 def run_suite(suite: str, seed: int, cases: int):
-    """Returns a list of (index, ok, message)."""
-    rng = random.Random(seed)
-    out = []
-    if suite in ("trace", "compose", "paths"):
-        fn = {
-            "trace": check_trace,
-            "compose": check_compose,
-            "paths": check_paths_net,
-        }[suite]
-        for k in range(cases):
-            ok, msg = fn(rng)
-            out.append((k, ok, msg))
-    elif suite in ("simulate", "adequacy"):
-        fn = check_simulation if suite == "simulate" else check_adequacy
-        names = [n for n, _, _ in PROGRAM_SUITE][:cases] if cases else [
-            n for n, _, _ in PROGRAM_SUITE
-        ]
-        for k, name in enumerate(names):
-            ok, msg = fn(name)
-            out.append((k, ok, msg))
-    else:
+    """Returns a list of (index, ok, message).  A program suite runs on the
+    first `cases` suite programs, or on all of them when `cases` is 0."""
+    if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
-    return out
+    check, per_program = SUITES[suite]
+    if per_program:
+        names = [n for n, _, _ in PROGRAM_SUITE]
+        args = names[:cases] if cases else names
+    else:
+        args = [random.Random(seed)] * cases
+    return [(k, *check(arg)) for k, arg in enumerate(args)]

@@ -132,6 +132,16 @@ def check_acyclic(n: Net) -> bool:
     return _is_acyclic(g, succ)
 
 
+def _acyclic_walks(n: Net):
+    """wire_other and the successor map of an acyclic net, built once;
+    raises CyclicNet on a cyclic one."""
+    g = build_graph(n)
+    wire_other, succ = _successor_map(g)
+    if not _is_acyclic(g, succ):
+        raise CyclicNet("path counting requires an acyclic net")
+    return wire_other, succ
+
+
 def _count_to(succ, start, o, memo) -> int:
     """Paths from `start` state to arrival-at-`o`-over-a-wire, memoized."""
     stack = [start]
@@ -157,10 +167,7 @@ def count_paths(n: Net, i: int, o: int) -> int:
 
     Paths start and end with wire edges.  Requires an acyclic net.
     """
-    if not check_acyclic(n):
-        raise CyclicNet("path counting requires an acyclic net")
-    g = build_graph(n)
-    wire_other, succ = _successor_map(g)
+    wire_other, succ = _acyclic_walks(n)
     if i not in wire_other or o not in wire_other:
         raise KeyError("ports must be wired")
     if i == o:
@@ -171,10 +178,7 @@ def count_paths(n: Net, i: int, o: int) -> int:
 def count_paths_all(n: Net, sources, targets) -> dict[tuple[int, int], int]:
     """Path counts for every (source, target) port pair, sharing one
     acyclicity check and one memo table per target."""
-    if not check_acyclic(n):
-        raise CyclicNet("path counting requires an acyclic net")
-    g = build_graph(n)
-    wire_other, succ = _successor_map(g)
+    wire_other, succ = _acyclic_walks(n)
     out: dict[tuple[int, int], int] = {}
     for o in targets:
         if o not in wire_other:
@@ -191,10 +195,7 @@ def count_paths_all(n: Net, sources, targets) -> dict[tuple[int, int], int]:
 
 def count_paths_exhaustive(n: Net, i: int, o: int) -> int:
     """Independent oracle: explicit enumeration of every alternating walk."""
-    if not check_acyclic(n):
-        raise CyclicNet("path counting requires an acyclic net")
-    g = build_graph(n)
-    wire_other, succ = _successor_map(g)
+    wire_other, succ = _acyclic_walks(n)
     if i not in wire_other or o not in wire_other:
         raise KeyError("ports must be wired")
     if i == o:

@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .errors import CyclicNet, DerivationMismatch, ParseError
+from .errors import CyclicNet, DerivationMismatch, ParseError, UnwiredPort
 
 # ---------------------------------------------------------------------------
 # Formulas
@@ -722,12 +722,18 @@ def _validate(net: Net, out: list[str], where: str):
 
 
 class _FlatNode:
-    __slots__ = ("key", "sym", "inner")
+    __slots__ = ("key", "sym", "inner", "cell")
 
-    def __init__(self, key, sym, inner=None):
+    def __init__(self, key, sym, inner=None, cell=None):
         self.key = key  # hashable initial colour
         self.sym = sym
         self.inner = inner  # canonical inner Net for boxes
+        self.cell = cell  # the cell the node was made from; None if free
+
+    def unwired(self, what: str) -> UnwiredPort:
+        if self.cell is None:
+            return UnwiredPort(f"free port {self.key[1]!r} has no wire")
+        return UnwiredPort(f"{self.cell.sym} cell {self.cell.id} has an unwired {what}")
 
 
 class _FlatEdge:
@@ -774,11 +780,11 @@ def _flatten(net: Net):
     for c in net.cells:
         if c.sym == "Box":
             inner, cert = _canonical_contents(c.inner)
-            node = _FlatNode(("cell", "Box", cert), "Box", inner)
+            node = _FlatNode(("cell", "Box", cert), "Box", inner, c)
         elif c.sym in _NARY:
-            node = _FlatNode(("cell", _NARY[c.sym]), _NARY[c.sym])
+            node = _FlatNode(("cell", _NARY[c.sym]), _NARY[c.sym], cell=c)
         else:
-            node = _FlatNode(("cell", c.sym), c.sym)
+            node = _FlatNode(("cell", c.sym), c.sym, cell=c)
         nodes[nid] = node
         port_node[c.principal] = (nid, "p")
         for i, p in enumerate(c.aux):
@@ -848,11 +854,16 @@ def _flatten(net: Net):
             if len(aux_edges) == 1:
                 (ea, ia) = aux_edges[0]
                 (ep, ip) = next(
-                    (e, i)
-                    for e in edges
-                    for i, (en, es) in (((0, (e.n0, e.s0)), (1, (e.n1, e.s1))))
-                    if en == n and es == "p"
+                    (
+                        (e, i)
+                        for e in edges
+                        for i, (en, es) in (((0, (e.n0, e.s0)), (1, (e.n1, e.s1))))
+                        if en == n and es == "p"
+                    ),
+                    (None, None),
                 )
+                if ep is None:
+                    raise node.unwired("principal port")
                 if ep is ea:
                     continue  # principal looped onto own aux; leave as is
                 (xn, xs, xty) = ep.end(1 - ip)  # xty reads x -> principal
@@ -977,7 +988,11 @@ def _rebuild(nodes, edges, pos) -> Net:
     for n in sorted(nodes, key=lambda n: pos[n]):
         node = nodes[n]
         if node.sym == "free":
+            if "f" not in slots[n]:
+                raise node.unwired("free port")
             continue
+        if "p" not in slots[n]:
+            raise node.unwired("principal port")
         if node.sym in _NEUTRAL:
             leaves = [p for (_, _, p) in sorted(slots[n]["a"])]
             if len(leaves) < 2:  # flattening leaves only a unary self-loop

@@ -375,24 +375,22 @@ def step(net: Net, policy: str = ANYDEPTH_EER):
     return apply_redex(net, rs[0])
 
 
-def normalize(x, budget: int = 10000, policy: str = ANYDEPTH_EER) -> NetSum:
-    """Reduce to normal form under the given policy.
+def normal_nets(x, budget: int = 10000, policy: str = ANYDEPTH_EER):
+    """Yield the normal nets that reducing `x` reaches, raw, in the order
+    they are found; nets equal up to structural equivalence may repeat.
 
     Each step fires the least redex under (depth, cell ids, wire), found
     from the redex index that the nets carry; `find_redexes` confirms each
-    normal summand.  The budget counts rule applications over the whole
-    sum; running out raises BudgetExhausted carrying the normal summands
-    found so far followed by the unfinished raw nets, and the steps taken
-    per rule.
+    normal net.  The budget counts rule applications over the whole sum;
+    running out raises BudgetExhausted carrying the unfinished raw nets and
+    the steps taken per rule.
     """
     if isinstance(x, Net):
         x = [x]
-    # Intermediate nets are kept raw: the sum is idempotent, so NetSum.add
-    # dedups normal forms by certificate, and the budget bounds any work
-    # duplicated by converging branches.  Canonicalizing every intermediate
-    # step would dominate the running time.
+    # Intermediate nets are kept raw: canonicalizing every intermediate
+    # step would dominate the running time, and the budget bounds any work
+    # duplicated by converging branches.
     work: list = [n.copy() for n in x]
-    done = NetSum()
     steps: Counter = Counter()
     taken = 0
     while work:
@@ -401,13 +399,27 @@ def normalize(x, budget: int = 10000, policy: str = ANYDEPTH_EER) -> NetSum:
         if r is None:
             if find_redexes(n, policy):
                 raise AssertionError("the redex index missed a redex")
-            done.add(n)
+            yield n
             continue
         if taken >= budget:
-            raise BudgetExhausted(done.summands + work + [n], steps)
+            raise BudgetExhausted(work + [n], steps)
         taken += 1
         steps[r.rule] += 1
         work.extend(apply_redex(n, r))
+
+
+def normalize(x, budget: int = 10000, policy: str = ANYDEPTH_EER) -> NetSum:
+    """Reduce to normal form under the given policy: the sum of
+    `normal_nets`, deduplicated by certificate.  On BudgetExhausted,
+    `partial` holds the normal summands found so far followed by the
+    unfinished raw nets.
+    """
+    done = NetSum()
+    try:
+        for n in normal_nets(x, budget, policy):
+            done.add(n)
+    except BudgetExhausted as exc:
+        raise BudgetExhausted(done.summands + exc.partial, exc.steps) from None
     return done
 
 

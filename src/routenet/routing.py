@@ -7,29 +7,34 @@ same formula !A oriented from inputs to outputs; a free port is an input
 when the !A flows from it into the net, an output when it flows out.
 
 Two semantics are computed — normal-form shape reading and free-to-free
-path counting — and agree on routing nets.
+path counting — and agree on routing nets.  The shape is read from the raw
+normal net that reduction reaches, past the neutral (co)weakening leaves
+and unary nodes that canonical form would remove, so reading, tracing,
+composing and transit use no canonical labelling.  Canonical form only
+builds the nets that `trace_net` and `compose_areas` return, and serves
+`read_area`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 from . import multirel
-from .errors import CycleRisk, NotAreaShaped, NotNormal, RoutenetError
+from .errors import CycleRisk, CyclicNet, NotAreaShaped, NotNormal, RoutenetError, UnknownLabel
 from .multirel import LabelSet, Multirelation
-from .paths import check_acyclic, count_paths_all
+from .paths import check_acyclic, count_paths, count_paths_all
 from .proofnet import (
     Builder,
     Cell,
     Net,
+    NetSum,
     ONE,
     Wire,
     bang,
-    canonical_equal,
     canonicalize,
     dual,
     left_comb,
 )
-from .rewrite import ALL, find_redexes, normalize
+from .rewrite import ALL, find_redexes, normal_nets
 
 _STRUCTURAL = {"Contraction", "Cocontraction", "Weakening", "Coweakening"}
 
@@ -107,6 +112,11 @@ def delta(payload: "Formula" = bang(ONE)) -> Net:
 
 
 def is_routing_net(n: Net) -> bool:
+    return _structural(n) and check_acyclic(n)
+
+
+def _structural(n: Net) -> bool:
+    """Only structural cells, and one !A on every wire."""
     if any(c.sym not in _STRUCTURAL for c in n.cells):
         return False
     payload = None
@@ -118,7 +128,7 @@ def is_routing_net(n: Net) -> bool:
             payload = f
         elif f != payload:
             return False
-    return check_acyclic(n)
+    return True
 
 
 def _free_io(n: Net):
@@ -133,10 +143,16 @@ def _free_io(n: Net):
     return ins, outs
 
 
+def _check_labels(ins, outs):
+    if len({l for _, l in ins}) != len(ins) or len({l for _, l in outs}) != len(outs):
+        raise NotAreaShaped("duplicate free labels within a direction")
+
+
 def read_area(n: Net) -> RoutingArea:
-    """Decompose a normal routing net into its multirelation."""
+    """Decompose a normal routing net into its multirelation, read from its
+    canonical form."""
     _check_normal_routing(n)
-    return _read_canonical(canonicalize(n))
+    return _read(canonicalize(n))
 
 
 def _check_normal_routing(n: Net):
@@ -146,27 +162,61 @@ def _check_normal_routing(n: Net):
         raise NotNormal("net has residual cuts")
 
 
-def _read_canonical(n: Net) -> RoutingArea:
-    """`read_area` of a checked net already in canonical form."""
+def _payload(n: Net):
+    for w in n.wires:
+        return w.ty if w.ty.kind == "bang" else dual(w.ty)
+    return bang(ONE)
+
+
+def _read(n: Net) -> RoutingArea:
+    """The area of a checked normal routing net."""
     ins, outs = _free_io(n)
-    if len({l for _, l in ins}) != len(ins) or len({l for _, l in outs}) != len(outs):
-        raise NotAreaShaped("duplicate free labels within a direction")
+    _check_labels(ins, outs)
+    label = dict(n.free)
+    rel = {(label[pi], label[po]): k for (pi, po), k in _crossings(n, ins, outs).items()}
+    r = Multirelation(
+        LabelSet(tuple(l for _, l in ins)), LabelSet(tuple(l for _, l in outs)), rel
+    )
+    return RoutingArea(r, _payload(n))
+
+
+def _crossings(n: Net, ins, outs) -> dict[tuple[int, int], int]:
+    """Wires from the tree of each input port to the tree of each output
+    port, read off a checked normal routing net as a tree of trees.
+
+    Trees may hold nodes of any arity, and a neutral leaf (a weakening on a
+    contraction's aux port, a coweakening on a cocontraction's) carries no
+    wire, so raw normal forms read like their canonical ones.
+    """
     wire_of = n.wire_of()
     owner = n.owner()
-    payload = None
-    for w in n.wires:
-        f = w.ty if w.ty.kind == "bang" else dual(w.ty)
-        payload = f
-        break
+    in_ports = {p for p, _ in ins}
+    out_ports = {p for p, _ in outs}
 
     visited: set[int] = set()
-    # map each output-tree entry port (cocontraction aux) to its output label
-    entry: dict[int, str] = {}
-    out_port_label = {}
+
+    def leaves(root: Cell, sym: str, neutral: str) -> list[int]:
+        """The aux ports at the leaves of the tree of `sym` cells under
+        `root`, less the neutral leaves."""
+        out, stack = [], [root]
+        while stack:
+            c = stack.pop()
+            visited.add(c.id)
+            for a in c.aux:
+                oy = owner.get(wire_of[a].other(a))
+                if oy and oy[1] == "p" and oy[0].sym == sym:
+                    stack.append(oy[0])
+                elif oy and oy[1] == "p" and oy[0].sym == neutral:
+                    visited.add(oy[0].id)
+                else:
+                    out.append(a)
+        return out
+
+    # each port where a crossing enters an output tree -> its output port
+    entry: dict[int, int] = {}
     for po, lbl in outs:
-        out_port_label[po] = lbl
         x = wire_of[po].other(po)
-        if x in {p for p, _ in ins}:
+        if x in in_ports:
             continue  # floating wire; counted from the input side
         got = owner.get(x)
         if got is None:
@@ -179,75 +229,59 @@ def _read_canonical(n: Net) -> RoutingArea:
             continue  # bare crossing wire; counted from the input side
         if cell.sym != "Cocontraction" or slot != "p":
             raise NotAreaShaped(f"output {lbl} not rooted in a cocontraction")
-        stack = [cell]
-        while stack:
-            c = stack.pop()
-            visited.add(c.id)
-            for a in c.aux:
-                y = wire_of[a].other(a)
-                oy = owner.get(y)
-                if oy and oy[0].sym == "Cocontraction" and oy[1] == "p":
-                    stack.append(oy[0])
-                else:
-                    entry[a] = lbl
+        for a in leaves(cell, "Cocontraction", "Coweakening"):
+            entry[a] = po
 
-    rel: dict[tuple[str, str], int] = {}
+    routes: dict[tuple[int, int], int] = {}
 
-    def leaf(i_lbl: str, y: int):
-        if y in entry:
-            rel[(i_lbl, entry[y])] = rel.get((i_lbl, entry[y]), 0) + 1
-        elif y in out_port_label:
-            lbl = out_port_label[y]
-            rel[(i_lbl, lbl)] = rel.get((i_lbl, lbl), 0) + 1
-        else:
-            raise NotAreaShaped(f"input {i_lbl} leaks outside the output trees")
+    def leaf(pi: int, lbl: str, y: int):
+        po = entry.get(y, y)
+        if po not in out_ports:
+            raise NotAreaShaped(f"input {lbl} leaks outside the output trees")
+        routes[(pi, po)] = routes.get((pi, po), 0) + 1
 
     for pi, lbl in ins:
         x = wire_of[pi].other(pi)
         got = owner.get(x)
         if got is None:
-            leaf(lbl, x)
+            leaf(pi, lbl, x)
             continue
         cell, slot = got
         if cell.sym == "Weakening" and slot == "p":
             visited.add(cell.id)
             continue
         if cell.sym == "Cocontraction" and slot != "p":
-            leaf(lbl, x)
+            leaf(pi, lbl, x)
             continue
         if cell.sym != "Contraction" or slot != "p":
             raise NotAreaShaped(f"input {lbl} not rooted in a contraction")
-        stack = [cell]
-        while stack:
-            c = stack.pop()
-            visited.add(c.id)
-            for a in c.aux:
-                y = wire_of[a].other(a)
-                oy = owner.get(y)
-                if oy and oy[0].sym == "Contraction" and oy[1] == "p":
-                    stack.append(oy[0])
-                else:
-                    leaf(lbl, y)
+        for a in leaves(cell, "Contraction", "Weakening"):
+            leaf(pi, lbl, wire_of[a].other(a))
 
     if visited != {c.id for c in n.cells}:
         raise NotAreaShaped("stray cells outside the tree-of-trees shape")
-    r = Multirelation(
-        LabelSet(tuple(l for _, l in ins)), LabelSet(tuple(l for _, l in outs)), rel
-    )
-    return RoutingArea(r, payload or bang(ONE))
+    return routes
 
 
 # ---------------------------------------------------------------------------
 # Semantics
 
 
+def _normal_net(n: Net, budget: int, what: str) -> Net:
+    """The one raw normal net of `n`.  Nets are counted up to equivalence,
+    as a NetSum counts them; `what` names the operation in the error."""
+    nets = list(normal_nets(n, budget))
+    if len(nets) != 1:
+        count = len(NetSum(nets))
+        if count != 1:
+            raise NotAreaShaped(f"{what} {count} summands")
+    return nets[0]
+
+
 def semantics(n: Net, budget: int = 10000) -> Multirelation:
-    s = normalize(n, budget)
-    if len(s) != 1:
-        raise NotAreaShaped(f"routing net reduced to {len(s)} summands")
-    (m,) = s  # a NetSum holds its summands in canonical form
+    m = _normal_net(n, budget, "routing net reduced to")
     _check_normal_routing(m)
-    return _read_canonical(m).rel
+    return _read(m).rel
 
 
 def path_semantics(n: Net) -> Multirelation:
@@ -285,12 +319,30 @@ def _find_free(n: Net, label: str, want_input: bool) -> int:
 
 
 def trace_net(a: Net, i: str, o: str, budget: int = 10000) -> Net:
-    """Wire output o back into input i and normalize."""
-    if semantics(a, budget)(i, o) >= 1:
+    """Wire output o back into input i and normalize; returns the
+    canonical normal net."""
+    return canonicalize(_traced(a, i, o, budget))
+
+
+def _traced(a: Net, i: str, o: str, budget: int) -> Net:
+    """trace_net's normal net, raw."""
+    if not _structural(a):
+        raise NotAreaShaped("not a routing net")
+    ins, outs = _free_io(a)
+    _check_labels(ins, outs)
+    pi = next((p for p, l in ins if l == i), None)
+    po = next((p for p, l in outs if l == o), None)
+    if pi is None or po is None:
+        raise UnknownLabel(i if pi is None else o)
+    # the path count is the semantics on routing nets (criterion 02); it
+    # checks acyclicity, the rest of is_routing_net
+    try:
+        crossings = count_paths(a, pi, po)
+    except CyclicNet:
+        raise NotAreaShaped("not a routing net") from None
+    if crossings >= 1:
         raise CycleRisk(f"semantics({i},{o}) >= 1")
     n = a.copy()
-    pi = _find_free(n, i, True)
-    po = _find_free(n, o, False)
     b = Builder(n)
     wa, wb = b.wire_at(pi), b.wire_at(po)
     n.free = [(p, l) for p, l in n.free if p not in (pi, po)]
@@ -299,10 +351,7 @@ def trace_net(a: Net, i: str, o: str, budget: int = 10000) -> Net:
         b.remove_wire(wb)
         # flow leaves the net at o and re-enters at i
         b.wire(wb.other(po), wa.other(pi), wb.toward(po))
-    s = normalize(n, budget)
-    if len(s) != 1:
-        raise NotAreaShaped(f"trace produced {len(s)} summands")
-    return s.summands[0]
+    return _normal_net(n, budget, "trace produced")
 
 
 def compose_areas(
@@ -310,15 +359,17 @@ def compose_areas(
 ) -> Net:
     """Juxtapose and trace each of a's listed outputs onto b's inputs.
 
+    The traces run on raw normal nets and the result is canonicalized once.
     Tags introduced by the juxtaposition are stripped from the result, so a
     full composition exposes a's inputs and b's outputs under their own
     names."""
     if len(outs) != len(ins):
         raise ValueError("output and input pairing lists differ in length")
     n = juxtapose(a, b)
-    for o, i in zip(outs, ins):
-        n = trace_net(n, "R." + i, "L." + o, budget)
-    n = n.copy()
+    if outs:
+        for o, i in zip(outs, ins):
+            n = _traced(n, "R." + i, "L." + o, budget)
+        n = canonicalize(n)
     n.free = [(p, l[2:] if l[:2] in ("L.", "R.") else l) for p, l in n.free]
     return n
 
@@ -358,10 +409,7 @@ def transit(a: Net, i: str, payload: Net | None = None, budget: int = 10000):
     off = b.merge(payload)
     b.reend(pf + off, cc.aux[1])
 
-    s = normalize(n, budget)
-    if len(s) != 1:
-        raise NotAreaShaped(f"transit produced {len(s)} summands")
-    m = s.summands[0]
+    m = _normal_net(n, budget, "transit produced")
 
     # count payload boxes per output tree
     _, outs = _free_io(m)
@@ -372,13 +420,12 @@ def transit(a: Net, i: str, payload: Net | None = None, budget: int = 10000):
         if c.sym != "Box":
             continue
         y = wire_of[c.principal].other(c.principal)
-        while True:
-            oy = owner.get(y)
-            if oy is None:
-                break
-            cell, slot = oy
-            if cell.sym != "Cocontraction":
+        seen = set()  # a cyclic net could lead the walk round a loop
+        while (oy := owner.get(y)) is not None:
+            cell = oy[0]
+            if cell.sym != "Cocontraction" or cell.id in seen:
                 raise NotAreaShaped("payload copy stranded outside output trees")
+            seen.add(cell.id)
             y = wire_of[cell.principal].other(cell.principal)
         lbl = next((l for p, l in outs if p == y), None)
         if lbl is None:
@@ -391,6 +438,20 @@ def transit(a: Net, i: str, payload: Net | None = None, budget: int = 10000):
     for c in m.cells:
         if c.sym == "Box":
             b.replace_cell(Cell(c.id, "Coweakening", c.principal, c.aux))
-    if not canonical_equal(residual, a):
+    shape = _shape(residual)
+    if shape is None or shape != _shape(a):
         raise RoutenetError("transit disturbed the area")
     return counts
+
+
+def _shape(n: Net):
+    """What determines a normal routing net up to equivalence (criterion
+    04): its free ports and labels by direction, its payload and its
+    crossings per port pair; None if `n` is not one.  Rewriting keeps free
+    ports, so a net and its reducts compare port by port."""
+    try:
+        _check_normal_routing(n)
+        ins, outs = _free_io(n)
+        return sorted(ins), sorted(outs), _payload(n), _crossings(n, ins, outs)
+    except (NotAreaShaped, NotNormal):
+        return None

@@ -72,6 +72,17 @@ def test_values_json(tmp_path, capsys):
     assert got == {"values": [["*", "*"]]}
 
 
+def test_values_type_checks_in_the_given_context(tmp_path, capsys):
+    ctx = _write(tmp_path, "R.ctx", "r : Unit\n")
+    prog = _write(tmp_path, "M.term", "get q\n")
+    assert main(["values", ctx, prog]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "unknown reference 'q'" in err
+    assert main(["check", ctx, prog]) == 1
+    assert "unknown reference 'q'" in capsys.readouterr().out
+
+
 def test_area_command(tmp_path, capsys):
     mat = _write(tmp_path, "R.mat", "in: a b\nout: x\n2\n1\n")
     assert main(["area", mat]) == 0
@@ -94,6 +105,20 @@ def test_verify_simulate_programs(capsys):
     assert main(["verify", "--suite", "simulate", "--cases", "2"]) == 0
     out = capsys.readouterr().out
     assert "result: 2/2 pass" in out
+
+
+def test_verify_transit(capsys):
+    assert main(["verify", "--suite", "transit", "--seed", "7", "--cases", "5"]) == 0
+    out = capsys.readouterr().out
+    assert "suite: transit" in out
+    assert "result: 5/5 pass" in out
+
+
+def test_cli_offers_every_suite():
+    from routenet.cli import _DEFAULT_CASES, _SUITES
+    from routenet.gen import SUITES
+
+    assert set(_SUITES) == set(_DEFAULT_CASES) == set(SUITES)
 
 
 def test_usage_error_is_64(capsys):
@@ -180,13 +205,21 @@ MALFORMED_NETS = {
 }
 
 
-def _cli(*argv):
+def _cli(*argv, module="routenet.cli"):
     """Run the CLI in a fresh interpreter, as a user would."""
     src = str(Path(routenet.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     return subprocess.run(
-        [sys.executable, "-m", "routenet.cli", *argv], capture_output=True, text=True, env=env
+        [sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env
     )
+
+
+def test_python_dash_m_routenet_runs_the_cli(tmp_path):
+    mat = _write(tmp_path, "R.mat", "in: a\nout: x\n1\n")
+    got = _cli("area", mat, module="routenet")
+    assert got.returncode == 0, got.stderr
+    (net,) = parse(got.stdout.encode())
+    assert sorted(l for _, l in net.free) == ["a", "x"]
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_NETS))

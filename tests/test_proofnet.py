@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from routenet import proofnet
-from routenet.errors import CyclicNet, ParseError
+from routenet.errors import CyclicNet, ParseError, UnwiredPort
 from routenet.gen import PROGRAM_SUITE, gen_routing_net, gen_typed_net, suite_program
 from routenet.multirel import from_rows
 from routenet.proofnet import (
@@ -172,6 +172,22 @@ def test_canonical_rejects_contraction_fed_by_its_own_root():
     assert validate(n) == []
     with pytest.raises(CyclicNet):
         canonicalize(n)
+
+
+def test_canonicalize_names_a_cell_with_an_unwired_principal():
+    # a box holding a weakening left without a wire
+    inner = Net([Cell(1, "One", 1), Cell(2, "Weakening", 3)], [Wire(1, 2, ONE)], [(2, "c")])
+    n = Net([Cell(1, "Box", 1, [], inner)], [Wire(1, 2, bang(ONE))], [(2, "out")])
+    assert validate(n) != []
+    with pytest.raises(UnwiredPort, match="Weakening cell 2"):
+        canonicalize(n)
+    # a unary contraction without a wire on its principal
+    lone = Net([Cell(1, "Contraction", 1, [3])], [Wire(3, 2, A)], [(2, "out")])
+    with pytest.raises(UnwiredPort, match="Contraction cell 1"):
+        canonicalize(lone)
+    # a free port without a wire
+    with pytest.raises(UnwiredPort, match="free port 'y'"):
+        canonicalize(Net([], [Wire(1, 2, A)], [(1, "x"), (2, "z"), (3, "y")]))
 
 
 def test_canonical_invariant_under_port_renaming():

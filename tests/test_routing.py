@@ -1,11 +1,20 @@
 """Routing areas: construction, recognition, trace, composition, transit."""
+import random
+
 import pytest
 
-from routenet.errors import CycleRisk, NotAreaShaped
+from routenet import proofnet
+from routenet.errors import CycleRisk, NotAreaShaped, RoutenetError
+from routenet.gen import gen_relation, gen_routing_net
 from routenet.multirel import comm_relation, from_rows, rows_of, trace_formula
-from routenet.proofnet import ONE, bang, canonical_equal, tensor, validate
+from routenet.proofnet import Builder, Cell, Net, ONE, Wire, bang, canonical_equal, tensor, validate
+from routenet.rewrite import normal_nets
 from routenet.routing import (
     RoutingArea,
+    _check_normal_routing,
+    _free_io,
+    _read,
+    _traced,
     boxed_one,
     build_area,
     compose_areas,
@@ -18,6 +27,8 @@ from routenet.routing import (
     trace_net,
     transit,
 )
+
+A = bang(ONE)
 
 
 def test_build_area_round_trips_through_read_area():
@@ -130,3 +141,241 @@ def test_compose_chain_associative_on_nets():
     assert semantics(rs_then_t) == semantics(r_then_st)
     assert rows_of(semantics(rs_then_t)) == [[(1 * 2 + 2 * 1) * 3]]
     assert canonical_equal(rs_then_t, r_then_st)
+
+
+# ---------------------------------------------------------------------------
+# Reading areas from raw normal nets
+
+
+def _neutral_leaves(n: Net) -> int:
+    """Weakenings on a contraction's aux ports and coweakenings on a
+    cocontraction's: the leaves that canonical form removes."""
+    owner = n.owner()
+    pairs = {"Weakening": "Contraction", "Coweakening": "Cocontraction"}
+    count = 0
+    for c in n.cells:
+        if c.sym in pairs:
+            far = owner.get(n.wire_at(c.principal).other(c.principal))
+            count += far is not None and far[0].sym == pairs[c.sym] and far[1] != "p"
+    return count
+
+
+def _leafy_area():
+    """Inputs a, b, e and outputs x, y, w with a -> x, a -> y and b -> x,
+    past a neutral leaf in an input tree and one in an output tree."""
+    b = Builder()
+    qa, qb, qe, qx, qy, qw = (b.port() for _ in range(6))
+    c, c2 = b.cell("Contraction", 2), b.cell("Contraction", 2)
+    k, k2 = b.cell("Cocontraction", 2), b.cell("Cocontraction", 2)
+    b.wire(qa, c.principal, A)
+    b.wire(c.aux[0], b.cell("Weakening", 0).principal, A)
+    b.wire(c.aux[1], c2.principal, A)
+    b.wire(c2.aux[0], k.aux[0], A)
+    b.wire(c2.aux[1], k2.aux[0], A)
+    b.wire(b.cell("Coweakening", 0).principal, k2.aux[1], A)
+    b.wire(k2.principal, qy, A)
+    b.wire(qb, k.aux[1], A)
+    b.wire(k.principal, qx, A)
+    b.wire(qe, b.cell("Weakening", 0).principal, A)
+    b.wire(b.cell("Coweakening", 0).principal, qw, A)
+    return b.finish([(qa, "a"), (qb, "b"), (qe, "e"), (qx, "x"), (qy, "y"), (qw, "w")])
+
+
+def _empty_trees():
+    """Input i into a contraction whose leaves are both weakenings, and
+    output o out of a cocontraction fed only by coweakenings."""
+    b = Builder()
+    qi, qo = b.port(), b.port()
+    c, k = b.cell("Contraction", 2), b.cell("Cocontraction", 2)
+    b.wire(qi, c.principal, A)
+    for aux in c.aux:
+        b.wire(aux, b.cell("Weakening", 0).principal, A)
+    for aux in k.aux:
+        b.wire(b.cell("Coweakening", 0).principal, aux, A)
+    b.wire(k.principal, qo, A)
+    return b.finish([(qi, "i"), (qo, "o")])
+
+
+def _unary_chains():
+    """Unary (co)contractions, which `validate` rejects but canonical form
+    dissolves: i through two unary contractions into a unary cocontraction
+    to o, and j into a unary contraction onto a weakening."""
+    b = Builder()
+    qi, qo, qj = b.port(), b.port(), b.port()
+    u1, u2 = b.cell("Contraction", 1), b.cell("Contraction", 1)
+    k, u3 = b.cell("Cocontraction", 1), b.cell("Contraction", 1)
+    b.wire(qi, u1.principal, A)
+    b.wire(u1.aux[0], u2.principal, A)
+    b.wire(u2.aux[0], k.aux[0], A)
+    b.wire(k.principal, qo, A)
+    b.wire(qj, u3.principal, A)
+    b.wire(u3.aux[0], b.cell("Weakening", 0).principal, A)
+    return b.finish([(qi, "i"), (qo, "o"), (qj, "j")])
+
+
+HAND_BUILT = {
+    "leafy": (_leafy_area, [[1, 1, 0], [1, 0, 0], [0, 0, 0]]),
+    "empty-trees": (_empty_trees, [[0]]),
+    "unary-chains": (_unary_chains, [[1], [0]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_BUILT))
+def test_reader_sees_past_neutral_leaves_and_unary_nodes(name):
+    make, rows = HAND_BUILT[name]
+    net = make()
+    if name != "unary-chains":
+        assert validate(net) == []
+    _check_normal_routing(net)
+    ins, outs = _free_io(net)
+    want = from_rows([l for _, l in ins], [l for _, l in outs], rows)
+    assert _read(net).rel == want == path_semantics(net) == semantics(net)
+    assert _read(net) == read_area(net)
+
+
+def _one_raw_normal_net(n: Net) -> Net:
+    (m,) = normal_nets(n)
+    return m
+
+
+def _zero_pair(n: Net):
+    """An (input, output) pair of `n` without a path, or None."""
+    rel = path_semantics(n)
+    return next(((i, o) for i in rel.domain for o in rel.codomain if rel(i, o) == 0), None)
+
+
+def test_reader_on_raw_normal_nets_equals_canonical_read_area():
+    """The reader on raw normal nets against read_area, which reads the
+    canonical form: 200 generator nets and a raw trace of each, the raw
+    steps of seeded compositions, and the hand-built nets above."""
+    corpus = [make() for make, _ in HAND_BUILT.values()]
+    for seed in range(200):
+        net = gen_routing_net(random.Random(seed))
+        corpus.append(_one_raw_normal_net(net))
+        pair = _zero_pair(net)
+        if pair is not None:
+            corpus.append(_traced(net, *pair, 10000))
+    for seed in range(40):
+        rng = random.Random(seed)
+        r = gen_relation(rng, max_in=3, max_out=3, exact=True)
+        s = gen_relation(rng, max_in=3, max_out=3, exact=True)
+        n = juxtapose(build_area(RoutingArea(r)), build_area(RoutingArea(s)))
+        for o, i in zip(r.codomain, s.domain):
+            n = _traced(n, "R." + i, "L." + o, 10000)
+            corpus.append(n)
+    assert len(corpus) > 400
+    # raw normal forms do hold the leaves that canonical form removes
+    assert sum(_neutral_leaves(m) > 0 for m in corpus) > 50
+    for m in corpus:
+        _check_normal_routing(m)
+        assert _read(m) == read_area(m)
+        assert _read(m).rel == path_semantics(m)
+
+
+def _canonicalize_calls(monkeypatch):
+    calls = []
+    real = proofnet.canonicalize_with_cert
+    monkeypatch.setattr(
+        proofnet, "canonicalize_with_cert", lambda n: calls.append(1) or real(n)
+    )
+    return calls
+
+
+def test_area_operations_canonicalize_only_the_nets_they_return(monkeypatch):
+    r = from_rows(["a", "b"], ["x", "y"], [[2, 0], [1, 3]])
+    s = from_rows(["x", "y"], ["z"], [[1], [2]])
+    net, other = build_area(RoutingArea(r)), build_area(RoutingArea(s))
+    calls = _canonicalize_calls(monkeypatch)
+    assert semantics(net) == r
+    assert transit(net, "b") == {"x": 1, "y": 3}
+    assert calls == []
+    trace_net(net, "a", "y")
+    assert len(calls) == 1
+    composed = compose_areas(net, ["x", "y"], other, ["x", "y"])
+    assert len(calls) == 2
+    assert semantics(composed) == from_rows(["a", "b"], ["z"], [[2], [7]])
+    assert len(calls) == 2
+
+
+def _relabelled(n: Net, labels: dict) -> Net:
+    out = n.copy()
+    out.free = [(p, labels.get(l, l)) for p, l in n.free]
+    return out
+
+
+def _wired(n: Net, i: str, o: str) -> Net:
+    """Output o wired back into input i, not normalized."""
+    n = n.copy()
+    ins, outs = _free_io(n)
+    pi = next(p for p, l in ins if l == i)
+    po = next(p for p, l in outs if l == o)
+    b = Builder(n)
+    wa, wb = b.wire_at(pi), b.wire_at(po)
+    n.free = [(p, l) for p, l in n.free if p not in (pi, po)]
+    b.remove_wire(wa)
+    b.remove_wire(wb)
+    b.wire(wb.other(po), wa.other(pi), wb.toward(po))
+    return n
+
+
+def _non_areas():
+    """name -> (net, input, output with no path from the input)."""
+    m2x2 = build_area(RoutingArea(from_rows(["a", "b"], ["x", "y"], [[2, 0], [1, 3]])))
+    return {
+        "box": (juxtapose(m2x2, boxed_one()), "L.a", "L.y"),
+        "duplicate-inputs": (_relabelled(m2x2, {"b": "a"}), "a", "y"),
+        "duplicate-outputs": (_relabelled(m2x2, {"y": "x"}), "a", "x"),
+        # a contraction feeding its own aux port, beside a bare wire a -> x
+        "cyclic": (
+            Net(
+                [Cell(1, "Contraction", 3, [4, 5])],
+                [Wire(1, 2, A), Wire(4, 3, A), Wire(5, 6, A)],
+                [(1, "a"), (2, "x"), (6, "y")],
+            ),
+            "a",
+            "y",
+        ),
+        # a's output x wired into the contraction of i: a cut remains
+        "cut": (
+            _wired(
+                juxtapose(
+                    build_area(RoutingArea(from_rows(["a"], ["x"], [[2]]))),
+                    build_area(RoutingArea(from_rows(["i"], ["o", "p"], [[2, 0]]))),
+                ),
+                "R.i",
+                "L.x",
+            ),
+            "L.a",
+            "R.p",
+        ),
+    }
+
+
+# What each operation does on each non-area: an exception class, or the
+# transit counts.  Each entry is what the operation did before reading
+# areas from raw normal forms, except for transit on the cyclic net, which
+# returned {"x": 1, "y": 0} and now refuses a net that is not an area.
+NON_AREA_OUTCOMES = {
+    "box": (NotAreaShaped, NotAreaShaped, RoutenetError),
+    "duplicate-inputs": (NotAreaShaped, NotAreaShaped, {"x": 2, "y": 0}),
+    "duplicate-outputs": (NotAreaShaped, NotAreaShaped, {"x": 2}),
+    "cyclic": (NotAreaShaped, NotAreaShaped, RoutenetError),
+    "cut": (None, None, RoutenetError),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_AREA_OUTCOMES))
+def test_non_areas_raise_the_same_exceptions(name):
+    net, i, o = _non_areas()[name]
+    for op, want in zip(
+        (lambda: trace_net(net, i, o), lambda: semantics(net), lambda: transit(net, i)),
+        NON_AREA_OUTCOMES[name],
+    ):
+        if isinstance(want, type):
+            with pytest.raises(RoutenetError) as exc:
+                op()
+            assert type(exc.value) is want
+        elif want is None:
+            op()
+        else:
+            assert op() == want

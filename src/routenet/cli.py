@@ -23,9 +23,14 @@ EX_USAGE = 64
 EX_DATAERR = 65
 EX_TEMPFAIL = 75
 
-_SUITES = ("trace", "compose", "paths", "transit", "simulate", "adequacy")
+_SUITES = (
+    "trace", "compose", "paths", "transit", "characterize", "path-preservation",
+    "confluence", "paths-area", "simulate", "adequacy",
+)
 _DEFAULT_CASES = {
-    "trace": 200, "compose": 100, "paths": 200, "transit": 200, "simulate": 0, "adequacy": 0
+    "trace": 200, "compose": 100, "paths": 200, "transit": 200, "characterize": 200,
+    "path-preservation": 200, "confluence": 100, "paths-area": 200, "simulate": 0,
+    "adequacy": 0,
 }
 
 

@@ -49,7 +49,8 @@ class CyclicNet(RoutenetError):
 
 
 class UnwiredPort(RoutenetError):
-    """A cell's principal port, or a free port, has no wire."""
+    """A free port or a cell's port has no wire of its own: none ends there,
+    or the net gives the same port to another free or cell port."""
 
 
 class NotNormal(RoutenetError):

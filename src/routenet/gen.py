@@ -21,7 +21,6 @@ from .proofnet import (
     Net,
     ONE,
     bang,
-    certificate,
     tensor,
     validate,
 )
@@ -425,8 +424,8 @@ def check_adequacy(name: str, budget: int = 200000):
     by_cert = {}
     for tree in value_trees(p):
         ms = tuple(sorted(repr(alpha_normalize(t)) for t in _threads(tree)))
-        for s in normalize(compile_program(tree, R), budget=budget):
-            by_cert[certificate(s)] = ms
+        for cert, _ in normalize(compile_program(tree, R), budget=budget).items():
+            by_cert[cert] = ms
     certs = set(by_cert)
     nf = normalize(compile_program(p, R), budget=budget)
     matched = nf.certs() & certs
@@ -450,6 +449,10 @@ SUITES = {
     "compose": (check_compose, False),
     "paths": (check_paths_net, False),
     "transit": (check_transit, False),
+    "characterize": (check_characterize, False),
+    "path-preservation": (check_path_preservation, False),
+    "confluence": (check_confluence, False),
+    "paths-area": (check_paths_area, False),
     "simulate": (check_simulation, True),
     "adequacy": (check_adequacy, True),
 }

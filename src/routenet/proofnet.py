@@ -717,8 +717,12 @@ def _validate(net: Net, out: list[str], where: str):
 # (co)contraction trees into n-ary unordered nodes, absorb neutral
 # (co)weakening leaves, then compute an exact canonical labelling of the
 # resulting multigraph by colour refinement with individualisation.  The
-# canonical certificate decides equality; a concrete representative is
-# rebuilt with left combs and dense port numbering.
+# canonical certificate decides equality and comes first: flattening and
+# labelling make it, and make every check of the net's wiring.  A concrete
+# representative (left combs, dense port numbering) is rebuilt from the
+# labelling only when the certificate is new to the caller's table of
+# certificate -> canonical net; otherwise the table's net is returned.  Nets
+# with one certificate rebuild to the same bytes, so the two agree.
 
 
 class _FlatNode:
@@ -758,8 +762,23 @@ class _End(NamedTuple):
     ty_text: str  # fmt_formula(ty)
 
 
+class _SlotTexts(dict):
+    """repr of each slot value, made on first use: there are only a few."""
+
+    def __missing__(self, slot):
+        text = self[slot] = repr(slot)
+        return text
+
+
+_SLOT_TEXT = _SlotTexts()
+
+
 def _ends(e: _FlatEdge) -> tuple[_End, _End]:
-    return tuple(_End(n, s, repr(s), ty, fmt_formula(ty)) for n, s, ty in (e.end(0), e.end(1)))
+    back = dual(e.ty)
+    return (
+        _End(e.n0, e.s0, _SLOT_TEXT[e.s0], e.ty, fmt_formula(e.ty)),
+        _End(e.n1, e.s1, _SLOT_TEXT[e.s1], back, fmt_formula(back)),
+    )
 
 
 _NARY = {"Contraction": "NContr", "Cocontraction": "NCocontr"}
@@ -767,14 +786,22 @@ _NEUTRAL = {"NContr": "Weakening", "NCocontr": "Coweakening"}
 
 
 def _flatten(net: Net):
-    """Return (nodes: dict id -> _FlatNode, edges: list[_FlatEdge])."""
+    """Return (nodes: dict id -> _FlatNode, edges: list[_FlatEdge]).
+
+    Raises UnwiredPort for a free or cell port without a wire of its own
+    (none ends there, or another free or cell port is the same port), and
+    CyclicNet for a (co)contraction tree that feeds its own root."""
     nodes: dict[int, _FlatNode] = {}
     nid = 0
+    wired = net._indexed()._wire_key
+    loose = None  # the first unwired port, raised once the wires are read
 
     port_node: dict[int, tuple[int, object]] = {}
     # keyed by label only: the interface is a labelled set, not a sequence
     for p, lbl in net.free:
-        nodes[nid] = _FlatNode(("free", lbl), "free")
+        nodes[nid] = node = _FlatNode(("free", lbl), "free")
+        if p not in wired or p in port_node:
+            loose = loose or node.unwired("free port")
         port_node[p] = (nid, "f")
         nid += 1
     for c in net.cells:
@@ -786,8 +813,12 @@ def _flatten(net: Net):
         else:
             node = _FlatNode(("cell", c.sym), c.sym, cell=c)
         nodes[nid] = node
+        if c.principal not in wired or c.principal in port_node:
+            loose = loose or node.unwired("principal port")
         port_node[c.principal] = (nid, "p")
         for i, p in enumerate(c.aux):
+            if p not in wired or p in port_node:
+                loose = loose or node.unwired(f"aux port {i}")
             port_node[p] = (nid, "a" if node.sym in _NEUTRAL else ("a", i))
         nid += 1
 
@@ -796,76 +827,66 @@ def _flatten(net: Net):
         (na, sa) = port_node[w.a]
         (nb, sb) = port_node[w.b]
         edges.append(_FlatEdge(na, sa, nb, sb, w.ty))
+    if loose is not None:
+        raise loose
 
     def step() -> bool:
         # Associativity: an edge from the principal of u into an aux slot of
-        # v, both the same n-ary kind, fuses u into v.
+        # v, both the same n-ary kind, fuses u into v.  Failing that,
+        # neutrality: a (co)weakening on an aux slot of the matching n-ary
+        # node disappears together with its edge.  Both act on the first
+        # such edge in edge order.
+        neutral = None
         for e in edges:
-            for nu, su, nv, sv in (
-                (e.n0, e.s0, e.n1, e.s1),
-                (e.n1, e.s1, e.n0, e.s0),
-            ):
-                if (
-                    su == "p"
-                    and sv == "a"
-                    and nu != nv
-                    and nodes[nv].sym in _NEUTRAL
-                    and nodes[nu].sym == nodes[nv].sym
-                ):
-                    edges.remove(e)
-                    for e2 in edges:
-                        if e2.n0 == nu:
-                            e2.n0 = nv
-                        if e2.n1 == nu:
-                            e2.n1 = nv
-                    del nodes[nu]
-                    return True
-        # Neutrality: a (co)weakening on an aux slot of the matching n-ary
-        # node disappears together with its edge.
-        for e in edges:
-            for nu, su, nv, sv in (
-                (e.n0, e.s0, e.n1, e.s1),
-                (e.n1, e.s1, e.n0, e.s0),
-            ):
-                if (
-                    su == "p"
-                    and sv == "a"
-                    and nodes[nv].sym in _NEUTRAL
-                    and nodes[nu].sym == _NEUTRAL[nodes[nv].sym]
-                ):
-                    edges.remove(e)
-                    del nodes[nu]
-                    return True
+            if e.s0 == "p" and e.s1 == "a":
+                nu, nv = e.n0, e.n1
+            elif e.s1 == "p" and e.s0 == "a":
+                nu, nv = e.n1, e.n0
+            else:
+                continue
+            vsym = nodes[nv].sym
+            if vsym not in _NEUTRAL:
+                continue
+            usym = nodes[nu].sym
+            if usym == vsym and nu != nv:
+                edges.remove(e)
+                for e2 in edges:
+                    if e2.n0 == nu:
+                        e2.n0 = nv
+                    if e2.n1 == nu:
+                        e2.n1 = nv
+                del nodes[nu]
+                return True
+            if neutral is None and usym == _NEUTRAL[vsym]:
+                neutral = (e, nu)
+        if neutral is not None:
+            edges.remove(neutral[0])
+            del nodes[neutral[1]]
+            return True
         # Degenerate n-ary nodes: arity 0 becomes the neutral cell, arity 1
         # dissolves by splicing its principal edge with its only aux edge.
-        for n, node in list(nodes.items()):
-            if node.sym not in _NEUTRAL:
-                continue
-            aux_edges = [
-                (e, i)
-                for e in edges
-                for i, (en, es) in (((0, (e.n0, e.s0)), (1, (e.n1, e.s1))))
-                if en == n and es == "a"
-            ]
+        # Their edge ends, in edge order, are read from one index.
+        ends_at = {n: [] for n, node in nodes.items() if node.sym in _NEUTRAL}
+        if not ends_at:
+            return False
+        for e in edges:
+            if e.n0 in ends_at:
+                ends_at[e.n0].append((e, 0, e.s0))
+            if e.n1 in ends_at:
+                ends_at[e.n1].append((e, 1, e.s1))
+        for n, at in ends_at.items():
+            aux_edges = [(e, i) for e, i, s in at if s == "a"]
             if len(aux_edges) == 0:
+                node = nodes[n]
                 node.sym = _NEUTRAL[node.sym]
                 node.key = ("cell", node.sym)
                 return True
             if len(aux_edges) == 1:
                 (ea, ia) = aux_edges[0]
-                (ep, ip) = next(
-                    (
-                        (e, i)
-                        for e in edges
-                        for i, (en, es) in (((0, (e.n0, e.s0)), (1, (e.n1, e.s1))))
-                        if en == n and es == "p"
-                    ),
-                    (None, None),
-                )
-                if ep is None:
-                    raise node.unwired("principal port")
-                if ep is ea:
-                    continue  # principal looped onto own aux; leave as is
+                # every principal port is wired, and flattening keeps it so
+                (ep, ip) = next((e, i) for e, i, s in at if s == "p")
+                if ep is ea:  # the principal looped onto the only aux
+                    raise CyclicNet("a (co)contraction tree feeds its own root")
                 (xn, xs, xty) = ep.end(1 - ip)  # xty reads x -> principal
                 (yn, ys, _) = ea.end(1 - ia)
                 # the new edge y -> x carries what flowed out of the principal
@@ -897,12 +918,13 @@ def _canonical_contents(inner: Net):
 
 
 def _refine(adj, colors):
-    """Iterated colour refinement; returns stable colors (dense ranks)."""
+    """Iterated colour refinement; returns stable colors (dense ranks).
+    `adj` lists each node's (edge code, far node) pairs; an edge code plus
+    the far node's colour orders as the pair (edge rank, colour)."""
     while True:
         sigs = {}
         for n, nbrs in adj.items():
-            nb = sorted((s0, s1, ty, colors[v]) for (s0, s1, ty, v) in nbrs)
-            sigs[n] = (colors[n], tuple(nb))
+            sigs[n] = (colors[n], tuple(sorted([code + colors[v] for code, v in nbrs])))
         ranking = {s: i for i, s in enumerate(sorted(set(sigs.values())))}
         new = {n: ranking[sigs[n]] for n in adj}
         if new == colors:
@@ -911,11 +933,21 @@ def _refine(adj, colors):
 
 
 def _canonical_labelling(nodes, edges):
-    """Exact canonical labelling; returns (certificate, node -> position)."""
+    """Exact canonical labelling; returns (certificate, node -> position).
+
+    Each edge end is coded by the rank of its (slot text, far slot text,
+    formula text) among those of the net, times a width above every colour,
+    so refinement sorts integers in the order of the texts."""
+    halves = [
+        (u.node, (u.slot_text, v.slot_text, u.ty_text), v.node)
+        for e0, e1 in edges
+        for u, v in ((e0, e1), (e1, e0))
+    ]
+    width = len(nodes) + 1  # above every colour, individualized ones too
+    code = {t: i * width for i, t in enumerate(sorted({t for _, t, _ in halves}))}
     adj: dict[int, list] = {n: [] for n in nodes}
-    for ends in edges:
-        for u, v in (ends, ends[::-1]):
-            adj[u.node].append((u.slot_text, v.slot_text, u.ty_text, v.node))
+    for u, t, v in halves:
+        adj[u].append((code[t], v))
 
     init = {n: nodes[n].key for n in nodes}
     base_rank = {k: i for i, k in enumerate(sorted(set(init.values()), key=repr))}
@@ -968,7 +1000,9 @@ def _certificate(nodes, edges, order):
 def _rebuild(nodes, edges, pos) -> Net:
     """Build the concrete canonical representative: one wire per edge in
     certificate order, then the cells in position order, n-ary nodes as left
-    combs whose last cell takes over the root wire."""
+    combs whose last cell takes over the root wire.  `_flatten` has checked
+    the wiring: every port has its own wire and every n-ary node at least
+    two leaves."""
     b = Builder()
     wire_of: dict[int, Wire] = {}
     slots: dict[int, dict] = {n: {"a": []} for n in nodes}
@@ -988,15 +1022,9 @@ def _rebuild(nodes, edges, pos) -> Net:
     for n in sorted(nodes, key=lambda n: pos[n]):
         node = nodes[n]
         if node.sym == "free":
-            if "f" not in slots[n]:
-                raise node.unwired("free port")
             continue
-        if "p" not in slots[n]:
-            raise node.unwired("principal port")
         if node.sym in _NEUTRAL:
             leaves = [p for (_, _, p) in sorted(slots[n]["a"])]
-            if len(leaves) < 2:  # flattening leaves only a unary self-loop
-                raise CyclicNet("a (co)contraction tree feeds its own root")
             sym = "Contraction" if node.sym == "NContr" else "Cocontraction"
             root = slots[n]["p"]
             into = wire_of[root].toward(root)
@@ -1022,11 +1050,23 @@ def _rebuild(nodes, edges, pos) -> Net:
     return Net(b.net.cells, wires, [(p, lbl) for (lbl, p) in free])
 
 
-def canonicalize_with_cert(net: Net):
+def canonicalize_with_cert(net: Net, known: dict | None = None):
+    """(canonical net, certificate) of `net`.
+
+    The certificate comes first.  `known` maps certificates to canonical
+    nets: on a hit its net is returned and nothing is rebuilt; on a miss the
+    rebuilt net is stored there.  Without `known` every call rebuilds.  The
+    checks of the net's wiring come before the lookup, so a hit skips none.
+    """
     nodes, flat = _flatten(net)
     edges = [_ends(e) for e in flat]
     cert, pos = _canonical_labelling(nodes, edges)
-    return _rebuild(nodes, edges, pos), cert
+    if known is None:
+        return _rebuild(nodes, edges, pos), cert
+    canon = known.get(cert)
+    if canon is None:
+        canon = known[cert] = _rebuild(nodes, edges, pos)
+    return canon, cert
 
 
 def canonicalize(net: Net) -> Net:
@@ -1044,15 +1084,21 @@ def certificate(net: Net):
 class NetSum:
     """An idempotent formal sum of nets; the empty sum is the zero net."""
 
-    def __init__(self, nets=()):
+    def __init__(self, nets=(), known: dict | None = None):
         self._by_cert: dict = {}
         for n in nets:
-            self.add(n)
+            self.add(n, known)
 
-    def add(self, net: Net):
-        canon, cert = canonicalize_with_cert(net)
-        if cert not in self._by_cert:
-            self._by_cert[cert] = canon
+    def add(self, net: Net, known: dict | None = None):
+        """Add `net` unless a summand has its certificate.  `known`, a table
+        certificate -> canonical net shared with other sums, supplies the
+        summand when it holds the certificate and learns it when not; by
+        default the sum's own summands are the table."""
+        if known is None:
+            canonicalize_with_cert(net, self._by_cert)
+        else:
+            canon, cert = canonicalize_with_cert(net, known)
+            self._by_cert.setdefault(cert, canon)
 
     def union(self, other: "NetSum") -> "NetSum":
         """Both sums; on a shared certificate this sum's summand is kept,

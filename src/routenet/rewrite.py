@@ -432,9 +432,12 @@ def reduction_graph(x, policy: str = ALL, max_nodes: int = 2000):
     with the reducts joined after them (a node's summand wins over an equal
     reduct).  Each distinct summand is reduced and its reducts canonicalized
     once per call: summands with one certificate are the same canonical
-    net, so their reducts are too.
+    net, so their reducts are too.  A reduct's canonical net is rebuilt only
+    the first time its certificate appears in the call; after that, every
+    sum holds the one net kept for it.
     """
     start = x if isinstance(x, NetSum) else NetSum([x] if isinstance(x, Net) else x)
+    known = dict(start.items())  # certificate -> its canonical net
     index = {start.certs(): 0}
     nodes = [start]
     edges = set()
@@ -447,7 +450,7 @@ def reduction_graph(x, policy: str = ALL, max_nodes: int = 2000):
         for cert, summand in list(s.items()):
             if cert not in reducts:
                 reducts[cert] = [
-                    NetSum(apply_redex(summand, r)) for r in find_redexes(summand, policy)
+                    NetSum(apply_redex(summand, r), known) for r in find_redexes(summand, policy)
                 ]
             for red in reducts[cert]:
                 nxt = s.without(cert).union(red)

@@ -651,8 +651,7 @@ def value_certs(P: TermA, R: RegionCtx, budget: int = 20000) -> set:
 
     certs = set()
     for tree in value_trees(P, budget):
-        for s in normalize(compile_program(tree, R), budget=budget):
-            certs.add(certificate(s))
+        certs.update(normalize(compile_program(tree, R), budget=budget).certs())
     return certs
 
 

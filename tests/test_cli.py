@@ -114,6 +114,13 @@ def test_verify_transit(capsys):
     assert "result: 5/5 pass" in out
 
 
+def test_verify_confluence(capsys):
+    assert main(["verify", "--suite", "confluence", "--seed", "7", "--cases", "5"]) == 0
+    out = capsys.readouterr().out
+    assert "suite: confluence" in out
+    assert "result: 5/5 pass" in out
+
+
 def test_cli_offers_every_suite():
     from routenet.cli import _DEFAULT_CASES, _SUITES
     from routenet.gen import SUITES

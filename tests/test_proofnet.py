@@ -190,6 +190,69 @@ def test_canonicalize_names_a_cell_with_an_unwired_principal():
         canonicalize(Net([], [Wire(1, 2, A)], [(1, "x"), (2, "z"), (3, "y")]))
 
 
+class _KnowsEverything(dict):
+    """A certificate table that holds a net for every certificate."""
+
+    def get(self, cert, default=None):
+        return boxed_one()
+
+
+def test_canonicalize_names_an_unwired_aux_port():
+    # x * y -> out, and the same tensor with y's wire gone
+    whole = Net(
+        [Cell(1, "Tensor", 1, [2, 3])],
+        [Wire(4, 2, ONE), Wire(5, 3, ONE), Wire(1, 6, tensor(ONE, ONE))],
+        [(4, "x"), (5, "y"), (6, "out")],
+    )
+    assert validate(whole) == []
+    torn = Net(whole.cells, [whole.wires[0], whole.wires[2]], [(4, "x"), (6, "out")])
+    with pytest.raises(UnwiredPort, match="Tensor cell 1 has an unwired aux port 1"):
+        canonicalize(torn)
+    # an n-ary cell alike: flattening would read it as a unary contraction
+    contraction = Net(
+        [Cell(1, "Contraction", 1, [2, 3])], [Wire(4, 2, WN), Wire(1, 6, WN)], [(4, "x"), (6, "r")]
+    )
+    with pytest.raises(UnwiredPort, match="Contraction cell 1 has an unwired aux port 1"):
+        canonicalize(contraction)
+    # a table that holds a net of the same shape does not skip the check
+    s = NetSum([whole])
+    with pytest.raises(UnwiredPort, match="aux port 1"):
+        s.add(torn)
+    assert len(s) == 1
+    with pytest.raises(UnwiredPort, match="aux port 1"):
+        NetSum([torn], known=dict(s.items()))
+
+
+def test_certificate_table_hits_keep_every_check():
+    """Every check of the wiring comes before the table lookup: a table that
+    knows every certificate changes no outcome but the returned net."""
+    unary = Net([Cell(1, "Contraction", 1, [3])], [Wire(3, 2, A)], [(2, "out")])
+    looped = Net(
+        [Cell(1, "Contraction", 1, [2, 3]), Cell(2, "Weakening", 4), Cell(3, "One", 5)],
+        [Wire(1, 2, WN), Wire(4, 3, WN), Wire(5, 6, ONE)],
+        [(6, "o")],
+    )
+    no_free_wire = Net([], [Wire(1, 2, A)], [(1, "x"), (2, "z"), (3, "y")])
+    # port 2 is both a free port and a cell's aux port
+    shared = Net([Cell(1, "Dereliction", 1, [2])], [Wire(1, 2, whynot(ONE))], [(2, "x")])
+    bad = [(unary, UnwiredPort), (looped, CyclicNet), (no_free_wire, UnwiredPort),
+           (shared, UnwiredPort)]
+    for n, err in bad:
+        for known in (None, {}, _KnowsEverything()):
+            with pytest.raises(err):
+                proofnet.canonicalize_with_cert(n, known)
+    rng = random.Random(3)
+    for _ in range(40):
+        n = gen_typed_net(rng)
+        canon, cert = proofnet.canonicalize_with_cert(n)
+        hit, same = proofnet.canonicalize_with_cert(n, _KnowsEverything())
+        assert same == cert and serialize(hit) == serialize(boxed_one())
+        known = {}
+        first = proofnet.canonicalize_with_cert(n, known)
+        assert known == {cert: first[0]} and serialize(first[0]) == serialize(canon)
+        assert proofnet.canonicalize_with_cert(parse(serialize(n))[0], known)[0] is first[0]
+
+
 def test_canonical_invariant_under_port_renaming():
     base = _comb_left(["x", "y", "z"])
     rng = random.Random(7)
@@ -271,6 +334,30 @@ def test_canonicalize_returns_a_canonical_net_byte_for_byte(corpus):
         c, cert = proofnet.canonicalize_with_cert(parse(serialize(n))[0])
         again = proofnet.canonicalize_with_cert(parse(serialize(c))[0])
         assert (serialize(again[0]), again[1]) == (serialize(c), cert)
+
+
+def test_equal_certificates_rebuild_to_equal_bytes(monkeypatch):
+    """A certificate table hands out the net of the first summand with a
+    certificate for every later one, which relies on this: on the raw nets
+    that tests/test_golden.py pins and on 200 generator nets, nets with
+    one certificate canonicalize to the same bytes."""
+    import test_golden
+
+    raw = []
+    real = test_golden.canonicalize_with_cert
+    monkeypatch.setattr(
+        test_golden, "canonicalize_with_cert", lambda n: raw.append(serialize(n)) or real(n)
+    )
+    names = [name for name, _ in test_golden.golden_outputs()]
+    assert len(raw) == sum(name.startswith("canonical/") for name in names) == 380
+    raw += [serialize(gen_typed_net(random.Random(seed))) for seed in range(200)]
+    by_cert: dict = {}
+    for blob in raw:
+        canon, cert = proofnet.canonicalize_with_cert(parse(blob)[0])
+        by_cert.setdefault(cert, {}).setdefault(serialize(canon), set()).add(blob)
+    assert all(len(forms) == 1 for forms in by_cert.values())
+    shared = [forms for forms in by_cert.values() if len(next(iter(forms.values()))) > 1]
+    assert len(shared) > 30  # 34 certificates are each met on several raw nets
 
 
 def test_box_cache_follows_edits_of_the_contents():

@@ -405,6 +405,38 @@ def test_reduction_graph_reduces_each_distinct_summand_once(monkeypatch):
     assert len(certs) < len(held)
 
 
+@pytest.mark.parametrize("name, cap", [("race", 2000), ("stored-fn", 40)])
+def test_reduction_graph_rebuilds_each_certificate_once(monkeypatch, name, cap):
+    """Summands are rebuilt as canonical nets only for a certificate new to
+    the call.  Box contents are left out: they canonicalize without a table,
+    once per contents net."""
+    summand_call, built = [], []
+    real_cert, real_rebuild = proofnet.canonicalize_with_cert, proofnet._rebuild
+
+    def canonicalize_with_cert(net, known=None):
+        summand_call.append(known is not None)
+        try:
+            return real_cert(net, known)
+        finally:
+            summand_call.pop()
+
+    def rebuild(nodes, edges, pos):
+        if summand_call[-1]:
+            built.append(proofnet._certificate(nodes, edges, pos)[0])
+        return real_rebuild(nodes, edges, pos)
+
+    monkeypatch.setattr(proofnet, "canonicalize_with_cert", canonicalize_with_cert)
+    monkeypatch.setattr(proofnet, "_rebuild", rebuild)
+    net = compile_program(*reversed(suite_program(name)))
+    nodes, _, _ = reduction_graph(net, max_nodes=cap)
+    held = {cert for s in nodes for cert, _ in s.items()}
+    assert len(set(built)) == len(built)  # each certificate at most once
+    assert held <= set(built)
+    # every node holds the one net kept for each certificate
+    one = {}
+    assert all(one.setdefault(cert, m) is m for s in nodes for cert, m in s.items())
+
+
 def _chain(depth):
     src = "*"
     for _ in range(depth):
@@ -414,7 +446,9 @@ def _chain(depth):
 
 def test_budget_exhaustion_canonicalizes_nothing(monkeypatch):
     calls = []
-    monkeypatch.setattr(proofnet, "canonicalize_with_cert", lambda n: calls.append(n))
+    monkeypatch.setattr(
+        proofnet, "canonicalize_with_cert", lambda n, known=None: calls.append(n)
+    )
     net = _chain(40)  # one summand, normal only after 80 steps
     with pytest.raises(BudgetExhausted) as exc:
         normalize(net, budget=10)

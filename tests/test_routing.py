@@ -276,7 +276,9 @@ def _canonicalize_calls(monkeypatch):
     calls = []
     real = proofnet.canonicalize_with_cert
     monkeypatch.setattr(
-        proofnet, "canonicalize_with_cert", lambda n: calls.append(1) or real(n)
+        proofnet,
+        "canonicalize_with_cert",
+        lambda n, known=None: calls.append(1) or real(n, known),
     )
     return calls
 

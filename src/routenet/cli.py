@@ -23,16 +23,6 @@ EX_USAGE = 64
 EX_DATAERR = 65
 EX_TEMPFAIL = 75
 
-_SUITES = (
-    "trace", "compose", "paths", "transit", "characterize", "path-preservation",
-    "confluence", "paths-area", "simulate", "adequacy",
-)
-_DEFAULT_CASES = {
-    "trace": 200, "compose": 100, "paths": 200, "transit": 200, "characterize": 200,
-    "path-preservation": 200, "confluence": 100, "paths-area": 200, "simulate": 0,
-    "adequacy": 0,
-}
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -153,9 +143,9 @@ def cmd_area(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .gen import run_suite
+    from .gen import SUITES, run_suite
 
-    cases = args.cases if args.cases is not None else _DEFAULT_CASES[args.suite]
+    cases = args.cases if args.cases is not None else SUITES[args.suite].cases
     print(f"suite: {args.suite}")
     print(f"seed: {args.seed}")
     results = run_suite(args.suite, args.seed, cases)
@@ -168,6 +158,8 @@ def cmd_verify(args) -> int:
 
 
 def _build_parser() -> _Parser:
+    from .gen import SUITES
+
     top = _Parser(prog="routenet", description=__doc__)
     top.add_argument("--budget", type=int, default=None, help="reduction step budget")
     sub = top.add_subparsers(dest="command", required=True)
@@ -196,7 +188,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(fn=cmd_area)
 
     p = sub.add_parser("verify", help="run a seeded verification suite")
-    p.add_argument("--suite", choices=_SUITES, required=True)
+    p.add_argument("--suite", choices=tuple(SUITES), required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cases", type=int, default=None)
     p.set_defaults(fn=cmd_verify)

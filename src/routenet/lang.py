@@ -2,9 +2,13 @@
 explicit-substitution intermediate form.
 
 Surface terms: variables, ∗, λ-abstraction, application, `get r`, `set r V`,
-parallel composition and store bindings `r <= V`.  The IR replaces
-applications and gets by nodes carrying reference-substitution multisets and
-adds variable substitutions and formal sums.
+parallel composition and store bindings `r <= V`.  The IR is one term family
+with the source: it keeps the nodes `Var`, `Star`, `Lam` (with an IR body),
+`Get` and `Par`.  Embedding turns each application into a `LamSubst`, wraps
+each get in a `DownSubst` and each set in an `UpSubst`; these carry
+reference-substitution multisets, the store bindings' values.  The IR adds
+variable substitutions and formal sums.  One inference walker types both
+languages.
 
 The type-and-effect system assigns every term a type and the set of
 references it may touch; reference contexts must be stratified (no reference
@@ -123,7 +127,8 @@ def fmt_term(t: TermA) -> str:
 
 
 # ---------------------------------------------------------------------------
-# IR terms (values are shared with TermA: Var, Star, Lam-with-IR-body)
+# IR terms.  The IR reuses the surface nodes Var, Star, Lam (with an IR
+# body), Get and Par; App, Set and Store do not occur in it.
 
 RefVals = tuple[tuple[str, tuple], ...]  # sorted (ref, (values...)) pairs
 
@@ -133,69 +138,33 @@ def ref_vals(m: dict) -> RefVals:
 
 
 @dataclass(frozen=True)
-class TermL:
-    pass
+class VarSubst(TermA):
+    subst: tuple[tuple[str, "TermA"], ...]  # variable -> value
+    body: "TermA"
 
 
 @dataclass(frozen=True)
-class VarL(TermL):
-    name: str
-
-
-@dataclass(frozen=True)
-class StarL(TermL):
-    pass
-
-
-@dataclass(frozen=True)
-class LamL(TermL):
-    var: str
-    body: "TermL"
-
-
-@dataclass(frozen=True)
-class GetL(TermL):
-    ref: str
-
-
-@dataclass(frozen=True)
-class ParL(TermL):
-    left: "TermL"
-    right: "TermL"
-
-
-@dataclass(frozen=True)
-class VarSubst(TermL):
-    subst: tuple[tuple[str, "TermL"], ...]  # variable -> value
-    body: "TermL"
-
-
-@dataclass(frozen=True)
-class LamSubst(TermL):
+class LamSubst(TermA):
     vals: RefVals
-    fun: "TermL"
-    arg: "TermL"
+    fun: "TermA"
+    arg: "TermA"
 
 
 @dataclass(frozen=True)
-class DownSubst(TermL):
+class DownSubst(TermA):
     vals: RefVals
-    body: "TermL"
+    body: "TermA"
 
 
 @dataclass(frozen=True)
-class UpSubst(TermL):
+class UpSubst(TermA):
     vals: RefVals
-    body: "TermL"
+    body: "TermA"
 
 
 @dataclass(frozen=True)
-class SumL(TermL):
-    terms: tuple["TermL", ...]
-
-
-def is_value_l(t: TermL) -> bool:
-    return isinstance(t, (VarL, StarL, LamL))
+class SumL(TermA):
+    terms: tuple["TermA", ...]
 
 
 # ---------------------------------------------------------------------------
@@ -281,15 +250,16 @@ def check_stratified(R: RegionCtx):
 # Parsing
 
 _TERM_TOKEN = re.compile(r"\s*(\|\||<=|[\\.()*]|[A-Za-z_][A-Za-z0-9_']*)")
+_TYPE_TOKEN = re.compile(r"\s*(-\{[^}]*\}>|->|[()]|[A-Za-z_][A-Za-z0-9_']*)")
 
 
-def _tokenize_term(text: str):
+def _tokenize(token: re.Pattern, text: str, where: str = ""):
     toks, pos = [], 0
     while pos < len(text):
-        m = _TERM_TOKEN.match(text, pos)
+        m = token.match(text, pos)
         if not m:
             if text[pos:].strip():
-                raise ParseError(f"bad character {text[pos]!r}", pos)
+                raise ParseError(f"bad character {text[pos]!r}{where}", pos)
             break
         toks.append((m.group(1), m.start(1)))
         pos = m.end()
@@ -298,7 +268,7 @@ def _tokenize_term(text: str):
 
 class _TermParser:
     def __init__(self, text: str):
-        self.toks = _tokenize_term(text)
+        self.toks = _tokenize(_TERM_TOKEN, text)
         self.i = 0
 
     def peek(self):
@@ -326,26 +296,20 @@ class _TermParser:
     def term(self) -> TermA:
         # lambda extends as far right as possible; '||' binds loosest
         if self.peek() == "\\":
-            self.next()
-            x = self.ident()
-            self.expect(".")
-            return Lam(x, self.term())
+            return self.lam()
         left = self.app()
         while self.peek() == "||":
             self.next()
             if self.peek() == "\\":
-                right = self.term()
-                return Par(left, right)
-            left = Par(left, self.app_or_lam())
+                return Par(left, self.lam())
+            left = Par(left, self.app())
         return left
 
-    def app_or_lam(self) -> TermA:
-        if self.peek() == "\\":
-            self.next()
-            x = self.ident()
-            self.expect(".")
-            return Lam(x, self.term())
-        return self.app()
+    def lam(self) -> TermA:
+        self.next()
+        x = self.ident()
+        self.expect(".")
+        return Lam(x, self.term())
 
     def app(self) -> TermA:
         t = self.atom()
@@ -376,10 +340,7 @@ class _TermParser:
             self.next()
             return Star()
         if tok == "\\":
-            self.next()
-            x = self.ident()
-            self.expect(".")
-            return Lam(x, self.term())
+            return self.lam()
         if tok == "get":
             self.next()
             return Get(self.ident())
@@ -407,24 +368,8 @@ def parse_term(text: str) -> TermA:
         raise ParseError("term nested too deeply", parser.offset()) from None
 
 
-_TYPE_TOKEN = re.compile(r"\s*(-\{[^}]*\}>|->|[()]|[A-Za-z_][A-Za-z0-9_']*)")
-
-
-def _tokenize_type(text: str):
-    toks, pos = [], 0
-    while pos < len(text):
-        m = _TYPE_TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise ParseError(f"bad character {text[pos]!r} in type", pos)
-            break
-        toks.append((m.group(1), m.start(1)))
-        pos = m.end()
-    return toks
-
-
 def parse_type(text: str) -> TypeExpr:
-    toks = _tokenize_type(text)
+    toks = _tokenize(_TYPE_TOKEN, text, " in type")
     i = [0]
 
     def peek():
@@ -548,7 +493,6 @@ class Infer:
         self.eqs: list[tuple[_Eff, _Eff]] = []
         self.annot: dict[int, tuple[TypeExpr, _Eff]] = {}
         self.nodes: list = []  # keep referents alive so id() stays unique
-        self.relaxations: list[str] = []
 
     # -- metavariables ------------------------------------------------------
 
@@ -688,7 +632,30 @@ class Infer:
         return self.R[r]
 
 
-def _infer_amadio(inf: Infer, env: dict, t: TermA):
+# Nodes of one language only; each entry point rejects the other's.
+_SOURCE_ONLY = (App, Set, Store)
+_IR_ONLY = (VarSubst, LamSubst, DownSubst, UpSubst, SumL)
+
+
+def _payload(inf: Infer, env: dict, r: str, v: TermA, rule: str, foreign: tuple):
+    """Type a value stored at reference r."""
+    if not is_value(v):
+        raise TypingError(rule, "payload must be a value")
+    ty, _ = _infer(inf, env, v, foreign)
+    inf.unify(ty, inf.ref_type(r, rule), rule)
+
+
+def _subst_r(inf: Infer, env: dict, t: TermA, ty: TypeExpr, e: _Eff, foreign: tuple):
+    """Reference substitution over a body of type ty and effect e: the
+    values must fit their references, which all join the effect."""
+    for r, vs in t.vals:
+        for v in vs:
+            _payload(inf, env, r, v, "subst-r", foreign)
+    return inf.note(t, ty, e.union(_Eff(frozenset(r for r, _ in t.vals))))
+
+
+def _infer(inf: Infer, env: dict, t: TermA, foreign: tuple):
+    """Synthesize (type, effect) of t, rejecting the `foreign` node classes."""
     if isinstance(t, Var):
         if t.name not in env:
             raise TypingError("var", f"unbound variable {t.name!r}")
@@ -697,114 +664,74 @@ def _infer_amadio(inf: Infer, env: dict, t: TermA):
         return inf.note(t, UnitT(), _Eff())
     if isinstance(t, Lam):
         a = inf.fresh_t()
-        ty, e = _infer_amadio(inf, {**env, t.var: a}, t.body)
+        ty, e = _infer(inf, {**env, t.var: a}, t.body, foreign)
         return inf.note(t, Arrow(a, e, ty), _Eff())
-    if isinstance(t, App):
-        f, e1 = _infer_amadio(inf, env, t.fun)
-        a, e2 = _infer_amadio(inf, env, t.arg)
+    if isinstance(t, Get):
+        return inf.note(t, inf.ref_type(t.ref, "get"), _eff_lit(t.ref))
+    if isinstance(t, Par):
+        _, e1 = _infer(inf, env, t.left, foreign)
+        _, e2 = _infer(inf, env, t.right, foreign)
+        return inf.note(t, Behavior(), e1.union(e2))
+    if isinstance(t, foreign):
+        raise TypingError("?", f"unknown term {t!r}")
+    if isinstance(t, (App, LamSubst)):
+        f, e1 = _infer(inf, env, t.fun, foreign)
+        a, e2 = _infer(inf, env, t.arg, foreign)
         beta = inf.fresh_t()
         lat = inf.fresh_e()
         inf.unify(f, Arrow(a, lat, beta), "app")
-        return inf.note(t, beta, e1.union(e2).union(lat))
-    if isinstance(t, Get):
-        return inf.note(t, inf.ref_type(t.ref, "get"), _eff_lit(t.ref))
+        e = e1.union(e2).union(lat)
+        if isinstance(t, App):
+            return inf.note(t, beta, e)
+        return _subst_r(inf, env, t, beta, e, foreign)
+    if isinstance(t, (DownSubst, UpSubst)):
+        ty, e = _infer(inf, env, t.body, foreign)
+        return _subst_r(inf, env, t, ty, e, foreign)
     if isinstance(t, Set):
-        if not is_value(t.value):
-            raise TypingError("set", "payload must be a value")
-        v, _ = _infer_amadio(inf, env, t.value)
-        inf.unify(v, inf.ref_type(t.ref, "set"), "set")
+        _payload(inf, env, t.ref, t.value, "set", foreign)
         return inf.note(t, UnitT(), _eff_lit(t.ref))
-    if isinstance(t, Par):
-        _, e1 = _infer_amadio(inf, env, t.left)
-        _, e2 = _infer_amadio(inf, env, t.right)
-        return inf.note(t, Behavior(), e1.union(e2))
     if isinstance(t, Store):
-        if not is_value(t.value):
-            raise TypingError("store", "payload must be a value")
-        v, _ = _infer_amadio(inf, env, t.value)
-        inf.unify(v, inf.ref_type(t.ref, "store"), "store")
+        _payload(inf, env, t.ref, t.value, "store", foreign)
         return inf.note(t, Behavior(), _Eff())
-    raise TypingError("?", f"unknown term {t!r}")
-
-
-def typecheck_amadio(R: RegionCtx, gamma: dict, t: TermA, want_infer: bool = False):
-    inf = Infer(R)
-    ty, e = _infer_amadio(inf, dict(gamma), t)
-    inf.solve()
-    result = (inf.final_type(ty), inf._eval_eff(e))
-    if want_infer:
-        return result, inf
-    return result
-
-
-def _infer_lthis(inf: Infer, env: dict, t: TermL):
-    if isinstance(t, VarL):
-        if t.name not in env:
-            raise TypingError("var", f"unbound variable {t.name!r}")
-        return inf.note(t, env[t.name], _Eff())
-    if isinstance(t, StarL):
-        return inf.note(t, UnitT(), _Eff())
-    if isinstance(t, LamL):
-        a = inf.fresh_t()
-        ty, e = _infer_lthis(inf, {**env, t.var: a}, t.body)
-        return inf.note(t, Arrow(a, e, ty), _Eff())
-    if isinstance(t, GetL):
-        return inf.note(t, inf.ref_type(t.ref, "get"), _eff_lit(t.ref))
-    if isinstance(t, ParL):
-        _, e1 = _infer_lthis(inf, env, t.left)
-        _, e2 = _infer_lthis(inf, env, t.right)
-        return inf.note(t, Behavior(), e1.union(e2))
     if isinstance(t, VarSubst):
         env2 = dict(env)
         for x, v in t.subst:
-            if not is_value_l(v):
+            if not is_value(v):
                 raise TypingError("subst", "substituted term must be a value")
-            tv, _ = _infer_lthis(inf, env, v)
+            tv, _ = _infer(inf, env, v, foreign)
             env2[x] = tv
-        ty, e = _infer_lthis(inf, env2, t.body)
+        ty, e = _infer(inf, env2, t.body, foreign)
         return inf.note(t, ty, e)
-    if isinstance(t, (LamSubst, DownSubst, UpSubst)):
-        rule = "subst-r"
-        if isinstance(t, LamSubst):
-            f, e1 = _infer_lthis(inf, env, t.fun)
-            a, e2 = _infer_lthis(inf, env, t.arg)
-            beta = inf.fresh_t()
-            lat = inf.fresh_e()
-            inf.unify(f, Arrow(a, lat, beta), "app")
-            ty, e = beta, e1.union(e2).union(lat)
-        else:
-            ty, e = _infer_lthis(inf, env, t.body)
-        extra = set()
-        for r, vs in t.vals:
-            for v in vs:
-                if not is_value_l(v):
-                    raise TypingError(rule, "stored term must be a value")
-                tv, _ = _infer_lthis(inf, env, v)
-                inf.unify(tv, inf.ref_type(r, rule), rule)
-            extra.add(r)
-            # the rule requires r in the body effect; widening is recorded
-            inf.relaxations.append(r)
-        return inf.note(t, ty, e.union(_Eff(frozenset(extra))))
     if isinstance(t, SumL):
         if not t.terms:
             raise TypingError("sum", "empty sums have no type")
-        ty, e = _infer_lthis(inf, env, t.terms[0])
+        ty, e = _infer(inf, env, t.terms[0], foreign)
         for s in t.terms[1:]:
-            ty2, e2 = _infer_lthis(inf, env, s)
+            ty2, e2 = _infer(inf, env, s, foreign)
             inf.unify(ty, ty2, "sum")
             e = e.union(e2)
         return inf.note(t, ty, e)
     raise TypingError("?", f"unknown term {t!r}")
 
 
-def typecheck_lthis(R: RegionCtx, gamma: dict, t: TermL, want_infer: bool = False):
+def _typecheck(R: RegionCtx, gamma: dict, t: TermA, want_infer: bool, foreign: tuple):
     inf = Infer(R)
-    ty, e = _infer_lthis(inf, dict(gamma), t)
+    ty, e = _infer(inf, dict(gamma), t, foreign)
     inf.solve()
     result = (inf.final_type(ty), inf._eval_eff(e))
     if want_infer:
         return result, inf
     return result
+
+
+def typecheck_amadio(R: RegionCtx, gamma: dict, t: TermA, want_infer: bool = False):
+    """Type a source term; IR nodes fail with rule "?"."""
+    return _typecheck(R, gamma, t, want_infer, _IR_ONLY)
+
+
+def typecheck_lthis(R: RegionCtx, gamma: dict, t: TermA, want_infer: bool = False):
+    """Type an IR term; App, Set and Store fail with rule "?"."""
+    return _typecheck(R, gamma, t, want_infer, _SOURCE_ONLY)
 
 
 # ---------------------------------------------------------------------------
@@ -832,57 +759,54 @@ def split_stores(p: TermA):
     return tree, stores
 
 
-def _to_value_l(v: TermA) -> TermL:
-    if isinstance(v, Var):
-        return VarL(v.name)
-    if isinstance(v, Star):
-        return StarL()
-    if isinstance(v, Lam):
-        return LamL(v.var, embed_term(v.body, {}, None))
-    raise TypingError("value", f"{v!r} is not a value")
+def _embed_value(v: TermA) -> TermA:
+    """A stored value: lambda bodies are embedded with an empty store."""
+    if not is_value(v):
+        raise TypingError("value", f"{v!r} is not a value")
+    return embed_term(v, {}, {})
 
 
-def embed_term(t: TermA, store_vals: dict, effects) -> TermL:
+def embed_term(t: TermA, store_vals: dict, effects: dict) -> TermA:
     """Rewrite one thread; store multisets are injected at application and
-    get sites, restricted to each site's inferred effect set."""
+    get sites, restricted to each site's inferred effect set.  The result
+    is built from fresh nodes and shares none with t."""
 
     def vals_for(eff: frozenset[str]) -> RefVals:
         return ref_vals({r: vs for r, vs in store_vals.items() if r in eff and vs})
 
-    def eff_at(node: TermA) -> frozenset[str]:
-        if effects is None:
-            return frozenset(store_vals)
-        return effects.get(id(node), (None, frozenset()))[1]
-
-    if is_value(t):
-        return _to_value_l(t)
+    if isinstance(t, Var):
+        return Var(t.name)
+    if isinstance(t, Star):
+        return Star()
+    if isinstance(t, Lam):
+        return Lam(t.var, embed_term(t.body, {}, {}))
     if isinstance(t, App):
         return LamSubst(
-            vals_for(eff_at(t)),
+            vals_for(effects.get(id(t), (None, frozenset()))[1]),
             embed_term(t.fun, store_vals, effects),
             embed_term(t.arg, store_vals, effects),
         )
     if isinstance(t, Get):
-        return DownSubst(vals_for(frozenset({t.ref})), GetL(t.ref))
+        return DownSubst(vals_for(frozenset({t.ref})), Get(t.ref))
     if isinstance(t, Set):
-        return UpSubst(ref_vals({t.ref: [_to_value_l(t.value)]}), StarL())
+        return UpSubst(ref_vals({t.ref: [_embed_value(t.value)]}), Star())
     if isinstance(t, Par):
-        return ParL(
+        return Par(
             embed_term(t.left, store_vals, effects),
             embed_term(t.right, store_vals, effects),
         )
     raise TypingError("embed", f"cannot embed {t!r}")
 
 
-def embed_lthis(p: TermA, R: RegionCtx, gamma: dict | None = None) -> TermL:
+def embed_lthis(p: TermA, R: RegionCtx, gamma: dict | None = None) -> TermA:
     """Full program embedding: strip stores into substitution multisets."""
     gamma = gamma or {}
     tree, stores = split_stores(p)
     (_, _), inf = typecheck_amadio(R, gamma, p, want_infer=True)
     effects = inf.annotations()
-    store_vals: dict[str, list[TermL]] = {}
+    store_vals: dict[str, list[TermA]] = {}
     for r, v in stores:
-        store_vals.setdefault(r, []).append(_to_value_l(v))
+        store_vals.setdefault(r, []).append(_embed_value(v))
     if tree is None:
         tree = Star()  # a program of stores alone behaves as a finished unit
     return embed_term(tree, store_vals, effects)
@@ -1050,18 +974,15 @@ def _threads(tree: TermA):
     return [tree]
 
 
+def outcome(tree: TermA) -> tuple[str, ...]:
+    """The key of a finished state: its threads' alpha-normal forms, sorted."""
+    return tuple(sorted(repr(alpha_normalize(t)) for t in _threads(tree)))
+
+
 def values(p: TermA, budget: int = 20000):
     """Multisets of final thread values over all runs; stores are stripped
     and only fully finished (all-value) normal forms count."""
-    out = set()
-    for tree, _stores in normal_forms(p, budget):
-        if tree is None:
-            continue
-        ths = _threads(tree)
-        if all(is_value(t) for t in ths):
-            ms = tuple(sorted(repr(alpha_normalize(t)) for t in ths))
-            out.add(ms)
-    return out
+    return {outcome(tree) for tree in value_trees(p, budget)}
 
 
 def value_trees(p: TermA, budget: int = 20000):

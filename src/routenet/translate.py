@@ -28,20 +28,19 @@ from .lang import (
     Arrow,
     Behavior,
     DownSubst,
-    GetL,
-    LamL,
+    Get,
+    Lam,
     LamSubst,
-    ParL,
+    Par,
     Reg,
     RegionCtx,
-    StarL,
+    Star,
     SumL,
     TermA,
-    TermL,
     TypeExpr,
     UnitT,
     UpSubst,
-    VarL,
+    Var,
     VarSubst,
     check_stratified,
     embed_lthis,
@@ -257,7 +256,7 @@ class _Translator:
 
     # -- value boxing -------------------------------------------------------
 
-    def value_net(self, v: TermL, want: Formula | None = None) -> Net:
+    def value_net(self, v: TermA, want: Formula | None = None) -> Net:
         """A value as a standalone net: an `out` wire plus one wire per
         captured variable (values are pure, so no reference wires)."""
         sub = _Translator(self.R, self.ann)
@@ -289,14 +288,14 @@ class _Translator:
 
     # -- dispatch -----------------------------------------------------------
 
-    def tr(self, t: TermL) -> Iface:
+    def tr(self, t: TermA) -> Iface:
         b = self.b
-        if isinstance(t, VarL):
+        if isinstance(t, Var):
             f = self.fmla(self.type_of(t))
             qv, qo = b.port(), b.port()
             b.wire(qv, qo, f)
             return {"v:" + t.name: qv, "out": qo}
-        if isinstance(t, StarL):
+        if isinstance(t, Star):
             ib = Builder()
             one = ib.cell("One", 0)
             q = ib.port()
@@ -306,9 +305,9 @@ class _Translator:
             qo = b.port()
             b.wire(box.principal, qo, bang(ONE))
             return {"out": qo}
-        if isinstance(t, LamL):
+        if isinstance(t, Lam):
             return self.tr_lam(t)
-        if isinstance(t, GetL):
+        if isinstance(t, Get):
             w = self.wtype(t.ref)
             der = self.b.cell("Dereliction", 1)
             q_ri, q_out = b.port(), b.port()
@@ -318,7 +317,7 @@ class _Translator:
             q_ro = b.port()
             b.wire(cw.principal, q_ro, w)
             return {"out": q_out, "ri:" + t.ref: q_ri, "ro:" + t.ref: q_ro}
-        if isinstance(t, ParL):
+        if isinstance(t, Par):
             return self.tr_par(t)
         if isinstance(t, LamSubst):
             return self.tr_app(t)
@@ -336,7 +335,7 @@ class _Translator:
 
     # -- abstraction --------------------------------------------------------
 
-    def tr_lam(self, t: LamL) -> Iface:
+    def tr_lam(self, t: Lam) -> Iface:
         arrow = self.type_of(t)
         if not isinstance(arrow, Arrow):
             raise DerivationMismatch("abstraction without an arrow type")
@@ -488,7 +487,7 @@ class _Translator:
 
     # -- parallel -----------------------------------------------------------
 
-    def tr_par(self, t: ParL) -> Iface:
+    def tr_par(self, t: Par) -> Iface:
         b = self.b
         if1 = self.tr(t.left)
         if2 = self.tr(t.right)
@@ -595,7 +594,7 @@ def _sorted_iface(iface: Iface) -> list[tuple[int, str]]:
     return [(q, label) for label, q in sorted(iface.items(), key=key)]
 
 
-def translate(term: TermL, R: RegionCtx, gamma: dict | None = None) -> Net:
+def translate(term: TermA, R: RegionCtx, gamma: dict | None = None) -> Net:
     """Compile a typed term; free ports follow the labelled interface."""
     (_ty, _eff), inf = typecheck_lthis(R, gamma or {}, term, want_infer=True)
     tr = _Translator(R, inf.annotations())

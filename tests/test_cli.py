@@ -121,11 +121,25 @@ def test_verify_confluence(capsys):
     assert "result: 5/5 pass" in out
 
 
-def test_cli_offers_every_suite():
-    from routenet.cli import _DEFAULT_CASES, _SUITES
-    from routenet.gen import SUITES
+def test_cli_offers_every_suite(monkeypatch):
+    from routenet import gen
+    from routenet.cli import _build_parser
 
-    assert set(_SUITES) == set(_DEFAULT_CASES) == set(SUITES)
+    commands = next(a for a in _build_parser()._actions if a.dest == "command")
+    verify = commands.choices["verify"]
+    suite = next(a for a in verify._actions if a.dest == "suite")
+    assert list(suite.choices) == list(gen.SUITES)
+    # without --cases, verify runs the suite's default count
+    seen = {}
+
+    def run_suite(name, seed, cases):
+        seen[name] = cases
+        return []
+
+    monkeypatch.setattr(gen, "run_suite", run_suite)
+    for name in gen.SUITES:
+        assert main(["verify", "--suite", name]) == 0
+    assert seen == {name: entry.cases for name, entry in gen.SUITES.items()}
 
 
 def test_usage_error_is_64(capsys):

@@ -3,18 +3,24 @@ import pytest
 from hypothesis import given, strategies as st
 
 from routenet.errors import BudgetExhausted, NotStratified, ParseError, TypingError
+from routenet.gen import PROGRAM_SUITE
 from routenet.lang import (
     App,
     Arrow,
     Behavior,
+    DownSubst,
     Get,
     Lam,
+    LamSubst,
     Par,
     Set,
     Star,
     Store,
+    SumL,
     UnitT,
+    UpSubst,
     Var,
+    VarSubst,
     alpha_eq,
     alpha_normalize,
     check_stratified,
@@ -183,12 +189,33 @@ def test_typing_errors():
 
 
 def test_embedding_is_well_typed():
+    for ctx, src in [("r : Unit", r"set r * || get r")] + [p[1:] for p in PROGRAM_SUITE]:
+        R = parse_region_ctx(ctx)
+        p = parse_term(src)
+        ty_a, eff_a = typecheck_amadio(R, {}, p)
+        lt = embed_lthis(p, R)
+        ty_l, eff_l = typecheck_lthis(R, {}, lt)
+        assert eff_a <= eff_l  # embedding may widen by the store domain
+
+
+def test_each_language_rejects_the_others_nodes():
     R = parse_region_ctx("r : Unit")
-    p = parse_term(r"set r * || get r")
-    ty_a, eff_a = typecheck_amadio(R, {}, p)
-    lt = embed_lthis(p, R)
-    ty_l, eff_l = typecheck_lthis(R, {}, lt)
-    assert eff_a <= eff_l  # embedding may widen by the store domain
+    for node in (App(Lam("x", Var("x")), Star()), Set("r", Star()), Store("r", Star())):
+        for t in (node, SumL((node,)), UpSubst((("r", (Star(),)),), node)):
+            with pytest.raises(TypingError) as exc:
+                typecheck_lthis(R, {}, t)
+            assert exc.value.rule == "?"
+    for node in (
+        VarSubst((("x", Star()),), Star()),
+        LamSubst((), Star(), Star()),
+        DownSubst((("r", (Star(),)),), Star()),
+        UpSubst((("r", (Star(),)),), Star()),
+        SumL((Star(),)),
+    ):
+        for t in (node, Par(Star(), node), App(Lam("x", Var("x")), node)):
+            with pytest.raises(TypingError) as exc:
+                typecheck_amadio(R, {}, t)
+            assert exc.value.rule == "?"
 
 
 # ---------------------------------------------------------------------------

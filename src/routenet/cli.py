@@ -221,6 +221,11 @@ def main(argv=None) -> int:
     except RoutenetError as exc:
         print(f"routenet: {exc}", file=sys.stderr)
         return EX_DATAERR
+    except RecursionError:
+        # the parsers refuse deeper input; the recursive walkers after them
+        # can still run out of stack on what they accept
+        print("routenet: input nested too deeply", file=sys.stderr)
+        return EX_DATAERR
 
 
 if __name__ == "__main__":

@@ -411,7 +411,10 @@ def parse_type(text: str) -> TypeExpr:
             return Behavior()
         if tok == "Reg":
             advance()
-            r = advance()
+            r = peek()
+            if r is None or not (r[0].isalpha() or r[0] == "_"):
+                raise ParseError("expected a reference name after 'Reg'", offset())
+            advance()
             return Reg(r, atom())
         raise ParseError(f"unexpected type token {tok!r}", offset())
 
@@ -857,30 +860,33 @@ def subst(t: TermA, x: str, v: TermA) -> TermA:
     raise TypeError(t)
 
 
-def alpha_normalize(t: TermA, env=None, counter=None) -> TermA:
-    """Rename bound variables to a canonical left-to-right numbering."""
+def alpha_normalize(t: TermA, env=None, names=None) -> TermA:
+    """Rename bound variables to a canonical left-to-right numbering v0, v1,
+    …, skipping the names of the free variables so that none is captured."""
     env = env or {}
-    counter = counter if counter is not None else itertools.count()
+    if names is None:
+        free = free_vars(t)
+        names = (f"v{k}" for k in itertools.count() if f"v{k}" not in free)
     if isinstance(t, Var):
         return Var(env.get(t.name, t.name))
     if isinstance(t, Star):
         return t
     if isinstance(t, Lam):
-        fresh = f"v{next(counter)}"
-        return Lam(fresh, alpha_normalize(t.body, {**env, t.var: fresh}, counter))
+        fresh = next(names)
+        return Lam(fresh, alpha_normalize(t.body, {**env, t.var: fresh}, names))
     if isinstance(t, App):
         return App(
-            alpha_normalize(t.fun, env, counter), alpha_normalize(t.arg, env, counter)
+            alpha_normalize(t.fun, env, names), alpha_normalize(t.arg, env, names)
         )
     if isinstance(t, Get):
         return t
     if isinstance(t, Set):
-        return Set(t.ref, alpha_normalize(t.value, env, counter))
+        return Set(t.ref, alpha_normalize(t.value, env, names))
     if isinstance(t, Store):
-        return Store(t.ref, alpha_normalize(t.value, env, counter))
+        return Store(t.ref, alpha_normalize(t.value, env, names))
     if isinstance(t, Par):
         return Par(
-            alpha_normalize(t.left, env, counter), alpha_normalize(t.right, env, counter)
+            alpha_normalize(t.left, env, names), alpha_normalize(t.right, env, names)
         )
     raise TypeError(t)
 

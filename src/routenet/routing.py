@@ -7,12 +7,14 @@ same formula !A oriented from inputs to outputs; a free port is an input
 when the !A flows from it into the net, an output when it flows out.
 
 Two semantics are computed — normal-form shape reading and free-to-free
-path counting — and agree on routing nets.  The shape is read from the raw
-normal net that reduction reaches, past the neutral (co)weakening leaves
-and unary nodes that canonical form would remove, so reading, tracing,
-composing and transit use no canonical labelling.  Canonical form only
-builds the nets that `trace_net` and `compose_areas` return, and serves
-`read_area`.
+path counting — and agree on routing nets.  `semantics`, `trace_net`,
+`compose_areas` and `transit` check a net once, before reducing it, and
+read the raw normal net with the tree-of-trees reader alone, past the
+neutral (co)weakening leaves and unary nodes that canonical form would
+remove; a net that reader accepts is acyclic and has no cut.  Composition
+traces all its pairs in one pass, as the vanishing axiom of traced
+monoidal categories allows.  Canonical form only builds the nets that
+`trace_net` and `compose_areas` return, and serves `read_area`.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 from . import multirel
 from .errors import CycleRisk, CyclicNet, NotAreaShaped, NotNormal, RoutenetError, UnknownLabel
 from .multirel import LabelSet, Multirelation
-from .paths import check_acyclic, count_paths, count_paths_all
+from .paths import check_acyclic, count_paths_all
 from .proofnet import (
     Builder,
     Cell,
@@ -182,7 +184,7 @@ def _read(n: Net) -> RoutingArea:
 
 def _crossings(n: Net, ins, outs) -> dict[tuple[int, int], int]:
     """Wires from the tree of each input port to the tree of each output
-    port, read off a checked normal routing net as a tree of trees.
+    port, read off a structural net as a tree of trees (or NotAreaShaped).
 
     Trees may hold nodes of any arity, and a neutral leaf (a weakening on a
     contraction's aux port, a coweakening on a cocontraction's) carries no
@@ -279,9 +281,9 @@ def _normal_net(n: Net, budget: int, what: str) -> Net:
 
 
 def semantics(n: Net, budget: int = 10000) -> Multirelation:
-    m = _normal_net(n, budget, "routing net reduced to")
-    _check_normal_routing(m)
-    return _read(m).rel
+    if not is_routing_net(n):
+        raise NotAreaShaped("not a routing net")
+    return _read(_normal_net(n, budget, "routing net reduced to")).rel
 
 
 def path_semantics(n: Net) -> Multirelation:
@@ -310,44 +312,40 @@ def juxtapose(a: Net, b: Net) -> Net:
     return out
 
 
-def _find_free(n: Net, label: str, want_input: bool) -> int:
-    ins, outs = _free_io(n)
-    for p, l in ins if want_input else outs:
-        if l == label:
-            return p
-    raise NotAreaShaped(f"no free {'input' if want_input else 'output'} {label!r}")
-
-
 def trace_net(a: Net, i: str, o: str, budget: int = 10000) -> Net:
-    """Wire output o back into input i and normalize; returns the
-    canonical normal net."""
-    return canonicalize(_traced(a, i, o, budget))
+    """Wire output o back into input i and normalize; the canonical net."""
+    return canonicalize(_traced(a, [(i, o)], budget))
 
 
-def _traced(a: Net, i: str, o: str, budget: int) -> Net:
-    """trace_net's normal net, raw."""
+def _traced(a: Net, pairs: list[tuple[str, str]], budget: int) -> Net:
+    """The raw normal net of `a` with the output o of each (i, o) in
+    `pairs` wired back into input i, all pairs in one pass."""
     if not _structural(a):
         raise NotAreaShaped("not a routing net")
     ins, outs = _free_io(a)
     _check_labels(ins, outs)
-    pi = next((p for p, l in ins if l == i), None)
-    po = next((p for p, l in outs if l == o), None)
-    if pi is None or po is None:
-        raise UnknownLabel(i if pi is None else o)
-    # the path count is the semantics on routing nets (criterion 02); it
-    # checks acyclicity, the rest of is_routing_net
+    in_port, out_port = {l: p for p, l in ins}, {l: p for p, l in outs}
+    try:  # popping refuses a label traced twice
+        links = [(in_port.pop(i), out_port.pop(o)) for i, o in pairs]
+    except KeyError as e:
+        raise UnknownLabel(e.args[0]) from None
+    # path counting checks acyclicity, the rest of is_routing_net; a cycle
+    # closed by the trace runs from a traced input to a traced output
     try:
-        crossings = count_paths(a, pi, po)
+        crossings = count_paths_all(a, [pi for pi, _ in links], [po for _, po in links])
     except CyclicNet:
         raise NotAreaShaped("not a routing net") from None
-    if crossings >= 1:
+    if any(crossings.values()):
+        i, o = (dict(a.free)[p] for p in max(crossings, key=crossings.get))
         raise CycleRisk(f"semantics({i},{o}) >= 1")
     n = a.copy()
     b = Builder(n)
-    wa, wb = b.wire_at(pi), b.wire_at(po)
-    n.free = [(p, l) for p, l in n.free if p not in (pi, po)]
-    b.remove_wire(wa)
-    if wb is not wa:
+    traced = set(sum(links, ()))
+    n.free = [(p, l) for p, l in n.free if p not in traced]
+    for pi, po in links:
+        # two distinct wires: one joining pi and po would be a path
+        wa, wb = b.wire_at(pi), b.wire_at(po)
+        b.remove_wire(wa)
         b.remove_wire(wb)
         # flow leaves the net at o and re-enters at i
         b.wire(wb.other(po), wa.other(pi), wb.toward(po))
@@ -357,19 +355,15 @@ def _traced(a: Net, i: str, o: str, budget: int) -> Net:
 def compose_areas(
     a: Net, outs: list[str], b: Net, ins: list[str], budget: int = 10000
 ) -> Net:
-    """Juxtapose and trace each of a's listed outputs onto b's inputs.
-
-    The traces run on raw normal nets and the result is canonicalized once.
-    Tags introduced by the juxtaposition are stripped from the result, so a
-    full composition exposes a's inputs and b's outputs under their own
-    names."""
+    """Juxtapose and trace each of a's listed outputs onto b's inputs in one
+    pass, within one `budget`, and canonicalize the result once.  Tags
+    introduced by the juxtaposition are stripped from the result, so a full
+    composition exposes a's inputs and b's outputs under their own names."""
     if len(outs) != len(ins):
         raise ValueError("output and input pairing lists differ in length")
     n = juxtapose(a, b)
     if outs:
-        for o, i in zip(outs, ins):
-            n = _traced(n, "R." + i, "L." + o, budget)
-        n = canonicalize(n)
+        n = canonicalize(_traced(n, [("R." + i, "L." + o) for o, i in zip(outs, ins)], budget))
     n.free = [(p, l[2:] if l[:2] in ("L.", "R.") else l) for p, l in n.free]
     return n
 
@@ -392,11 +386,15 @@ def transit(a: Net, i: str, payload: Net | None = None, budget: int = 10000):
     semantics, and the net left over once the copies are removed is checked
     to be the original area again.
     """
+    if (shape := _shape(a)) is None:
+        raise RoutenetError("transit needs a normal routing area")
     if payload is None:
         payload = boxed_one()
     n = a.copy()
     b = Builder(n)
-    pi = _find_free(n, i, True)
+    pi = next((p for p, l in _free_io(n)[0] if l == i), None)
+    if pi is None:
+        raise NotAreaShaped(f"no free input {i!r}")
     w = b.wire_at(pi)
     A = w.ty if w.ty.kind == "bang" else dual(w.ty)
     far = w.other(pi)
@@ -438,8 +436,7 @@ def transit(a: Net, i: str, payload: Net | None = None, budget: int = 10000):
     for c in m.cells:
         if c.sym == "Box":
             b.replace_cell(Cell(c.id, "Coweakening", c.principal, c.aux))
-    shape = _shape(residual)
-    if shape is None or shape != _shape(a):
+    if _shape(residual) != shape:
         raise RoutenetError("transit disturbed the area")
     return counts
 
@@ -448,10 +445,12 @@ def _shape(n: Net):
     """What determines a normal routing net up to equivalence (criterion
     04): its free ports and labels by direction, its payload and its
     crossings per port pair; None if `n` is not one.  Rewriting keeps free
-    ports, so a net and its reducts compare port by port."""
+    ports, so a net and its reducts compare port by port.  A structural net
+    that `_crossings` reads is acyclic and normal."""
+    if not _structural(n):
+        return None
+    ins, outs = _free_io(n)
     try:
-        _check_normal_routing(n)
-        ins, outs = _free_io(n)
         return sorted(ins), sorted(outs), _payload(n), _crossings(n, ins, outs)
-    except (NotAreaShaped, NotNormal):
+    except NotAreaShaped:
         return None

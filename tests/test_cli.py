@@ -268,6 +268,10 @@ DEEP_INPUTS = {
     "term": ("check", {"M.term": "(" * 3000 + "*" + ")" * 3000}),
     "type": ("check", {"R.ctx": "r : " + "(" * 3000 + "Unit" + ")" * 3000, "M.term": "*"}),
     "json": ("reduce", {"n.json": "[" * 100000 + "]" * 100000}),
+    # accepted by the parser, too deep for the walkers after it
+    "application-spine": ("check", {"M.term": r"(\x. x)" + " *" * 1000}),
+    "lambdas-compile": ("compile", {"M.term": "\\x. " * 300 + "x"}),
+    "lambdas-values": ("values", {"M.term": "\\x. " * 400 + "x"}),
 }
 
 
@@ -279,3 +283,12 @@ def test_deeply_nested_input_is_65(tmp_path, case):
     assert got.stdout == ""
     assert "Traceback" not in got.stderr
     assert "nested too deeply" in got.stderr
+
+
+@pytest.mark.parametrize("ctx", ["r : Reg\n", "r : Reg ( Unit\n"])
+def test_reference_type_without_a_name_is_65(tmp_path, ctx):
+    got = _cli("check", _write(tmp_path, "R.ctx", ctx), _write(tmp_path, "M.term", "*"))
+    assert got.returncode == 65
+    assert got.stdout == ""
+    assert "Traceback" not in got.stderr
+    assert "expected a reference name after 'Reg'" in got.stderr

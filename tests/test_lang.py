@@ -264,6 +264,12 @@ def test_store_bindings_persist():
     assert values(p) == {("Star()", "Star()", "Star()")}
 
 
+def test_bound_names_do_not_capture_free_variables():
+    # the binders are renamed past v1, which is free in a stored value
+    p = parse_term(r"(\a. a) || get r || r <= (\b. v1) || r <= (\b. b)")
+    assert len(values(p)) == 2
+
+
 def test_race_two_outcomes():
     p = parse_term(r"get r || r <= (\z. z) || r <= (\w. \u. u) ")
     outs = values(p)

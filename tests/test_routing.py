@@ -1,19 +1,35 @@
 """Routing areas: construction, recognition, trace, composition, transit."""
+import itertools
 import random
 
 import pytest
 
-from routenet import proofnet
-from routenet.errors import CycleRisk, NotAreaShaped, RoutenetError
+from routenet import proofnet, routing
+from routenet.errors import CycleRisk, NotAreaShaped, RoutenetError, UnknownLabel
 from routenet.gen import gen_relation, gen_routing_net
 from routenet.multirel import comm_relation, from_rows, rows_of, trace_formula
-from routenet.proofnet import Builder, Cell, Net, ONE, Wire, bang, canonical_equal, tensor, validate
-from routenet.rewrite import normal_nets
+from routenet.paths import check_acyclic
+from routenet.proofnet import (
+    Builder,
+    Cell,
+    Net,
+    ONE,
+    Wire,
+    bang,
+    canonical_equal,
+    dual,
+    serialize,
+    tensor,
+    validate,
+)
+from routenet.rewrite import ALL, find_redexes, normal_nets
 from routenet.routing import (
     RoutingArea,
     _check_normal_routing,
+    _crossings,
     _free_io,
     _read,
+    _structural,
     _traced,
     boxed_one,
     build_area,
@@ -143,6 +159,54 @@ def test_compose_chain_associative_on_nets():
     assert canonical_equal(rs_then_t, r_then_st)
 
 
+def _compose_pair_by_pair(a: Net, outs, b: Net, ins) -> Net:
+    """Composition as a chain of trace_net calls, one per pair, each checked,
+    normalized and canonicalized: the oracle of the one-pass compose_areas."""
+    n = juxtapose(a, b)
+    for o, i in zip(outs, ins):
+        n = trace_net(n, "R." + i, "L." + o)
+    n.free = [(p, l[2:] if l[:2] in ("L.", "R.") else l) for p, l in n.free]
+    return n
+
+
+def test_one_pass_composition_equals_pair_by_pair_traces():
+    """Full pairings on even seeds, partial ones on odd seeds; the pairs
+    are shuffled so that outputs meet inputs in any order."""
+    for seed in range(200):
+        rng = random.Random(seed)
+        k = rng.randint(1, 3) if seed % 2 == 0 else rng.randint(2, 3)
+        r = gen_relation(rng, max_in=rng.randint(1, 3), max_out=k, exact=True)
+        s = gen_relation(rng, max_in=k, max_out=rng.randint(1, 3), exact=True)
+        m = k if seed % 2 == 0 else rng.randint(1, k - 1)
+        outs, ins = rng.sample(list(r.codomain), m), rng.sample(list(s.domain), m)
+        a, b = build_area(RoutingArea(r)), build_area(RoutingArea(s))
+        assert serialize(compose_areas(a, outs, b, ins)) == serialize(
+            _compose_pair_by_pair(a, outs, b, ins)
+        )
+    # a label paired twice is gone after its first trace
+    a = build_area(RoutingArea(from_rows(["i"], ["x", "y"], [[1, 1]])))
+    with pytest.raises(UnknownLabel):
+        compose_areas(a, ["x", "x"], a, ["i", "i"])
+
+
+def test_compose_checks_and_reduces_once_whatever_the_pairs(monkeypatch):
+    r = from_rows(["a"], ["x", "y", "z"], [[1, 2, 3]])
+    s = from_rows(["x", "y", "z"], ["o"], [[1], [1], [2]])
+    calls = _canonicalize_calls(monkeypatch)
+    counted = []
+    for name in ("_normal_net", "count_paths_all"):
+        real = getattr(routing, name)
+        monkeypatch.setattr(
+            routing, name, lambda *args, real=real, name=name: counted.append(name) or real(*args)
+        )
+    net = compose_areas(
+        build_area(RoutingArea(r)), ["x", "y", "z"], build_area(RoutingArea(s)), ["x", "y", "z"]
+    )
+    assert sorted(counted) == ["_normal_net", "count_paths_all"]
+    assert len(calls) == 1
+    assert rows_of(read_area(net).rel) == [[9]]
+
+
 # ---------------------------------------------------------------------------
 # Reading areas from raw normal nets
 
@@ -254,14 +318,14 @@ def test_reader_on_raw_normal_nets_equals_canonical_read_area():
         corpus.append(_one_raw_normal_net(net))
         pair = _zero_pair(net)
         if pair is not None:
-            corpus.append(_traced(net, *pair, 10000))
+            corpus.append(_traced(net, [pair], 10000))
     for seed in range(40):
         rng = random.Random(seed)
         r = gen_relation(rng, max_in=3, max_out=3, exact=True)
         s = gen_relation(rng, max_in=3, max_out=3, exact=True)
         n = juxtapose(build_area(RoutingArea(r)), build_area(RoutingArea(s)))
         for o, i in zip(r.codomain, s.domain):
-            n = _traced(n, "R." + i, "L." + o, 10000)
+            n = _traced(n, [("R." + i, "L." + o)], 10000)
             corpus.append(n)
     assert len(corpus) > 400
     # raw normal forms do hold the leaves that canonical form removes
@@ -299,6 +363,42 @@ def test_area_operations_canonicalize_only_the_nets_they_return(monkeypatch):
     assert len(calls) == 2
 
 
+def _wire_swaps(n: Net):
+    """Every net made from `n` by swapping the ends into which !A flows of
+    two of its wires: still structural, and seldom an area."""
+    flows = [(w.a, w.b, w.ty) if w.ty.kind == "bang" else (w.b, w.a, dual(w.ty)) for w in n.wires]
+    for x, y in itertools.combinations(range(len(flows)), 2):
+        (s1, d1, f), (s2, d2, _) = flows[x], flows[y]
+        kept = [Wire(*flow) for k, flow in enumerate(flows) if k not in (x, y)]
+        yield Net(n.cells, kept + [Wire(s1, d2, f), Wire(s2, d1, f)], n.free)
+
+
+def test_tree_reader_accepts_only_acyclic_cut_free_nets():
+    """The tree-of-trees reader is the only check that semantics, trace_net,
+    compose_areas and transit make after reducing: every structural net it
+    accepts is acyclic and has no redex.  Checked on the wire-swap mutants
+    of built areas and of generator normal forms."""
+    nets = [
+        build_area(RoutingArea(gen_relation(random.Random(seed), 3, 3, 2)))
+        for seed in range(40)
+    ]
+    nets += [_one_raw_normal_net(gen_routing_net(random.Random(seed))) for seed in range(25)]
+    accepted = rejected = 0
+    for net in nets:
+        for m in _wire_swaps(net):
+            assert _structural(m)
+            ins, outs = _free_io(m)
+            try:
+                _crossings(m, ins, outs)
+            except NotAreaShaped:
+                rejected += 1
+                continue
+            accepted += 1
+            assert check_acyclic(m)
+            assert find_redexes(m, ALL) == []
+    assert accepted > 1000 and rejected > 1000
+
+
 def _relabelled(n: Net, labels: dict) -> Net:
     out = n.copy()
     out.free = [(p, labels.get(l, l)) for p, l in n.free]
@@ -321,7 +421,8 @@ def _wired(n: Net, i: str, o: str) -> Net:
 
 
 def _non_areas():
-    """name -> (net, input, output with no path from the input)."""
+    """name -> (net, input, output); the output has no path from the input
+    unless the net is cyclic."""
     m2x2 = build_area(RoutingArea(from_rows(["a", "b"], ["x", "y"], [[2, 0], [1, 3]])))
     return {
         "box": (juxtapose(m2x2, boxed_one()), "L.a", "L.y"),
@@ -350,6 +451,8 @@ def _non_areas():
             "L.a",
             "R.p",
         ),
+        # a's output x wired back into a: a cycle through a cut
+        "cyclic-cut": (_wired(m2x2, "a", "x"), "b", "y"),
     }
 
 
@@ -357,12 +460,15 @@ def _non_areas():
 # transit counts.  Each entry is what the operation did before reading
 # areas from raw normal forms, except for transit on the cyclic net, which
 # returned {"x": 1, "y": 0} and now refuses a net that is not an area.
+# On cyclic-cut, semantics and transit refuse the net before reducing it:
+# reduction would grow it until the budget runs out.
 NON_AREA_OUTCOMES = {
     "box": (NotAreaShaped, NotAreaShaped, RoutenetError),
     "duplicate-inputs": (NotAreaShaped, NotAreaShaped, {"x": 2, "y": 0}),
     "duplicate-outputs": (NotAreaShaped, NotAreaShaped, {"x": 2}),
     "cyclic": (NotAreaShaped, NotAreaShaped, RoutenetError),
     "cut": (None, None, RoutenetError),
+    "cyclic-cut": (NotAreaShaped, NotAreaShaped, RoutenetError),
 }
 
 

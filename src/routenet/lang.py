@@ -266,9 +266,12 @@ def _tokenize(token: re.Pattern, text: str, where: str = ""):
     return toks
 
 
-class _TermParser:
-    def __init__(self, text: str):
-        self.toks = _tokenize(_TERM_TOKEN, text)
+class _Cursor:
+    """A position in a list of (token, offset) pairs: the token cursor of
+    both the term and the type parser."""
+
+    def __init__(self, toks: list[tuple[str, int]]):
+        self.toks = toks
         self.i = 0
 
     def peek(self):
@@ -286,6 +289,11 @@ class _TermParser:
         if self.peek() != tok:
             raise ParseError(f"expected {tok!r}, found {self.peek()!r}", self.offset())
         return self.next()
+
+
+class _TermParser(_Cursor):
+    def __init__(self, text: str):
+        super().__init__(_tokenize(_TERM_TOKEN, text))
 
     def parse(self) -> TermA:
         t = self.term()
@@ -368,62 +376,54 @@ def parse_term(text: str) -> TermA:
         raise ParseError("term nested too deeply", parser.offset()) from None
 
 
-def parse_type(text: str) -> TypeExpr:
-    toks = _tokenize(_TYPE_TOKEN, text, " in type")
-    i = [0]
+class _TypeParser(_Cursor):
+    def __init__(self, text: str):
+        super().__init__(_tokenize(_TYPE_TOKEN, text, " in type"))
 
-    def peek():
-        return toks[i[0]][0] if i[0] < len(toks) else None
-
-    def advance():
-        tok = toks[i[0]]
-        i[0] += 1
-        return tok[0]
-
-    def offset():
-        return toks[i[0]][1] if i[0] < len(toks) else -1
-
-    def arrow() -> TypeExpr:
-        left = atom()
-        tok = peek()
+    def arrow(self) -> TypeExpr:
+        left = self.atom()
+        tok = self.peek()
         if tok == "->" or (tok and tok.startswith("-{")):
-            advance()
+            self.next()
             eff = frozenset() if tok == "->" else frozenset(
                 s.strip() for s in tok[2:-2].split(",") if s.strip()
             )
-            return Arrow(left, eff, arrow())
+            return Arrow(left, eff, self.arrow())
         return left
 
-    def atom() -> TypeExpr:
-        tok = peek()
+    def atom(self) -> TypeExpr:
+        tok = self.peek()
         if tok == "(":
-            advance()
-            t = arrow()
-            if peek() != ")":
-                raise ParseError("expected ')'", offset())
-            advance()
+            self.next()
+            t = self.arrow()
+            if self.peek() != ")":
+                raise ParseError("expected ')'", self.offset())
+            self.next()
             return t
         if tok == "Unit":
-            advance()
+            self.next()
             return UnitT()
         if tok == "B":
-            advance()
+            self.next()
             return Behavior()
         if tok == "Reg":
-            advance()
-            r = peek()
+            self.next()
+            r = self.peek()
             if r is None or not (r[0].isalpha() or r[0] == "_"):
-                raise ParseError("expected a reference name after 'Reg'", offset())
-            advance()
-            return Reg(r, atom())
-        raise ParseError(f"unexpected type token {tok!r}", offset())
+                raise ParseError("expected a reference name after 'Reg'", self.offset())
+            self.next()
+            return Reg(r, self.atom())
+        raise ParseError(f"unexpected type token {tok!r}", self.offset())
 
+
+def parse_type(text: str) -> TypeExpr:
+    parser = _TypeParser(text)
     try:
-        t = arrow()
+        t = parser.arrow()
     except RecursionError:
-        raise ParseError("type nested too deeply", offset()) from None
-    if peek() is not None:
-        raise ParseError(f"trailing type input {peek()!r}", offset())
+        raise ParseError("type nested too deeply", parser.offset()) from None
+    if parser.peek() is not None:
+        raise ParseError(f"trailing type input {parser.peek()!r}", parser.offset())
     return t
 
 

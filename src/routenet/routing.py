@@ -357,14 +357,20 @@ def compose_areas(
 ) -> Net:
     """Juxtapose and trace each of a's listed outputs onto b's inputs in one
     pass, within one `budget`, and canonicalize the result once.  Tags
-    introduced by the juxtaposition are stripped from the result, so a full
-    composition exposes a's inputs and b's outputs under their own names."""
+    introduced by the juxtaposition are stripped from the labels of each
+    direction unless two of them would then be equal, so a full composition
+    exposes a's inputs and b's outputs under their own names."""
     if len(outs) != len(ins):
         raise ValueError("output and input pairing lists differ in length")
     n = juxtapose(a, b)
     if outs:
         n = canonicalize(_traced(n, [("R." + i, "L." + o) for o, i in zip(outs, ins)], budget))
-    n.free = [(p, l[2:] if l[:2] in ("L.", "R.") else l) for p, l in n.free]
+    untagged = {}
+    for side in _free_io(n):
+        names = [l[2:] for _, l in side]
+        if len(set(names)) == len(names):
+            untagged.update(zip((p for p, _ in side), names))
+    n.free = [(p, untagged.get(p, l)) for p, l in n.free]
     return n
 
 

@@ -130,7 +130,7 @@ def _contract_shared(b: Builder, if1: Iface, if2: Iface) -> Iface:
 
 
 def _attach(b: Builder, item, target: int, ty_toward_target: Formula):
-    """Connect a chain result (dangling end or bare cell port) to a port."""
+    """Connect a tree result (dangling end or bare cell port) to a port."""
     kind, p = item
     if kind == "end":
         b.reend(p, target)
@@ -138,46 +138,50 @@ def _attach(b: Builder, item, target: int, ty_toward_target: Formula):
         b.wire(p, target, ty_toward_target)
 
 
-def _bundle(b: Builder, tys: list[Formula], ends: list[int]):
-    """Left-associated tensor of producer ends; result emits the bundle."""
-    if len(ends) == 1:
-        return ("end", ends[0])
-    left = _bundle(b, tys[:-1], ends[:-1])
-    t = b.cell("Tensor", 2)
-    _attach(b, left, t.aux[0], _tensor_chain(tys[:-1]))
-    b.reend(ends[-1], t.aux[1])
-    return ("cell", t.principal)
+def _tree(b: Builder, sym: str, tys: list[Formula], ends: list[int]):
+    """Left comb of binary `sym` cells over `ends`, whose formulas are `tys`.
+
+    A `Tensor` tree emits the left-associated tensor of producer ends; a
+    `Par` tree takes consumer ends and consumes that tensor (emits its
+    dual).  Returns ("end", q) for one end, else ("cell", principal)."""
+    acc, ty = ("end", ends[0]), tys[0]
+    for t, q in zip(tys[1:], ends[1:]):
+        c = b.cell(sym, 2)
+        _attach(b, acc, c.aux[0], ty if sym == "Tensor" else dual(ty))
+        b.reend(q, c.aux[1])
+        acc, ty = ("cell", c.principal), tensor(ty, t)
+    return acc
 
 
-def _split(b: Builder, tys: list[Formula], ends: list[int]):
-    """Dual of _bundle: ends consume the components; the result consumes
-    the left-associated tensor bundle (emits its dual)."""
-    if len(ends) == 1:
-        return ("end", ends[0])
-    left = _split(b, tys[:-1], ends[:-1])
-    s = b.cell("Par", 2)
-    _attach(b, left, s.aux[0], dual(_tensor_chain(tys[:-1])))
-    b.reend(ends[-1], s.aux[1])
-    return ("cell", s.principal)
-
-
-def _cocontract(b: Builder, ends: list[int], ty: Formula):
-    """Merge producer ends of a common !X into one stream."""
+def _stream(b: Builder, ends: list[int], ty: Formula) -> int:
+    """Merge producer ends of a common !X into one stream by a left comb of
+    cocontractions; returns its dangling producer end.  Of zero ends, a
+    coweakening: the empty stream."""
+    if not ends:
+        return _stub(b, "Coweakening", ty)
     acc = ("end", ends[0])
     for q in ends[1:]:
         c = b.cell("Cocontraction", 2)
         _attach(b, acc, c.aux[0], ty)
         b.reend(q, c.aux[1])
         acc = ("cell", c.principal)
-    return acc
-
-
-def _producer_end(b: Builder, item, ty: Formula) -> int:
-    kind, p = item
+    kind, p = acc
     if kind == "end":
         return p
     q = b.port()
     b.wire(p, q, ty)
+    return q
+
+
+def _stub(b: Builder, sym: str, ty: Formula) -> int:
+    """A fresh dangling end on a new (co)weakening: a `Coweakening` emits
+    the empty stream of `ty`, a `Weakening` consumes and discards `ty`."""
+    c = b.cell(sym, 0)
+    q = b.port()
+    if sym == "Weakening":
+        b.wire(q, c.principal, ty)
+    else:
+        b.wire(c.principal, q, ty)
     return q
 
 
@@ -199,25 +203,22 @@ def _cap_coweakening(b: Builder, q: int):
     b.reend(q, cw.principal)
 
 
-def _boxed_value_end(b: Builder, vnet: Net, content: Formula):
-    """Box a value net; returns (producer end of !content, variable iface).
+def _box(b: Builder, inner: Net) -> Iface:
+    """Box `inner`, whose free list is its main end and then its doors.
 
-    Captured variables of the value leave the box through auxiliary doors.
-    """
-    inner = vnet.copy()
-    doors = [(p, lbl) for p, lbl in inner.free if lbl != "out"]
-    out_p = inner.free_port("out")
-    inner.free = [(out_p, "main")] + doors
+    Returns the outer end of each door under the door's label, and `out`,
+    emitting the bang of the formula `inner` emits at its main end."""
+    (main, _), *doors = inner.free
     box = b.cell("Box", len(doors), inner)
-    var_iface: Iface = {}
-    iw = inner.wire_of()
-    for i, (p, lbl) in enumerate(doors):
-        qo = b.port()
-        b.wire(qo, box.aux[i], dual(iw[p].toward(p)))
-        var_iface[lbl] = qo
+    iface: Iface = {}
+    for aux, (p, label) in zip(box.aux, doors):
+        q = b.port()
+        b.wire(q, aux, dual(inner.outward(p)))
+        iface[label] = q
     q = b.port()
-    b.wire(box.principal, q, bang(content))
-    return q, var_iface
+    b.wire(box.principal, q, bang(inner.outward(main)))
+    iface["out"] = q
+    return iface
 
 
 def _area_ports(b: Builder, area: Net):
@@ -257,17 +258,16 @@ class _Translator:
     # -- value boxing -------------------------------------------------------
 
     def value_net(self, v: TermA, want: Formula | None = None) -> Net:
-        """A value as a standalone net: an `out` wire plus one wire per
-        captured variable (values are pure, so no reference wires)."""
+        """A value as a standalone net, free ports in the order `_box`
+        takes: the `main` output wire, then one wire per captured variable
+        (values are pure, so no reference wires)."""
         sub = _Translator(self.R, self.ann)
         iface = sub.tr(v)
         if any(not (k == "out" or k.startswith("v:")) for k in iface):
             raise DerivationMismatch("injected values must be pure")
-        free = [(iface["out"], "out")] + sorted(
-            ((q, lbl) for lbl, q in iface.items() if lbl != "out"), key=lambda t: t[1]
-        )
-        net = sub.b.finish(free)
-        if want is not None and net.outward(iface["out"]) != want:
+        q = iface.pop("out")
+        net = sub.b.finish([(q, "main")] + [(iface[lbl], lbl) for lbl in sorted(iface)])
+        if want is not None and net.outward(q) != want:
             raise DerivationMismatch("stored value type does not match its reference")
         return net
 
@@ -280,11 +280,19 @@ class _Translator:
         ends = []
         var_iface: Iface = {}
         for v in values:
-            vnet = self.value_net(v, want=xr)
-            q, vi = _boxed_value_end(self.b, vnet, xr)
-            ends.append(q)
-            var_iface = _contract_shared(self.b, var_iface, vi)
+            boxed = _box(self.b, self.value_net(v, want=xr))
+            ends.append(boxed.pop("out"))
+            var_iface = _contract_shared(self.b, var_iface, boxed)
         return ends, var_iface
+
+    def ri_ends(self, r: str, values) -> tuple[int, list[int], Iface]:
+        """A node's own `ri:r` end and the producer ends of the stream it
+        feeds: the environment's leaf, then the injected values; with the
+        interface of any variables the values capture."""
+        q_ri, leaf = self.b.port(), self.b.port()
+        self.b.wire(q_ri, leaf, self.wtype(r))  # environment stream enters here
+        vends, var_iface = self.inject_ends(r, values)
+        return q_ri, [leaf] + vends, var_iface
 
     # -- dispatch -----------------------------------------------------------
 
@@ -300,22 +308,16 @@ class _Translator:
             one = ib.cell("One", 0)
             q = ib.port()
             ib.wire(one.principal, q, ONE)
-            inner = ib.finish([(q, "main")])
-            box = b.cell("Box", 0, inner)
-            qo = b.port()
-            b.wire(box.principal, qo, bang(ONE))
-            return {"out": qo}
+            return _box(b, ib.finish([(q, "main")]))
         if isinstance(t, Lam):
             return self.tr_lam(t)
         if isinstance(t, Get):
             w = self.wtype(t.ref)
-            der = self.b.cell("Dereliction", 1)
+            der = b.cell("Dereliction", 1)
             q_ri, q_out = b.port(), b.port()
             b.wire(q_ri, der.principal, w)
             b.wire(der.aux[0], q_out, w.left)
-            cw = b.cell("Coweakening", 0)
-            q_ro = b.port()
-            b.wire(cw.principal, q_ro, w)
+            q_ro = _stub(b, "Coweakening", w)
             return {"out": q_out, "ri:" + t.ref: q_ri, "ro:" + t.ref: q_ro}
         if isinstance(t, Par):
             return self.tr_par(t)
@@ -340,9 +342,10 @@ class _Translator:
         if not isinstance(arrow, Arrow):
             raise DerivationMismatch("abstraction without an arrow type")
         refs = sorted(arrow.effect)
-        a_in = self.fmla(arrow.dom)
         ws = [self.wtype(s) for s in refs]
-        a_out = self.fmla(arrow.cod)
+        in_tys = [self.fmla(arrow.dom)] + ws
+        out_tys = ws + [self.fmla(arrow.cod)]
+        content = self.fmla(arrow).left
 
         sub = _Translator(self.R, self.ann)
         iface = sub.tr(t.body)
@@ -350,42 +353,30 @@ class _Translator:
 
         top = ib.cell("Par", 2)
         # input side: argument value then one reference stream per effect
-        in_tys = [a_in] + ws
-        in_ends = []
         vx = "v:" + t.var
-        if vx in iface:
-            in_ends.append(iface.pop(vx))
-        else:
-            wk = ib.cell("Weakening", 0)
-            q = ib.port()
-            ib.wire(q, wk.principal, a_in)
-            in_ends.append(q)
-        for s, w in zip(refs, ws):
-            in_ends.append(iface.pop("ri:" + s))
-        _attach(ib, _split(ib, in_tys, in_ends), top.aux[0], dual(_tensor_chain(in_tys)))
+        arg = iface.pop(vx) if vx in iface else _stub(ib, "Weakening", in_tys[0])
+        in_ends = [arg] + [iface.pop("ri:" + s) for s in refs]
+        _attach(ib, _tree(ib, "Par", in_tys, in_ends), top.aux[0], content.left)
         # output side: the reference streams written, then the result
-        out_tys = ws + [a_out]
         out_ends = [iface.pop("ro:" + s) for s in refs] + [iface.pop("out")]
-        _attach(ib, _bundle(ib, out_tys, out_ends), top.aux[1], _tensor_chain(out_tys))
+        _attach(ib, _tree(ib, "Tensor", out_tys, out_ends), top.aux[1], content.right)
         f0 = ib.port()
-        content = par(dual(_tensor_chain(in_tys)), _tensor_chain(out_tys))
         ib.wire(top.principal, f0, content)
 
         # remaining wires are captured variables and leave through doors
-        doors = sorted(iface.items())
-        inner = ib.finish([(f0, "main")] + [(q, l) for l, q in doors])
-        box = self.b.cell("Box", len(doors), inner)
-        out_iface: Iface = {}
-        for i, (label, q) in enumerate(doors):
-            qo = self.b.port()
-            self.b.wire(qo, box.aux[i], dual(ib.end_ty(q)))
-            out_iface[label] = qo
-        qo = self.b.port()
-        self.b.wire(box.principal, qo, bang(content))
-        out_iface["out"] = qo
-        return out_iface
+        doors = [(q, l) for l, q in sorted(iface.items())]
+        return _box(self.b, ib.finish([(f0, "main")] + doors))
 
     # -- reference plumbing shared by application and parallel --------------
+
+    def sides(self, left: TermA, right: TermA) -> tuple[Iface, Iface, Iface]:
+        """Translate both sides of a binary node.  Returns both interfaces
+        and their variable wires, shared ones joined in contractions;
+        reference wires stay per side."""
+        if1, if2 = self.tr(left), self.tr(right)
+        vars1 = {k: q for k, q in if1.items() if k.startswith("v:")}
+        vars2 = {k: q for k, q in if2.items() if k.startswith("v:")}
+        return if1, if2, _contract_shared(self.b, vars1, vars2)
 
     def plug(self, area_in_end: int, area_out_end: int, iface: Iface, s: str):
         """Wire one plug of an area to a subterm's reference interface,
@@ -404,55 +395,35 @@ class _Translator:
         """Expose a plug as the node's own ri/ro pair, merging any injected
         store values into the incoming stream."""
         b = self.b
-        w = self.wtype(s)
-        q_ri = b.port()
-        leaf = b.port()
-        b.wire(q_ri, leaf, w)  # environment stream enters here
-        vends, var_iface = self.inject_ends(s, values)
-        stream = _cocontract(b, [leaf] + vends, w)
-        merged = _producer_end(b, stream, w)
-        b.fuse(merged, area_in_end)
+        q_ri, ends, var_iface = self.ri_ends(s, values)
+        b.fuse(_stream(b, ends, self.wtype(s)), area_in_end)
         q_ro = b.port()
         b.reend(area_out_end, q_ro)
-        # keep the end dangling: relabel by returning it
         return {"ri:" + s: q_ri, "ro:" + s: q_ro}, var_iface
 
     # -- application --------------------------------------------------------
 
     def tr_app(self, t: LamSubst) -> Iface:
         b = self.b
-        if1 = self.tr(t.fun)
-        if2 = self.tr(t.arg)
-        # shared variables contract; reference wires stay per-branch
-        out_iface: Iface = _contract_shared(
-            b,
-            {k: v for k, v in if1.items() if k.startswith("v:")},
-            {k: v for k, v in if2.items() if k.startswith("v:")},
-        )
+        if1, if2, out_iface = self.sides(t.fun, t.arg)
         arrow = self.type_of(t.fun)
         if not isinstance(arrow, Arrow):
             raise DerivationMismatch("application head is not an arrow")
         refs3 = sorted(arrow.effect)
-        a_in = self.fmla(arrow.dom)
-        ws3 = {s: self.wtype(s) for s in refs3}
+        ws3 = [self.wtype(s) for s in refs3]
         a_res = self.fmla(arrow.cod)
-
+        content = self.fmla(arrow).left
         vals = dict(t.vals)
-        all_refs = sorted(self.eff_of(t))
 
         # open the function value
         der = b.cell("Dereliction", 1)
         b.reend(if1.pop("out"), der.principal)
         tsr = b.cell("Tensor", 2)
-        content = par(
-            dual(_tensor_chain([a_in] + [ws3[s] for s in refs3])),
-            _tensor_chain([ws3[s] for s in refs3] + [a_res]),
-        )
         b.wire(tsr.principal, der.aux[0], dual(content))
 
         # one 4-way area per reference in scope
         plumbing: dict[str, tuple[dict, dict]] = {}
-        for s in all_refs:
+        for s in sorted(self.eff_of(t)):
             ins, outs = _area_ports(b, delta_area(self.wtype(s)))
             self.plug(ins["1"], outs["1"], if1, s)
             self.plug(ins["2"], outs["2"], if2, s)
@@ -463,22 +434,19 @@ class _Translator:
 
         # caller side of the opened function: bundle the argument with the
         # reference streams the body may read ...
-        in_tys = [a_in] + [ws3[s] for s in refs3]
+        in_tys = [self.fmla(arrow.dom)] + ws3
         in_ends = [if2.pop("out")] + [plumbing[s][1]["3"] for s in refs3]
-        _attach(b, _bundle(b, in_tys, in_ends), tsr.aux[0], _tensor_chain(in_tys))
+        _attach(b, _tree(b, "Tensor", in_tys, in_ends), tsr.aux[0], dual(content.left))
         # ... and split the returned streams from the result
-        out_tys = [ws3[s] for s in refs3] + [a_res]
-        out_ends = [plumbing[s][0]["3"] for s in refs3]
-        qa = b.port()
-        q_out = b.port()
+        qa, q_out = b.port(), b.port()
         b.wire(qa, q_out, a_res)
-        out_ends.append(qa)
-        _attach(b, _split(b, out_tys, out_ends), tsr.aux[1], dual(_tensor_chain(out_tys)))
+        out_tys = ws3 + [a_res]
+        out_ends = [plumbing[s][0]["3"] for s in refs3] + [qa]
+        _attach(b, _tree(b, "Par", out_tys, out_ends), tsr.aux[1], dual(content.right))
 
         # plugs 3 of references outside the latent effect see no traffic
-        for s in all_refs:
-            if s not in refs3:
-                ins, outs = plumbing[s]
+        for s, (ins, outs) in plumbing.items():
+            if s not in arrow.effect:
                 _cap_coweakening(b, ins["3"])
                 _cap_weakening(b, outs["3"])
 
@@ -489,15 +457,7 @@ class _Translator:
 
     def tr_par(self, t: Par) -> Iface:
         b = self.b
-        if1 = self.tr(t.left)
-        if2 = self.tr(t.right)
-        # keep the branch ref wires apart; only variables are shared
-        shared_vars = _contract_shared(
-            b,
-            {k: v for k, v in if1.items() if k.startswith("v:")},
-            {k: v for k, v in if2.items() if k.startswith("v:")},
-        )
-        out_iface: Iface = dict(shared_vars)
+        if1, if2, out_iface = self.sides(t.left, t.right)
         for s in sorted(self.eff_of(t)):
             ins, outs = _area_ports(b, gamma_area(self.wtype(s)))
             self.plug(ins["1"], outs["1"], if1, s)
@@ -526,13 +486,12 @@ class _Translator:
         for x, v in t.subst:
             vnet = self.value_net(v)
             off = b.merge(vnet)
-            q_out = vnet.free[0][0] + off
+            (q_out, _), *captured = vnet.free
             if "v:" + x in iface:
-                b.fuse(q_out, iface.pop("v:" + x))
+                b.fuse(q_out + off, iface.pop("v:" + x))
             else:
-                _cap_weakening(b, q_out)
-            captured = {lbl: p + off for p, lbl in vnet.free if lbl != "out"}
-            iface = _contract_shared(b, iface, captured)
+                _cap_weakening(b, q_out + off)
+            iface = _contract_shared(b, iface, {lbl: p + off for p, lbl in captured})
         return iface
 
     def tr_down(self, t: DownSubst) -> Iface:
@@ -540,23 +499,16 @@ class _Translator:
         iface = self.tr(t.body)
         for r, vs in t.vals:
             w = self.wtype(r)
-            q_ri = b.port()
-            leaf = b.port()
-            b.wire(q_ri, leaf, w)
-            vends, var_iface = self.inject_ends(r, vs)
+            q_ri, ends, var_iface = self.ri_ends(r, vs)
             iface = _contract_shared(b, iface, var_iface)
-            stream = _cocontract(b, [leaf] + vends, w)
-            merged = _producer_end(b, stream, w)
+            merged = _stream(b, ends, w)
             if "ri:" + r in iface:
                 b.fuse(merged, iface.pop("ri:" + r))
             else:
                 _cap_weakening(b, merged)
             iface["ri:" + r] = q_ri
             if "ro:" + r not in iface:
-                cw = b.cell("Coweakening", 0)
-                q_ro = b.port()
-                b.wire(cw.principal, q_ro, w)
-                iface["ro:" + r] = q_ro
+                iface["ro:" + r] = _stub(b, "Coweakening", w)
         return iface
 
     def tr_up(self, t: UpSubst) -> Iface:
@@ -568,13 +520,9 @@ class _Translator:
             iface = _contract_shared(b, iface, var_iface)
             if "ro:" + r in iface:
                 ends = [iface.pop("ro:" + r)] + ends
-            stream = _cocontract(b, ends, w)
-            iface["ro:" + r] = _producer_end(b, stream, w)
+            iface["ro:" + r] = _stream(b, ends, w)
             if "ri:" + r not in iface:
-                wk = b.cell("Weakening", 0)
-                q_ri = b.port()
-                b.wire(q_ri, wk.principal, w)
-                iface["ri:" + r] = q_ri
+                iface["ri:" + r] = _stub(b, "Weakening", w)
         return iface
 
 

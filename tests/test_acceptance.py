@@ -2,101 +2,72 @@
 
 Each test is one criterion; the `pytest -v` report gives one pass/fail line
 per criterion.  All comparisons are exact (no tolerances); the timed
-criteria assert their wall-clock bounds.
+criteria assert their wall-clock bounds.  Criteria 1 to 9 run their checks
+through `gen.run_suite`, the runner of `routenet verify`.
 """
 import random
 import time
 
-from routenet.gen import (
-    check_adequacy,
-    check_characterize,
-    check_compose,
-    check_confluence,
-    check_path_preservation,
-    check_paths_area,
-    check_paths_net,
-    check_simulation,
-    check_trace,
-    check_transit,
-    gen_routing_net,
-    gen_typed_net,
-    PROGRAM_SUITE,
-)
+from routenet.gen import PROGRAM_SUITE, gen_routing_net, gen_typed_net, run_suite
 from routenet.proofnet import parse, serialize
 
 SEED = 2024
 
 
-def _run(fn, cases, seed=SEED):
-    rng = random.Random(seed)
+def _run(suite, cases, seed=SEED):
+    """Run a `verify` suite, assert that every case passes and return its
+    wall-clock seconds and its messages."""
     start = time.monotonic()
-    failures = [msg for _ in range(cases) for ok, msg in [fn(rng)] if not ok]
+    results = run_suite(suite, seed, cases)
     elapsed = time.monotonic() - start
+    failures = [msg for _, ok, msg in results if not ok]
     assert failures == [], failures[:5]
-    return elapsed
+    return elapsed, [msg for _, _, msg in results]
 
 
 def test_criterion_01_trace_of_area_matches_trace_formula():
-    elapsed = _run(check_trace, 200)
+    elapsed, _ = _run("trace", 200)
     assert elapsed < 10.0, f"trace suite took {elapsed:.1f}s"
 
 
 def test_criterion_02_path_counting_matches_net_semantics():
-    start = time.monotonic()
-    _run(check_paths_area, 200)  # the same 200 seeded areas as criterion 1
-    _run(check_paths_net, 200, seed=SEED + 1)
-    elapsed = time.monotonic() - start
+    # the same 200 seeded areas as criterion 1, then 200 generated nets
+    elapsed = _run("paths-area", 200)[0] + _run("paths", 200, seed=SEED + 1)[0]
     assert elapsed < 30.0, f"path suite took {elapsed:.1f}s"
 
 
 def test_criterion_03_area_composition_is_matrix_product():
-    elapsed = _run(check_compose, 100)
+    elapsed, _ = _run("compose", 100)
     assert elapsed < 10.0, f"composition suite took {elapsed:.1f}s"
 
 
 def test_criterion_04_routing_net_normal_forms_are_areas():
-    _run(check_characterize, 200, seed=SEED + 1)
+    _run("characterize", 200, seed=SEED + 1)
 
 
 def test_criterion_05_single_steps_preserve_free_path_counts():
-    _run(check_path_preservation, 200, seed=SEED + 1)
+    _run("path-preservation", 200, seed=SEED + 1)
 
 
 def test_criterion_06_transit_delivers_semantics_row_and_keeps_area():
-    _run(check_transit, 50)
+    _run("transit", 50)
 
 
 def test_criterion_07_reduction_graphs_have_unique_sink_no_cycle():
-    rng = random.Random(SEED)
-    skipped, failures = 0, []
-    for _ in range(100):
-        ok, msg = check_confluence(rng)
-        if not ok:
-            failures.append(msg)
-        elif msg.startswith("skipped"):
-            skipped += 1
-    assert failures == [], failures[:5]
+    _, messages = _run("confluence", 100)
+    skipped = sum(msg.startswith("skipped") for msg in messages)
     assert skipped < 10, f"{skipped}/100 graphs truncated: raise max_nodes"
 
 
 def test_criterion_08_source_steps_simulated_in_compiled_nets():
     names = [n for n, _, _ in PROGRAM_SUITE]
     assert len(names) >= 15 and "proj" in names
-    start = time.monotonic()
-    failures = [msg for name in names for ok, msg in [check_simulation(name)] if not ok]
-    elapsed = time.monotonic() - start
-    assert failures == [], failures
+    elapsed, _ = _run("simulate", 0)  # every suite program
     assert elapsed < 60.0, f"simulation suite took {elapsed:.1f}s"
 
 
 def test_criterion_09_value_summands_biject_with_interpreter_values():
-    failures = [
-        msg
-        for name, _, _ in PROGRAM_SUITE
-        for ok, msg in [check_adequacy(name)]
-        if not ok
-    ]
-    assert failures == []
+    _run("adequacy", 0)
 
 
 def test_criterion_10_serialization_round_trips_bit_exactly():

@@ -7,7 +7,7 @@ import pytest
 from routenet import proofnet, routing
 from routenet.errors import CycleRisk, NotAreaShaped, RoutenetError, UnknownLabel
 from routenet.gen import gen_relation, gen_routing_net
-from routenet.multirel import comm_relation, from_rows, rows_of, trace_formula
+from routenet.multirel import comm_relation, coproduct, from_rows, rows_of, trace_formula
 from routenet.paths import check_acyclic
 from routenet.proofnet import (
     Builder,
@@ -165,7 +165,12 @@ def _compose_pair_by_pair(a: Net, outs, b: Net, ins) -> Net:
     n = juxtapose(a, b)
     for o, i in zip(outs, ins):
         n = trace_net(n, "R." + i, "L." + o)
-    n.free = [(p, l[2:] if l[:2] in ("L.", "R.") else l) for p, l in n.free]
+    # a direction keeps its tags where stripping them would make two equal
+    keep = set()
+    for side in _free_io(n):
+        if len({l[2:] for _, l in side}) < len(side):
+            keep.update(p for p, _ in side)
+    n.free = [(p, l if p in keep else l[2:]) for p, l in n.free]
     return n
 
 
@@ -187,6 +192,25 @@ def test_one_pass_composition_equals_pair_by_pair_traces():
     a = build_area(RoutingArea(from_rows(["i"], ["x", "y"], [[1, 1]])))
     with pytest.raises(UnknownLabel):
         compose_areas(a, ["x", "x"], a, ["i", "i"])
+
+
+def test_partial_composition_keeps_tags_where_labels_would_clash():
+    r = from_rows(["i1", "i2"], ["o1", "o2"], [[1, 0], [0, 1]])
+    s = from_rows(["i1", "i2"], ["o1", "o2"], [[1, 2], [0, 1]])
+    net = compose_areas(build_area(RoutingArea(r)), ["o1"], build_area(RoutingArea(s)), ["i1"])
+    ins, outs = _free_io(net)
+    assert sorted(l for _, l in ins) == ["L.i1", "L.i2", "R.i2"]
+    assert sorted(l for _, l in outs) == ["L.o2", "R.o1", "R.o2"]
+    assert semantics(net) == trace_formula(coproduct(r, s), "R.i1", "L.o1")
+    # one direction clashes, the other does not: only the clashing one is tagged
+    t = from_rows(["a", "b"], ["o1", "o2"], [[1, 0], [0, 1]])
+    net = compose_areas(build_area(RoutingArea(t)), ["o1"], build_area(RoutingArea(s)), ["i1"])
+    ins, outs = _free_io(net)
+    assert sorted(l for _, l in ins) == ["a", "b", "i2"]
+    assert sorted(l for _, l in outs) == ["L.o2", "R.o1", "R.o2"]
+    untag = {"L.a": "a", "L.b": "b", "R.i2": "i2"}
+    want = trace_formula(coproduct(t, s), "R.i1", "L.o1")
+    assert semantics(net).entries == {(untag[x], y): v for (x, y), v in want.entries.items()}
 
 
 def test_compose_checks_and_reduces_once_whatever_the_pairs(monkeypatch):

@@ -3,9 +3,22 @@ import random
 
 import pytest
 
-from routenet.errors import RoutenetError
+from routenet.errors import DerivationMismatch, InterfaceMismatch, RoutenetError
 from routenet.gen import PROGRAM_SUITE, gen_routing_net, gen_typed_net, suite_program
-from routenet.lang import parse_region_ctx, parse_term, parse_type, Behavior
+from routenet.lang import (
+    Behavior,
+    DownSubst,
+    Get,
+    Lam,
+    LamSubst,
+    Star,
+    SumL,
+    UpSubst,
+    parse_region_ctx,
+    parse_term,
+    parse_type,
+    typecheck_lthis,
+)
 from routenet.proofnet import (
     Cell,
     dual,
@@ -22,6 +35,8 @@ from routenet.proofnet import (
 )
 from routenet.rewrite import normalize
 from routenet.translate import (
+    _Translator,
+    close,
     compile_program,
     is_value_net,
     ref_wire_type,
@@ -158,3 +173,45 @@ def test_race_summands_cover_both_values():
     certs = value_certs(p, R)
     matched = {c for c in certs for s in nf.summands if is_value_net(s, {c})}
     assert matched == certs  # every source outcome appears among the summands
+
+
+def test_upward_substitution_of_no_values_exposes_an_empty_stream():
+    # the body writes nothing and no value is stored: ro:r is a coweakening
+    R = parse_region_ctx("r : Unit")
+    net = translate(UpSubst((("r", ()),), Star()), R)
+    assert validate(net) == []
+    assert [l for _, l in net.free] == ["out", "ri:r", "ro:r"]
+    assert net.outward(net.free_port("ro:r")) == ref_wire_type("r", R)
+    assert sorted(c.sym for c in net.cells) == ["Box", "Coweakening", "Weakening"]
+
+
+def test_close_refuses_an_effect_other_than_the_interface():
+    R = parse_region_ctx("r : Unit\ns : Unit")
+    net = translate(embed_lthis(parse_term("set r * || get r"), R), R)
+    for effect in ({"s"}, set(), {"r", "s"}):
+        with pytest.raises(InterfaceMismatch):
+            close(net, effect)
+    assert [l for _, l in close(net, {"r"}).free] == ["out"]
+
+
+def test_only_singleton_sums_translate():
+    R = parse_region_ctx("")
+    assert canonical_equal(translate(SumL((Star(),)), R), translate(Star(), R))
+    with pytest.raises(DerivationMismatch, match="only singleton sums"):
+        translate(SumL((Star(), Star())), R)
+
+
+def test_stored_value_of_another_type_than_its_reference_is_refused():
+    # typed where r holds Unit, translated where r holds functions: the
+    # stored * no longer fits its reference at any injection site
+    typed_in = parse_region_ctx("r : Unit")
+    R = parse_region_ctx("r : Unit -> Unit")
+    vals = (("r", (Star(),)),)
+    for term in (
+        DownSubst(vals, Get("r")),
+        UpSubst(vals, Star()),
+        LamSubst(vals, Lam("y", Get("r")), Star()),
+    ):
+        _, inf = typecheck_lthis(typed_in, {}, term, want_infer=True)
+        with pytest.raises(DerivationMismatch, match="does not match its reference"):
+            _Translator(R, inf.annotations()).tr(term)

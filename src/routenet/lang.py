@@ -12,14 +12,17 @@ languages.
 
 The type-and-effect system assigns every term a type and the set of
 references it may touch; reference contexts must be stratified (no reference
-reachable from its own stored type).
+reachable from its own stored type).  Asked for its inference, a type checker
+returns an `Infer` whose `type_of` and `effect_of` answer for the nodes of
+`inf.term`, an unshared copy of the term it typed: one value object stored at
+two references of different types would otherwise have only one type.
 """
 from __future__ import annotations
 
 import graphlib
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import BudgetExhausted, NotStratified, ParseError, TypingError
 
@@ -436,7 +439,10 @@ def parse_region_ctx(text: str) -> RegionCtx:
         if ":" not in line:
             raise ParseError(f"line {k + 1}: expected 'r : type'")
         name, ty = line.split(":", 1)
-        ctx[name.strip()] = parse_type(ty)
+        name = name.strip()
+        if name in ctx:
+            raise ParseError(f"line {k + 1}: reference {name!r} declared twice")
+        ctx[name] = parse_type(ty)
     return ctx
 
 
@@ -478,12 +484,12 @@ class _Eff:
         return _Eff(self.consts | other.consts, self.evars | other.evars)
 
 
-def _eff_lit(*refs: str) -> _Eff:
-    return _Eff(frozenset(refs))
-
-
 class Infer:
-    """Shared engine: walks a term, synthesizing (type, effect) per node."""
+    """Shared engine: walks a term, synthesizing (type, effect) per node.
+
+    `type_of` and `effect_of` resolve a node's noted type and effect when
+    asked, after `solve`.  Nodes are noted by identity, so a checker asked
+    for its inference types an unshared copy of its term, kept as `term`."""
 
     def __init__(self, R: RegionCtx):
         ok, _ = check_stratified(R)
@@ -491,11 +497,11 @@ class Infer:
             raise NotStratified(f"region context {list(R)} is not stratified")
         self.R = R
         self.counter = itertools.count()
-        self.evar_lb: dict[int, _Eff] = {}
+        self.evar_lb: dict[int, frozenset[str]] = {}  # per root variable
         self.evar_alias: dict[int, int] = {}
         self.eqs: list[tuple[_Eff, _Eff]] = []
         self.annot: dict[int, tuple[TypeExpr, _Eff]] = {}
-        self.nodes: list = []  # keep referents alive so id() stays unique
+        self.term: TermA | None = None  # the typed term, when one is kept
 
     # -- metavariables ------------------------------------------------------
 
@@ -504,7 +510,7 @@ class Infer:
 
     def fresh_e(self) -> _Eff:
         v = next(self.counter)
-        self.evar_lb[v] = _Eff()
+        self.evar_lb[v] = frozenset()
         return _Eff(frozenset(), frozenset({v}))
 
     def resolve(self, t: TypeExpr) -> TypeExpr:
@@ -541,7 +547,7 @@ class Infer:
         if isinstance(a, Arrow) and isinstance(b, Arrow):
             self.unify(a.dom, b.dom, rule)
             self.unify(a.cod, b.cod, rule)
-            self.unify_eff(a.effect, b.effect, rule)
+            self.eqs.append((self._as_eff(a.effect), self._as_eff(b.effect)))
             return
         raise TypingError(rule, f"cannot unify {fmt_type(a)} with {fmt_type(b)}")
 
@@ -555,10 +561,6 @@ class Infer:
             return self._occurs(m, t.ty)
         return False
 
-    def unify_eff(self, a, b, rule: str):
-        a, b = self._as_eff(a), self._as_eff(b)
-        self.eqs.append((a, b))
-
     @staticmethod
     def _as_eff(e) -> _Eff:
         return e if isinstance(e, _Eff) else _Eff(frozenset(e))
@@ -566,10 +568,10 @@ class Infer:
     # -- finalization --------------------------------------------------------
 
     def _eval_eff(self, e: _Eff) -> frozenset[str]:
-        out = set(e.consts)
+        out = e.consts
         for v in e.evars:
-            out |= self.evar_lb.get(self._eroot(v), _Eff()).consts
-        return frozenset(out)
+            out = out | self.evar_lb[self._eroot(v)]
+        return out
 
     def solve(self):
         """Effect equations: alias variable-only sides, then grow lower
@@ -580,8 +582,7 @@ class Infer:
                 ra, rb = self._eroot(next(iter(a.evars))), self._eroot(next(iter(b.evars)))
                 if ra != rb:
                     self.evar_alias[ra] = rb
-                    lb = self.evar_lb.pop(ra, _Eff())
-                    self.evar_lb[rb] = self.evar_lb.get(rb, _Eff()).union(lb)
+                    self.evar_lb[rb] |= self.evar_lb.pop(ra)
         changed = True
         while changed:
             changed = False
@@ -591,10 +592,7 @@ class Infer:
                     have = self._eval_eff(side)
                     missing = want - have
                     if missing and side.evars:
-                        v = self._eroot(next(iter(side.evars)))
-                        self.evar_lb[v] = self.evar_lb.get(v, _Eff()).union(
-                            _Eff(frozenset(missing))
-                        )
+                        self.evar_lb[self._eroot(next(iter(side.evars)))] |= missing
                         changed = True
         for a, b in self.eqs:
             if self._eval_eff(a) != self._eval_eff(b):
@@ -617,15 +615,15 @@ class Infer:
             return Reg(t.ref, self.final_type(t.ty))
         return t
 
-    def annotations(self) -> dict[int, tuple[TypeExpr, frozenset[str]]]:
-        return {
-            k: (self.final_type(t), self._eval_eff(e)) for k, (t, e) in self.annot.items()
-        }
+    def type_of(self, node: TermA) -> TypeExpr:
+        return self.final_type(self.annot[id(node)][0])
+
+    def effect_of(self, node: TermA) -> frozenset[str]:
+        return self._eval_eff(self.annot[id(node)][1])
 
     # -- judgement helpers ---------------------------------------------------
 
     def note(self, node, t: TypeExpr, e: _Eff):
-        self.nodes.append(node)
         self.annot[id(node)] = (t, e)
         return t, e
 
@@ -670,7 +668,7 @@ def _infer(inf: Infer, env: dict, t: TermA, foreign: tuple):
         ty, e = _infer(inf, {**env, t.var: a}, t.body, foreign)
         return inf.note(t, Arrow(a, e, ty), _Eff())
     if isinstance(t, Get):
-        return inf.note(t, inf.ref_type(t.ref, "get"), _eff_lit(t.ref))
+        return inf.note(t, inf.ref_type(t.ref, "get"), _Eff(frozenset({t.ref})))
     if isinstance(t, Par):
         _, e1 = _infer(inf, env, t.left, foreign)
         _, e2 = _infer(inf, env, t.right, foreign)
@@ -692,7 +690,7 @@ def _infer(inf: Infer, env: dict, t: TermA, foreign: tuple):
         return _subst_r(inf, env, t, ty, e, foreign)
     if isinstance(t, Set):
         _payload(inf, env, t.ref, t.value, "set", foreign)
-        return inf.note(t, UnitT(), _eff_lit(t.ref))
+        return inf.note(t, UnitT(), _Eff(frozenset({t.ref})))
     if isinstance(t, Store):
         _payload(inf, env, t.ref, t.value, "store", foreign)
         return inf.note(t, Behavior(), _Eff())
@@ -717,8 +715,19 @@ def _infer(inf: Infer, env: dict, t: TermA, foreign: tuple):
     raise TypingError("?", f"unknown term {t!r}")
 
 
+def _unshared(t):
+    """A copy of t with its own node object at every position."""
+    if isinstance(t, tuple):
+        return tuple(map(_unshared, t))
+    if isinstance(t, TermA):
+        return type(t)(*map(_unshared, (getattr(t, f.name) for f in fields(t))))
+    return t
+
+
 def _typecheck(R: RegionCtx, gamma: dict, t: TermA, want_infer: bool, foreign: tuple):
     inf = Infer(R)
+    if want_infer:
+        t = inf.term = _unshared(t)
     ty, e = _infer(inf, dict(gamma), t, foreign)
     inf.solve()
     result = (inf.final_type(ty), inf._eval_eff(e))
@@ -762,41 +771,32 @@ def split_stores(p: TermA):
     return tree, stores
 
 
-def _embed_value(v: TermA) -> TermA:
-    """A stored value: lambda bodies are embedded with an empty store."""
-    if not is_value(v):
-        raise TypingError("value", f"{v!r} is not a value")
-    return embed_term(v, {}, {})
-
-
-def embed_term(t: TermA, store_vals: dict, effects: dict) -> TermA:
-    """Rewrite one thread; store multisets are injected at application and
-    get sites, restricted to each site's inferred effect set.  The result
-    is built from fresh nodes and shares none with t."""
+def embed_term(t: TermA, store_vals: dict, inf: Infer) -> TermA:
+    """Rewrite one thread of `inf.term`; store multisets are injected at
+    application and get sites, restricted to each site's inferred effect
+    set.  Lambda bodies and stored values are embedded with an empty store."""
 
     def vals_for(eff: frozenset[str]) -> RefVals:
         return ref_vals({r: vs for r, vs in store_vals.items() if r in eff and vs})
 
-    if isinstance(t, Var):
-        return Var(t.name)
-    if isinstance(t, Star):
-        return Star()
+    if isinstance(t, (Var, Star)):
+        return t
     if isinstance(t, Lam):
-        return Lam(t.var, embed_term(t.body, {}, {}))
+        return Lam(t.var, embed_term(t.body, {}, inf))
     if isinstance(t, App):
         return LamSubst(
-            vals_for(effects.get(id(t), (None, frozenset()))[1]),
-            embed_term(t.fun, store_vals, effects),
-            embed_term(t.arg, store_vals, effects),
+            vals_for(inf.effect_of(t)) if store_vals else (),
+            embed_term(t.fun, store_vals, inf),
+            embed_term(t.arg, store_vals, inf),
         )
     if isinstance(t, Get):
         return DownSubst(vals_for(frozenset({t.ref})), Get(t.ref))
     if isinstance(t, Set):
-        return UpSubst(ref_vals({t.ref: [_embed_value(t.value)]}), Star())
+        return UpSubst(ref_vals({t.ref: [embed_term(t.value, {}, inf)]}), Star())
     if isinstance(t, Par):
         return Par(
-            embed_term(t.left, store_vals, effects),
-            embed_term(t.right, store_vals, effects),
+            embed_term(t.left, store_vals, inf),
+            embed_term(t.right, store_vals, inf),
         )
     raise TypingError("embed", f"cannot embed {t!r}")
 
@@ -804,15 +804,14 @@ def embed_term(t: TermA, store_vals: dict, effects: dict) -> TermA:
 def embed_lthis(p: TermA, R: RegionCtx, gamma: dict | None = None) -> TermA:
     """Full program embedding: strip stores into substitution multisets."""
     gamma = gamma or {}
-    tree, stores = split_stores(p)
     (_, _), inf = typecheck_amadio(R, gamma, p, want_infer=True)
-    effects = inf.annotations()
+    tree, stores = split_stores(inf.term)
     store_vals: dict[str, list[TermA]] = {}
     for r, v in stores:
-        store_vals.setdefault(r, []).append(_embed_value(v))
+        store_vals.setdefault(r, []).append(embed_term(v, {}, inf))
     if tree is None:
         tree = Star()  # a program of stores alone behaves as a finished unit
-    return embed_term(tree, store_vals, effects)
+    return embed_term(tree, store_vals, inf)
 
 
 # ---------------------------------------------------------------------------
@@ -889,10 +888,6 @@ def alpha_normalize(t: TermA, env=None, names=None) -> TermA:
             alpha_normalize(t.left, env, names), alpha_normalize(t.right, env, names)
         )
     raise TypeError(t)
-
-
-def alpha_eq(a: TermA, b: TermA) -> bool:
-    return alpha_normalize(a) == alpha_normalize(b)
 
 
 def _thread_steps(t: TermA, stores: list[tuple[str, TermA]]):

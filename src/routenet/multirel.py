@@ -221,4 +221,7 @@ def from_text(text: str) -> Multirelation:
             raise ParseError(f"bad matrix row {ln!r}") from exc
     if len(rows) != len(ins):
         raise ParseError(f"expected {len(ins)} rows, got {len(rows)}")
-    return from_rows(ins, outs, rows)
+    try:
+        return from_rows(ins, outs, rows)
+    except ValueError as exc:  # a duplicate label, a short row or a negative entry
+        raise ParseError(str(exc)) from None

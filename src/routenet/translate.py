@@ -29,6 +29,7 @@ from .lang import (
     Behavior,
     DownSubst,
     Get,
+    Infer,
     Lam,
     LamSubst,
     Par,
@@ -238,19 +239,13 @@ def _area_ports(b: Builder, area: Net):
 
 
 class _Translator:
-    def __init__(self, R: RegionCtx, ann):
+    def __init__(self, R: RegionCtx, inf: Infer):
         self.R = R
-        self.ann = ann
+        self.inf = inf
         self.b = Builder()
 
     def wtype(self, r: str) -> Formula:
         return ref_wire_type(r, self.R)
-
-    def type_of(self, node) -> TypeExpr:
-        return self.ann[id(node)][0]
-
-    def eff_of(self, node) -> frozenset[str]:
-        return self.ann[id(node)][1]
 
     def fmla(self, t: TypeExpr) -> Formula:
         return _ttype(t, self.R)
@@ -261,7 +256,7 @@ class _Translator:
         """A value as a standalone net, free ports in the order `_box`
         takes: the `main` output wire, then one wire per captured variable
         (values are pure, so no reference wires)."""
-        sub = _Translator(self.R, self.ann)
+        sub = _Translator(self.R, self.inf)
         iface = sub.tr(v)
         if any(not (k == "out" or k.startswith("v:")) for k in iface):
             raise DerivationMismatch("injected values must be pure")
@@ -299,7 +294,7 @@ class _Translator:
     def tr(self, t: TermA) -> Iface:
         b = self.b
         if isinstance(t, Var):
-            f = self.fmla(self.type_of(t))
+            f = self.fmla(self.inf.type_of(t))
             qv, qo = b.port(), b.port()
             b.wire(qv, qo, f)
             return {"v:" + t.name: qv, "out": qo}
@@ -338,7 +333,7 @@ class _Translator:
     # -- abstraction --------------------------------------------------------
 
     def tr_lam(self, t: Lam) -> Iface:
-        arrow = self.type_of(t)
+        arrow = self.inf.type_of(t)
         if not isinstance(arrow, Arrow):
             raise DerivationMismatch("abstraction without an arrow type")
         refs = sorted(arrow.effect)
@@ -347,7 +342,7 @@ class _Translator:
         out_tys = ws + [self.fmla(arrow.cod)]
         content = self.fmla(arrow).left
 
-        sub = _Translator(self.R, self.ann)
+        sub = _Translator(self.R, self.inf)
         iface = sub.tr(t.body)
         ib = sub.b
 
@@ -406,7 +401,7 @@ class _Translator:
     def tr_app(self, t: LamSubst) -> Iface:
         b = self.b
         if1, if2, out_iface = self.sides(t.fun, t.arg)
-        arrow = self.type_of(t.fun)
+        arrow = self.inf.type_of(t.fun)
         if not isinstance(arrow, Arrow):
             raise DerivationMismatch("application head is not an arrow")
         refs3 = sorted(arrow.effect)
@@ -423,7 +418,7 @@ class _Translator:
 
         # one 4-way area per reference in scope
         plumbing: dict[str, tuple[dict, dict]] = {}
-        for s in sorted(self.eff_of(t)):
+        for s in sorted(self.inf.effect_of(t)):
             ins, outs = _area_ports(b, delta_area(self.wtype(s)))
             self.plug(ins["1"], outs["1"], if1, s)
             self.plug(ins["2"], outs["2"], if2, s)
@@ -458,7 +453,7 @@ class _Translator:
     def tr_par(self, t: Par) -> Iface:
         b = self.b
         if1, if2, out_iface = self.sides(t.left, t.right)
-        for s in sorted(self.eff_of(t)):
+        for s in sorted(self.inf.effect_of(t)):
             ins, outs = _area_ports(b, gamma_area(self.wtype(s)))
             self.plug(ins["1"], outs["1"], if1, s)
             self.plug(ins["2"], outs["2"], if2, s)
@@ -545,8 +540,8 @@ def _sorted_iface(iface: Iface) -> list[tuple[int, str]]:
 def translate(term: TermA, R: RegionCtx, gamma: dict | None = None) -> Net:
     """Compile a typed term; free ports follow the labelled interface."""
     (_ty, _eff), inf = typecheck_lthis(R, gamma or {}, term, want_infer=True)
-    tr = _Translator(R, inf.annotations())
-    iface = tr.tr(term)
+    tr = _Translator(R, inf)
+    iface = tr.tr(inf.term)
     net = tr.b.finish(_sorted_iface(iface))
     problems = validate(net)
     if problems:

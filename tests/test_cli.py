@@ -1,16 +1,22 @@
 """Command-line interface: exit codes, output formats, determinism."""
+import contextlib
+import io
 import json
 import os
+import random
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import routenet
 
 from routenet.cli import main
-from routenet.proofnet import canonical_equal, parse
+from routenet.gen import PROGRAM_SUITE, gen_routing_net, gen_typed_net
+from routenet.proofnet import canonical_equal, parse, serialize
 from routenet.translate import compile_program
 from routenet.lang import parse_region_ctx, parse_term
 
@@ -89,6 +95,22 @@ def test_area_command(tmp_path, capsys):
     (net,) = parse(capsys.readouterr().out.encode())
     labels = sorted(l for _, l in net.free)
     assert labels == ["a", "b", "x"]
+
+
+@pytest.mark.parametrize(
+    "mat",
+    [
+        "in: a b\nout: x\n-1\n2\n",
+        "in: a a\nout: x\n1\n1\n",
+        "in: a\nout: x y\n1\n",
+    ],
+    ids=["negative-entry", "duplicate-label", "short-row"],
+)
+def test_malformed_matrix_is_65(tmp_path, capsys, mat):
+    assert main(["area", _write(tmp_path, "R.mat", mat)]) == 65
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("routenet: parse error")
 
 
 def test_verify_pass_and_determinism(capsys):
@@ -292,3 +314,62 @@ def test_reference_type_without_a_name_is_65(tmp_path, ctx):
     assert got.stdout == ""
     assert "Traceback" not in got.stderr
     assert "expected a reference name after 'Reg'" in got.stderr
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing: mutated well-formed inputs of every command that reads a file
+
+# (command, file texts, index of the text to mutate), by kind of input
+FUZZ_SEEDS = {
+    "term": [
+        (cmd, (ctx, src), 1)
+        for _, ctx, src in PROGRAM_SUITE
+        for cmd in ("check", "compile", "values")
+    ],
+    "ctx": [("check", (ctx, src), 0) for _, ctx, src in PROGRAM_SUITE if ctx],
+    "matrix": [
+        ("area", ("in: a b\nout: x y\n1 0\n2 1\n",), 0),
+        ("area", ("in: i1 i2 i3\nout: o1\n1\n0\n3\n",), 0),
+    ],
+    "net": [
+        ("reduce", (serialize(gen(random.Random(seed))).decode(),), 0)
+        for seed in range(3)
+        for gen in (gen_typed_net, gen_routing_net)
+    ],
+}
+# spliced in by the mutator: pieces of the four input languages.  Digits
+# come one at a time, so a matrix entry stays below 10,000 crossing wires.
+FUZZ_TOKENS = [
+    "", "(", ")", "\\x. ", " x", " *", " || ", " <= ", "get ", "set ", " r", ":",
+    "\n", "#", "Reg ", " -> ", " -{r}> ", "Unit", "B", " a", " -1", " 0", " 2", "7",
+    "-", "[", "]", "{", "}", ",", '"', "null", '"sym":"Box"',
+]
+
+
+@st.composite
+def _mutated_input(draw):
+    kind = draw(st.sampled_from(sorted(FUZZ_SEEDS)))
+    cmd, texts, k = draw(st.sampled_from(FUZZ_SEEDS[kind]))
+    text = texts[k]
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 4)))
+        text = text[:i] + draw(st.sampled_from(FUZZ_TOKENS)) + text[j:]
+    return cmd, texts[:k] + (text,) + texts[k + 1 :]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_mutated_input())
+def test_mutated_input_exits_with_a_documented_code(case):
+    cmd, texts = case
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for k, text in enumerate(texts):
+            paths.append(os.path.join(tmp, f"in{k}"))
+            Path(paths[-1]).write_text(text, encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(["--budget", "300", cmd, *paths])
+            except SystemExit as exc:
+                code = exc.code
+    assert code in {0, 1, 2, 64, 65, 75}

@@ -21,7 +21,6 @@ from routenet.lang import (
     UpSubst,
     Var,
     VarSubst,
-    alpha_eq,
     alpha_normalize,
     check_stratified,
     embed_lthis,
@@ -137,6 +136,11 @@ def test_region_ctx_parsing_and_comments():
     assert ok and order.index("r") < order.index("s")
 
 
+def test_region_ctx_refuses_a_reference_declared_twice():
+    with pytest.raises(ParseError, match=r"line 3: reference 'r' declared twice"):
+        parse_region_ctx("r : Unit\n# again\n r  : Unit -> Unit\n")
+
+
 def test_stratification_rejects_cycles():
     bad = parse_region_ctx("r : Unit -{r}> Unit")
     assert check_stratified(bad)[0] is False
@@ -231,8 +235,8 @@ def test_subst_capture_avoiding():
 
 
 def test_alpha():
-    assert alpha_eq(parse_term(r"\x. x"), parse_term(r"\y. y"))
-    assert not alpha_eq(parse_term(r"\x. x"), parse_term(r"\x. *"))
+    assert alpha_normalize(parse_term(r"\x. x")) == alpha_normalize(parse_term(r"\y. y"))
+    assert alpha_normalize(parse_term(r"\x. x")) != alpha_normalize(parse_term(r"\x. *"))
     a = alpha_normalize(parse_term(r"\x. \y. x y"))
     assert a == alpha_normalize(parse_term(r"\u. \v. u v"))
 

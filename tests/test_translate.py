@@ -14,6 +14,7 @@ from routenet.lang import (
     Star,
     SumL,
     UpSubst,
+    Var,
     parse_region_ctx,
     parse_term,
     parse_type,
@@ -30,6 +31,7 @@ from routenet.proofnet import (
     canonicalize,
     certificate,
     fmt_formula,
+    serialize,
     validate,
     whynot,
 )
@@ -214,4 +216,14 @@ def test_stored_value_of_another_type_than_its_reference_is_refused():
     ):
         _, inf = typecheck_lthis(typed_in, {}, term, want_infer=True)
         with pytest.raises(DerivationMismatch, match="does not match its reference"):
-            _Translator(R, inf.annotations()).tr(term)
+            _Translator(R, inf).tr(inf.term)
+
+
+def test_one_value_object_stored_at_references_of_two_types_compiles():
+    # the same lambda fits s as Unit -> Unit and t as an instance of its
+    # polymorphic type; each position keeps its own type
+    R = parse_region_ctx("s : Unit -> Unit\nt : (Unit -> Unit) -> Unit -> Unit")
+    v = Lam("x", Var("x"))
+    shared = DownSubst((("s", (v,)), ("t", (v,))), Get("s"))
+    distinct = DownSubst((("s", (v,)), ("t", (Lam("x", Var("x")),))), Get("s"))
+    assert serialize(translate(shared, R)) == serialize(translate(distinct, R))

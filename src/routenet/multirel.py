@@ -207,6 +207,11 @@ def to_text(r: Multirelation) -> str:
     return "\n".join(lines) + "\n"
 
 
+MAX_TEXT_MULTIPLICITY = 10_000
+"""The largest sum of entries `from_text` accepts: a routing area has one
+wire per unit of every entry, so a single large entry would exhaust memory."""
+
+
 def from_text(text: str) -> Multirelation:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if len(lines) < 2 or not lines[0].startswith("in:") or not lines[1].startswith("out:"):
@@ -222,6 +227,10 @@ def from_text(text: str) -> Multirelation:
     if len(rows) != len(ins):
         raise ParseError(f"expected {len(ins)} rows, got {len(rows)}")
     try:
-        return from_rows(ins, outs, rows)
+        rel = from_rows(ins, outs, rows)
     except ValueError as exc:  # a duplicate label, a short row or a negative entry
         raise ParseError(str(exc)) from None
+    total = sum(rel.entries.values())
+    if total > MAX_TEXT_MULTIPLICITY:
+        raise ParseError(f"total multiplicity {total} exceeds {MAX_TEXT_MULTIPLICITY}")
+    return rel

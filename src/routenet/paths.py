@@ -64,24 +64,6 @@ def _successor_map(g: PortGraph):
     return wire_other, succ
 
 
-def _is_acyclic_naive(g: PortGraph, succ) -> bool:
-    """Definitional check: per start port, search for a returning walk."""
-    for u in g.vertices:
-        # the start states out of u are exactly the successors of u's states
-        starts = list(succ[(u, "w")]) + list(succ[(u, "c")])
-        seen = set(starts)
-        stack = starts
-        while stack:
-            s = stack.pop()
-            if s[0] == u:
-                return False
-            for t in succ[s]:
-                if t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-    return True
-
-
 def _is_acyclic(g: PortGraph, succ) -> bool:
     """A returning walk exists iff the state graph has a cycle, or it is a
     DAG in which one state of some port reaches the port's other state.
@@ -191,20 +173,3 @@ def count_paths_all(n: Net, sources, targets) -> dict[tuple[int, int], int]:
                 0 if i == o else _count_to(succ, (wire_other[i], "w"), o, memo)
             )
     return out
-
-
-def count_paths_exhaustive(n: Net, i: int, o: int) -> int:
-    """Independent oracle: explicit enumeration of every alternating walk."""
-    wire_other, succ = _acyclic_walks(n)
-    if i not in wire_other or o not in wire_other:
-        raise KeyError("ports must be wired")
-    if i == o:
-        return 0
-    found = 0
-    stack = [(wire_other[i], "w")]
-    while stack:
-        s = stack.pop()
-        if s[1] == "w" and s[0] == o:
-            found += 1
-        stack.extend(succ[s])
-    return found

@@ -184,11 +184,16 @@ class Net:
     and its labelled free ports.  `cells` and `wires` read as tuples, and
     assigning either replaces it whole; `free` is a plain list.
 
-    A net shares its cells, wires and box contents with the nets it was
-    copied from, so none of them is edited in place: `Builder` makes every
-    edit and replaces a changed cell or wire in its position.  From the first
-    query by port or cell id on, the net keeps these indexes current as the
-    Builder edits it:
+    `copy()` copies the level's containers and shares its cells, wires and
+    box contents, so no cell, wire or box content is ever edited in place:
+    `Builder` edits the containers of one level and replaces a changed cell
+    or wire in its position.  Whoever holds the only reference to a level may
+    edit it that way; `normalize` rewrites the surface levels of the copies
+    it made itself (`apply_redex(..., owned=True)` in rewrite.py), and every
+    other caller edits a copy.
+
+    From the first query by port or cell id on, the net keeps these indexes
+    current as the Builder edits it:
 
     * port -> wire, port -> (cell, slot) with slot 'p' or an aux index, and
       cell id -> cell;
@@ -452,8 +457,10 @@ class Builder:
 
     New cells only need names fresh for the net they join, and a rewrite
     rule only touches the wires at its interface, so rules, area algebra
-    and the compiler all build through this class.  Edits never change a
-    cell or wire in place: nets copied from one another share them.
+    and the compiler all build through this class.  The builder edits `net`
+    itself, so it is given a net that no one else reads: a new one, a copy,
+    or one its caller owns.  Edits never change a cell or wire object in
+    place, since nets copied from one another share them.
     """
 
     def __init__(self, net: Net | None = None):

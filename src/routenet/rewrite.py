@@ -196,10 +196,11 @@ def _level(net: Net, path: tuple[int, ...]) -> Net:
     return net
 
 
-def _open(net: Net, path: tuple[int, ...]) -> tuple[Net, Net]:
-    """A copy of `net` and its level at `path`, which may be edited: the
-    levels along the path are copies, everything else is shared."""
-    out = lvl = net.copy()
+def _open(net: Net, path: tuple[int, ...], owned: bool) -> tuple[Net, Net]:
+    """A copy of `net` (`net` itself when `owned`) and its level at `path`,
+    which may be edited: the box levels along the path are copies, everything
+    else is shared."""
+    out = lvl = net if owned else net.copy()
     for cid in path:
         box = lvl.cell_by_id(cid)
         inner = box.inner.copy()
@@ -267,11 +268,15 @@ def _need_wired(n: Net, ports):
         raise StaleRedex(f"ports {loose} not wired")
 
 
-def apply_redex(net: Net, redex: Redex) -> list[Net]:
+def apply_redex(net: Net, redex: Redex, *, owned: bool = False) -> list[Net]:
     """Apply one reduction step; returns the resulting summands.
 
-    `net` is left as it was.  A reduct is a copy of the levels on the
-    redex's path; it shares every other level, cell and wire with `net`.
+    By default `net` is left as it was: a reduct is a copy of the levels on
+    the redex's path and shares every other level, cell and wire with `net`.
+    With `owned`, the caller holds the only reference to `net` and gives it
+    up: its surface level is edited in place and returned as the reduct (at
+    `nd`, as the second one; the first is built on a copy).  Box levels on
+    the path are still copies, since box contents are shared.
     """
     lvl = _level(net, redex.path)
     try:
@@ -295,7 +300,8 @@ def apply_redex(net: Net, redex: Redex) -> list[Net]:
     if rule == "nd":
         res = []
         for i in (0, 1):
-            alt, lv = _open(net, redex.path)
+            # the copy for reduct 0 is made before the net is edited
+            alt, lv = _open(net, redex.path, owned and i == 1)
             _cut(lv, [cx], cut)
             # re-end onto the dereliction first, so that py counts as used
             # when the builder picks the weakening's port
@@ -305,7 +311,7 @@ def apply_redex(net: Net, redex: Redex) -> list[Net]:
             res.append(alt)
         return res
 
-    out, lvl = _open(net, redex.path)
+    out, lvl = _open(net, redex.path, owned)
     if rule == "m":
         b = _cut(lvl, [cx, cy])
         pairs = {}
@@ -381,9 +387,12 @@ def normal_nets(x, budget: int = 10000, policy: str = ANYDEPTH_EER):
 
     Each step fires the least redex under (depth, cell ids, wire), found
     from the redex index that the nets carry; `find_redexes` confirms each
-    normal net.  The budget counts rule applications over the whole sum;
-    running out raises BudgetExhausted carrying the unfinished raw nets and
-    the steps taken per rule.
+    normal net.  The input nets are copied once and left as they were; the
+    work list owns those copies, so each step rewrites its net in place
+    (`apply_redex(..., owned=True)`) and copies it only at an `nd` split.
+    The budget counts rule applications over the whole sum; running out
+    raises BudgetExhausted carrying the unfinished raw nets and the steps
+    taken per rule.
     """
     if isinstance(x, Net):
         x = [x]
@@ -405,7 +414,7 @@ def normal_nets(x, budget: int = 10000, policy: str = ANYDEPTH_EER):
             raise BudgetExhausted(work + [n], steps)
         taken += 1
         steps[r.rule] += 1
-        work.extend(apply_redex(n, r))
+        work.extend(apply_redex(n, r, owned=True))
 
 
 def normalize(x, budget: int = 10000, policy: str = ANYDEPTH_EER) -> NetSum:

@@ -103,8 +103,9 @@ def test_area_command(tmp_path, capsys):
         "in: a b\nout: x\n-1\n2\n",
         "in: a a\nout: x\n1\n1\n",
         "in: a\nout: x y\n1\n",
+        "in: a b\nout: x\n5000\n5001\n",
     ],
-    ids=["negative-entry", "duplicate-label", "short-row"],
+    ids=["negative-entry", "duplicate-label", "short-row", "multiplicity-over-limit"],
 )
 def test_malformed_matrix_is_65(tmp_path, capsys, mat):
     assert main(["area", _write(tmp_path, "R.mat", mat)]) == 65

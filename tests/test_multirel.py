@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 
 from routenet.errors import CycleRisk, DomainMismatch, ParseError, UnknownLabel
 from routenet.multirel import (
+    MAX_TEXT_MULTIPLICITY,
     LabelSet,
     Multirelation,
     comm_relation,
@@ -97,6 +98,13 @@ def test_text_format_round_trip_and_errors():
         from_text("nonsense")
     with pytest.raises(ParseError):
         from_text("in: a\nout: x\n1\n2\n")
+
+
+def test_text_format_bounds_the_total_multiplicity():
+    at = f"in: a b\nout: x\n{MAX_TEXT_MULTIPLICITY - 1}\n1\n"
+    assert sum(from_text(at).entries.values()) == MAX_TEXT_MULTIPLICITY
+    with pytest.raises(ParseError, match="total multiplicity"):
+        from_text(f"in: a b\nout: x\n{MAX_TEXT_MULTIPLICITY}\n1\n")
 
 
 # ---------------------------------------------------------------------------

@@ -7,19 +7,55 @@ from routenet.errors import CyclicNet, HasBoxes
 from routenet.multirel import from_rows
 from routenet.paths import (
     PortGraph,
+    _acyclic_walks,
     _is_acyclic,
-    _is_acyclic_naive,
     _successor_map,
     build_graph,
     check_acyclic,
     count_paths,
     count_paths_all,
-    count_paths_exhaustive,
 )
 from routenet.proofnet import Cell, Net, ONE, Wire, bang
 from routenet.routing import RoutingArea, build_area
 
 A = bang(ONE)
+
+
+def _is_acyclic_naive(g: PortGraph, succ) -> bool:
+    """Definitional check, the oracle for `_is_acyclic`: per start port,
+    search for a returning walk."""
+    for u in g.vertices:
+        # the start states out of u are exactly the successors of u's states
+        starts = list(succ[(u, "w")]) + list(succ[(u, "c")])
+        seen = set(starts)
+        stack = starts
+        while stack:
+            s = stack.pop()
+            if s[0] == u:
+                return False
+            for t in succ[s]:
+                if t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+    return True
+
+
+def count_paths_exhaustive(n: Net, i: int, o: int) -> int:
+    """The oracle for `count_paths`: explicit enumeration of every
+    alternating walk."""
+    wire_other, succ = _acyclic_walks(n)
+    if i not in wire_other or o not in wire_other:
+        raise KeyError("ports must be wired")
+    if i == o:
+        return 0
+    found = 0
+    stack = [(wire_other[i], "w")]
+    while stack:
+        s = stack.pop()
+        if s[1] == "w" and s[0] == o:
+            found += 1
+        stack.extend(succ[s])
+    return found
 
 
 def test_single_wire_has_one_path():

@@ -1,15 +1,24 @@
-"""The incremental redex index and shared box contents, checked against the
-plain engine kept as the oracle: `find_redexes(n)[0]` then `apply_redex`,
-over the same depth-first work list as `normalize`."""
+"""The incremental redex index, shared box contents and owned nets, checked
+against the plain copying engine kept as the oracle: `find_redexes(n)[0]`
+then `apply_redex`, over the same depth-first work list as `normalize`."""
 import random
+from collections import Counter
 
 import pytest
 
 from routenet import rewrite
 from routenet.gen import PROGRAM_SUITE, gen_typed_net, suite_program
 from routenet.lang import parse_region_ctx, parse_term
-from routenet.proofnet import ONE, Cell, Net, Wire, bang, serialize, validate
-from routenet.rewrite import ALL, ANYDEPTH_EER, apply_redex, find_redexes, normalize
+from routenet.errors import BudgetExhausted
+from routenet.proofnet import ONE, Cell, Net, NetSum, Wire, bang, serialize, validate
+from routenet.rewrite import (
+    ALL,
+    ANYDEPTH_EER,
+    apply_redex,
+    find_redexes,
+    normal_nets,
+    normalize,
+)
 from routenet.translate import compile_program
 
 BUDGET = 200000
@@ -45,8 +54,8 @@ def _fired_steps(net, policy, monkeypatch) -> list:
     """(redex, serialized reducts) of every step `normalize` fires."""
     out = []
 
-    def recording(n, r):
-        res = apply_redex(n, r)
+    def recording(n, r, *args, **kwargs):
+        res = apply_redex(n, r, *args, **kwargs)
         out.append((r, [serialize(m) for m in res]))
         return res
 
@@ -84,9 +93,10 @@ def _inputs():
     for name, _, _ in PROGRAM_SUITE:
         R, p = suite_program(name)
         yield name, compile_program(p, R), ANYDEPTH_EER
-    for k in (1, 2, 3):
+    for k in (1, 2, 3, 4):
         yield f"readers-{k}", _readers(k), ANYDEPTH_EER
-    yield "chain-40", _chain(40), ANYDEPTH_EER
+    for depth in (40, 200):
+        yield f"chain-{depth}", _chain(depth), ANYDEPTH_EER
     for seed in TYPED_SEEDS:
         yield f"typed-{seed}", gen_typed_net(random.Random(seed)), ALL
     yield "deep-cuts", _deep_cuts(), ALL
@@ -141,9 +151,9 @@ def _classifications_per_step(depth: int, monkeypatch) -> float:
     steps = [0]
     apply = rewrite.apply_redex
 
-    def counting_steps(n, r):
+    def counting_steps(*args, **kwargs):
         steps[0] += 1
-        return apply(n, r)
+        return apply(*args, **kwargs)
 
     monkeypatch.setattr(rewrite, "apply_redex", counting_steps)
     normalize(_chain(depth), budget=BUDGET)
@@ -155,3 +165,83 @@ def test_per_step_classifications_do_not_grow_with_depth(monkeypatch):
     shallow = _classifications_per_step(40, monkeypatch)
     deep = _classifications_per_step(160, monkeypatch)
     assert deep <= 1.25 * shallow, (shallow, deep)
+
+
+def _copies_and_fired(net, policy, monkeypatch) -> tuple[int, list]:
+    """The `Net.copy` calls `normalize(net)` makes, and the redexes it fires."""
+    copies, fired = [0], []
+    copy, apply = Net.copy, rewrite.apply_redex
+
+    def counting_copy(n):
+        copies[0] += 1
+        return copy(n)
+
+    def recording(n, r, *args, **kwargs):
+        fired.append(r)
+        return apply(n, r, *args, **kwargs)
+
+    monkeypatch.setattr(Net, "copy", counting_copy)
+    monkeypatch.setattr(rewrite, "apply_redex", recording)
+    normalize(net, budget=BUDGET, policy=policy)
+    monkeypatch.undo()
+    return copies[0], fired
+
+
+def test_normalize_copies_do_not_grow_with_depth(monkeypatch):
+    shallow, fired = _copies_and_fired(_chain(40), ANYDEPTH_EER, monkeypatch)
+    assert len(fired) == 80
+    deep, fired = _copies_and_fired(_chain(160), ANYDEPTH_EER, monkeypatch)
+    assert len(fired) == 320
+    assert shallow == deep == 1  # the input, once
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["readers-3", "race", "proj", "captured-set", "deep-cuts"],
+)
+def test_normalize_copies_only_the_input_splits_and_box_levels(name, monkeypatch):
+    """One copy of the input, one per `nd` split, and one per box level a
+    fired redex edits: the levels on its path, and the contents rule `c`
+    enters."""
+    ((net, policy),) = [i[1:] for i in INPUTS if i[0] == name]
+    copies, fired = _copies_and_fired(net, policy, monkeypatch)
+    rules = Counter(r.rule for r in fired)
+    assert copies == 1 + rules["nd"] + sum(len(r.path) for r in fired) + rules["c"]
+    if name == "readers-3":
+        assert (copies, len(fired), rules["nd"]) == (49, 683, 48)
+
+
+PRESERVED = [i for i in INPUTS if i[0] not in ("readers-4", "chain-200")]
+
+
+@pytest.mark.parametrize("net, policy", [i[1:] for i in PRESERVED], ids=[i[0] for i in PRESERVED])
+def test_reduction_leaves_its_input_nets_as_they_were(net, policy):
+    other = _readers(1)
+    nets = [net, other, net]
+    total = NetSum([net, other])
+    before = [serialize(n) for n in nets], serialize(total)
+    normalize(net, budget=BUDGET, policy=policy)
+    list(normal_nets(nets, budget=BUDGET, policy=policy))
+    normalize(total, budget=BUDGET, policy=policy)
+    assert ([serialize(n) for n in nets], serialize(total)) == before
+
+
+def test_budget_partial_does_not_alias_the_input():
+    exhausted = 0
+    for name, net, policy in PRESERVED:
+        before = serialize(net)
+        try:
+            normalize([net, net], budget=3, policy=policy)
+        except BudgetExhausted as exc:
+            partial = exc.partial
+        else:
+            continue
+        exhausted += 1
+        assert all(p is not net for p in partial), name
+        # rewriting the unfinished nets in place does not reach the input
+        for p in partial:
+            rs = find_redexes(p, policy)
+            if rs:
+                apply_redex(p, rs[0], owned=True)
+        assert serialize(net) == before, name
+    assert exhausted >= 20

@@ -213,22 +213,33 @@ wire per unit of every entry, so a single large entry would exhaust memory."""
 
 
 def from_text(text: str) -> Multirelation:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if len(lines) < 2 or not lines[0].startswith("in:") or not lines[1].startswith("out:"):
+    """Parse the matrix text format.  An error in one row names its line,
+    counting blank lines, and gives the line's first character as offset."""
+    lines, at = [], 0  # (line number, offset of its first character, line)
+    for k, ln in enumerate(text.splitlines(keepends=True), 1):
+        if ln.strip():
+            lines.append((k, at, ln))
+        at += len(ln)
+    heads = [ln for _, _, ln in lines[:2]]
+    if len(heads) < 2 or not heads[0].startswith("in:") or not heads[1].startswith("out:"):
         raise ParseError("expected 'in:' and 'out:' header lines")
-    ins = lines[0][3:].split()
-    outs = lines[1][4:].split()
+    ins, outs = heads[0][3:].split(), heads[1][4:].split()
     rows = []
-    for ln in lines[2:]:
+    for k, at, ln in lines[2:]:
         try:
-            rows.append([int(tok) for tok in ln.split()])
+            row = [int(tok) for tok in ln.split()]
         except ValueError as exc:
-            raise ParseError(f"bad matrix row {ln!r}") from exc
+            raise ParseError(f"line {k}: bad matrix row {ln.strip()!r}", at) from exc
+        if len(row) != len(outs):
+            raise ParseError(f"line {k}: expected {len(outs)} entries, got {len(row)}", at)
+        if min(row, default=0) < 0:
+            raise ParseError(f"line {k}: negative entry {min(row)}", at)
+        rows.append(row)
     if len(rows) != len(ins):
         raise ParseError(f"expected {len(ins)} rows, got {len(rows)}")
     try:
         rel = from_rows(ins, outs, rows)
-    except ValueError as exc:  # a duplicate label, a short row or a negative entry
+    except ValueError as exc:  # a duplicate label
         raise ParseError(str(exc)) from None
     total = sum(rel.entries.values())
     if total > MAX_TEXT_MULTIPLICITY:

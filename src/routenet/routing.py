@@ -21,7 +21,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import multirel
-from .errors import CycleRisk, CyclicNet, NotAreaShaped, NotNormal, RoutenetError, UnknownLabel
+from .errors import (
+    CycleRisk,
+    CyclicNet,
+    NotAreaShaped,
+    NotNormal,
+    RoutenetError,
+    UnknownLabel,
+    UnwiredPort,
+)
 from .multirel import LabelSet, Multirelation
 from .paths import check_acyclic, count_paths_all
 from .proofnet import (
@@ -138,6 +146,8 @@ def _free_io(n: Net):
     ins, outs = [], []
     wire_of = n.wire_of()
     for p, lbl in n.free:
+        if p not in wire_of:
+            raise UnwiredPort(f"free port {lbl!r} has no wire")
         if wire_of[p].toward(p).kind == "bang":
             outs.append((p, lbl))
         else:
@@ -204,7 +214,9 @@ def _crossings(n: Net, ins, outs) -> dict[tuple[int, int], int]:
         while stack:
             c = stack.pop()
             visited.add(c.id)
-            for a in c.aux:
+            for k, a in enumerate(c.aux):
+                if a not in wire_of:
+                    raise UnwiredPort(f"{c.sym} cell {c.id} has an unwired aux port {k}")
                 oy = owner.get(wire_of[a].other(a))
                 if oy and oy[1] == "p" and oy[0].sym == sym:
                     stack.append(oy[0])

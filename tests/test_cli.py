@@ -98,20 +98,21 @@ def test_area_command(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "mat",
+    "mat, error",
     [
-        "in: a b\nout: x\n-1\n2\n",
-        "in: a a\nout: x\n1\n1\n",
-        "in: a\nout: x y\n1\n",
-        "in: a b\nout: x\n5000\n5001\n",
+        # a row's error names its line and starts at the line's offset
+        ("in: a b\nout: x\n-1\n2\n", "at offset 15: line 3: negative entry -1"),
+        ("in: a a\nout: x\n1\n1\n", "at offset 0: duplicate labels"),
+        ("in: a\nout: x y\n\n1\n", "at offset 16: line 4: expected 2 entries, got 1"),
+        ("in: a b\nout: x\n5000\n5001\n", "at offset 0: total multiplicity 10001"),
     ],
     ids=["negative-entry", "duplicate-label", "short-row", "multiplicity-over-limit"],
 )
-def test_malformed_matrix_is_65(tmp_path, capsys, mat):
+def test_malformed_matrix_is_65(tmp_path, capsys, mat, error):
     assert main(["area", _write(tmp_path, "R.mat", mat)]) == 65
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("routenet: parse error")
+    assert err.startswith("routenet: parse error " + error)
 
 
 def test_verify_pass_and_determinism(capsys):

@@ -100,6 +100,23 @@ def test_text_format_round_trip_and_errors():
         from_text("in: a\nout: x\n1\n2\n")
 
 
+def test_text_format_row_errors_name_their_line():
+    # line numbers count blank lines; the offset is the line's first character
+    text = "in: a b\nout: x y\n\n1 2\n3\n"
+    with pytest.raises(ParseError, match="line 5: expected 2 entries, got 1") as e:
+        from_text(text)
+    assert e.value.offset == text.index("3\n")
+    with pytest.raises(ParseError, match="line 3: bad matrix row '1 q'") as e:
+        from_text("in: a\nout: x y\n1 q\n")
+    assert e.value.offset == 15
+    with pytest.raises(ParseError, match="line 4: negative entry -2") as e:
+        from_text("in: a b\nout: x\n1\n-2\n")
+    assert e.value.offset == 17
+    with pytest.raises(ParseError, match="expected 1 rows, got 2") as e:
+        from_text("in: a\nout: x\n1\n2\n")
+    assert e.value.offset == 0
+
+
 def test_text_format_bounds_the_total_multiplicity():
     at = f"in: a b\nout: x\n{MAX_TEXT_MULTIPLICITY - 1}\n1\n"
     assert sum(from_text(at).entries.values()) == MAX_TEXT_MULTIPLICITY

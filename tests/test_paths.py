@@ -3,58 +3,61 @@ import random
 
 import pytest
 
-from routenet.errors import CyclicNet, HasBoxes
+from routenet.errors import CyclicNet, HasBoxes, UnwiredPort
 from routenet.multirel import from_rows
-from routenet.paths import (
-    PortGraph,
-    _acyclic_walks,
-    _is_acyclic,
-    _successor_map,
-    build_graph,
-    check_acyclic,
-    count_paths,
-    count_paths_all,
-)
+from routenet.paths import check_acyclic, count_paths, count_paths_all
 from routenet.proofnet import Cell, Net, ONE, Wire, bang
 from routenet.routing import RoutingArea, build_area
 
 A = bang(ONE)
 
 
-def _is_acyclic_naive(g: PortGraph, succ) -> bool:
-    """Definitional check, the oracle for `_is_acyclic`: per start port,
-    search for a returning walk."""
-    for u in g.vertices:
-        # the start states out of u are exactly the successors of u's states
-        starts = list(succ[(u, "w")]) + list(succ[(u, "c")])
-        seen = set(starts)
-        stack = starts
+def _walk_relation(n: Net):
+    """The edges of the port graph, read off the net as the `paths` module
+    docstring defines them: each port's wire partner (the last wire at a
+    port wins) and its partners over cell edges (aux <-> principal)."""
+    wire, cell = {}, {}
+    for w in n.wires:
+        wire[w.a], wire[w.b] = w.b, w.a
+    for c in n.cells:
+        for a in c.aux:
+            cell.setdefault(a, []).append(c.principal)
+            cell.setdefault(c.principal, []).append(a)
+    return wire, cell
+
+
+def _is_acyclic_naive(n: Net) -> bool:
+    """Definitional check, the oracle for `check_acyclic`: per start port,
+    search for an alternating walk that returns to it."""
+    wire, cell = _walk_relation(n)
+    for u in wire:
+        # a search state is (port, whether the walk leaves it over its wire)
+        stack = [(u, True), (u, False)]
+        seen = set(stack)
         while stack:
-            s = stack.pop()
-            if s[0] == u:
-                return False
-            for t in succ[s]:
-                if t not in seen:
-                    seen.add(t)
-                    stack.append(t)
+            port, over_wire = stack.pop()
+            for q in [wire[port]] if over_wire else cell.get(port, []):
+                if q == u:
+                    return False
+                if (q, not over_wire) not in seen:
+                    seen.add((q, not over_wire))
+                    stack.append((q, not over_wire))
     return True
 
 
 def count_paths_exhaustive(n: Net, i: int, o: int) -> int:
     """The oracle for `count_paths`: explicit enumeration of every
-    alternating walk."""
-    wire_other, succ = _acyclic_walks(n)
-    if i not in wire_other or o not in wire_other:
-        raise KeyError("ports must be wired")
+    alternating walk from free port i that ends at o over a wire."""
+    assert _is_acyclic_naive(n)
+    wire, cell = _walk_relation(n)
     if i == o:
         return 0
     found = 0
-    stack = [(wire_other[i], "w")]
+    stack = [wire[i]]  # ports reached over a wire; a cell edge comes next
     while stack:
-        s = stack.pop()
-        if s[1] == "w" and s[0] == o:
-            found += 1
-        stack.extend(succ[s])
+        p = stack.pop()
+        found += p == o
+        stack.extend(wire[q] for q in cell.get(p, []))
     return found
 
 
@@ -94,6 +97,10 @@ def test_boxes_rejected():
     n = Net([Cell(1, "Box", 1, [], inner)], [Wire(1, 2, bang(ONE))], [(2, "out")])
     with pytest.raises(HasBoxes):
         count_paths(n, 1, 2)
+    with pytest.raises(HasBoxes):
+        check_acyclic(n)
+    with pytest.raises(HasBoxes):
+        count_paths_all(n, [2], [2])
 
 
 def test_cycle_detected():
@@ -104,34 +111,71 @@ def test_cycle_detected():
         [(4, "x")],
     )
     assert not check_acyclic(n)
+    assert not _is_acyclic_naive(n)
     with pytest.raises(CyclicNet):
         count_paths(n, 4, 4)
 
 
-def _random_graph(rng):
-    g = PortGraph()
+def test_self_wire_is_a_returning_walk():
+    n = Net([], [Wire(1, 1, A), Wire(2, 3, A)], [(2, "i"), (3, "o")])
+    assert not check_acyclic(n)
+    assert not _is_acyclic_naive(n)
+    with pytest.raises(CyclicNet):
+        count_paths_all(n, [2], [3])
+
+
+def test_last_wire_at_a_port_wins():
+    # port 1 ends two wires; its walk follows the later one, to 3
+    n = Net([], [Wire(1, 2, A), Wire(1, 3, A)], [(2, "a"), (3, "b")])
+    assert check_acyclic(n) and _is_acyclic_naive(n)
+    for i, o, k in ((1, 3, 1), (1, 2, 0), (2, 1, 1), (3, 1, 1), (2, 3, 0)):
+        assert count_paths(n, i, o) == count_paths_exhaustive(n, i, o) == k
+
+
+def test_unwired_ports():
+    # a cell port without a wire is refused; an unwired source or target
+    # of a count is a KeyError
+    n = Net(
+        [Cell(1, "Contraction", 2, [3, 4])],
+        [Wire(1, 2, A), Wire(3, 5, A)],
+        [(1, "i"), (5, "o")],
+    )
+    for op in (
+        lambda: check_acyclic(n),
+        lambda: count_paths(n, 1, 5),
+        lambda: count_paths_all(n, [1], [5]),
+    ):
+        with pytest.raises(UnwiredPort, match="Contraction cell 1 has an unwired aux port 1"):
+            op()
+    wired = Net([], [Wire(1, 2, A)], [(1, "i"), (2, "o")])
+    with pytest.raises(KeyError, match="ports must be wired"):
+        count_paths(wired, 1, 3)
+    with pytest.raises(KeyError, match="ports must be wired"):
+        count_paths_all(wired, [3], [2])
+
+
+def _random_net(rng):
+    """A box-free net: random wires over 4 to 13 ports, and unary cells on
+    random wired ports (two cells may share a port)."""
     nport = rng.randrange(4, 14)
     ports = list(range(1, nport + 1))
-    g.vertices = set(ports)
     rng.shuffle(ports)
-    for i in range(0, nport - 1, 2):
-        if rng.random() < 0.9:
-            g.wire_edges.append((ports[i], ports[i + 1]))
-    for _ in range(rng.randrange(0, nport)):
-        a, p = rng.sample(list(g.vertices), 2)
-        g.cell_edges.append((a, p))
-    return g
+    wires = [Wire(ports[i], ports[i + 1], A) for i in range(0, nport - 1, 2)]
+    wired = ports[: nport - nport % 2]
+    cells = []
+    for k in range(1, rng.randrange(0, nport) + 1):
+        p, a = rng.sample(wired, 2)
+        cells.append(Cell(k, rng.choice(["Contraction", "Cocontraction"]), p, [a]))
+    return Net(cells, wires, [])
 
 
 def test_fast_acyclicity_matches_definitional_check():
     rng = random.Random(0)
     seen = {True: 0, False: 0}
     for _ in range(300):
-        g = _random_graph(rng)
-        _, succ = _successor_map(g)
-        fast = _is_acyclic(g, succ)
-        naive = _is_acyclic_naive(g, succ)
-        assert fast == naive
+        n = _random_net(rng)
+        fast = check_acyclic(n)
+        assert fast == _is_acyclic_naive(n)
         seen[fast] += 1
     assert seen[True] > 10 and seen[False] > 10  # both outcomes exercised
 
@@ -139,18 +183,22 @@ def test_fast_acyclicity_matches_definitional_check():
 def test_dp_counts_match_exhaustive_enumeration():
     rng = random.Random(1)
     checked = 0
-    for seed in range(40):
-        r = from_rows(
+    nets = [
+        build_area(RoutingArea(from_rows(
             ["i1", "i2"],
             ["o1", "o2"],
             [[rng.randint(0, 3) for _ in range(2)] for _ in range(2)],
-        )
-        net = build_area(RoutingArea(r))
-        free = [p for p, _ in net.free]
-        table = count_paths_all(net, free, free)
-        for i in free:
-            for o in free:
+        )))
+        for _ in range(40)
+    ]
+    # acyclic random nets, between every pair of wired ports
+    nets += [n for n in (_random_net(rng) for _ in range(100)) if _is_acyclic_naive(n)]
+    for net in nets:
+        ports = [p for p, _ in net.free] or sorted(_walk_relation(net)[0])
+        table = count_paths_all(net, ports, ports)
+        for i in ports:
+            for o in ports:
                 if i != o:
                     assert table[(i, o)] == count_paths_exhaustive(net, i, o)
                     checked += 1
-    assert checked > 0
+    assert checked > 1000

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from routenet import proofnet, routing
-from routenet.errors import CycleRisk, NotAreaShaped, RoutenetError, UnknownLabel
+from routenet.errors import CycleRisk, NotAreaShaped, RoutenetError, UnknownLabel, UnwiredPort
 from routenet.gen import gen_relation, gen_routing_net
 from routenet.multirel import comm_relation, coproduct, from_rows, rows_of, trace_formula
 from routenet.paths import check_acyclic
@@ -36,6 +36,7 @@ from routenet.routing import (
     compose_areas,
     delta,
     gamma,
+    is_routing_net,
     juxtapose,
     path_semantics,
     read_area,
@@ -511,3 +512,43 @@ def test_non_areas_raise_the_same_exceptions(name):
             op()
         else:
             assert op() == want
+
+
+def _unwired(name: str) -> Net:
+    if name == "aux":  # a contraction whose aux port 1 has no wire
+        return Net(
+            [Cell(1, "Contraction", 2, [3, 4])],
+            [Wire(1, 2, A), Wire(3, 5, A)],
+            [(1, "a"), (5, "x")],
+        )
+    n = build_area(RoutingArea(from_rows(["a"], ["x"], [[2]])))
+    n.free = list(n.free) + [(n.max_port() + 1, "z")]
+    return n
+
+
+UNWIRED_OPS = {
+    "is_routing_net": is_routing_net,
+    "semantics": semantics,
+    "path_semantics": path_semantics,
+    "transit": lambda n: transit(n, "a"),
+    "trace_net": lambda n: trace_net(n, "a", "x"),
+}
+
+
+@pytest.mark.parametrize(
+    "op, name, message",
+    [
+        ("is_routing_net", "aux", "Contraction cell 1 has an unwired aux port 1"),
+        ("semantics", "aux", "Contraction cell 1 has an unwired aux port 1"),
+        ("path_semantics", "aux", "Contraction cell 1 has an unwired aux port 1"),
+        ("transit", "aux", "Contraction cell 1 has an unwired aux port 1"),
+        ("trace_net", "aux", "Contraction cell 1 has an unwired aux port 1"),
+        ("semantics", "free", "free port 'z' has no wire"),
+        ("path_semantics", "free", "free port 'z' has no wire"),
+        ("transit", "free", "free port 'z' has no wire"),
+        ("trace_net", "free", "free port 'z' has no wire"),
+    ],
+)
+def test_unwired_ports_raise_unwired_port(op, name, message):
+    with pytest.raises(UnwiredPort, match=message):
+        UNWIRED_OPS[op](_unwired(name))

@@ -9,7 +9,6 @@ from .errors import (
     HasBoxes,
     InterfaceMismatch,
     NotAreaShaped,
-    NotNormal,
     NotStratified,
     ParseError,
     RoutenetError,

@@ -31,12 +31,23 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EX_USAGE)
 
 
+def _count(text: str) -> int:
+    """A non-negative integer: a step budget or a case count."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def _default_budget() -> int:
     env = os.environ.get("ROUTENET_BUDGET")
     if env is not None:
         try:
-            return int(env)
-        except ValueError:
+            return _count(env)
+        except argparse.ArgumentTypeError:
             print(f"routenet: bad ROUTENET_BUDGET {env!r}", file=sys.stderr)
             raise SystemExit(EX_USAGE) from None
     return 10000
@@ -161,7 +172,7 @@ def _build_parser() -> _Parser:
     from .gen import SUITES
 
     top = _Parser(prog="routenet", description=__doc__)
-    top.add_argument("--budget", type=int, default=None, help="reduction step budget")
+    top.add_argument("--budget", type=_count, default=None, help="reduction step budget")
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="type-and-effect check a program")
@@ -190,7 +201,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("verify", help="run a seeded verification suite")
     p.add_argument("--suite", choices=tuple(SUITES), required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", type=int, default=None)
+    p.add_argument("--cases", type=_count, default=None)
     p.set_defaults(fn=cmd_verify)
     return top
 

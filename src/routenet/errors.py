@@ -53,10 +53,6 @@ class UnwiredPort(RoutenetError):
     or the net gives the same port to another free or cell port."""
 
 
-class NotNormal(RoutenetError):
-    """Operation requires a net in normal form."""
-
-
 class NotAreaShaped(RoutenetError):
     """A normal routing net failed to decompose as a routing area."""
 

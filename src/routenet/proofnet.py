@@ -1201,11 +1201,10 @@ def _net_from_obj(obj, where="") -> Net:
             cells.append(Cell(c["id"], c["sym"], c["pal"], list(c["aux"]), inner))
         wires = []
         for w in obj["wires"]:
-            ty = parse_formula(w["ty"])
-            if w.get("dir", "ab") == "ab":
-                wires.append(Wire(w["a"], w["b"], ty))
-            else:
-                wires.append(Wire(w["b"], w["a"], ty))
+            ty, d = parse_formula(w["ty"]), w.get("dir", "ab")
+            if d not in ("ab", "ba"):
+                raise ParseError(f"{where}bad wire dir {d!r}: expected 'ab' or 'ba'")
+            wires.append(Wire(w["a"], w["b"], ty) if d == "ab" else Wire(w["b"], w["a"], ty))
         return Net(cells, wires, free)
     except (KeyError, TypeError) as exc:
         raise ParseError(f"{where}bad net object: {exc}") from exc

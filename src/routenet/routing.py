@@ -7,14 +7,18 @@ same formula !A oriented from inputs to outputs; a free port is an input
 when the !A flows from it into the net, an output when it flows out.
 
 Two semantics are computed — normal-form shape reading and free-to-free
-path counting — and agree on routing nets.  `semantics`, `trace_net`,
-`compose_areas` and `transit` check a net once, before reducing it, and
-read the raw normal net with the tree-of-trees reader alone, past the
+path counting — and agree on routing nets.  The reader takes a net as two
+forests and a matching: one walk from the free ports gives each leaf of
+the contraction trees and of the cocontraction trees its root, past the
 neutral (co)weakening leaves and unary nodes that canonical form would
-remove; a net that reader accepts is acyclic and has no cut.  Composition
-traces all its pairs in one pass, as the vanishing axiom of traced
-monoidal categories allows.  Canonical form only builds the nets that
-`trace_net` and `compose_areas` return, and serves `read_area`.
+remove, and the crossing wires must match the leaves of the two forests
+one to one.  A net that reader accepts is acyclic and has no cut, so
+`read_area` reads the raw net it is given, and `semantics`, `trace_net`,
+`compose_areas` and `transit` check a net once, before reducing it, and
+read the raw normal net.  `transit` finds its payload copies on the
+leaves of the same walk.  Composition traces all its pairs in one pass,
+as the vanishing axiom of traced monoidal categories allows.  Canonical
+form only builds the nets that `trace_net` and `compose_areas` return.
 """
 from __future__ import annotations
 
@@ -25,7 +29,6 @@ from .errors import (
     CycleRisk,
     CyclicNet,
     NotAreaShaped,
-    NotNormal,
     RoutenetError,
     UnknownLabel,
     UnwiredPort,
@@ -42,9 +45,10 @@ from .proofnet import (
     bang,
     canonicalize,
     dual,
+    fmt_formula,
     left_comb,
 )
-from .rewrite import ALL, find_redexes, normal_nets
+from .rewrite import normal_nets
 
 _STRUCTURAL = {"Contraction", "Cocontraction", "Weakening", "Coweakening"}
 
@@ -161,17 +165,10 @@ def _check_labels(ins, outs):
 
 
 def read_area(n: Net) -> RoutingArea:
-    """Decompose a normal routing net into its multirelation, read from its
-    canonical form."""
-    _check_normal_routing(n)
-    return _read(canonicalize(n))
-
-
-def _check_normal_routing(n: Net):
-    if not is_routing_net(n):
+    """Decompose a normal routing net into its multirelation."""
+    if not _structural(n):
         raise NotAreaShaped("not a routing net")
-    if find_redexes(n, ALL):
-        raise NotNormal("net has residual cuts")
+    return _read(n)
 
 
 def _payload(n: Net):
@@ -181,7 +178,7 @@ def _payload(n: Net):
 
 
 def _read(n: Net) -> RoutingArea:
-    """The area of a checked normal routing net."""
+    """The area of a structural net, or NotAreaShaped if it is not one."""
     ins, outs = _free_io(n)
     _check_labels(ins, outs)
     label = dict(n.free)
@@ -194,87 +191,49 @@ def _read(n: Net) -> RoutingArea:
 
 def _crossings(n: Net, ins, outs) -> dict[tuple[int, int], int]:
     """Wires from the tree of each input port to the tree of each output
-    port, read off a structural net as a tree of trees (or NotAreaShaped).
-
-    Trees may hold nodes of any arity, and a neutral leaf (a weakening on a
-    contraction's aux port, a coweakening on a cocontraction's) carries no
-    wire, so raw normal forms read like their canonical ones.
-    """
-    wire_of = n.wire_of()
-    owner = n.owner()
-    in_ports = {p for p, _ in ins}
-    out_ports = {p for p, _ in outs}
-
-    visited: set[int] = set()
-
-    def leaves(root: Cell, sym: str, neutral: str) -> list[int]:
-        """The aux ports at the leaves of the tree of `sym` cells under
-        `root`, less the neutral leaves."""
-        out, stack = [], [root]
-        while stack:
-            c = stack.pop()
-            visited.add(c.id)
-            for k, a in enumerate(c.aux):
-                if a not in wire_of:
-                    raise UnwiredPort(f"{c.sym} cell {c.id} has an unwired aux port {k}")
-                oy = owner.get(wire_of[a].other(a))
-                if oy and oy[1] == "p" and oy[0].sym == sym:
-                    stack.append(oy[0])
-                elif oy and oy[1] == "p" and oy[0].sym == neutral:
-                    visited.add(oy[0].id)
-                else:
-                    out.append(a)
-        return out
-
-    # each port where a crossing enters an output tree -> its output port
-    entry: dict[int, int] = {}
-    for po, lbl in outs:
-        x = wire_of[po].other(po)
-        if x in in_ports:
-            continue  # floating wire; counted from the input side
-        got = owner.get(x)
-        if got is None:
-            raise NotAreaShaped(f"output {lbl} hangs on an unknown port")
-        cell, slot = got
-        if cell.sym == "Coweakening" and slot == "p":
-            visited.add(cell.id)
-            continue
-        if cell.sym == "Contraction" and isinstance(slot, int):
-            continue  # bare crossing wire; counted from the input side
-        if cell.sym != "Cocontraction" or slot != "p":
-            raise NotAreaShaped(f"output {lbl} not rooted in a cocontraction")
-        for a in leaves(cell, "Cocontraction", "Coweakening"):
-            entry[a] = po
-
+    port: each leaf of the contraction forest meets its own leaf of the
+    cocontraction forest, and the forests hold every cell (or NotAreaShaped)."""
+    wire_of, visited = n.wire_of(), set()
+    src = _forest(n, wire_of, [p for p, _ in ins], "Contraction", "Weakening", visited)
+    dst = _forest(n, wire_of, [p for p, _ in outs], "Cocontraction", "Coweakening", visited)
     routes: dict[tuple[int, int], int] = {}
-
-    def leaf(pi: int, lbl: str, y: int):
-        po = entry.get(y, y)
-        if po not in out_ports:
-            raise NotAreaShaped(f"input {lbl} leaks outside the output trees")
+    for leaf, pi in src.items():
+        po = dst.pop(wire_of[leaf].other(leaf), None)
+        if po is None:
+            raise NotAreaShaped(f"input {dict(n.free)[pi]} leaks outside the output trees")
         routes[(pi, po)] = routes.get((pi, po), 0) + 1
-
-    for pi, lbl in ins:
-        x = wire_of[pi].other(pi)
-        got = owner.get(x)
-        if got is None:
-            leaf(pi, lbl, x)
-            continue
-        cell, slot = got
-        if cell.sym == "Weakening" and slot == "p":
-            visited.add(cell.id)
-            continue
-        if cell.sym == "Cocontraction" and slot != "p":
-            leaf(pi, lbl, x)
-            continue
-        if cell.sym != "Contraction" or slot != "p":
-            raise NotAreaShaped(f"input {lbl} not rooted in a contraction")
-        for a in leaves(cell, "Contraction", "Weakening"):
-            leaf(pi, lbl, wire_of[a].other(a))
-
+    if dst:
+        raise NotAreaShaped(f"output {dict(n.free)[dst.popitem()[1]]} meets no input tree")
     if visited != {c.id for c in n.cells}:
         raise NotAreaShaped("stray cells outside the tree-of-trees shape")
     return routes
+
+
+def _forest(n: Net, wire_of, roots, sym: str, neutral: str, visited: set) -> dict[int, int]:
+    """Each leaf port of the trees of `sym` cells on the free ports `roots`
+    -> its root.  The walk goes down through `sym` principals; a `neutral`
+    leaf is visited and has no wire; any other far end makes the port a
+    leaf, the root itself too.  A cell met twice is NotAreaShaped."""
+    owner = n.owner()
+    leaves: dict[int, int] = {}
+    for root in roots:
+        stack = [root]
+        while stack:
+            p = stack.pop()
+            cell, slot = owner.get(wire_of[p].other(p), (None, None))
+            if slot != "p" or cell.sym not in (sym, neutral):
+                leaves[p] = root
+                continue
+            if cell.id in visited:
+                raise NotAreaShaped(f"{cell.sym} cell {cell.id} met twice")
+            visited.add(cell.id)
+            if cell.sym == neutral:
+                continue
+            for k, a in enumerate(cell.aux):
+                if a not in wire_of:
+                    raise UnwiredPort(f"{sym} cell {cell.id} has an unwired aux port {k}")
+            stack.extend(reversed(cell.aux))
+    return leaves
 
 
 # ---------------------------------------------------------------------------
@@ -415,45 +374,36 @@ def transit(a: Net, i: str, payload: Net | None = None, budget: int = 10000):
         raise NotAreaShaped(f"no free input {i!r}")
     w = b.wire_at(pi)
     A = w.ty if w.ty.kind == "bang" else dual(w.ty)
+    pf = payload.free[0][0] if len(payload.free) == 1 else None
+    if pf is None or not payload.is_wired(pf) or payload.outward(pf) != A:
+        raise RoutenetError(f"payload must have one free port, emitting {fmt_formula(A)}")
     far = w.other(pi)
     cc = b.cell("Cocontraction", 2)
     # input wire now feeds aux 1; the principal takes the old far end
     b.reend(far, cc.aux[0])
     b.wire(cc.principal, far, A)
     # merge the payload net, fusing its free port onto aux 2
-    (pf, _), = payload.free
     off = b.merge(payload)
     b.reend(pf + off, cc.aux[1])
 
     m = _normal_net(n, budget, "transit produced")
 
-    # count payload boxes per output tree
+    # each payload copy hangs on a leaf of an output tree; replacing every
+    # copy by a coweakening must give the area back
     _, outs = _free_io(m)
-    counts = {l: 0 for _, l in outs}
+    label, counts = dict(outs), {l: 0 for _, l in outs}
     wire_of = m.wire_of()
-    owner = m.owner()
-    for c in m.cells:
-        if c.sym != "Box":
-            continue
-        y = wire_of[c.principal].other(c.principal)
-        seen = set()  # a cyclic net could lead the walk round a loop
-        while (oy := owner.get(y)) is not None:
-            cell = oy[0]
-            if cell.sym != "Cocontraction" or cell.id in seen:
-                raise NotAreaShaped("payload copy stranded outside output trees")
-            seen.add(cell.id)
-            y = wire_of[cell.principal].other(cell.principal)
-        lbl = next((l for p, l in outs if p == y), None)
-        if lbl is None:
-            raise NotAreaShaped("payload copy not delivered to an output")
-        counts[lbl] += 1
-
-    # residual check: replacing every copy by a coweakening restores the area
+    root_of = _forest(m, wire_of, list(label), "Cocontraction", "Coweakening", set())
     residual = m.copy()
     b = Builder(residual)
     for c in m.cells:
-        if c.sym == "Box":
-            b.replace_cell(Cell(c.id, "Coweakening", c.principal, c.aux))
+        if c.sym != "Box":
+            continue
+        po = root_of.get(wire_of[c.principal].other(c.principal))
+        if po is None:
+            raise NotAreaShaped("payload copy not delivered to an output")
+        counts[label[po]] += 1
+        b.replace_cell(Cell(c.id, "Coweakening", c.principal, c.aux))
     if _shape(residual) != shape:
         raise RoutenetError("transit disturbed the area")
     return counts

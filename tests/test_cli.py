@@ -205,6 +205,38 @@ def test_reduce_budget_exhausted_names_rule_counts(tmp_path, capsys):
     assert sum(map(int, counts.values())) == 1000 and "nd" in counts
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suite", "trace", "--cases", "-3"],
+        ["verify", "--suite", "simulate", "--cases", "-17"],
+        ["--budget", "-1", "verify", "--suite", "trace", "--cases", "1"],
+    ],
+)
+def test_negative_counts_are_64(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 64
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "expected a non-negative integer, got '-" in err
+
+
+def test_negative_budget_in_the_environment_is_64(capsys, monkeypatch):
+    monkeypatch.setenv("ROUTENET_BUDGET", "-1")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "trace", "--cases", "1"])
+    assert exc.value.code == 64
+    assert capsys.readouterr().err == "routenet: bad ROUTENET_BUDGET '-1'\n"
+
+
+def test_zero_cases_still_runs_nothing_or_every_program(capsys):
+    assert main(["verify", "--suite", "trace", "--cases", "0"]) == 0
+    assert capsys.readouterr().out.endswith("result: 0/0 pass\n")
+    assert main(["verify", "--suite", "simulate", "--cases", "0"]) == 0
+    assert capsys.readouterr().out.endswith(f"result: {len(PROGRAM_SUITE)}/{len(PROGRAM_SUITE)} pass\n")
+
+
 def test_budget_flag_overrides_env(tmp_path, capsys, monkeypatch):
     prog = _write(tmp_path, "M.term", r"(\x. x) *")
     monkeypatch.setenv("ROUTENET_BUDGET", "not-a-number")
@@ -247,6 +279,8 @@ MALFORMED_NETS = {
         [{"id": 1, "sym": "Contraction", "pal": 5, "aux": [1, 3]}],
         [_wire(1, 2, "!1"), _wire(3, 4, "!1"), _wire(6, 5, "!1")],
     ),
+    # the parser used to read any "dir" other than "ab" as "ba"
+    "wire-dir-unknown": ([_OUT], [_ONE], [dict(_wire(1, 2, "1"), dir="zz")]),
 }
 
 
@@ -274,7 +308,9 @@ def test_reduce_rejects_malformed_net_with_65(tmp_path, case):
     assert got.returncode == 65
     assert got.stdout == ""
     assert "Traceback" not in got.stderr
-    assert "invalid net" in got.stderr
+    # a net the parser refuses never reaches validation
+    want = "bad wire dir 'zz'" if case == "wire-dir-unknown" else "invalid net"
+    assert want in got.stderr
 
 
 def test_reduce_accepts_its_own_output(tmp_path, capsys):

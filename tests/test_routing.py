@@ -17,6 +17,7 @@ from routenet.proofnet import (
     Wire,
     bang,
     canonical_equal,
+    canonicalize,
     dual,
     serialize,
     tensor,
@@ -25,7 +26,6 @@ from routenet.proofnet import (
 from routenet.rewrite import ALL, find_redexes, normal_nets
 from routenet.routing import (
     RoutingArea,
-    _check_normal_routing,
     _crossings,
     _free_io,
     _read,
@@ -236,6 +236,13 @@ def test_compose_checks_and_reduces_once_whatever_the_pairs(monkeypatch):
 # Reading areas from raw normal nets
 
 
+def _check_normal_routing(n: Net):
+    """The check read_area made before it read raw nets: a routing net
+    without redexes."""
+    assert is_routing_net(n)
+    assert find_redexes(n, ALL) == []
+
+
 def _neutral_leaves(n: Net) -> int:
     """Weakenings on a contraction's aux ports and coweakenings on a
     cocontraction's: the leaves that canonical form removes."""
@@ -319,7 +326,7 @@ def test_reader_sees_past_neutral_leaves_and_unary_nodes(name):
     ins, outs = _free_io(net)
     want = from_rows([l for _, l in ins], [l for _, l in outs], rows)
     assert _read(net).rel == want == path_semantics(net) == semantics(net)
-    assert _read(net) == read_area(net)
+    assert _read(net) == _read(canonicalize(net))
 
 
 def _one_raw_normal_net(n: Net) -> Net:
@@ -334,9 +341,9 @@ def _zero_pair(n: Net):
 
 
 def test_reader_on_raw_normal_nets_equals_canonical_read_area():
-    """The reader on raw normal nets against read_area, which reads the
-    canonical form: 200 generator nets and a raw trace of each, the raw
-    steps of seeded compositions, and the hand-built nets above."""
+    """The reader on raw normal nets against the reader on their canonical
+    forms: 200 generator nets and a raw trace of each, the raw steps of
+    seeded compositions, and the hand-built nets above."""
     corpus = [make() for make, _ in HAND_BUILT.values()]
     for seed in range(200):
         net = gen_routing_net(random.Random(seed))
@@ -357,8 +364,56 @@ def test_reader_on_raw_normal_nets_equals_canonical_read_area():
     assert sum(_neutral_leaves(m) > 0 for m in corpus) > 50
     for m in corpus:
         _check_normal_routing(m)
-        assert _read(m) == read_area(m)
+        assert _read(m) == _read(canonicalize(m))
         assert _read(m).rel == path_semantics(m)
+
+
+def test_transit_on_raw_normal_nets_delivers_the_path_semantics():
+    """Transit on raw normal nets, past their (co)weakenings: feeding input
+    i delivers row i of the path semantics.  The normal forms of 60
+    generator nets hang (co)weakenings on free ports; a raw trace of each
+    also leaves neutral leaves in the trees, which canonical form removes."""
+    nets = []
+    for seed in range(60):
+        net = gen_routing_net(random.Random(seed))
+        nets.append(_one_raw_normal_net(net))
+        pair = _zero_pair(net)
+        if pair is not None:
+            nets.append(_traced(net, [pair], 10000))
+    assert sum(_neutral_leaves(m) > 0 for m in nets) > 10
+    for m in nets:
+        rel = path_semantics(m)
+        for i in rel.domain:
+            assert transit(m, i) == {o: rel(i, o) for o in rel.codomain}
+
+
+def _payloads():
+    """Payloads that transit refuses: two free ports, an unwired free port,
+    and a box of !(1*1) for a !1 area."""
+    ones = Net(
+        [Cell(1, "One", 1), Cell(2, "One", 2), Cell(3, "Tensor", 3, [4, 5])],
+        [Wire(1, 4, ONE), Wire(2, 5, ONE), Wire(3, 6, tensor(ONE, ONE))],
+        [(6, "c")],
+    )
+    return {
+        "two-free-ports": juxtapose(boxed_one(), boxed_one()),
+        "unwired": Net([], [], [(1, "out")]),
+        "ill-typed": Net(
+            [Cell(1, "Box", 1, [], ones)], [Wire(1, 2, bang(tensor(ONE, ONE)))], [(2, "out")]
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_payloads()))
+def test_transit_checks_its_payload(name):
+    payload = _payloads()[name]
+    if name == "ill-typed":
+        assert validate(payload) == []
+    net = build_area(RoutingArea(from_rows(["a"], ["x"], [[2]])))
+    with pytest.raises(RoutenetError) as exc:
+        transit(net, "a", payload)
+    assert type(exc.value) is RoutenetError
+    assert str(exc.value) == "payload must have one free port, emitting !1"
 
 
 def _canonicalize_calls(monkeypatch):
@@ -478,14 +533,26 @@ def _non_areas():
         ),
         # a's output x wired back into a: a cycle through a cut
         "cyclic-cut": (_wired(m2x2, "a", "x"), "b", "y"),
+        # port 3 is on two wires, and the one from aux 4 leads the tree of a
+        # back into its own root
+        "double-wired": (
+            Net(
+                [Cell(1, "Contraction", 3, [4, 5])],
+                [Wire(1, 3, A), Wire(4, 3, A), Wire(5, 6, A)],
+                [(1, "a"), (6, "x")],
+            ),
+            "a",
+            "x",
+        ),
     }
 
 
 # What each operation does on each non-area: an exception class, or the
 # transit counts.  Each entry is what the operation did before reading
 # areas from raw normal forms, except for transit on the cyclic net, which
-# returned {"x": 1, "y": 0} and now refuses a net that is not an area.
-# On cyclic-cut, semantics and transit refuse the net before reducing it:
+# returned {"x": 1, "y": 0} and now refuses a net that is not an area, and
+# transit on the double-wired net, whose tree walk never returned.  On
+# cyclic-cut, semantics and transit refuse the net before reducing it:
 # reduction would grow it until the budget runs out.
 NON_AREA_OUTCOMES = {
     "box": (NotAreaShaped, NotAreaShaped, RoutenetError),
@@ -494,6 +561,7 @@ NON_AREA_OUTCOMES = {
     "cyclic": (NotAreaShaped, NotAreaShaped, RoutenetError),
     "cut": (None, None, RoutenetError),
     "cyclic-cut": (NotAreaShaped, NotAreaShaped, RoutenetError),
+    "double-wired": (NotAreaShaped, NotAreaShaped, RoutenetError),
 }
 
 
@@ -512,6 +580,13 @@ def test_non_areas_raise_the_same_exceptions(name):
             op()
         else:
             assert op() == want
+
+
+@pytest.mark.parametrize("name", sorted(NON_AREA_OUTCOMES))
+def test_read_area_refuses_every_non_area(name):
+    net, _, _ = _non_areas()[name]
+    with pytest.raises(NotAreaShaped):
+        read_area(net)
 
 
 def _unwired(name: str) -> Net:

@@ -797,7 +797,8 @@ def _flatten(net: Net):
 
     Raises UnwiredPort for a free or cell port without a wire of its own
     (none ends there, or another free or cell port is the same port), and
-    CyclicNet for a (co)contraction tree that feeds its own root."""
+    CyclicNet for a (co)contraction tree that feeds its own root: an edge
+    from the principal of a flattened node into its own aux."""
     nodes: dict[int, _FlatNode] = {}
     nid = 0
     wired = net._indexed()._wire_key
@@ -837,45 +838,57 @@ def _flatten(net: Net):
     if loose is not None:
         raise loose
 
-    def step() -> bool:
-        # Associativity: an edge from the principal of u into an aux slot of
-        # v, both the same n-ary kind, fuses u into v.  Failing that,
-        # neutrality: a (co)weakening on an aux slot of the matching n-ary
-        # node disappears together with its edge.  Both act on the first
-        # such edge in edge order.
-        neutral = None
-        for e in edges:
+    def simplify(candidates):
+        # Associativity: an edge from the principal of u into an aux slot
+        # of v, both the same n-ary kind, fuses u into the root of v's tree,
+        # by union-find.  Neutrality: a (co)weakening on an aux slot of the
+        # matching n-ary node disappears together with its edge.  A
+        # principal has one edge, so neither makes or spoils another, and
+        # all of `candidates` are settled in one pass.  An edge whose ends
+        # are already one tree closes a cycle: the tree feeds its own root.
+        root: dict[int, int] = {}
+
+        def find(n: int) -> int:
+            while n in root:
+                root[n] = root.get(root[n], root[n])  # path halving
+                n = root[n]
+            return n
+
+        dropped = set()
+        for e in candidates:
             if e.s0 == "p" and e.s1 == "a":
                 nu, nv = e.n0, e.n1
             elif e.s1 == "p" and e.s0 == "a":
                 nu, nv = e.n1, e.n0
             else:
                 continue
-            vsym = nodes[nv].sym
-            if vsym not in _NEUTRAL:
-                continue
-            usym = nodes[nu].sym
-            if usym == vsym and nu != nv:
-                edges.remove(e)
-                for e2 in edges:
-                    if e2.n0 == nu:
-                        e2.n0 = nv
-                    if e2.n1 == nu:
-                        e2.n1 = nv
+            usym, vsym = nodes[nu].sym, nodes[nv].sym
+            if usym == vsym:
+                if (ru := find(nu)) == (rv := find(nv)):
+                    raise CyclicNet("a (co)contraction tree feeds its own root")
+                root[ru] = rv
+                dropped.add(e)
+            elif usym == _NEUTRAL[vsym]:
                 del nodes[nu]
-                return True
-            if neutral is None and usym == _NEUTRAL[vsym]:
-                neutral = (e, nu)
-        if neutral is not None:
-            edges.remove(neutral[0])
-            del nodes[neutral[1]]
-            return True
+                dropped.add(e)
+        if dropped:
+            edges[:] = [e for e in edges if e not in dropped]
+        if root:
+            top = {n: find(n) for n in root}
+            for e in edges:
+                e.n0, e.n1 = top.get(e.n0, e.n0), top.get(e.n1, e.n1)
+            for n in top:
+                del nodes[n]
+
+    def degenerate():
         # Degenerate n-ary nodes: arity 0 becomes the neutral cell, arity 1
         # dissolves by splicing its principal edge with its only aux edge.
-        # Their edge ends, in edge order, are read from one index.
+        # Their edge ends, in edge order, are read from one index.  Returns
+        # the edges that may now simplify, or None when no node is
+        # degenerate.
         ends_at = {n: [] for n, node in nodes.items() if node.sym in _NEUTRAL}
         if not ends_at:
-            return False
+            return None
         for e in edges:
             if e.n0 in ends_at:
                 ends_at[e.n0].append((e, 0, e.s0))
@@ -887,7 +900,9 @@ def _flatten(net: Net):
                 node = nodes[n]
                 node.sym = _NEUTRAL[node.sym]
                 node.key = ("cell", node.sym)
-                return True
+                # no leaf yet: its principal edge, were it into an aux of
+                # its former kind, would have fused
+                return []
             if len(aux_edges) == 1:
                 (ea, ia) = aux_edges[0]
                 # every principal port is wired, and flattening keeps it so
@@ -899,13 +914,14 @@ def _flatten(net: Net):
                 # the new edge y -> x carries what flowed out of the principal
                 edges.remove(ep)
                 edges.remove(ea)
-                edges.append(_FlatEdge(yn, ys, xn, xs, dual(xty)))
+                edges.append(spliced := _FlatEdge(yn, ys, xn, xs, dual(xty)))
                 del nodes[n]
-                return True
-        return False
+                return [spliced]
+        return None
 
-    while step():
-        pass
+    simplify(edges)
+    while (made := degenerate()) is not None:
+        simplify(made)
     return nodes, edges
 
 

@@ -60,20 +60,32 @@ def _classify(net: Net, w: Wire):
     """The redex on wire `w` as a candidate ((id_x, id_y), (port_x, port_y),
     rule, door), or None."""
     owner = net.owner()
-    for x, y in ((w.a, w.b), (w.b, w.a)):
-        ox, oy = owner.get(x), owner.get(y)
-        if ox is None or oy is None:
-            continue
-        (cx, sx), (cy, sy) = ox, oy
-        if sx == "p" and sy == "p":
-            rule = _PAIR_RULE.get((cx.sym, cy.sym))
+    ea, eb = owner.get(w.a), owner.get(w.b)
+    if ea is None or eb is None:
+        return None
+    (ca, sa), (cb, sb) = ea, eb
+    if sa == "p" and sb == "p":
+        # the first symbols of _PAIR_RULE are never second ones, so at most
+        # one orientation has a rule
+        rule = _PAIR_RULE.get((ca.sym, cb.sym))
+        if rule is not None:
+            x, y, cx, cy = w.a, w.b, ca, cb
+        else:
+            rule = _PAIR_RULE.get((cb.sym, ca.sym))
             if rule is None:
-                continue
-            if cx.sym == "Box" and not _closed(cx):
-                continue
-            return (cx.id, cy.id), (x, y), rule, -1
-        if sx == "p" and isinstance(sy, int) and _closed(cx) and cy.sym == "Box":
-            return (cx.id, cy.id), (x, y), "c", sy
+                return None
+            x, y, cx, cy = w.b, w.a, cb, ca
+        if cx.sym == "Box" and not _closed(cx):
+            return None
+        return (cx.id, cy.id), (x, y), rule, -1
+    if sa == "p":
+        x, y, cx, cy, door = w.a, w.b, ca, cb, sb
+    elif sb == "p":
+        x, y, cx, cy, door = w.b, w.a, cb, ca, sa
+    else:
+        return None
+    if _closed(cx) and cy.sym == "Box":
+        return (cx.id, cy.id), (x, y), "c", door
     return None
 
 
@@ -126,13 +138,8 @@ def _candidates(n: Net) -> tuple[list, list]:
         for w in n.wires:
             _push(heaps, _classify(n, w))
     elif n.touched:
-        seen = set()
-        for p in n.touched:
-            if n.is_wired(p):
-                w = n.wire_at(p)
-                if id(w) not in seen:
-                    seen.add(id(w))
-                    _push(heaps, _classify(n, w))
+        for w in n.wires_at(n.touched):
+            _push(heaps, _classify(n, w))
         n.touched.clear()
     return heaps
 

@@ -12,13 +12,15 @@ forests and a matching: one walk from the free ports gives each leaf of
 the contraction trees and of the cocontraction trees its root, past the
 neutral (co)weakening leaves and unary nodes that canonical form would
 remove, and the crossing wires must match the leaves of the two forests
-one to one.  A net that reader accepts is acyclic and has no cut, so
-`read_area` reads the raw net it is given, and `semantics`, `trace_net`,
-`compose_areas` and `transit` check a net once, before reducing it, and
-read the raw normal net.  `transit` finds its payload copies on the
-leaves of the same walk.  Composition traces all its pairs in one pass,
-as the vanishing axiom of traced monoidal categories allows.  Canonical
-form only builds the nets that `trace_net` and `compose_areas` return.
+one to one.  A net that reader accepts is acyclic and has no cut, so it
+is its own normal form: `read_area` reads the raw net it is given, and
+`semantics` reads its net first and checks and reduces only a net the
+reader refuses.  `trace_net`, `compose_areas` and `transit` check a net
+once, before reducing it, and read the raw normal net.  `transit` finds
+its payload copies on the leaves of the same walk.  Composition traces
+all its pairs in one pass, as the vanishing axiom of traced monoidal
+categories allows.  Canonical form only builds the nets that `trace_net`
+and `compose_areas` return, and `semantics` reads those in one walk.
 """
 from __future__ import annotations
 
@@ -252,7 +254,15 @@ def _normal_net(n: Net, budget: int, what: str) -> Net:
 
 
 def semantics(n: Net, budget: int = 10000) -> Multirelation:
-    if not is_routing_net(n):
+    """The multirelation of a routing net: read at once if `n` is a normal
+    area, else checked acyclic, reduced and read."""
+    if not _structural(n):
+        raise NotAreaShaped("not a routing net")
+    try:
+        return _read(n).rel
+    except (NotAreaShaped, UnwiredPort):
+        pass  # not normal, or not an area: the full path decides
+    if not check_acyclic(n):
         raise NotAreaShaped("not a routing net")
     return _read(_normal_net(n, budget, "routing net reduced to")).rel
 
@@ -333,9 +343,8 @@ def compose_areas(
     exposes a's inputs and b's outputs under their own names."""
     if len(outs) != len(ins):
         raise ValueError("output and input pairing lists differ in length")
-    n = juxtapose(a, b)
-    if outs:
-        n = canonicalize(_traced(n, [("R." + i, "L." + o) for o, i in zip(outs, ins)], budget))
+    pairs = [("R." + i, "L." + o) for o, i in zip(outs, ins)]
+    n = canonicalize(_traced(juxtapose(a, b), pairs, budget))
     untagged = {}
     for side in _free_io(n):
         names = [l[2:] for _, l in side]

@@ -174,6 +174,28 @@ def test_canonical_rejects_contraction_fed_by_its_own_root():
         canonicalize(n)
 
 
+def test_canonical_rejects_a_contraction_feeding_its_own_aux():
+    # the principal feeds aux 0, and aux 1 is a free leaf: the looped node
+    # keeps two aux slots, so it never becomes unary
+    n = Net([Cell(1, "Contraction", 1, [2, 3])], [Wire(1, 2, WN), Wire(4, 3, WN)], [(4, "x")])
+    assert validate(n) == []
+    with pytest.raises(CyclicNet):
+        canonicalize(n)
+
+
+def test_canonical_rejects_two_contractions_feeding_each_other():
+    # each principal feeds an aux of the other; the second fusion of the two
+    # trees closes the cycle
+    n = Net(
+        [Cell(1, "Contraction", 1, [2, 3]), Cell(2, "Contraction", 4, [5, 6])],
+        [Wire(1, 5, WN), Wire(4, 2, WN), Wire(7, 3, WN), Wire(8, 6, WN)],
+        [(7, "x"), (8, "y")],
+    )
+    assert validate(n) == []
+    with pytest.raises(CyclicNet):
+        canonicalize(n)
+
+
 def test_canonicalize_names_a_cell_with_an_unwired_principal():
     # a box holding a weakening left without a wire
     inner = Net([Cell(1, "One", 1), Cell(2, "Weakening", 3)], [Wire(1, 2, ONE)], [(2, "c")])

@@ -10,7 +10,7 @@ from routenet import rewrite
 from routenet.gen import PROGRAM_SUITE, gen_typed_net, suite_program
 from routenet.lang import parse_region_ctx, parse_term
 from routenet.errors import BudgetExhausted
-from routenet.proofnet import ONE, Cell, Net, NetSum, Wire, bang, serialize, validate
+from routenet.proofnet import ONE, Cell, Net, NetSum, Wire, bang, dual, serialize, validate
 from routenet.rewrite import (
     ALL,
     ANYDEPTH_EER,
@@ -137,6 +137,67 @@ def test_apply_redex_leaves_its_input_untouched():
                     apply_redex(m, r2)
                 assert serialize(m) == m_before
             assert serialize(net) == before
+
+
+def _classify_both_ways(net: Net, w: Wire):
+    """The classifier that reads a wire in each orientation in turn: the
+    oracle of the one-look rewrite._classify."""
+    owner = net.owner()
+    for x, y in ((w.a, w.b), (w.b, w.a)):
+        ox, oy = owner.get(x), owner.get(y)
+        if ox is None or oy is None:
+            continue
+        (cx, sx), (cy, sy) = ox, oy
+        if sx == "p" and sy == "p":
+            rule = rewrite._PAIR_RULE.get((cx.sym, cy.sym))
+            if rule is None:
+                continue
+            if cx.sym == "Box" and cx.aux:
+                continue
+            return (cx.id, cy.id), (x, y), rule, -1
+        if sx == "p" and isinstance(sy, int) and cx.sym == "Box" and not cx.aux and cy.sym == "Box":
+            return (cx.id, cy.id), (x, y), "c", sy
+    return None
+
+
+def _levels(net: Net):
+    yield net
+    for c in net.cells:
+        if c.sym == "Box":
+            yield from _levels(c.inner)
+
+
+def _reducts(nets) -> list:
+    return [m for n in nets for r in find_redexes(n, ALL) for m in apply_redex(n, r)]
+
+
+def test_classify_agrees_with_the_two_orientation_oracle():
+    """On every wire of the generator nets, the suite programs, and their
+    reducts under ALL: one step deep for the generator nets, two for the
+    programs, where the first door wires of rule c appear."""
+    typed = [gen_typed_net(random.Random(seed)) for seed in TYPED_SEEDS]
+    programs = []
+    for name, _, _ in PROGRAM_SUITE:
+        R, p = suite_program(name)
+        programs.append(compile_program(p, R))
+    once = _reducts(programs)
+    nets = typed + _reducts(typed) + programs + once + _reducts(once)
+    rules, open_box_wires = Counter(), 0
+    for net in nets:
+        for lvl in _levels(net):
+            owner = lvl.owner()
+            for w in lvl.wires:
+                # each wire from both ends, so every case meets both orders
+                for v in (w, Wire(w.b, w.a, dual(w.ty))):
+                    want = _classify_both_ways(lvl, v)
+                    assert rewrite._classify(lvl, v) == want
+                if want is not None:
+                    rules[want[2]] += 1
+                ends = [owner.get(w.a), owner.get(w.b)]
+                if any(e and e[1] == "p" and e[0].sym == "Box" and e[0].aux for e in ends):
+                    open_box_wires += 1
+    assert set(rules) == rewrite.RULES
+    assert open_box_wires > 0
 
 
 def _classifications_per_step(depth: int, monkeypatch) -> float:

@@ -214,6 +214,21 @@ def test_partial_composition_keeps_tags_where_labels_would_clash():
     assert semantics(net).entries == {(untag[x], y): v for (x, y), v in want.entries.items()}
 
 
+def test_compose_without_pairs_checks_and_canonicalizes():
+    """No pairs is a composition too: both areas are checked, and the result
+    is the canonical juxtaposition, its labels untagged."""
+    r = from_rows(["a", "b"], ["x"], [[2], [1]])
+    s = from_rows(["i"], ["o", "p"], [[1, 3]])
+    a, b = build_area(RoutingArea(r)), build_area(RoutingArea(s))
+    with pytest.raises(NotAreaShaped):
+        compose_areas(boxed_one(), [], b, [])
+    net = compose_areas(a, [], b, [])
+    want = canonicalize(juxtapose(a, b))
+    want.free = [(p, l[2:]) for p, l in want.free]
+    assert serialize(net) == serialize(want)
+    assert semantics(net).entries == {("a", "x"): 2, ("b", "x"): 1, ("i", "o"): 1, ("i", "p"): 3}
+
+
 def test_compose_checks_and_reduces_once_whatever_the_pairs(monkeypatch):
     r = from_rows(["a"], ["x", "y", "z"], [[1, 2, 3]])
     s = from_rows(["x", "y", "z"], ["o"], [[1], [1], [2]])
@@ -443,6 +458,33 @@ def test_area_operations_canonicalize_only_the_nets_they_return(monkeypatch):
     assert len(calls) == 2
 
 
+def test_semantics_walks_a_normal_area_once(monkeypatch):
+    """semantics reads a normal area at once: no acyclicity check and no
+    reduction.  A net the reader refuses takes the full path."""
+    counted = []
+    for name in ("_normal_net", "check_acyclic"):
+        real = getattr(routing, name)
+        monkeypatch.setattr(
+            routing, name, lambda *args, real=real, name=name: counted.append(name) or real(*args)
+        )
+    r = from_rows(["a", "b"], ["x", "y"], [[2, 0], [1, 3]])
+    s = from_rows(["x", "y"], ["z"], [[1], [2]])
+    net, other = build_area(RoutingArea(r)), build_area(RoutingArea(s))
+    assert semantics(net) == r
+    assert counted == []
+    composed = compose_areas(net, ["x", "y"], other, ["x", "y"])
+    counted.clear()
+    assert semantics(composed) == from_rows(["a", "b"], ["z"], [[2], [7]])
+    assert counted == []
+    cut, _, _ = _non_areas()["cut"]
+    assert semantics(cut) == trace_formula(
+        coproduct(from_rows(["a"], ["x"], [[2]]), from_rows(["i"], ["o", "p"], [[2, 0]])),
+        "R.i",
+        "L.x",
+    )
+    assert sorted(counted) == ["_normal_net", "check_acyclic"]
+
+
 def _wire_swaps(n: Net):
     """Every net made from `n` by swapping the ends into which !A flows of
     two of its wires: still structural, and seldom an area."""
@@ -455,8 +497,9 @@ def _wire_swaps(n: Net):
 
 def test_tree_reader_accepts_only_acyclic_cut_free_nets():
     """The tree-of-trees reader is the only check that semantics, trace_net,
-    compose_areas and transit make after reducing: every structural net it
-    accepts is acyclic and has no redex.  Checked on the wire-swap mutants
+    compose_areas and transit make after reducing, and the first check that
+    semantics makes: every structural net it accepts is acyclic and has no
+    redex, so it is its own normal form.  Checked on the wire-swap mutants
     of built areas and of generator normal forms."""
     nets = [
         build_area(RoutingArea(gen_relation(random.Random(seed), 3, 3, 2)))

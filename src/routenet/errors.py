@@ -50,7 +50,9 @@ class CyclicNet(RoutenetError):
 
 class UnwiredPort(RoutenetError):
     """A free port or a cell's port has no wire of its own: none ends there,
-    or the net gives the same port to another free or cell port."""
+    the net gives the same port to another free or cell port, or the port is
+    two wire ends (of two wires, or both ends of one); or a wire ends at a
+    port that no free port or cell owns."""
 
 
 class NotAreaShaped(RoutenetError):

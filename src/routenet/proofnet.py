@@ -13,6 +13,7 @@ decided through an exact canonical form.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -723,7 +724,12 @@ def _validate(net: Net, out: list[str], where: str):
 # Strategy: recursively canonicalize box contents, flatten maximal
 # (co)contraction trees into n-ary unordered nodes, absorb neutral
 # (co)weakening leaves, then compute an exact canonical labelling of the
-# resulting multigraph by colour refinement with individualisation.  The
+# resulting multigraph by colour refinement with individualisation.
+# Refinement re-signs only the classes next to a class that just split, and
+# the search skips the branches that an automorphism found between two
+# leaves maps onto branches already searched (McKay & Piperno, "Practical
+# graph isomorphism, II", 2014); the labelling is the one the full search
+# gives, so pruning changes no byte and keeps symmetric nets polynomial.  The
 # canonical certificate decides equality and comes first: flattening and
 # labelling make it, and make every check of the net's wiring.  A concrete
 # representative (left combs, dense port numbering) is rebuilt from the
@@ -796,12 +802,22 @@ def _flatten(net: Net):
     """Return (nodes: dict id -> _FlatNode, edges: list[_FlatEdge]).
 
     Raises UnwiredPort for a free or cell port without a wire of its own
-    (none ends there, or another free or cell port is the same port), and
-    CyclicNet for a (co)contraction tree that feeds its own root: an edge
-    from the principal of a flattened node into its own aux."""
+    (none ends there, another free or cell port is the same port, or the
+    port is two wire ends), for a wire end that no free or cell port owns,
+    and CyclicNet for a (co)contraction tree that feeds its own root: an
+    edge from the principal of a flattened node into its own aux."""
+    wired = net._indexed()._wire_key
+    if len(wired) < 2 * len(net.wires):  # some port is two wire ends
+        ends: set[int] = set()
+        for w in net.wires:
+            if w.a == w.b:
+                raise UnwiredPort(f"port {w.a} is both ends of one wire")
+            for p in (w.a, w.b):
+                if p in ends:
+                    raise UnwiredPort(f"port {p} is the end of two wires")
+                ends.add(p)
     nodes: dict[int, _FlatNode] = {}
     nid = 0
-    wired = net._indexed()._wire_key
     loose = None  # the first unwired port, raised once the wires are read
 
     port_node: dict[int, tuple[int, object]] = {}
@@ -831,10 +847,13 @@ def _flatten(net: Net):
         nid += 1
 
     edges: list[_FlatEdge] = []
-    for w in net.wires:
-        (na, sa) = port_node[w.a]
-        (nb, sb) = port_node[w.b]
-        edges.append(_FlatEdge(na, sa, nb, sb, w.ty))
+    try:
+        for w in net.wires:
+            (na, sa) = port_node[w.a]
+            (nb, sb) = port_node[w.b]
+            edges.append(_FlatEdge(na, sa, nb, sb, w.ty))
+    except KeyError as e:
+        raise UnwiredPort(f"wire end {e.args[0]} is no free or cell port") from None
     if loose is not None:
         raise loose
 
@@ -940,27 +959,60 @@ def _canonical_contents(inner: Net):
     return canon, cert
 
 
-def _refine(adj, colors):
-    """Iterated colour refinement; returns stable colors (dense ranks).
+def _refine(adj, colors, moved=None):
+    """Iterated colour refinement; returns stable colours (dense ranks).
+
     `adj` lists each node's (edge code, far node) pairs; an edge code plus
-    the far node's colour orders as the pair (edge rank, colour)."""
+    the far node's colour orders as the pair (edge rank, colour).  Each
+    round signs a node by its colour and the sorted codes of its edges, and
+    ranks the signatures densely: class by class in colour order, the parts
+    of a split class in the order of their sorted codes.  A class can split
+    only when a member has an edge to a node whose class split in the round
+    before: every other colour moved by one order-preserving relabelling,
+    so equal signatures stay equal.  Only those classes are signed again.
+    `moved` lists the nodes that left their class since `colors` was
+    stable (an individualized node); None signs every class once."""
+    colors = dict(colors)
+    classes: list[list[int]] = [[] for _ in range(max(colors.values(), default=-1) + 1)]
+    for n, c in colors.items():  # each class in node order
+        classes[c].append(n)
+    if moved is None:
+        touched = range(len(classes))
+    else:
+        touched = {colors[v] for n in moved for _, v in adj[n]}
     while True:
-        sigs = {}
-        for n, nbrs in adj.items():
-            sigs[n] = (colors[n], tuple(sorted([code + colors[v] for code, v in nbrs])))
-        ranking = {s: i for i, s in enumerate(sorted(set(sigs.values())))}
-        new = {n: ranking[sigs[n]] for n in adj}
-        if new == colors:
+        parts = {}
+        for c in touched:
+            members = classes[c]
+            if len(members) < 2:
+                continue
+            by_tail: dict[tuple, list[int]] = {}
+            for n in members:
+                tail = tuple(sorted([code + colors[v] for code, v in adj[n]]))
+                by_tail.setdefault(tail, []).append(n)
+            if len(by_tail) > 1:
+                parts[c] = [by_tail[t] for t in sorted(by_tail)]
+        if not parts:
             return colors
-        colors = new
+        ranked: list[list[int]] = []
+        for c, members in enumerate(classes):
+            for part in parts.get(c, (members,)):
+                if len(ranked) != c or part is not members:
+                    for n in part:
+                        colors[n] = len(ranked)
+                ranked.append(part)
+        classes = ranked
+        touched = {colors[v] for split in parts.values() for part in split for n in part
+                   for _, v in adj[n]}
 
 
-def _canonical_labelling(nodes, edges):
-    """Exact canonical labelling; returns (certificate, node -> position).
+def _coded(nodes, edges):
+    """(adjacency, initial colours) that refinement reads.
 
     Each edge end is coded by the rank of its (slot text, far slot text,
     formula text) among those of the net, times a width above every colour,
-    so refinement sorts integers in the order of the texts."""
+    so refinement sorts integers in the order of the texts.  A node's
+    initial colour is the rank of the repr of its key."""
     halves = [
         (u.node, (u.slot_text, v.slot_text, u.ty_text), v.node)
         for e0, e1 in edges
@@ -971,33 +1023,99 @@ def _canonical_labelling(nodes, edges):
     adj: dict[int, list] = {n: [] for n in nodes}
     for u, t, v in halves:
         adj[u].append((code[t], v))
+    keys = sorted({node.key for node in nodes.values()}, key=repr)
+    rank = {k: i for i, k in enumerate(keys)}
+    return adj, {n: rank[node.key] for n, node in nodes.items()}
 
-    init = {n: nodes[n].key for n in nodes}
-    base_rank = {k: i for i, k in enumerate(sorted(set(init.values()), key=repr))}
-    colors = _refine(adj, {n: base_rank[init[n]] for n in nodes})
 
-    def finish(colors):
-        classes: dict[int, list[int]] = {}
-        for n, c in colors.items():
-            classes.setdefault(c, []).append(n)
-        target = None
-        for c in sorted(classes):
-            if len(classes[c]) > 1:
-                target = classes[c]
-                break
-        if target is None:
-            return _certificate(nodes, edges, colors)
-        best = None
-        mx = max(colors.values())
-        for pick in target:
-            c2 = dict(colors)
-            c2[pick] = mx + 1
-            cert, pos = finish(_refine(adj, c2))
-            if best is None or cert < best[0]:
-                best = (cert, pos)
-        return best
+def _canonical_labelling(nodes, edges):
+    """Exact canonical labelling; returns (certificate, node -> position)."""
+    adj, colors = _coded(nodes, edges)
+    # Depth-first search: a branch individualizes, one pick at a time, each
+    # node of its least class of two or more, giving the pick the top colour,
+    # and the first least leaf certificate wins.  A leaf with the best leaf's
+    # certificate maps onto it by an automorphism, which joins the orbits of
+    # every branch on the path whose picks above it the automorphism fixes.
+    # A pick in the orbit of a finished pick is skipped, and the search backs
+    # up to the first branch whose current pick now is in one: each skipped
+    # leaf is the image of one already seen, with its certificate, so the
+    # same leaf wins.
+    best = None  # (certificate, position map) of the first least leaf
+    stack: list[_Branch] = []
+    picks: list[int] = []  # the current pick of each branch on the stack
 
-    return finish(colors)
+    def visit(colors):
+        nonlocal best
+        top = max(colors.values(), default=-1) + 1
+        if top < len(colors):
+            stack.append(_Branch(colors, top))
+            return
+        cert, pos = _certificate(nodes, edges, colors)
+        if best is None or cert < best[0]:
+            best = (cert, pos)
+        elif cert == best[0]:
+            at = {i: n for n, i in best[1].items()}
+            gamma = {n: at[i] for n, i in pos.items()}
+            for depth, branch in enumerate(stack):
+                for n in branch.cell:
+                    branch.join(n, gamma[n])
+                if branch.find(picks[depth]) in branch.done:
+                    del stack[depth + 1:], picks[depth + 1:]
+                    return
+                if gamma[picks[depth]] != picks[depth]:
+                    return
+
+    visit(_refine(adj, colors))
+    while stack:
+        branch = stack[-1]
+        if len(picks) == len(stack):  # the current pick is finished
+            branch.done.add(branch.find(picks.pop()))
+        pick = branch.next_pick()
+        if pick is None:
+            stack.pop()
+            continue
+        picks.append(pick)
+        colors = dict(branch.colors)
+        colors[pick] = branch.top
+        visit(_refine(adj, colors, (pick,)))
+    return best
+
+
+class _Branch:
+    """A search node of the labelling: its stable colours, the least class
+    of two or more in node order, the index of its next pick, and the orbits
+    of that class under the automorphisms found below it (a union-find
+    forest) with the roots of those that hold a finished pick."""
+
+    __slots__ = ("colors", "top", "cell", "next", "orbit", "done")
+
+    def __init__(self, colors, top):
+        self.colors, self.top = colors, top
+        least = min(c for c, size in Counter(colors.values()).items() if size > 1)
+        self.cell = [n for n, c in colors.items() if c == least]
+        self.next = 0
+        self.orbit: dict[int, int] = {}
+        self.done: set[int] = set()
+
+    def find(self, n: int) -> int:
+        while n in self.orbit:
+            n = self.orbit[n]
+        return n
+
+    def join(self, a: int, b: int):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.orbit[ra] = rb
+            if ra in self.done:
+                self.done.add(rb)
+
+    def next_pick(self):
+        while self.next < len(self.cell):
+            pick = self.cell[self.next]
+            self.next += 1
+            if self.find(pick) not in self.done:
+                return pick
+        return None
 
 
 def _oriented(edges, pos):

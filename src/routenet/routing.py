@@ -340,18 +340,20 @@ def compose_areas(
     pass, within one `budget`, and canonicalize the result once.  Tags
     introduced by the juxtaposition are stripped from the labels of each
     direction unless two of them would then be equal, so a full composition
-    exposes a's inputs and b's outputs under their own names."""
+    exposes a's inputs and b's outputs under their own names.  They are
+    stripped before canonicalizing, so the result is canonical under the
+    labels it carries."""
     if len(outs) != len(ins):
         raise ValueError("output and input pairing lists differ in length")
     pairs = [("R." + i, "L." + o) for o, i in zip(outs, ins)]
-    n = canonicalize(_traced(juxtapose(a, b), pairs, budget))
+    n = _traced(juxtapose(a, b), pairs, budget)
     untagged = {}
     for side in _free_io(n):
         names = [l[2:] for _, l in side]
         if len(set(names)) == len(names):
             untagged.update(zip((p for p, _ in side), names))
     n.free = [(p, untagged.get(p, l)) for p, l in n.free]
-    return n
+    return canonicalize(n)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
+from weakref import KeyedRef
 
 from .errors import CyclicNet, DerivationMismatch, ParseError, UnwiredPort
 
@@ -23,14 +24,80 @@ from .errors import CyclicNet, DerivationMismatch, ParseError, UnwiredPort
 # Formulas
 
 
-@dataclass(frozen=True)
 class Formula:
-    kind: str  # one | bot | bang | whynot | tensor | par
-    left: "Formula | None" = None
-    right: "Formula | None" = None
+    """A MELL formula: `kind` is one of one, bot, bang, whynot, tensor, par,
+    with `left` set for the four connectives and `right` for the binary ones.
+
+    Formulas are hash-consed: `Formula(kind, left, right)`, the constructors
+    below, `dual` and `parse_formula` return the one live object for that
+    value, so equal formulas are the same object and `==` and `hash` go by
+    identity.  The objects live in a table of weak references keyed by kind
+    and the identities of the children; a formula that nothing else refers
+    to leaves it.
+    A formula is immutable.  Its dual and its text are filled in on first
+    use, and `copy`, `deepcopy` and `pickle` give back the interned object.
+
+    Making a formula reads and fills the table, and reading its dual or text
+    fills those slots, so, as with `Net`, formulas are not to be made or read
+    from several threads at once.
+    """
+
+    __slots__ = ("kind", "left", "right", "_dual", "_text", "__weakref__")
+
+    def __new__(cls, kind: str, left: "Formula | None" = None, right: "Formula | None" = None):
+        return _formula(kind, left, right)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("a Formula is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("a Formula is immutable")
 
     def __repr__(self):
         return f"Formula({fmt_formula(self)!r})"
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+    def __reduce__(self):
+        # the text, not the tree: unpickling goes through the flat parser
+        return parse_formula, (fmt_formula(self),)
+
+
+# (kind, id(left), id(right)) -> weak reference to the live Formula of that
+# value.  A live formula keeps its children alive, so a key that is found
+# alive names the children by their ids.  A key holding the children
+# themselves would keep them alive until the parent's entry goes, and a
+# formula and its dual refer to each other, so a deep formula would take one
+# garbage collection per level to leave the table.
+_FORMULAS: dict = {}
+_set_slot = object.__setattr__  # fills a slot past Formula.__setattr__
+
+
+def _forget(ref):
+    # a newer object of the same value may already have taken the key
+    if _FORMULAS.get(ref.key) is ref:
+        del _FORMULAS[ref.key]
+
+
+def _formula(kind, left, right) -> Formula:
+    key = (kind, id(left), id(right))
+    ref = _FORMULAS.get(key)
+    if ref is not None:
+        f = ref()
+        if f is not None:
+            return f
+    f = object.__new__(Formula)
+    _set_slot(f, "kind", kind)
+    _set_slot(f, "left", left)
+    _set_slot(f, "right", right)
+    _set_slot(f, "_dual", None)
+    _set_slot(f, "_text", None)
+    _FORMULAS[key] = KeyedRef(f, _forget, key)
+    return f
 
 
 ONE = Formula("one")
@@ -38,101 +105,129 @@ BOT = Formula("bot")
 
 
 def bang(a: Formula) -> Formula:
-    return Formula("bang", a)
+    return _formula("bang", a, None)
 
 
 def whynot(a: Formula) -> Formula:
-    return Formula("whynot", a)
+    return _formula("whynot", a, None)
 
 
 def tensor(a: Formula, b: Formula) -> Formula:
-    return Formula("tensor", a, b)
+    return _formula("tensor", a, b)
 
 
 def par(a: Formula, b: Formula) -> Formula:
-    return Formula("par", a, b)
+    return _formula("par", a, b)
+
+
+_DUAL_KIND = {
+    "one": "bot", "bot": "one", "bang": "whynot", "whynot": "bang",
+    "tensor": "par", "par": "tensor",
+}
 
 
 def dual(f: Formula) -> Formula:
-    # memoized per instance (frozen dataclasses still have a __dict__)
-    d = f.__dict__.get("_dual")
+    d = f._dual
     if d is not None:
         return d
-    if f.kind == "one":
-        d = BOT
-    elif f.kind == "bot":
-        d = ONE
-    elif f.kind == "bang":
-        d = Formula("whynot", dual(f.left))
-    elif f.kind == "whynot":
-        d = Formula("bang", dual(f.left))
-    elif f.kind == "tensor":
-        d = Formula("par", dual(f.left), dual(f.right))
-    else:
-        d = Formula("tensor", dual(f.left), dual(f.right))
-    f.__dict__["_dual"] = d
-    d.__dict__["_dual"] = f
-    return d
+    # children first: a node is made once the duals of its children are known
+    todo = [f]
+    while todo:
+        g = todo[-1]
+        if g._dual is not None:
+            todo.pop()
+            continue
+        l, r = g.left, g.right
+        if l is not None and l._dual is None:
+            todo.append(l)
+        elif r is not None and r._dual is None:
+            todo.append(r)
+        else:
+            todo.pop()
+            d = _formula(
+                _DUAL_KIND[g.kind],
+                None if l is None else l._dual,
+                None if r is None else r._dual,
+            )
+            _set_slot(g, "_dual", d)
+            _set_slot(d, "_dual", g)
+    return f._dual
+
+
+_SYMBOL = {"one": "1", "bot": "bot", "bang": "!", "whynot": "?", "tensor": "*", "par": "%"}
 
 
 def fmt_formula(f: Formula) -> str:
-    s = f.__dict__.get("_fmt")
+    s = f._text
     if s is not None:
         return s
-    if f.kind == "one":
-        s = "1"
-    elif f.kind == "bot":
-        s = "bot"
-    elif f.kind == "bang":
-        s = "!" + fmt_formula(f.left)
-    elif f.kind == "whynot":
-        s = "?" + fmt_formula(f.left)
-    else:
-        op = "*" if f.kind == "tensor" else "%"
-        s = f"({fmt_formula(f.left)}{op}{fmt_formula(f.right)})"
-    f.__dict__["_fmt"] = s
+    # left to right over the tree, taking a subformula's text where it is
+    # known; only `f` keeps its text, so a deep formula costs linear memory
+    out = []
+    todo = [f]
+    while todo:
+        g = todo.pop()
+        if g.__class__ is str:
+            out.append(g)
+        elif g._text is not None:
+            out.append(g._text)
+        elif g.right is not None:
+            out.append("(")
+            todo += (")", g.right, _SYMBOL[g.kind], g.left)
+        else:
+            out.append(_SYMBOL[g.kind])
+            if g.left is not None:
+                todo.append(g.left)
+    s = "".join(out)
+    _set_slot(f, "_text", s)
     return s
 
 
 def parse_formula(text: str) -> Formula:
-    pos = 0
-
-    def fail(reason):
-        raise ParseError(reason, pos)
-
-    def atom():
-        nonlocal pos
-        if pos >= len(text):
-            fail("unexpected end of formula")
+    """The formula written `text`, in the syntax fmt_formula writes:
+    1, bot, !A, ?A, (A*B), (A%B) and nothing else, not even spaces."""
+    end, pos = len(text), 0
+    # open prefixes and parentheses: "!", "?", "(" or (left operand, operator)
+    stack = []
+    while True:
+        if pos >= end:
+            raise ParseError("unexpected end of formula", pos)
         c = text[pos]
         if c == "1":
             pos += 1
-            return ONE
-        if text.startswith("bot", pos):
+            f = ONE
+        elif text.startswith("bot", pos):
             pos += 3
-            return BOT
-        if c == "!":
+            f = BOT
+        elif c in ("!", "?", "("):
             pos += 1
-            return bang(atom())
-        if c == "?":
-            pos += 1
-            return whynot(atom())
-        if c == "(":
-            pos += 1
-            a = atom()
-            if pos >= len(text) or text[pos] not in "*%":
-                fail("expected '*' or '%'")
-            op = text[pos]
-            pos += 1
-            b = atom()
-            if pos >= len(text) or text[pos] != ")":
-                fail("expected ')'")
-            pos += 1
-            return tensor(a, b) if op == "*" else par(a, b)
-        fail(f"unexpected character {c!r}")
-
-    f = atom()
-    if pos != len(text):
+            stack.append(c)
+            continue
+        else:
+            raise ParseError(f"unexpected character {c!r}", pos)
+        # close what the finished operand f completes
+        while stack:
+            top = stack[-1]
+            if top == "!":
+                f = bang(f)
+            elif top == "?":
+                f = whynot(f)
+            elif top == "(":
+                if pos >= end or text[pos] not in "*%":
+                    raise ParseError("expected '*' or '%'", pos)
+                stack[-1] = (f, text[pos])
+                pos += 1
+                break
+            else:
+                if pos >= end or text[pos] != ")":
+                    raise ParseError("expected ')'", pos)
+                pos += 1
+                a, op = top
+                f = tensor(a, f) if op == "*" else par(a, f)
+            stack.pop()
+        else:
+            break
+    if pos != end:
         raise ParseError("trailing characters in formula", pos)
     return f
 
@@ -1326,16 +1421,20 @@ def serialize(s) -> bytes:
     return json.dumps(obj, separators=(",", ":"), sort_keys=True).encode()
 
 
-def _net_from_obj(obj, where="") -> Net:
+def _net_from_obj(obj, formulas: dict, where="") -> Net:
+    """`formulas` maps each formula text already read to its formula."""
     try:
         free = [(f["port"], f["label"]) for f in obj["free"]]
         cells = []
         for c in obj["cells"]:
-            inner = _net_from_obj(c["box"], where + "box/") if "box" in c else None
+            inner = _net_from_obj(c["box"], formulas, where + "box/") if "box" in c else None
             cells.append(Cell(c["id"], c["sym"], c["pal"], list(c["aux"]), inner))
         wires = []
         for w in obj["wires"]:
-            ty, d = parse_formula(w["ty"]), w.get("dir", "ab")
+            text, d = w["ty"], w.get("dir", "ab")
+            ty = formulas.get(text)
+            if ty is None:
+                ty = formulas[text] = parse_formula(text)
             if d not in ("ab", "ba"):
                 raise ParseError(f"{where}bad wire dir {d!r}: expected 'ab' or 'ba'")
             wires.append(Wire(w["a"], w["b"], ty) if d == "ab" else Wire(w["b"], w["a"], ty))
@@ -1351,7 +1450,8 @@ def parse(data: bytes):
         obj = json.loads(data)
         if not isinstance(obj, dict) or "sum" not in obj or not isinstance(obj["sum"], list):
             raise ParseError("expected top-level object with 'sum' list")
-        return [_net_from_obj(o) for o in obj["sum"]]
+        formulas = {}
+        return [_net_from_obj(o, formulas) for o in obj["sum"]]
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, exc.pos) from exc
     except RecursionError:

@@ -16,7 +16,7 @@ import routenet
 
 from routenet.cli import main
 from routenet.gen import PROGRAM_SUITE, gen_routing_net, gen_typed_net
-from routenet.proofnet import canonical_equal, parse, serialize
+from routenet.proofnet import canonical_equal, fmt_formula, parse, serialize, validate
 from routenet.translate import compile_program
 from routenet.lang import parse_region_ctx, parse_term
 
@@ -281,6 +281,8 @@ MALFORMED_NETS = {
     ),
     # the parser used to read any "dir" other than "ab" as "ba"
     "wire-dir-unknown": ([_OUT], [_ONE], [dict(_wire(1, 2, "1"), dir="zz")]),
+    # a wire type that is not a text used to end in an AttributeError
+    "wire-type-not-text": ([_OUT], [_ONE], [_wire(1, 2, ["bot"])]),
 }
 
 
@@ -309,7 +311,10 @@ def test_reduce_rejects_malformed_net_with_65(tmp_path, case):
     assert got.stdout == ""
     assert "Traceback" not in got.stderr
     # a net the parser refuses never reaches validation
-    want = "bad wire dir 'zz'" if case == "wire-dir-unknown" else "invalid net"
+    want = {
+        "wire-dir-unknown": "bad wire dir 'zz'",
+        "wire-type-not-text": "bad net object",
+    }.get(case, "invalid net")
     assert want in got.stderr
 
 
@@ -330,7 +335,7 @@ DEEP_INPUTS = {
     "json": ("reduce", {"n.json": "[" * 100000 + "]" * 100000}),
     # accepted by the parser, too deep for the walkers after it
     "application-spine": ("check", {"M.term": r"(\x. x)" + " *" * 1000}),
-    "lambdas-compile": ("compile", {"M.term": "\\x. " * 300 + "x"}),
+    "lambdas-compile": ("compile", {"M.term": "\\x. " * 400 + "x"}),
     "lambdas-values": ("values", {"M.term": "\\x. " * 400 + "x"}),
 }
 
@@ -343,6 +348,25 @@ def test_deeply_nested_input_is_65(tmp_path, case):
     assert got.stdout == ""
     assert "Traceback" not in got.stderr
     assert "nested too deeply" in got.stderr
+
+
+def test_300_nested_lambdas_compile(tmp_path):
+    got = _cli("compile", _write(tmp_path, "M.term", "\\x. " * 300 + "x"))
+    assert got.returncode == 0, got.stderr
+    (net,) = parse(got.stdout.encode())
+    assert validate(net) == []
+
+
+def test_reduce_reads_a_deeply_nested_formula(tmp_path):
+    ty = "!" * 3000 + "1"
+    cow = {"id": 1, "sym": "Coweakening", "pal": 1, "aux": []}
+    path = _net_file(tmp_path, [_OUT], [cow], [_wire(1, 2, ty)])
+    got = _cli("reduce", path)
+    assert got.returncode == 0, got.stderr
+    assert "Traceback" not in got.stderr
+    (nf,) = parse(got.stdout.encode())
+    assert fmt_formula(nf.outward(nf.free_port("o"))) == ty
+    assert canonical_equal(nf, parse(Path(path).read_bytes())[0])
 
 
 @pytest.mark.parametrize("ctx", ["r : Reg\n", "r : Reg ( Unit\n"])

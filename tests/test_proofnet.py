@@ -1,4 +1,7 @@
 """Net model: formulas, validation, canonical form, serialization."""
+import copy
+import gc
+import pickle
 import random
 
 import pytest
@@ -67,6 +70,157 @@ def test_formula_oracles():
     assert parse_formula("!(?bot%!1)") == bang(par(whynot(BOT), bang(ONE)))
     with pytest.raises(ParseError):
         parse_formula("!(")
+
+
+def test_equal_formulas_are_one_object():
+    f = bang(par(whynot(BOT), bang(ONE)))
+    made = [
+        Formula("bang", Formula("par", Formula("whynot", Formula("bot")), Formula("bang", ONE))),
+        parse_formula("!(?bot%!1)"),
+        dual(dual(f)),
+        dual(parse_formula("?(!1*?bot)")),
+        copy.copy(f),
+        copy.deepcopy(f),
+        copy.deepcopy([f, {"ty": f}])[1]["ty"],
+        pickle.loads(pickle.dumps(f)),
+    ]
+    assert all(g is f for g in made)
+    assert Formula.__eq__ is object.__eq__ and Formula.__hash__ is object.__hash__
+
+
+def test_formulas_are_immutable_and_have_no_dict():
+    f = tensor(ONE, BOT)
+    assert not hasattr(f, "__dict__")
+    with pytest.raises(AttributeError):
+        f.kind = "par"
+    with pytest.raises(AttributeError):
+        del f.left
+    assert fmt_formula(f) == "(1*bot)"
+
+
+def test_unreferenced_formulas_leave_the_table():
+    gc.collect()
+    before = len(proofnet._FORMULAS)
+    f = ONE
+    for i in range(200):
+        f = tensor(f, bang(f)) if i % 50 == 0 else whynot(f)
+    fmt_formula(f), fmt_formula(dual(f))  # fill the dual and text slots too
+    assert len(proofnet._FORMULAS) > before + 400
+    del f
+    gc.collect()
+    assert len(proofnet._FORMULAS) == before
+
+
+def test_deep_formula_needs_no_recursion():
+    f = ONE
+    for i in range(10_000):
+        f = (bang, whynot, lambda g: par(BOT, g), lambda g: tensor(g, ONE))[i % 4](f)
+    text = fmt_formula(f)
+    assert parse_formula(text) is f
+    swap = {"!": "?", "?": "!", "*": "%", "%": "*", "1": "bot", "b": "1", "o": "", "t": ""}
+    assert fmt_formula(dual(f)) == "".join(swap.get(c, c) for c in text)
+    assert dual(dual(f)) is f
+    net = Net([], [Wire(1, 2, f)], [(1, "a"), (2, "b")])
+    data = serialize(net)
+    (back,) = parse(data)
+    assert back.wires[0].ty is f
+    assert serialize(back) == data
+
+
+def _recursive_parse_formula(text):
+    """The recursive-descent parser formulas had before: an oracle only."""
+    pos = 0
+
+    def fail(reason):
+        raise ParseError(reason, pos)
+
+    def atom():
+        nonlocal pos
+        if pos >= len(text):
+            fail("unexpected end of formula")
+        c = text[pos]
+        if c == "1":
+            pos += 1
+            return ONE
+        if text.startswith("bot", pos):
+            pos += 3
+            return BOT
+        if c == "!":
+            pos += 1
+            return bang(atom())
+        if c == "?":
+            pos += 1
+            return whynot(atom())
+        if c == "(":
+            pos += 1
+            a = atom()
+            if pos >= len(text) or text[pos] not in "*%":
+                fail("expected '*' or '%'")
+            op = text[pos]
+            pos += 1
+            b = atom()
+            if pos >= len(text) or text[pos] != ")":
+                fail("expected ')'")
+            pos += 1
+            return tensor(a, b) if op == "*" else par(a, b)
+        fail(f"unexpected character {c!r}")
+
+    f = atom()
+    if pos != len(text):
+        raise ParseError("trailing characters in formula", pos)
+    return f
+
+
+_FORMULA_TOKENS = ["1", "bot", "!", "?", "(", ")", "*", "%", "b", "bo", "o", "t", " ", "x", "()"]
+
+
+def _random_formula_text(rng, depth):
+    r = rng.random()
+    if depth == 0 or r < 0.25:
+        return rng.choice(["1", "bot"])
+    if r < 0.55:
+        return rng.choice("!?") + _random_formula_text(rng, depth - 1)
+    a, b = _random_formula_text(rng, depth - 1), _random_formula_text(rng, depth - 1)
+    return f"({a}{rng.choice('*%')}{b})"
+
+
+def _mutated_formula_text(rng):
+    text = _random_formula_text(rng, rng.randrange(1, 7))
+    for _ in range(rng.randrange(4)):
+        i = rng.randrange(len(text) + 1)
+        how = rng.randrange(4)
+        if how == 0:  # delete a character
+            text = text[:i] + text[i + 1:]
+        elif how == 1:  # insert a token
+            text = text[:i] + rng.choice(_FORMULA_TOKENS) + text[i:]
+        elif how == 2:  # replace a character by a token
+            text = text[:i] + rng.choice(_FORMULA_TOKENS) + text[i + 1:]
+        else:  # cut
+            text = text[:i]
+    return text
+
+
+def _parse_outcome(parser, text):
+    try:
+        return parser(text)
+    except ParseError as exc:
+        return (exc.reason, exc.offset)
+
+
+def test_formula_parser_agrees_with_the_recursive_oracle():
+    rng = random.Random(17)
+    accepted = 0
+    for k in range(100_000):
+        if k % 2:
+            text = "".join(rng.choice(_FORMULA_TOKENS) for _ in range(rng.randrange(12)))
+        else:
+            text = _mutated_formula_text(rng)
+        want = _parse_outcome(_recursive_parse_formula, text)
+        got = _parse_outcome(parse_formula, text)
+        assert got == want, text
+        accepted += isinstance(want, Formula)
+    # both kinds of outcome are well represented
+    assert 10_000 < accepted < 90_000
 
 
 # ---------------------------------------------------------------------------

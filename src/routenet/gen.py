@@ -1,9 +1,10 @@
 """Seeded random generators and the verification suites shared by the CLI
 and the acceptance tests.
 
-Generators cover multirelations/areas, redex-rich routing nets (built by
-juxtaposing areas and tracing across them), and small arbitrary well-typed
-nets (built as producer/consumer pairs joined by cuts).  The program suite
+Generators cover multirelations/areas, routing nets built by juxtaposing two
+areas and feeding outputs back into inputs (traced into normal areas, or
+left with their cuts unreduced), and small arbitrary well-typed nets (built
+as producer/consumer pairs joined by cuts).  The program suite
 is a fixed list of closed well-typed source programs exercising β-reduction,
 store writes, reads, races and the two-outcome projection example.
 """
@@ -30,6 +31,8 @@ from .routing import (
     RoutingArea,
     build_area,
     compose_areas,
+    feedback,
+    free_io,
     juxtapose,
     path_semantics,
     read_area,
@@ -68,41 +71,48 @@ def gen_area(rng: random.Random, **kw) -> RoutingArea:
 
 
 # ---------------------------------------------------------------------------
-# Random routing nets (not normal: juxtapose two areas, trace across)
+# Random routing nets: two areas side by side, outputs fed back into inputs
 
 
 def gen_routing_net(rng: random.Random, max_cells: int = 25) -> Net:
+    """A normal area: one or two pairs traced across two areas."""
+    return _fed_back_areas(rng, max_cells, trace_net)
+
+
+def gen_cut_net(rng: random.Random, max_cells: int = 25) -> Net:
+    """A routing net with cuts: the areas of `gen_routing_net`, drawn the
+    same way, with one or two pairs fed back and left unreduced."""
+    return _fed_back_areas(rng, max_cells, lambda n, i, o: feedback(n, [(i, o)]))
+
+
+def _fed_back_areas(rng: random.Random, max_cells: int, feed: Callable) -> Net:
+    """Juxtapose two areas and apply `feed(net, i, o)` one or two times,
+    each to the first shuffled input-output pair that closes no cycle."""
     for _ in range(50):
         a = build_area(gen_area(rng, max_in=3, max_out=3, max_entry=2))
         b = build_area(gen_area(rng, max_in=3, max_out=3, max_entry=2))
         n = juxtapose(a, b)
-        traces = rng.randint(1, 2)
-        ok = True
-        for _ in range(traces):
-            ins = [l for p, l in n.free if n.outward(p).kind == "whynot"]
-            outs = [l for p, l in n.free if n.outward(p).kind == "bang"]
-            if not ins or not outs:
-                ok = False
-                break
+        for _ in range(rng.randint(1, 2)):
+            ins, outs = ([l for _, l in side] for side in free_io(n))
             rng.shuffle(ins)
             rng.shuffle(outs)
-            done = False
-            for i in ins:
-                for o in outs:
-                    try:
-                        n = trace_net(n, i, o)
-                        done = True
-                        break
-                    except CycleRisk:
-                        continue
-                if done:
-                    break
-            if not done:
-                ok = False
+            n = _feed_first(n, ins, outs, feed)
+            if n is None:
                 break
-        if ok and len(n.cells) <= max_cells:
-            return n
+        else:
+            if len(n.cells) <= max_cells:
+                return n
     raise RoutenetError("could not generate a routing net within bounds")
+
+
+def _feed_first(n: Net, ins: list[str], outs: list[str], feed: Callable) -> Net | None:
+    for i in ins:
+        for o in outs:
+            try:
+                return feed(n, i, o)
+            except CycleRisk:
+                continue
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +292,9 @@ def suite_program(name: str):
 # ---------------------------------------------------------------------------
 # Verification checks, one case each
 
+CONFLUENCE_MAX_NODES = 3000  # reduction graph nodes before a case is skipped
+PROGRAM_BUDGET = 200000  # rewriting steps for one compiled suite program
+
 
 def check_trace(rng: random.Random):
     """Tracing a zero entry of an area: net semantics == trace formula."""
@@ -306,7 +319,7 @@ def check_paths_area(rng: random.Random):
 
 
 def check_paths_net(rng: random.Random):
-    net = gen_routing_net(rng)
+    net = gen_cut_net(rng)
     return path_semantics(net) == semantics(net), "routing net path counting"
 
 
@@ -331,7 +344,7 @@ def check_compose(rng: random.Random):
 
 def check_characterize(rng: random.Random):
     """The normal form of a routing net, in canonical form, is an area."""
-    net = gen_routing_net(rng)
+    net = gen_cut_net(rng)
     nf = normalize(net)
     if len(nf) != 1:
         return False, f"normal form has {len(nf)} summands"
@@ -343,7 +356,7 @@ def check_characterize(rng: random.Random):
 
 
 def check_path_preservation(rng: random.Random):
-    net = gen_routing_net(rng)
+    net = gen_cut_net(rng)
     free = [p for p, _ in net.free]
     pairs = [(i, o) for i in free for o in free if i != o]
     base = count_paths_all(net, free, free)
@@ -370,9 +383,9 @@ def check_transit(rng: random.Random):
     return True, "transit"
 
 
-def check_confluence(rng: random.Random, max_nodes: int = 3000):
+def check_confluence(rng: random.Random):
     net = gen_typed_net(rng)
-    nodes, edges, truncated = reduction_graph(net, policy=ALL, max_nodes=max_nodes)
+    nodes, edges, truncated = reduction_graph(net, policy=ALL, max_nodes=CONFLUENCE_MAX_NODES)
     outgoing = {i: set() for i in range(len(nodes))}
     for i, j in edges:
         outgoing[i].add(j)
@@ -402,11 +415,11 @@ def check_confluence(rng: random.Random, max_nodes: int = 3000):
     return True, "confluence"
 
 
-def check_simulation(name: str, budget: int = 200000):
+def check_simulation(name: str):
     R, p = suite_program(name)
-    nf = normalize(compile_program(p, R), budget=budget)
+    nf = normalize(compile_program(p, R), budget=PROGRAM_BUDGET)
     for q in step(p):
-        nq = normalize(compile_program(q, R), budget=budget)
+        nq = normalize(compile_program(q, R), budget=PROGRAM_BUDGET)
         if not nq.certs() <= nf.certs():
             return False, f"{name}: reduct {q!r} not contained"
     if name == "proj":
@@ -416,15 +429,15 @@ def check_simulation(name: str, budget: int = 200000):
     return True, f"{name}: simulation"
 
 
-def check_adequacy(name: str, budget: int = 200000):
+def check_adequacy(name: str):
     R, p = suite_program(name)
     # the value nets of every final interpreter state, and its outcome
     by_cert = {}
     for tree in value_trees(p):
-        for cert, _ in normalize(compile_program(tree, R), budget=budget).items():
+        for cert, _ in normalize(compile_program(tree, R), budget=PROGRAM_BUDGET).items():
             by_cert[cert] = outcome(tree)
     certs = set(by_cert)
-    nf = normalize(compile_program(p, R), budget=budget)
+    nf = normalize(compile_program(p, R), budget=PROGRAM_BUDGET)
     matched = nf.certs() & certs
     if matched != certs:
         return False, f"{name}: value summands {len(matched)} != targets {len(certs)}"

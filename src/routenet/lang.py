@@ -801,10 +801,9 @@ def embed_term(t: TermA, store_vals: dict, inf: Infer) -> TermA:
     raise TypingError("embed", f"cannot embed {t!r}")
 
 
-def embed_lthis(p: TermA, R: RegionCtx, gamma: dict | None = None) -> TermA:
+def embed_lthis(p: TermA, R: RegionCtx) -> TermA:
     """Full program embedding: strip stores into substitution multisets."""
-    gamma = gamma or {}
-    (_, _), inf = typecheck_amadio(R, gamma, p, want_infer=True)
+    (_, _), inf = typecheck_amadio(R, {}, p, want_infer=True)
     tree, stores = split_stores(inf.term)
     store_vals: dict[str, list[TermA]] = {}
     for r, v in stores:

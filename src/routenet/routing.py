@@ -4,23 +4,31 @@ An area for R : I x O -> N has one contraction tree per input (rooted at the
 input's free wire), one cocontraction tree per output, and exactly R(i,o)
 wires crossing from the tree of i to the tree of o.  All wires carry the
 same formula !A oriented from inputs to outputs; a free port is an input
-when the !A flows from it into the net, an output when it flows out.
+when the !A flows from it into the net, an output when it flows out, and
+`free_io` is the one place that tells them apart.
 
-Two semantics are computed — normal-form shape reading and free-to-free
-path counting — and agree on routing nets.  The reader takes a net as two
-forests and a matching: one walk from the free ports gives each leaf of
-the contraction trees and of the cocontraction trees its root, past the
-neutral (co)weakening leaves and unary nodes that canonical form would
-remove, and the crossing wires must match the leaves of the two forests
-one to one.  A net that reader accepts is acyclic and has no cut, so it
-is its own normal form: `read_area` reads the raw net it is given, and
-`semantics` reads its net first and checks and reduces only a net the
-reader refuses.  `trace_net`, `compose_areas` and `transit` check a net
-once, before reducing it, and read the raw normal net.  `transit` finds
-its payload copies on the leaves of the same walk.  Composition traces
-all its pairs in one pass, as the vanishing axiom of traced monoidal
-categories allows.  Canonical form only builds the nets that `trace_net`
-and `compose_areas` return, and `semantics` reads those in one walk.
+The operations on areas are made of three steps, each written once:
+
+* feedback (`feedback`) checks a net and wires outputs back into inputs,
+  all pairs in one pass, leaving the cuts it makes unreduced;
+* reduction (`_normal_net`) reaches the one normal net within the fixed
+  budget of `BUDGET` rewriting steps;
+* reading (`_crossings`) takes a net as two forests and a matching: one
+  walk from the free ports gives each leaf of the contraction trees and
+  of the cocontraction trees its root, past the neutral (co)weakening
+  leaves and unary nodes that canonical form would remove, and the
+  crossing wires must match the leaves of the two forests one to one.
+
+A net the reader accepts is acyclic and has no cut, so it is its own
+normal form: `read_area` reads the raw net it is given, and `semantics`
+reads its net first and checks, reduces and reads again only a net the
+reader refuses.  `trace_net` and `compose_areas` are feedback, then
+reduction, then canonical form, which only builds the nets they return;
+composition feeds all its pairs back at once, as the vanishing axiom of
+traced monoidal categories allows.  `transit` reduces an area with a
+payload fed in and finds the payload copies on the leaves of the same
+walk.  `path_semantics` counts free-to-free paths instead, and agrees with
+`semantics` on routing nets.
 """
 from __future__ import annotations
 
@@ -53,6 +61,8 @@ from .proofnet import (
 from .rewrite import normal_nets
 
 _STRUCTURAL = {"Contraction", "Cocontraction", "Weakening", "Coweakening"}
+
+BUDGET = 10000  # rewriting steps for one area operation
 
 
 @dataclass(frozen=True)
@@ -128,33 +138,30 @@ def delta(payload: "Formula" = bang(ONE)) -> Net:
 
 
 def is_routing_net(n: Net) -> bool:
-    return _structural(n) and check_acyclic(n)
+    return _structural(n) is not None and check_acyclic(n)
 
 
-def _structural(n: Net) -> bool:
-    """Only structural cells, and one !A on every wire."""
+def _structural(n: Net):
+    """The one !A on every wire of a net of structural cells only (!1 if
+    it has no wire), or None if the net is not one."""
     if any(c.sym not in _STRUCTURAL for c in n.cells):
-        return False
+        return None
     payload = None
     for w in n.wires:
         f = w.ty if w.ty.kind == "bang" else dual(w.ty)
-        if f.kind != "bang":
-            return False
-        if payload is None:
-            payload = f
-        elif f != payload:
-            return False
-    return True
+        if f.kind != "bang" or payload not in (None, f):
+            return None
+        payload = f
+    return bang(ONE) if payload is None else payload
 
 
-def _free_io(n: Net):
+def free_io(n: Net):
     """Split free ports into inputs (consume !A) and outputs (emit !A)."""
     ins, outs = [], []
-    wire_of = n.wire_of()
     for p, lbl in n.free:
-        if p not in wire_of:
+        if not n.is_wired(p):
             raise UnwiredPort(f"free port {lbl!r} has no wire")
-        if wire_of[p].toward(p).kind == "bang":
+        if n.outward(p).kind == "bang":
             outs.append((p, lbl))
         else:
             ins.append((p, lbl))
@@ -168,27 +175,25 @@ def _check_labels(ins, outs):
 
 def read_area(n: Net) -> RoutingArea:
     """Decompose a normal routing net into its multirelation."""
-    if not _structural(n):
+    if (payload := _structural(n)) is None:
         raise NotAreaShaped("not a routing net")
-    return _read(n)
+    return RoutingArea(_read(n), payload)
 
 
-def _payload(n: Net):
-    for w in n.wires:
-        return w.ty if w.ty.kind == "bang" else dual(w.ty)
-    return bang(ONE)
-
-
-def _read(n: Net) -> RoutingArea:
-    """The area of a structural net, or NotAreaShaped if it is not one."""
-    ins, outs = _free_io(n)
+def _read(n: Net) -> Multirelation:
+    """The relation of a structural net, or NotAreaShaped if it is not an area."""
+    ins, outs = free_io(n)
     _check_labels(ins, outs)
-    label = dict(n.free)
-    rel = {(label[pi], label[po]): k for (pi, po), k in _crossings(n, ins, outs).items()}
-    r = Multirelation(
-        LabelSet(tuple(l for _, l in ins)), LabelSet(tuple(l for _, l in outs)), rel
+    return _relation(ins, outs, _crossings(n, ins, outs))
+
+
+def _relation(ins, outs, counts: dict[tuple[int, int], int]) -> Multirelation:
+    """The relation from the labels of the input ports `ins` to those of
+    the output ports `outs` that `counts` gives per port pair."""
+    ent = {(i, o): counts.get((pi, po), 0) for pi, i in ins for po, o in outs}
+    return Multirelation(
+        LabelSet(tuple(l for _, l in ins)), LabelSet(tuple(l for _, l in outs)), ent
     )
-    return RoutingArea(r, _payload(n))
 
 
 def _crossings(n: Net, ins, outs) -> dict[tuple[int, int], int]:
@@ -242,10 +247,10 @@ def _forest(n: Net, wire_of, roots, sym: str, neutral: str, visited: set) -> dic
 # Semantics
 
 
-def _normal_net(n: Net, budget: int, what: str) -> Net:
+def _normal_net(n: Net, what: str) -> Net:
     """The one raw normal net of `n`.  Nets are counted up to equivalence,
     as a NetSum counts them; `what` names the operation in the error."""
-    nets = list(normal_nets(n, budget))
+    nets = list(normal_nets(n, BUDGET))
     if len(nets) != 1:
         count = len(NetSum(nets))
         if count != 1:
@@ -253,32 +258,24 @@ def _normal_net(n: Net, budget: int, what: str) -> Net:
     return nets[0]
 
 
-def semantics(n: Net, budget: int = 10000) -> Multirelation:
+def semantics(n: Net) -> Multirelation:
     """The multirelation of a routing net: read at once if `n` is a normal
     area, else checked acyclic, reduced and read."""
-    if not _structural(n):
+    if _structural(n) is None:
         raise NotAreaShaped("not a routing net")
     try:
-        return _read(n).rel
+        return _read(n)
     except (NotAreaShaped, UnwiredPort):
         pass  # not normal, or not an area: the full path decides
     if not check_acyclic(n):
         raise NotAreaShaped("not a routing net")
-    return _read(_normal_net(n, budget, "routing net reduced to")).rel
+    return _read(_normal_net(n, "routing net reduced to"))
 
 
 def path_semantics(n: Net) -> Multirelation:
-    ins, outs = _free_io(n)
-    counts = count_paths_all(n, [p for p, _ in ins], [p for p, _ in outs])
-    ent = {}
-    for pi, i in ins:
-        for po, o in outs:
-            v = counts[(pi, po)]
-            if v:
-                ent[(i, o)] = v
-    return Multirelation(
-        LabelSet(tuple(l for _, l in ins)), LabelSet(tuple(l for _, l in outs)), ent
-    )
+    """The count of free-to-free paths from each input to each output."""
+    ins, outs = free_io(n)
+    return _relation(ins, outs, count_paths_all(n, [p for p, _ in ins], [p for p, _ in outs]))
 
 
 # ---------------------------------------------------------------------------
@@ -293,25 +290,21 @@ def juxtapose(a: Net, b: Net) -> Net:
     return out
 
 
-def trace_net(a: Net, i: str, o: str, budget: int = 10000) -> Net:
-    """Wire output o back into input i and normalize; the canonical net."""
-    return canonicalize(_traced(a, [(i, o)], budget))
-
-
-def _traced(a: Net, pairs: list[tuple[str, str]], budget: int) -> Net:
-    """The raw normal net of `a` with the output o of each (i, o) in
-    `pairs` wired back into input i, all pairs in one pass."""
-    if not _structural(a):
+def feedback(a: Net, pairs: list[tuple[str, str]]) -> Net:
+    """`a` with the output o of each (i, o) in `pairs` wired back into input
+    i, all pairs in one pass, not reduced.  `a` must be a routing net with
+    distinct labels in each direction, and no pair may close a cycle."""
+    if _structural(a) is None:
         raise NotAreaShaped("not a routing net")
-    ins, outs = _free_io(a)
+    ins, outs = free_io(a)
     _check_labels(ins, outs)
     in_port, out_port = {l: p for p, l in ins}, {l: p for p, l in outs}
-    try:  # popping refuses a label traced twice
+    try:  # popping refuses a label fed back twice
         links = [(in_port.pop(i), out_port.pop(o)) for i, o in pairs]
     except KeyError as e:
         raise UnknownLabel(e.args[0]) from None
     # path counting checks acyclicity, the rest of is_routing_net; a cycle
-    # closed by the trace runs from a traced input to a traced output
+    # closed by feedback runs from a fed input to a fed output
     try:
         crossings = count_paths_all(a, [pi for pi, _ in links], [po for _, po in links])
     except CyclicNet:
@@ -321,8 +314,8 @@ def _traced(a: Net, pairs: list[tuple[str, str]], budget: int) -> Net:
         raise CycleRisk(f"semantics({i},{o}) >= 1")
     n = a.copy()
     b = Builder(n)
-    traced = set(sum(links, ()))
-    n.free = [(p, l) for p, l in n.free if p not in traced]
+    fed = set(sum(links, ()))
+    n.free = [(p, l) for p, l in n.free if p not in fed]
     for pi, po in links:
         # two distinct wires: one joining pi and po would be a path
         wa, wb = b.wire_at(pi), b.wire_at(po)
@@ -330,25 +323,27 @@ def _traced(a: Net, pairs: list[tuple[str, str]], budget: int) -> Net:
         b.remove_wire(wb)
         # flow leaves the net at o and re-enters at i
         b.wire(wb.other(po), wa.other(pi), wb.toward(po))
-    return _normal_net(n, budget, "trace produced")
+    return n
 
 
-def compose_areas(
-    a: Net, outs: list[str], b: Net, ins: list[str], budget: int = 10000
-) -> Net:
-    """Juxtapose and trace each of a's listed outputs onto b's inputs in one
-    pass, within one `budget`, and canonicalize the result once.  Tags
-    introduced by the juxtaposition are stripped from the labels of each
-    direction unless two of them would then be equal, so a full composition
-    exposes a's inputs and b's outputs under their own names.  They are
-    stripped before canonicalizing, so the result is canonical under the
-    labels it carries."""
+def trace_net(a: Net, i: str, o: str) -> Net:
+    """Wire output o back into input i and normalize; the canonical net."""
+    return canonicalize(_normal_net(feedback(a, [(i, o)]), "trace produced"))
+
+
+def compose_areas(a: Net, outs: list[str], b: Net, ins: list[str]) -> Net:
+    """Juxtapose, feed each of a's listed outputs back into b's inputs in one
+    pass, reduce, and canonicalize the result once.  Tags introduced by the
+    juxtaposition are stripped from the labels of each direction unless two
+    of them would then be equal, so a full composition exposes a's inputs
+    and b's outputs under their own names.  They are stripped before
+    canonicalizing, so the result is canonical under the labels it carries."""
     if len(outs) != len(ins):
         raise ValueError("output and input pairing lists differ in length")
     pairs = [("R." + i, "L." + o) for o, i in zip(outs, ins)]
-    n = _traced(juxtapose(a, b), pairs, budget)
+    n = _normal_net(feedback(juxtapose(a, b), pairs), "trace produced")
     untagged = {}
-    for side in _free_io(n):
+    for side in free_io(n):
         names = [l[2:] for _, l in side]
         if len(set(names)) == len(names):
             untagged.update(zip((p for p, _ in side), names))
@@ -366,29 +361,38 @@ def boxed_one() -> Net:
     return Net([Cell(1, "Box", 1, [], inner)], [Wire(1, 2, bang(ONE))], [(2, "out")])
 
 
-def transit(a: Net, i: str, payload: Net | None = None, budget: int = 10000):
+def transit(a: Net, i: str, payload: Net | None = None):
     """Feed one boxed payload into input i and count deliveries per output.
 
     The payload enters through a fresh cocontraction so the input port stays
     free.  Returns {output label: copies}; the counts equal row i of the
     semantics, and the net left over once the copies are removed is checked
-    to be the original area again.
+    to be the original area again: the same payload and, port by port, the
+    same crossings, since rewriting keeps the free ports.
     """
-    if (shape := _shape(a)) is None:
+    if (A := _structural(a)) is None:
+        raise RoutenetError("transit needs a normal routing area")
+    ins, outs = free_io(a)
+
+    def crossings(n: Net):
+        try:
+            return _crossings(n, ins, outs)
+        except NotAreaShaped:
+            return None
+
+    if (before := crossings(a)) is None:
         raise RoutenetError("transit needs a normal routing area")
     if payload is None:
         payload = boxed_one()
-    n = a.copy()
-    b = Builder(n)
-    pi = next((p for p, l in _free_io(n)[0] if l == i), None)
+    pi = next((p for p, l in ins if l == i), None)
     if pi is None:
         raise NotAreaShaped(f"no free input {i!r}")
-    w = b.wire_at(pi)
-    A = w.ty if w.ty.kind == "bang" else dual(w.ty)
     pf = payload.free[0][0] if len(payload.free) == 1 else None
     if pf is None or not payload.is_wired(pf) or payload.outward(pf) != A:
         raise RoutenetError(f"payload must have one free port, emitting {fmt_formula(A)}")
-    far = w.other(pi)
+    n = a.copy()
+    b = Builder(n)
+    far = b.wire_at(pi).other(pi)
     cc = b.cell("Cocontraction", 2)
     # input wire now feeds aux 1; the principal takes the old far end
     b.reend(far, cc.aux[0])
@@ -397,11 +401,10 @@ def transit(a: Net, i: str, payload: Net | None = None, budget: int = 10000):
     off = b.merge(payload)
     b.reend(pf + off, cc.aux[1])
 
-    m = _normal_net(n, budget, "transit produced")
+    m = _normal_net(n, "transit produced")
 
     # each payload copy hangs on a leaf of an output tree; replacing every
     # copy by a coweakening must give the area back
-    _, outs = _free_io(m)
     label, counts = dict(outs), {l: 0 for _, l in outs}
     wire_of = m.wire_of()
     root_of = _forest(m, wire_of, list(label), "Cocontraction", "Coweakening", set())
@@ -415,21 +418,6 @@ def transit(a: Net, i: str, payload: Net | None = None, budget: int = 10000):
             raise NotAreaShaped("payload copy not delivered to an output")
         counts[label[po]] += 1
         b.replace_cell(Cell(c.id, "Coweakening", c.principal, c.aux))
-    if _shape(residual) != shape:
+    if _structural(residual) != A or crossings(residual) != before:
         raise RoutenetError("transit disturbed the area")
     return counts
-
-
-def _shape(n: Net):
-    """What determines a normal routing net up to equivalence (criterion
-    04): its free ports and labels by direction, its payload and its
-    crossings per port pair; None if `n` is not one.  Rewriting keeps free
-    ports, so a net and its reducts compare port by port.  A structural net
-    that `_crossings` reads is acyclic and normal."""
-    if not _structural(n):
-        return None
-    ins, outs = _free_io(n)
-    try:
-        return sorted(ins), sorted(outs), _payload(n), _crossings(n, ins, outs)
-    except NotAreaShaped:
-        return None

@@ -62,6 +62,7 @@ from .proofnet import (
     validate,
 )
 from .routing import delta as delta_area
+from .routing import free_io
 from .routing import gamma as gamma_area
 
 # ---------------------------------------------------------------------------
@@ -225,13 +226,8 @@ def _box(b: Builder, inner: Net) -> Iface:
 def _area_ports(b: Builder, area: Net):
     """Merge a routing area; returns ({label: in_end}, {label: out_end})."""
     off = b.merge(area)
-    ins, outs = {}, {}
-    for p, lbl in area.free:
-        if area.outward(p).kind == "whynot":
-            ins[lbl] = p + off
-        else:
-            outs[lbl] = p + off
-    return ins, outs
+    ins, outs = free_io(area)
+    return {l: p + off for p, l in ins}, {l: p + off for p, l in outs}
 
 
 # ---------------------------------------------------------------------------
@@ -537,9 +533,9 @@ def _sorted_iface(iface: Iface) -> list[tuple[int, str]]:
     return [(q, label) for label, q in sorted(iface.items(), key=key)]
 
 
-def translate(term: TermA, R: RegionCtx, gamma: dict | None = None) -> Net:
+def translate(term: TermA, R: RegionCtx) -> Net:
     """Compile a typed term; free ports follow the labelled interface."""
-    (_ty, _eff), inf = typecheck_lthis(R, gamma or {}, term, want_infer=True)
+    (_ty, _eff), inf = typecheck_lthis(R, {}, term, want_infer=True)
     tr = _Translator(R, inf)
     iface = tr.tr(inf.term)
     net = tr.b.finish(_sorted_iface(iface))

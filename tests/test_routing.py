@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from routenet import proofnet, routing
+from routenet import gen, proofnet, routing
 from routenet.errors import CycleRisk, NotAreaShaped, RoutenetError, UnknownLabel, UnwiredPort
 from routenet.gen import gen_relation, gen_routing_net
 from routenet.multirel import comm_relation, coproduct, from_rows, rows_of, trace_formula
@@ -27,14 +27,13 @@ from routenet.rewrite import ALL, find_redexes, normal_nets
 from routenet.routing import (
     RoutingArea,
     _crossings,
-    _free_io,
-    _read,
     _structural,
-    _traced,
     boxed_one,
     build_area,
     compose_areas,
     delta,
+    feedback,
+    free_io,
     gamma,
     is_routing_net,
     juxtapose,
@@ -169,7 +168,7 @@ def _compose_pair_by_pair(a: Net, outs, b: Net, ins) -> Net:
         n = trace_net(n, "R." + i, "L." + o)
     # a direction keeps its tags where stripping them would make two equal
     keep = set()
-    for side in _free_io(n):
+    for side in free_io(n):
         if len({l[2:] for _, l in side}) < len(side):
             keep.update(p for p, _ in side)
     n.free = [(p, l if p in keep else l[2:]) for p, l in n.free]
@@ -200,14 +199,14 @@ def test_partial_composition_keeps_tags_where_labels_would_clash():
     r = from_rows(["i1", "i2"], ["o1", "o2"], [[1, 0], [0, 1]])
     s = from_rows(["i1", "i2"], ["o1", "o2"], [[1, 2], [0, 1]])
     net = compose_areas(build_area(RoutingArea(r)), ["o1"], build_area(RoutingArea(s)), ["i1"])
-    ins, outs = _free_io(net)
+    ins, outs = free_io(net)
     assert sorted(l for _, l in ins) == ["L.i1", "L.i2", "R.i2"]
     assert sorted(l for _, l in outs) == ["L.o2", "R.o1", "R.o2"]
     assert semantics(net) == trace_formula(coproduct(r, s), "R.i1", "L.o1")
     # one direction clashes, the other does not: only the clashing one is tagged
     t = from_rows(["a", "b"], ["o1", "o2"], [[1, 0], [0, 1]])
     net = compose_areas(build_area(RoutingArea(t)), ["o1"], build_area(RoutingArea(s)), ["i1"])
-    ins, outs = _free_io(net)
+    ins, outs = free_io(net)
     assert sorted(l for _, l in ins) == ["a", "b", "i2"]
     assert sorted(l for _, l in outs) == ["L.o2", "R.o1", "R.o2"]
     untag = {"L.a": "a", "L.b": "b", "R.i2": "i2"}
@@ -354,10 +353,10 @@ def test_reader_sees_past_neutral_leaves_and_unary_nodes(name):
     if name != "unary-chains":
         assert validate(net) == []
     _check_normal_routing(net)
-    ins, outs = _free_io(net)
+    ins, outs = free_io(net)
     want = from_rows([l for _, l in ins], [l for _, l in outs], rows)
-    assert _read(net).rel == want == path_semantics(net) == semantics(net)
-    assert _read(net) == _read(canonicalize(net))
+    assert read_area(net).rel == want == path_semantics(net) == semantics(net)
+    assert read_area(net) == read_area(canonicalize(net))
 
 
 def _one_raw_normal_net(n: Net) -> Net:
@@ -381,22 +380,22 @@ def test_reader_on_raw_normal_nets_equals_canonical_read_area():
         corpus.append(_one_raw_normal_net(net))
         pair = _zero_pair(net)
         if pair is not None:
-            corpus.append(_traced(net, [pair], 10000))
+            corpus.append(_one_raw_normal_net(feedback(net, [pair])))
     for seed in range(40):
         rng = random.Random(seed)
         r = gen_relation(rng, max_in=3, max_out=3, exact=True)
         s = gen_relation(rng, max_in=3, max_out=3, exact=True)
         n = juxtapose(build_area(RoutingArea(r)), build_area(RoutingArea(s)))
         for o, i in zip(r.codomain, s.domain):
-            n = _traced(n, [("R." + i, "L." + o)], 10000)
+            n = _one_raw_normal_net(feedback(n, [("R." + i, "L." + o)]))
             corpus.append(n)
     assert len(corpus) > 400
     # raw normal forms do hold the leaves that canonical form removes
     assert sum(_neutral_leaves(m) > 0 for m in corpus) > 50
     for m in corpus:
         _check_normal_routing(m)
-        assert _read(m) == _read(canonicalize(m))
-        assert _read(m).rel == path_semantics(m)
+        assert read_area(m) == read_area(canonicalize(m))
+        assert read_area(m).rel == path_semantics(m)
 
 
 def test_transit_on_raw_normal_nets_delivers_the_path_semantics():
@@ -410,7 +409,7 @@ def test_transit_on_raw_normal_nets_delivers_the_path_semantics():
         nets.append(_one_raw_normal_net(net))
         pair = _zero_pair(net)
         if pair is not None:
-            nets.append(_traced(net, [pair], 10000))
+            nets.append(_one_raw_normal_net(feedback(net, [pair])))
     assert sum(_neutral_leaves(m) > 0 for m in nets) > 10
     for m in nets:
         rel = path_semantics(m)
@@ -501,6 +500,51 @@ def test_semantics_walks_a_normal_area_once(monkeypatch):
     assert sorted(counted) == ["_normal_net", "check_acyclic"]
 
 
+def test_semantics_checks_reduces_and_reads_fed_back_areas(monkeypatch):
+    """The full path of semantics on 100 seeded areas, each with a zero
+    entry (i, o) fed back and left unreduced: semantics and path_semantics
+    both give the trace formula, and most of the nets are reduced first."""
+    reduced = []
+    real = routing._normal_net
+    monkeypatch.setattr(routing, "_normal_net", lambda *args: reduced.append(1) or real(*args))
+    checked, seed = 0, 0
+    while checked < 100:
+        rng, seed = random.Random(seed), seed + 1
+        r = gen_relation(rng, max_in=3, max_out=3, max_entry=2)
+        zeros = [(i, o) for i in r.domain for o in r.codomain if r(i, o) == 0]
+        if not zeros:
+            continue
+        i, o = rng.choice(zeros)
+        net = feedback(build_area(RoutingArea(r)), [(i, o)])
+        want = trace_formula(r, i, o)
+        assert semantics(net) == want, seed
+        assert path_semantics(net) == want, seed
+        checked += 1
+    assert len(reduced) > 50
+
+
+# The function of `gen` to which each suite first hands its generated net.
+SUITE_NET_READERS = {
+    "paths": "path_semantics",
+    "characterize": "normalize",
+    "path-preservation": "find_redexes",
+}
+
+
+@pytest.mark.parametrize("suite", sorted(SUITE_NET_READERS))
+def test_path_suites_run_on_nets_with_cuts(suite, monkeypatch):
+    """Criteria 02, 04 and 05 check nets that still reduce: at seed 2025,
+    the acceptance seed, at least half of each suite's 200 nets have a
+    redex."""
+    nets = []
+    name = SUITE_NET_READERS[suite]
+    real = getattr(gen, name)
+    monkeypatch.setattr(gen, name, lambda net, *args: nets.append(net) or real(net, *args))
+    assert all(ok for _, ok, _ in gen.run_suite(suite, 2025, 200))
+    assert len(nets) == 200
+    assert sum(bool(find_redexes(n, ALL)) for n in nets) >= 100
+
+
 def _wire_swaps(n: Net):
     """Every net made from `n` by swapping the ends into which !A flows of
     two of its wires: still structural, and seldom an area."""
@@ -526,7 +570,7 @@ def test_tree_reader_accepts_only_acyclic_cut_free_nets():
     for net in nets:
         for m in _wire_swaps(net):
             assert _structural(m)
-            ins, outs = _free_io(m)
+            ins, outs = free_io(m)
             try:
                 _crossings(m, ins, outs)
             except NotAreaShaped:
@@ -547,7 +591,7 @@ def _relabelled(n: Net, labels: dict) -> Net:
 def _wired(n: Net, i: str, o: str) -> Net:
     """Output o wired back into input i, not normalized."""
     n = n.copy()
-    ins, outs = _free_io(n)
+    ins, outs = free_io(n)
     pi = next(p for p, l in ins if l == i)
     po = next(p for p, l in outs if l == o)
     b = Builder(n)

@@ -74,18 +74,22 @@ def gen_area(rng: random.Random, **kw) -> RoutingArea:
 # Random routing nets: two areas side by side, outputs fed back into inputs
 
 
-def gen_routing_net(rng: random.Random, max_cells: int = 25) -> Net:
+ROUTING_NET_MAX_CELLS = 25  # cells in a generated routing net
+TYPED_NET_MAX_CELLS = 12  # cells in a generated well-typed net
+
+
+def gen_routing_net(rng: random.Random) -> Net:
     """A normal area: one or two pairs traced across two areas."""
-    return _fed_back_areas(rng, max_cells, trace_net)
+    return _fed_back_areas(rng, trace_net)
 
 
-def gen_cut_net(rng: random.Random, max_cells: int = 25) -> Net:
+def gen_cut_net(rng: random.Random) -> Net:
     """A routing net with cuts: the areas of `gen_routing_net`, drawn the
     same way, with one or two pairs fed back and left unreduced."""
-    return _fed_back_areas(rng, max_cells, lambda n, i, o: feedback(n, [(i, o)]))
+    return _fed_back_areas(rng, lambda n, i, o: feedback(n, [(i, o)]))
 
 
-def _fed_back_areas(rng: random.Random, max_cells: int, feed: Callable) -> Net:
+def _fed_back_areas(rng: random.Random, feed: Callable) -> Net:
     """Juxtapose two areas and apply `feed(net, i, o)` one or two times,
     each to the first shuffled input-output pair that closes no cycle."""
     for _ in range(50):
@@ -100,7 +104,7 @@ def _fed_back_areas(rng: random.Random, max_cells: int, feed: Callable) -> Net:
             if n is None:
                 break
         else:
-            if len(n.cells) <= max_cells:
+            if len(n.cells) <= ROUTING_NET_MAX_CELLS:
                 return n
     raise RoutenetError("could not generate a routing net within bounds")
 
@@ -222,7 +226,7 @@ def _consumer(b: Builder, rng: random.Random, f: Formula, depth: int) -> int:
     raise RoutenetError(f"cannot consume {f!r}")
 
 
-def gen_typed_net(rng: random.Random, max_cells: int = 12) -> Net:
+def gen_typed_net(rng: random.Random) -> Net:
     for _ in range(100):
         b = Builder()
         for _ in range(rng.randint(1, 2)):
@@ -231,7 +235,7 @@ def gen_typed_net(rng: random.Random, max_cells: int = 12) -> Net:
             qc = _consumer(b, rng, f, rng.randint(1, 2))
             b.fuse(qp, qc)
         n = b.net
-        if len(n.cells) <= max_cells:
+        if len(n.cells) <= TYPED_NET_MAX_CELLS:
             problems = validate(n)
             if problems:
                 raise RoutenetError(f"generator made an invalid net: {problems}")

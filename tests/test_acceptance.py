@@ -56,7 +56,7 @@ def test_criterion_06_transit_delivers_semantics_row_and_keeps_area():
 def test_criterion_07_reduction_graphs_have_unique_sink_no_cycle():
     _, messages = _run("confluence", 100)
     skipped = sum(msg.startswith("skipped") for msg in messages)
-    assert skipped < 10, f"{skipped}/100 graphs truncated: raise max_nodes"
+    assert skipped < 10, f"{skipped}/100 graphs truncated: raise routenet.gen.CONFLUENCE_MAX_NODES"
 
 
 def test_criterion_08_source_steps_simulated_in_compiled_nets():

@@ -26,7 +26,7 @@ from .proofnet import (
     tensor,
     validate,
 )
-from .rewrite import ALL, apply_redex, find_redexes, normalize, reduction_graph
+from .rewrite import ALL, apply_redex, find_redexes, normal_certs, normalize, reduction_graph
 from .routing import (
     RoutingArea,
     build_area,
@@ -421,13 +421,12 @@ def check_confluence(rng: random.Random):
 
 def check_simulation(name: str):
     R, p = suite_program(name)
-    nf = normalize(compile_program(p, R), budget=PROGRAM_BUDGET)
+    nf = normal_certs(compile_program(p, R), budget=PROGRAM_BUDGET)
     for q in step(p):
-        nq = normalize(compile_program(q, R), budget=PROGRAM_BUDGET)
-        if not nq.certs() <= nf.certs():
+        if not normal_certs(compile_program(q, R), budget=PROGRAM_BUDGET) <= nf:
             return False, f"{name}: reduct {q!r} not contained"
     if name == "proj":
-        matched = nf.certs() & value_certs(p, R)
+        matched = nf & value_certs(p, R)
         if len(matched) != 2:
             return False, f"proj: {len(matched)} value summands, wanted 2"
     return True, f"{name}: simulation"
@@ -438,11 +437,10 @@ def check_adequacy(name: str):
     # the value nets of every final interpreter state, and its outcome
     by_cert = {}
     for tree in value_trees(p):
-        for cert, _ in normalize(compile_program(tree, R), budget=PROGRAM_BUDGET).items():
+        for cert in normal_certs(compile_program(tree, R), budget=PROGRAM_BUDGET):
             by_cert[cert] = outcome(tree)
     certs = set(by_cert)
-    nf = normalize(compile_program(p, R), budget=PROGRAM_BUDGET)
-    matched = nf.certs() & certs
+    matched = normal_certs(compile_program(p, R), budget=PROGRAM_BUDGET) & certs
     if matched != certs:
         return False, f"{name}: value summands {len(matched)} != targets {len(certs)}"
     # every source outcome is realized by at least one value summand

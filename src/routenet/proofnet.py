@@ -300,15 +300,17 @@ class Net:
     rewrite.py), and `touched` the ports edited since those were last
     brought up to date; both are copied with the net.
 
-    Box contents remember their canonical form: canonicalizing a net stores
-    (free list, canonical net, certificate) on the inner net of each of its
-    boxes, and on that canonical inner net itself, and reads it back the
-    next time that inner net is met.  Every Builder edit and every
-    assignment of `cells` or `wires` clears the entry, `copy()` starts
-    without one, and an entry whose free list differs from `free` is not
-    used.  An edit of a box's contents in place would leave stale the
-    entries of the nets above it, which is one more reason box contents are
-    edited only on a copy (`_open` and rule `c` in rewrite.py).
+    Box contents remember their canonical form: certifying a net stores
+    (free list, labelled contents, certificate) on the inner net of each of
+    its boxes, canonicalizing it replaces the labelled contents by the
+    canonical net rebuilt from them and gives that canonical inner net the
+    same entry, and the entry is read back the next time that inner net is
+    met.  Every Builder edit and every assignment of `cells` or `wires`
+    clears the entry, `copy()` starts without one, and an entry whose free
+    list differs from `free` is not used.  An edit of a box's contents in
+    place would leave stale the entries of the nets above it, which is one
+    more reason box contents are edited only on a copy (`_open` and rule
+    `c` in rewrite.py).
 
     The indexes, the candidates and the canonical form are filled in by
     reads, so nets that share box contents are not to be read or rewritten
@@ -831,6 +833,11 @@ def _validate(net: Net, out: list[str], where: str):
 # labelling only when the certificate is new to the caller's table of
 # certificate -> canonical net; otherwise the table's net is returned.  Nets
 # with one certificate rebuild to the same bytes, so the two agree.
+# `certificate` labels and never rebuilds, box contents included: a box's
+# contents are rebuilt only when a net holding the box is.  An invariant
+# read off the flattened net before labelling (`invariant`) tells nets apart
+# without labelling them; it is a function of the certificate, so nets with
+# different invariants have different certificates.
 
 
 class _FlatNode:
@@ -839,7 +846,7 @@ class _FlatNode:
     def __init__(self, key, sym, inner=None, cell=None):
         self.key = key  # hashable initial colour
         self.sym = sym
-        self.inner = inner  # canonical inner Net for boxes
+        self.inner = inner  # the box's contents, as the cell holds them
         self.cell = cell  # the cell the node was made from; None if free
 
     def unwired(self, what: str) -> UnwiredPort:
@@ -925,8 +932,7 @@ def _flatten(net: Net):
         nid += 1
     for c in net.cells:
         if c.sym == "Box":
-            inner, cert = _canonical_contents(c.inner)
-            node = _FlatNode(("cell", "Box", cert), "Box", inner, c)
+            node = _FlatNode(("cell", "Box", _contents_cert(c.inner)), "Box", c.inner, c)
         elif c.sym in _NARY:
             node = _FlatNode(("cell", _NARY[c.sym]), _NARY[c.sym], cell=c)
         else:
@@ -1039,19 +1045,32 @@ def _flatten(net: Net):
     return nodes, edges
 
 
-def _canonical_contents(inner: Net):
-    """canonicalize_with_cert of a box's contents, read from and stored in
-    the slot `Net` keeps for it.  The canonical net also gets an entry for
-    itself, since reducts share it with their parents; that relies on
-    canonicalize returning a canonical net byte for byte."""
+def _contents_cert(inner: Net):
+    """The certificate of a box's contents, read from and stored in the slot
+    `Net` keeps for it.  A new entry holds the labelled contents in place of
+    the canonical net, which `_contents` rebuilds from them on first use."""
     free = tuple(inner.free)
     hit = inner._canon
-    if hit is not None and hit[0] == free:
-        return hit[1], hit[2]
-    canon, cert = canonicalize_with_cert(inner)
-    inner._canon = (free, canon, cert)
-    canon._canon = (tuple(canon.free), canon, cert)
-    return canon, cert
+    if hit is None or hit[0] != free:
+        nodes, flat = _flatten(inner)
+        edges = [_ends(e) for e in flat]
+        cert, pos = _canonical_labelling(nodes, edges)
+        hit = inner._canon = (free, (nodes, edges, pos), cert)
+    return hit[2]
+
+
+def _contents(inner: Net) -> Net:
+    """The canonical net of a box's contents, rebuilt once and kept in the
+    slot.  The canonical net also gets an entry for itself, since reducts
+    share it with their parents; that relies on canonicalize returning a
+    canonical net byte for byte."""
+    cert = _contents_cert(inner)
+    free, canon, _ = inner._canon
+    if not isinstance(canon, Net):
+        canon = _rebuild(*canon)
+        canon._canon = (tuple(canon.free), canon, cert)
+        inner._canon = (free, canon, cert)
+    return canon
 
 
 def _refine(adj, colors, moved=None):
@@ -1270,7 +1289,8 @@ def _rebuild(nodes, edges, pos) -> Net:
         else:
             ordered = [(s, p) for s, p in slots[n].items() if isinstance(s, tuple)]
             aux = [p for (s, p) in sorted(ordered, key=lambda kv: kv[0][1])]
-            b.cell_on(node.sym, slots[n]["p"], aux, node.inner)
+            inner = None if node.inner is None else _contents(node.inner)
+            b.cell_on(node.sym, slots[n]["p"], aux, inner)
 
     free = sorted((nodes[n].key[1], slots[n]["f"]) for n in nodes if nodes[n].sym == "free")
     wires = []
@@ -1310,7 +1330,45 @@ def canonicalize(net: Net) -> Net:
 
 
 def certificate(net: Net):
-    return canonicalize_with_cert(net)[1]
+    """The certificate of `net`, with every check of `canonicalize_with_cert`
+    and no net rebuilt: it labels `net` and the contents of its boxes."""
+    nodes, flat = _flatten(net)
+    return _canonical_labelling(nodes, [_ends(e) for e in flat])[0]
+
+
+def _invariant(keys, ends):
+    """The multiset of node `keys` and the multiset of unordered pairs of
+    edge ends {(slot, far slot, formula), (far slot, slot, dual formula)},
+    from the (slot, far slot, formula) of one end of each edge in `ends`."""
+    pairs = Counter(frozenset(((s0, s1, ty), (s1, s0, dual(ty)))) for s0, s1, ty in ends)
+    return frozenset(Counter(keys).items()), frozenset(pairs.items())
+
+
+def invariant(cert):
+    """An isomorphism invariant of the nets with certificate `cert`, which
+    `certificate_among` reads off a flattened net without labelling it: the
+    certificate lists every node key, and every edge as the slot texts of
+    its ends and the text of the formula read from one of them.  Nets with
+    different invariants thus have different certificates."""
+    node_part, entries = cert
+    slot = {text: s for s, text in _SLOT_TEXT.items()}
+    formula = {text: parse_formula(text) for text in {entry[-1] for entry in entries}}
+    return _invariant(node_part, ((slot[a], slot[b], formula[t]) for _, _, a, b, t in entries))
+
+
+def _flat_invariant(nodes, flat):
+    """`invariant` of the certificate of the net flattened to (nodes, flat)."""
+    return _invariant((node.key for node in nodes.values()), ((e.s0, e.s1, e.ty) for e in flat))
+
+
+def certificate_among(net: Net, invariants):
+    """`certificate(net)` when its invariant is in `invariants`, else None and
+    `net` is not labelled: then no certificate whose invariant is there is
+    the certificate of `net`.  `net` is flattened once for both."""
+    nodes, flat = _flatten(net)
+    if _flat_invariant(nodes, flat) not in invariants:
+        return None
+    return _canonical_labelling(nodes, [_ends(e) for e in flat])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1335,6 +1393,14 @@ class NetSum:
         else:
             canon, cert = canonicalize_with_cert(net, known)
             self._by_cert.setdefault(cert, canon)
+
+    @classmethod
+    def of(cls, certs, known: dict) -> "NetSum":
+        """The sum of the canonical nets that `known` holds for `certs`, in
+        their order; nothing is canonicalized."""
+        s = cls()
+        s._by_cert = {cert: known[cert] for cert in certs}
+        return s
 
     def union(self, other: "NetSum") -> "NetSum":
         """Both sums; on a shared certificate this sum's summand is kept,
@@ -1382,12 +1448,12 @@ class NetSum:
 
 
 def canonical_equal(a, b) -> bool:
-    """Equality of nets or sums modulo the structural equivalence."""
-    if isinstance(a, Net):
-        a = NetSum([a])
-    if isinstance(b, Net):
-        b = NetSum([b])
-    return a.certs() == b.certs()
+    """Equality of nets or sums modulo the structural equivalence; no net is
+    rebuilt."""
+    def certs(x):
+        return frozenset([certificate(x)]) if isinstance(x, Net) else x.certs()
+
+    return certs(a) == certs(b)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 
 from .errors import BudgetExhausted, StaleRedex
-from .proofnet import Builder, Cell, Net, NetSum, Wire
+from .proofnet import Builder, Cell, Net, NetSum, Wire, certificate, certificate_among, invariant
 
 SURFACE = "surface"
 ANYDEPTH_EER = "anydepth_eer"
@@ -439,6 +439,13 @@ def normalize(x, budget: int = 10000, policy: str = ANYDEPTH_EER) -> NetSum:
     return done
 
 
+def normal_certs(x, budget: int = 10000, policy: str = ANYDEPTH_EER) -> frozenset:
+    """`normalize(x, budget, policy).certs()` with no net rebuilt: the
+    certificates of `normal_nets`.  On BudgetExhausted, `partial` holds the
+    unfinished raw nets."""
+    return frozenset(certificate(n) for n in normal_nets(x, budget, policy))
+
+
 def reduction_graph(x, policy: str = ALL, max_nodes: int = 2000):
     """Breadth-first graph of sums under single-step reduction.
 
@@ -446,29 +453,52 @@ def reduction_graph(x, policy: str = ALL, max_nodes: int = 2000):
     (nodes, edges, truncated) with nodes[0] the start and edges as index
     pairs.  A successor keeps the other summands of its node as they are,
     with the reducts joined after them (a node's summand wins over an equal
-    reduct).  Each distinct summand is reduced and its reducts canonicalized
-    once per call: summands with one certificate are the same canonical
-    net, so their reducts are too.  A reduct's canonical net is rebuilt only
-    the first time its certificate appears in the call; after that, every
-    sum holds the one net kept for it.
+    reduct).  Each distinct summand is reduced once per call, and each of
+    its reducts is canonicalized the first time it is used: summands with
+    one certificate are the same canonical net, so their reducts are too.
+    A reduct's canonical net is rebuilt only the first time its certificate
+    appears in the call; after that, every sum holds the one net kept for it.
+
+    Once the graph holds `max_nodes` nodes, a successor is a node only if
+    every reduct in it equals a summand some node holds, and nothing new is
+    kept.  So a later reduct is compared with those summands and never
+    rebuilt: one whose invariant no held summand has is not labelled at all,
+    and the others are labelled and looked up by certificate.  A reduct
+    that matches no held summand sets `truncated` and adds no edge, for
+    every node that holds its summand.
     """
     start = x if isinstance(x, NetSum) else NetSum([x] if isinstance(x, Net) else x)
-    known = dict(start.items())  # certificate -> its canonical net
+    # certificate -> its canonical net; every one is held by a node, since
+    # each reduct canonicalized before the graph is full joins a node
+    known = dict(start.items())
     index = {start.certs(): 0}
     nodes = [start]
     edges = set()
     queue = deque([0])
     truncated = False
-    reducts: dict = {}  # summand certificate -> one NetSum per redex, in order
+    # summand certificate -> per redex, in order: the raw reduct nets, their
+    # NetSum once used, or None once no node can hold them
+    reducts: dict = {}
+    held = None  # the invariants of the known summands, once the graph is full
     while queue:
         i = queue.popleft()
         s = nodes[i]
         for cert, summand in list(s.items()):
             if cert not in reducts:
-                reducts[cert] = [
-                    NetSum(apply_redex(summand, r), known) for r in find_redexes(summand, policy)
-                ]
-            for red in reducts[cert]:
+                reducts[cert] = [apply_redex(summand, r) for r in find_redexes(summand, policy)]
+            made = reducts[cert]
+            for k, red in enumerate(made):
+                if isinstance(red, list):
+                    if len(nodes) < max_nodes:
+                        red = NetSum(red, known)
+                    else:
+                        if held is None:
+                            held = {invariant(c) for c in known}
+                        red = _held_sum(red, known, held)
+                    made[k] = red
+                if red is None:
+                    truncated = True
+                    continue
                 nxt = s.without(cert).union(red)
                 key = nxt.certs()
                 if key not in index:
@@ -480,3 +510,15 @@ def reduction_graph(x, policy: str = ALL, max_nodes: int = 2000):
                     queue.append(index[key])
                 edges.add((i, index[key]))
     return nodes, edges, truncated
+
+
+def _held_sum(nets: list[Net], known: dict, held: set) -> NetSum | None:
+    """The sum of `nets` from the canonical nets of `known`, or None when one
+    of them has no certificate there; `held` are the invariants of `known`."""
+    certs = []
+    for n in nets:
+        cert = certificate_among(n, held)
+        if cert not in known:  # None too
+            return None
+        certs.append(cert)
+    return NetSum.of(certs, known)

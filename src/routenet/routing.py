@@ -275,6 +275,7 @@ def semantics(n: Net) -> Multirelation:
 def path_semantics(n: Net) -> Multirelation:
     """The count of free-to-free paths from each input to each output."""
     ins, outs = free_io(n)
+    _check_labels(ins, outs)
     return _relation(ins, outs, count_paths_all(n, [p for p, _ in ins], [p for p, _ in outs]))
 
 

@@ -585,11 +585,11 @@ def compile_program(P: TermA, R: RegionCtx) -> Net:
 def value_certs(P: TermA, R: RegionCtx, budget: int = 20000) -> set:
     """Certificates of the normal forms of all final parallel-of-values
     states, under the same policy used to run programs."""
-    from .rewrite import normalize
+    from .rewrite import normal_certs
 
     certs = set()
     for tree in value_trees(P, budget):
-        certs.update(normalize(compile_program(tree, R), budget=budget).certs())
+        certs.update(normal_certs(compile_program(tree, R), budget=budget))
     return certs
 
 

@@ -478,6 +478,110 @@ def test_canonicalize_idempotent():
 
 
 # ---------------------------------------------------------------------------
+# certificates without rebuilding, and the invariant read before labelling
+
+
+def _fresh(n: Net) -> Net:
+    """`n` parsed again: none of its boxes remembers a canonical form."""
+    return parse(serialize(n))[0]
+
+
+def test_certificate_and_canonical_equal_rebuild_nothing(monkeypatch):
+    """`certificate` gives the certificate of `canonicalize_with_cert` on the
+    compiled suite programs and on 100 seeded typed nets, and neither it nor
+    `canonical_equal` nor `is_value_net` rebuilds a net or a box's contents."""
+    from routenet.translate import is_value_net
+
+    nets = [compile_program(*reversed(suite_program(name))) for name, _, _ in PROGRAM_SUITE]
+    nets += [gen_typed_net(random.Random(seed)) for seed in range(100)]
+    want = [proofnet.canonicalize_with_cert(_fresh(n))[1] for n in nets]
+    fresh = [(_fresh(n), _fresh(n)) for n in nets]
+    assert sum(c.sym == "Box" for a, _ in fresh for c in a.cells) > 50
+
+    def rebuild(*args):
+        raise AssertionError("a net was rebuilt")
+
+    monkeypatch.setattr(proofnet, "_rebuild", rebuild)
+    assert [certificate(a) for a, _ in fresh] == want
+    assert all(canonical_equal(a, b) for a, b in fresh)
+    assert all(is_value_net(b, {cert}) for (_, b), cert in zip(fresh, want))
+    assert not canonical_equal(fresh[0][0], fresh[1][1])
+
+
+def test_the_adequacy_and_simulation_suites_rebuild_nothing(monkeypatch):
+    """They compare certificates of normal forms only."""
+    from routenet.gen import check_adequacy, check_simulation
+
+    def rebuild(*args):
+        raise AssertionError("a net was rebuilt")
+
+    monkeypatch.setattr(proofnet, "_rebuild", rebuild)
+    for name, _, _ in PROGRAM_SUITE:
+        assert check_adequacy(name)[0] and check_simulation(name)[0], name
+
+
+def _reordered(n: Net, rng: random.Random) -> Net:
+    """`n` with its cells, wires and free ports in another order, and some
+    wires read the other way."""
+    cells, wires, free = list(n.cells), list(n.wires), list(n.free)
+    for part in (cells, wires, free):
+        rng.shuffle(part)
+    wires = [Wire(w.b, w.a, dual(w.ty)) if rng.random() < 0.5 else w for w in wires]
+    return Net(cells, wires, free)
+
+
+def _flat_invariant(n: Net):
+    return proofnet._flat_invariant(*proofnet._flatten(n))
+
+
+@pytest.fixture(scope="module")
+def capped_graphs():
+    """The capped inputs of the benchmark's `graph` workload: per program,
+    the certificates its nodes hold and the raw reducts of those summands."""
+    out = {}
+    for name in ("latent-get", "stored-fn", "two-readers"):
+        net = compile_program(*reversed(suite_program(name)))
+        nodes, _, truncated = reduction_graph(net, max_nodes=40)
+        assert truncated
+        summands = {cert: m for s in nodes for cert, m in s.items()}
+        raw = [r for m in summands.values() for x in find_redexes(m, ALL) for r in apply_redex(m, x)]
+        out[name] = (set(summands), raw)
+    return out
+
+
+def test_invariant_is_a_function_of_the_certificate(capped_graphs):
+    """The invariant read off a flattened net equals `invariant` of its
+    certificate, so nets with one certificate have one invariant: on every
+    raw reduct of the capped graph programs, on their canonical nets, on
+    seeded typed nets, and on reordered copies of each."""
+    rng = random.Random(11)
+    nets = [r for _, raw in capped_graphs.values() for r in raw]
+    nets += [canonicalize(r) for r in nets]
+    nets += [gen_typed_net(random.Random(seed)) for seed in range(200)]
+    nets += [_reordered(n, rng) for n in nets]
+    by_cert: dict = {}
+    for n in nets:
+        cert = certificate(n)
+        assert _flat_invariant(n) == proofnet.invariant(cert)
+        by_cert.setdefault(cert, set()).add(_flat_invariant(n))
+    assert all(len(invariants) == 1 for invariants in by_cert.values())
+    assert len(nets) > 4000 and len(by_cert) > 400
+
+
+def test_a_refuted_reduct_is_no_held_summand(capped_graphs):
+    """A raw reduct whose invariant no node's summand has is not one of
+    them; and most reducts that are not held are refuted so."""
+    for name, (held, raw) in capped_graphs.items():
+        invariants = {proofnet.invariant(cert) for cert in held}
+        refuted = [r for r in raw if _flat_invariant(r) not in invariants]
+        assert all(certificate(r) not in held for r in refuted)
+        assert all(proofnet.certificate_among(r, invariants) is None for r in refuted)
+        others = [r for r in raw if certificate(r) not in held]
+        assert len(refuted) > 0.8 * len(others), name
+
+
+
+# ---------------------------------------------------------------------------
 # the labelling against the unpruned search
 
 

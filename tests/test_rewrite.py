@@ -1,12 +1,13 @@
 """Cut elimination: every rule exercised on a hand-built redex, with the
 expected result constructed independently and compared canonically."""
+import random
 from collections import Counter
 
 import pytest
 
 from routenet import proofnet, rewrite
 from routenet.errors import BudgetExhausted, StaleRedex
-from routenet.gen import suite_program
+from routenet.gen import PROGRAM_SUITE, gen_typed_net, suite_program
 from routenet.lang import parse_region_ctx, parse_term
 from routenet.proofnet import (
     BOT,
@@ -373,19 +374,147 @@ def _all_canonicalizing_graph(x, policy=ALL, max_nodes=2000):
     return nodes, edges, truncated
 
 
-@pytest.mark.parametrize(
-    "name, cap",
-    [("store-get", 2000), ("discard", 2000), ("nested-beta", 2000), ("second", 2000),
-     ("set-get", 2000), ("race", 2000), ("latent-get", 40), ("two-readers", 40),
-     ("stored-fn", 40)],
-)
-def test_reduction_graph_matches_the_all_canonicalizing_construction(name, cap):
-    net = compile_program(*reversed(suite_program(name)))
+def _assert_same_graph(net, cap):
     nodes, edges, truncated = reduction_graph(net, max_nodes=cap)
     want_nodes, want_edges, want_truncated = _all_canonicalizing_graph(net, max_nodes=cap)
     assert [serialize(s) for s in nodes] == [serialize(s) for s in want_nodes]
     assert [s.certs() for s in nodes] == [s.certs() for s in want_nodes]
     assert (edges, truncated) == (want_edges, want_truncated)
+    return truncated
+
+
+@pytest.mark.parametrize(
+    "name, cap",
+    [("store-get", 2000), ("discard", 2000), ("nested-beta", 2000), ("second", 2000),
+     ("set-get", 2000), ("race", 2000), ("latent-get", 40), ("two-readers", 40),
+     ("stored-fn", 40)]
+    + [(name, cap) for cap in (3, 10) for name, _, _ in PROGRAM_SUITE],
+)
+def test_reduction_graph_matches_the_all_canonicalizing_construction(name, cap):
+    _assert_same_graph(compile_program(*reversed(suite_program(name))), cap)
+
+
+def _split_summands(monkeypatch) -> tuple[set, set]:
+    """Record, by the id of the summand they reduce, the raw reducts that
+    `reduction_graph` canonicalizes before its graph is full and those it
+    compares with the held summands after; a summand in both is one whose
+    reducts the cap falls among."""
+    origin, before, after = {}, set(), set()
+    real_apply, real_held = rewrite.apply_redex, rewrite._held_sum
+
+    def apply(net, redex, **kw):
+        out = real_apply(net, redex, **kw)
+        origin[id(out)] = (out, id(net))  # keeps `out`, so its id stays its own
+        return out
+
+    class Sum(NetSum):
+        def __init__(self, nets=(), known=None):
+            if id(nets) in origin:
+                before.add(origin[id(nets)][1])
+            super().__init__(nets, known)
+
+    def held_sum(nets, known, held):
+        after.add(origin[id(nets)][1])
+        return real_held(nets, known, held)
+
+    monkeypatch.setattr(rewrite, "apply_redex", apply)
+    monkeypatch.setattr(rewrite, "NetSum", Sum)
+    monkeypatch.setattr(rewrite, "_held_sum", held_sum)
+    return before, after
+
+
+def test_reduction_graph_matches_the_all_canonicalizing_construction_on_typed_nets(monkeypatch):
+    """150 seeded typed nets at caps 2, 3 and 5: many graphs fill up in the
+    middle of a summand's reducts, before the rest are compared with the
+    held summands."""
+    before, after = _split_summands(monkeypatch)
+    truncated = split = 0
+    for seed in range(150):
+        net = gen_typed_net(random.Random(seed))
+        for cap in (2, 3, 5):
+            before.clear(), after.clear()
+            truncated += _assert_same_graph(net, cap)
+            split += bool(before & after)
+    assert truncated > 150 and split > 50
+
+
+def _labelled_after_the_cap(monkeypatch):
+    """Patch the labelling so it counts, before and after `reduction_graph`
+    first reads the invariants of the held summands, the labellings of
+    whole nets (box contents left out); returns (counts, the nets handed to
+    `certificate_among`)."""
+    counts, screened, depth = Counter(), [], [0]
+    real_label, real_contents_cert = proofnet._canonical_labelling, proofnet._contents_cert
+    real_invariant, real_among = rewrite.invariant, rewrite.certificate_among
+
+    def label(nodes, edges):
+        if not depth[0]:
+            counts["after" if counts["full"] else "before"] += 1
+        return real_label(nodes, edges)
+
+    def contents_cert(inner):
+        depth[0] += 1
+        try:
+            return real_contents_cert(inner)
+        finally:
+            depth[0] -= 1
+
+    def invariant(cert):
+        counts["full"] = 1
+        return real_invariant(cert)
+
+    def among(net, invariants):
+        screened.append((net, invariants))
+        return real_among(net, invariants)
+
+    monkeypatch.setattr(proofnet, "_canonical_labelling", label)
+    monkeypatch.setattr(proofnet, "_contents_cert", contents_cert)
+    monkeypatch.setattr(rewrite, "invariant", invariant)
+    monkeypatch.setattr(rewrite, "certificate_among", among)
+    return counts, screened
+
+
+def test_a_full_reduction_graph_labels_only_the_reducts_it_cannot_refute(monkeypatch):
+    """On stored-fn at cap 40, whole nets are labelled before the cap, once
+    per summand canonicalized, and after it only for the reducts whose
+    invariant a held summand has: a small share of them."""
+    added = []
+    real_add = NetSum.add
+    monkeypatch.setattr(NetSum, "add", lambda s, net, known=None: added.append(net) or real_add(s, net, known))
+    counts, screened = _labelled_after_the_cap(monkeypatch)
+    net = compile_program(*reversed(suite_program("stored-fn")))
+    _, _, truncated = reduction_graph(net, max_nodes=40)
+    assert truncated and counts["full"]
+    monkeypatch.undo()
+    kept = [n for n, invariants in screened if _flat_invariant(n) in invariants]
+    assert counts["before"] <= len(added)
+    assert counts["after"] <= len(kept) < len(screened) / 4
+
+
+def _flat_invariant(n: Net):
+    return proofnet._flat_invariant(*proofnet._flatten(n))
+
+
+@pytest.mark.parametrize("name", ["latent-get", "stored-fn", "two-readers"])
+def test_a_full_reduction_graph_rebuilds_nothing(monkeypatch, name):
+    """No net, and no box's contents, is rebuilt once the graph is full."""
+    counts = Counter()
+    real_rebuild, real_invariant = proofnet._rebuild, rewrite.invariant
+
+    def rebuild(nodes, edges, pos):
+        counts["after" if counts["full"] else "before"] += 1
+        return real_rebuild(nodes, edges, pos)
+
+    def invariant(cert):
+        counts["full"] = 1
+        return real_invariant(cert)
+
+    monkeypatch.setattr(proofnet, "_rebuild", rebuild)
+    monkeypatch.setattr(rewrite, "invariant", invariant)
+    net = compile_program(*reversed(suite_program(name)))
+    _, _, truncated = reduction_graph(net, max_nodes=40)
+    assert truncated and counts["full"] and counts["before"] > 40
+    assert counts["after"] == 0
 
 
 def test_reduction_graph_reduces_each_distinct_summand_once(monkeypatch):
@@ -408,15 +537,23 @@ def test_reduction_graph_reduces_each_distinct_summand_once(monkeypatch):
 @pytest.mark.parametrize("name, cap", [("race", 2000), ("stored-fn", 40)])
 def test_reduction_graph_rebuilds_each_certificate_once(monkeypatch, name, cap):
     """Summands are rebuilt as canonical nets only for a certificate new to
-    the call.  Box contents are left out: they canonicalize without a table,
+    the call.  Box contents are left out: they are rebuilt without a table,
     once per contents net."""
     summand_call, built = [], []
     real_cert, real_rebuild = proofnet.canonicalize_with_cert, proofnet._rebuild
+    real_contents = proofnet._contents
 
     def canonicalize_with_cert(net, known=None):
         summand_call.append(known is not None)
         try:
             return real_cert(net, known)
+        finally:
+            summand_call.pop()
+
+    def contents(inner):
+        summand_call.append(False)
+        try:
+            return real_contents(inner)
         finally:
             summand_call.pop()
 
@@ -426,6 +563,7 @@ def test_reduction_graph_rebuilds_each_certificate_once(monkeypatch, name, cap):
         return real_rebuild(nodes, edges, pos)
 
     monkeypatch.setattr(proofnet, "canonicalize_with_cert", canonicalize_with_cert)
+    monkeypatch.setattr(proofnet, "_contents", contents)
     monkeypatch.setattr(proofnet, "_rebuild", rebuild)
     net = compile_program(*reversed(suite_program(name)))
     nodes, _, _ = reduction_graph(net, max_nodes=cap)

@@ -692,6 +692,22 @@ def test_read_area_refuses_every_non_area(name):
         read_area(net)
 
 
+@pytest.mark.parametrize("name", sorted(NON_AREA_OUTCOMES))
+def test_both_semantics_refuse_every_non_area(name):
+    """semantics and path_semantics raise a RoutenetError on every non-area,
+    NotAreaShaped on repeated labels; the cut reduces to an area, and both
+    read it alike."""
+    net, _, _ = _non_areas()[name]
+    if NON_AREA_OUTCOMES[name][1] is None:
+        assert path_semantics(net) == semantics(net)
+        return
+    for op in (semantics, path_semantics):
+        with pytest.raises(RoutenetError) as exc:
+            op(net)
+        if name.startswith("duplicate-"):
+            assert type(exc.value) is NotAreaShaped
+
+
 def _unwired(name: str) -> Net:
     if name == "aux":  # a contraction whose aux port 1 has no wire
         return Net(

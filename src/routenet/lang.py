@@ -261,8 +261,11 @@ def _tokenize(token: re.Pattern, text: str, where: str = ""):
     while pos < len(text):
         m = token.match(text, pos)
         if not m:
-            if text[pos:].strip():
-                raise ParseError(f"bad character {text[pos]!r}{where}", pos)
+            rest = text[pos:]
+            if rest.strip():
+                # the spaces before the character are not at fault
+                bad = pos + len(rest) - len(rest.lstrip())
+                raise ParseError(f"bad character {text[bad]!r}{where}", bad)
             break
         toks.append((m.group(1), m.start(1)))
         pos = m.end()
@@ -270,11 +273,14 @@ def _tokenize(token: re.Pattern, text: str, where: str = ""):
 
 
 class _Cursor:
-    """A position in a list of (token, offset) pairs: the token cursor of
-    both the term and the type parser."""
+    """A position in the (token, offset) pairs of a text: the token cursor
+    of both the term and the type parser.  Past the last token, the offset
+    is the length of the text and the token is None, reported as the end of
+    input."""
 
-    def __init__(self, toks: list[tuple[str, int]]):
-        self.toks = toks
+    def __init__(self, token: re.Pattern, text: str, where: str = ""):
+        self.toks = _tokenize(token, text, where)
+        self.end = len(text)
         self.i = 0
 
     def peek(self):
@@ -286,17 +292,22 @@ class _Cursor:
         return tok[0]
 
     def offset(self):
-        return self.toks[self.i][1] if self.i < len(self.toks) else -1
+        return self.toks[self.i][1] if self.i < len(self.toks) else self.end
+
+    def found(self) -> str:
+        """The next token, quoted, or "end of input"."""
+        tok = self.peek()
+        return "end of input" if tok is None else repr(tok)
 
     def expect(self, tok):
         if self.peek() != tok:
-            raise ParseError(f"expected {tok!r}, found {self.peek()!r}", self.offset())
+            raise ParseError(f"expected {tok!r}, found {self.found()}", self.offset())
         return self.next()
 
 
 class _TermParser(_Cursor):
     def __init__(self, text: str):
-        super().__init__(_tokenize(_TERM_TOKEN, text))
+        super().__init__(_TERM_TOKEN, text)
 
     def parse(self) -> TermA:
         t = self.term()
@@ -362,7 +373,10 @@ class _TermParser(_Cursor):
         if tok is not None and tok[0].isalpha() or tok == "_":
             self.next()
             return Var(tok)
-        raise ParseError(f"unexpected token {tok!r}", self.offset())
+        raise ParseError(
+            "unexpected end of input" if tok is None else f"unexpected token {tok!r}",
+            self.offset(),
+        )
 
     def ident(self) -> str:
         tok = self.peek()
@@ -381,7 +395,7 @@ def parse_term(text: str) -> TermA:
 
 class _TypeParser(_Cursor):
     def __init__(self, text: str):
-        super().__init__(_tokenize(_TYPE_TOKEN, text, " in type"))
+        super().__init__(_TYPE_TOKEN, text, " in type")
 
     def arrow(self) -> TypeExpr:
         left = self.atom()
@@ -399,9 +413,7 @@ class _TypeParser(_Cursor):
         if tok == "(":
             self.next()
             t = self.arrow()
-            if self.peek() != ")":
-                raise ParseError("expected ')'", self.offset())
-            self.next()
+            self.expect(")")
             return t
         if tok == "Unit":
             self.next()
@@ -416,7 +428,10 @@ class _TypeParser(_Cursor):
                 raise ParseError("expected a reference name after 'Reg'", self.offset())
             self.next()
             return Reg(r, self.atom())
-        raise ParseError(f"unexpected type token {tok!r}", self.offset())
+        raise ParseError(
+            "unexpected end of input in type" if tok is None else f"unexpected type token {tok!r}",
+            self.offset(),
+        )
 
 
 def parse_type(text: str) -> TypeExpr:

@@ -249,7 +249,7 @@ ARITY = {
 SYMBOLS = set(ARITY) | {"Box"}
 
 
-@dataclass
+@dataclass(slots=True)
 class Cell:
     id: int
     sym: str
@@ -261,7 +261,7 @@ class Cell:
         return [self.principal] + list(self.aux)
 
 
-@dataclass
+@dataclass(slots=True)
 class Wire:
     a: int
     b: int
@@ -273,6 +273,10 @@ class Wire:
     def toward(self, port: int) -> Formula:
         """Formula read in the direction of `port`."""
         return self.ty if port == self.b else dual(self.ty)
+
+
+# the owner entry of a port that no cell holds
+_NOBODY = (None, None)
 
 
 class Net:
@@ -288,6 +292,12 @@ class Net:
     it made itself (`apply_redex(..., owned=True)` in rewrite.py), and every
     other caller edits a copy.
 
+    Invariant: a `Cell` or `Wire` object, once in a net, never changes.  The
+    redex index rests on it: a redex stays valid exactly while its level
+    still holds the wire and the two cells it was classified from, which
+    rewrite.py tells by identity.  Wires keep their key (their place in the
+    list) when replaced, and a key is never used twice in one level.
+
     From the first query by port or cell id on, the net keeps these indexes
     current as the Builder edits it:
 
@@ -298,7 +308,8 @@ class Net:
 
     `redexes` holds the rewriter's redex candidates for this level (see
     rewrite.py), and `touched` the ports edited since those were last
-    brought up to date; both are copied with the net.
+    brought up to date; both are copied with the net.  A candidate names its
+    wire by its key in `_wires`, where rewrite.py looks it up.
 
     Box contents remember their canonical form: certifying a net stores
     (free list, labelled contents, certificate) on the inner net of each of
@@ -413,8 +424,10 @@ class Net:
 
     def _unindex_cell(self, c: Cell):
         owner = self._owner
-        for p in c.ports():
-            if owner.get(p, (None,))[0] is c:
+        if owner.get(c.principal, _NOBODY)[0] is c:
+            del owner[c.principal]
+        for p in c.aux:
+            if owner.get(p, _NOBODY)[0] is c:
                 del owner[p]
 
     def _index_wire(self, k: int, w: Wire):
@@ -483,10 +496,11 @@ class Net:
         """The wire ending at `port`; KeyError if there is none."""
         return self._wires[self._indexed()._wire_key[port]]
 
-    def wires_at(self, ports) -> list[Wire]:
-        """The distinct wires ending at `ports`, in list order."""
-        wire_key = self._indexed()._wire_key
-        return [self._wires[k] for k in sorted({wire_key[p] for p in ports if p in wire_key})]
+    def wires_at(self, ports) -> dict[int, Wire]:
+        """The distinct wires ending at `ports`, by their keys in the level,
+        in list order."""
+        wire_key, wires = self._indexed()._wire_key, self._wires
+        return {k: wires[k] for k in sorted({wire_key[p] for p in ports if p in wire_key})}
 
     def wire_of(self) -> dict[int, Wire]:
         wires = self._wires
@@ -539,7 +553,9 @@ def _highest_below(top: int, used: dict) -> int:
 class Builder:
     """Grows and edits a net: the one place that allocates ports and cell
     ids, adds, removes and replaces cells and wires, re-ends wires and copies
-    one net into another.
+    one net into another.  A rewrite rule removes its redex through the
+    level itself (`_cut` in rewrite.py), since removing allocates nothing,
+    and makes its builder after that.
 
     Numbering contract:
 
@@ -557,8 +573,12 @@ class Builder:
     rule only touches the wires at its interface, so rules, area algebra
     and the compiler all build through this class.  The builder edits `net`
     itself, so it is given a net that no one else reads: a new one, a copy,
-    or one its caller owns.  Edits never change a cell or wire object in
-    place, since nets copied from one another share them.
+    or one its caller owns.
+
+    Invariant: edits never change a cell or wire object in place; a changed
+    one is a new object put in the old one's position.  Nets copied from one
+    another share these objects, and the rewriter's redex index takes an
+    unchanged object to mean an unchanged redex (see `Net`).
     """
 
     def __init__(self, net: Net | None = None):

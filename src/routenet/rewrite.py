@@ -13,10 +13,21 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import count
 
 from .errors import BudgetExhausted, StaleRedex
-from .proofnet import Builder, Cell, Net, NetSum, Wire, certificate, certificate_among, invariant
+from .proofnet import (
+    _NOBODY,
+    Builder,
+    Cell,
+    Net,
+    NetSum,
+    Wire,
+    certificate,
+    certificate_among,
+    invariant,
+)
 
 SURFACE = "surface"
 ANYDEPTH_EER = "anydepth_eer"
@@ -40,13 +51,18 @@ _PAIR_RULE = {
 RULES = set(_PAIR_RULE.values()) | {"c"}
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Redex:
     path: tuple[int, ...]  # box cell ids from the outermost level inwards
     rule: str
     wire: tuple[int, int]  # (port on first cell, port on second cell)
     cells: tuple[int, int]  # cell ids; first is the symbol listed first
     door: int = -1  # auxiliary door index, for rule c only
+    # the objects the redex was classified from: the wire and the cells
+    # named by `wire` and `cells`
+    cut: Wire | None = field(default=None, compare=False, repr=False)
+    cx: Cell | None = field(default=None, compare=False, repr=False)
+    cy: Cell | None = field(default=None, compare=False, repr=False)
 
     def key(self):
         return (len(self.path), self.path, self.cells, self.wire)
@@ -58,7 +74,7 @@ def _closed(c: Cell) -> bool:
 
 def _classify(net: Net, w: Wire):
     """The redex on wire `w` as a candidate ((id_x, id_y), (port_x, port_y),
-    rule, door), or None."""
+    rule, door, cell_x, cell_y), or None."""
     owner = net.owner()
     ea, eb = owner.get(w.a), owner.get(w.b)
     if ea is None or eb is None:
@@ -77,7 +93,7 @@ def _classify(net: Net, w: Wire):
             x, y, cx, cy = w.b, w.a, cb, ca
         if cx.sym == "Box" and not _closed(cx):
             return None
-        return (cx.id, cy.id), (x, y), rule, -1
+        return (cx.id, cy.id), (x, y), rule, -1, cx, cy
     if sa == "p":
         x, y, cx, cy, door = w.a, w.b, ca, cb, sb
     elif sb == "p":
@@ -85,13 +101,13 @@ def _classify(net: Net, w: Wire):
     else:
         return None
     if _closed(cx) and cy.sym == "Box":
-        return (cx.id, cy.id), (x, y), "c", door
+        return (cx.id, cy.id), (x, y), "c", door, cx, cy
     return None
 
 
-def _redex(path: tuple[int, ...], cand) -> Redex:
-    cells, wire, rule, door = cand
-    return Redex(path, rule, wire, cells, door)
+def _redex(path: tuple[int, ...], w: Wire, cand) -> Redex:
+    cells, wire, rule, door, cx, cy = cand
+    return Redex(path, rule, wire, cells, door, w, cx, cy)
 
 
 def find_redexes(net: Net, policy: str = SURFACE) -> list[Redex]:
@@ -106,7 +122,7 @@ def find_redexes(net: Net, policy: str = SURFACE) -> list[Redex]:
                 continue
             if path and policy == ANYDEPTH_EER and hit[2] not in _DEEP_RULES:
                 continue
-            out.append(_redex(path, hit))
+            out.append(_redex(path, w, hit))
         if policy != SURFACE:
             for c in n.cells:
                 if c.sym == "Box":
@@ -121,13 +137,21 @@ def find_redexes(net: Net, policy: str = SURFACE) -> list[Redex]:
 #
 # Each level of a net carries its redex candidates, as two heaps ordered like
 # Redex.key within the level: the rules that also fire inside boxes under
-# ANYDEPTH_EER (e, er), and the others.  The Builder records the ports that
-# an edit touches; before a level is searched, the wires at those ports are
-# classified again and pushed.  A redex only depends on its wire and the two
-# cells at its ends, so every redex of the level is among the candidates.
-# Candidates that an edit has undone stay in the heaps until they reach the
-# top, where a lookup finds them stale.  Box contents are shared between a
-# net and its reducts, and so are their candidates.
+# ANYDEPTH_EER (e, er), and the others.  A candidate holds the wire it was
+# classified from, that wire's key in the level and the two cells at its
+# ends.  A redex only depends on those three objects, and no cell or wire is
+# edited in place (see Net), so a candidate stays valid exactly while the
+# level still holds the wire under its key and the cells at its ports: three
+# lookups and identity tests, with no classification.  The Builder records
+# the ports that an edit touches; before a level is searched, the wires at
+# those ports are classified and pushed, so every redex of the level is
+# among the candidates.  Candidates that an edit has undone stay in the
+# heaps until they reach the top, where the check drops them.  Candidates of
+# one wire and cells tie on the heap order, and the push count breaks the
+# tie, so objects are never compared.  Box contents are shared between a net
+# and its reducts, and so are their candidates.
+
+_PUSHES = count()
 
 
 def _candidates(n: Net) -> tuple[list, list]:
@@ -135,35 +159,38 @@ def _candidates(n: Net) -> tuple[list, list]:
     heaps = n.redexes
     if heaps is None:
         heaps = n.redexes = ([], [])
-        for w in n.wires:
-            _push(heaps, _classify(n, w))
+        for k, w in n._wires.items():
+            _push(heaps, k, w, _classify(n, w))
     elif n.touched:
-        for w in n.wires_at(n.touched):
-            _push(heaps, _classify(n, w))
+        for k, w in n.wires_at(n.touched).items():
+            _push(heaps, k, w, _classify(n, w))
         n.touched.clear()
     return heaps
 
 
-def _push(heaps, cand):
+def _push(heaps, k: int, w: Wire, cand):
+    """Push the candidate `cand` of wire `w`, whose key is `k`, as the heap
+    entry (cells, ports, k, push count, w, cand)."""
     if cand is not None:
-        heapq.heappush(heaps[0] if cand[2] in _DEEP_RULES else heaps[1], cand)
-
-
-def _still_valid(n: Net, cand) -> bool:
-    x, y = cand[1]
-    if not n.is_wired(x):
-        return False
-    w = n.wire_at(x)
-    return w.other(x) == y and _classify(n, w) == cand
+        h = heaps[0] if cand[2] in _DEEP_RULES else heaps[1]
+        heapq.heappush(h, (cand[0], cand[1], k, next(_PUSHES), w, cand))
 
 
 def _least_at(n: Net, deep_only: bool):
-    """The level's least valid candidate (of rule e or er only, when
+    """The level's least valid heap entry (of rule e or er only, when
     `deep_only`), or None."""
     heaps = _candidates(n)
+    wires, owner = n._wires, n.owner()
     best = None
     for h in heaps[:1] if deep_only else heaps:
-        while h and not _still_valid(n, h[0]):
+        while h:
+            _, (x, y), k, _, w, cand = h[0]
+            if (
+                wires.get(k) is w
+                and owner.get(x, _NOBODY)[0] is cand[4]
+                and owner.get(y, _NOBODY)[0] is cand[5]
+            ):
+                break
             heapq.heappop(h)
         if h and (best is None or h[0] < best):
             best = h[0]
@@ -175,7 +202,7 @@ def _least(net: Net, policy: str) -> Redex | None:
     surface first, then the boxes depth by depth in path order."""
     hit = _least_at(net, False)
     if hit is not None:
-        return _redex((), hit)
+        return _redex((), *hit[4:])
     if policy == SURFACE:
         return None
     deep_only = policy == ANYDEPTH_EER
@@ -189,7 +216,7 @@ def _least(net: Net, policy: str) -> Redex | None:
         for path, n in levels:
             hit = _least_at(n, deep_only)
             if hit is not None:
-                return _redex(path, hit)
+                return _redex(path, *hit[4:])
     return None
 
 
@@ -219,11 +246,10 @@ def _open(net: Net, path: tuple[int, ...], owned: bool) -> tuple[Net, Net]:
 def _cut(lvl: Net, cells, wire: Wire | None = None) -> Builder:
     """Remove `cells` and the cut `wire` from `lvl`; returns a builder made
     after the removals, so its counters continue from what is left."""
-    b = Builder(lvl)
     for c in cells:
-        b.remove_cell(c)
+        lvl._remove_cell(c.id)
     if wire is not None:
-        b.remove_wire(wire)
+        lvl._remove_wire(wire)
     return Builder(lvl)
 
 
@@ -235,7 +261,7 @@ def _resplice(b: Builder, dead: set[int], pairs: dict[int, int]):
     wires, appended in the list order of their first wire; all-dead chains
     and cycles vanish.
     """
-    chained = b.net.wires_at(dead)
+    chained = b.net.wires_at(dead).values()
     wire_at = {p: w for w in chained for p in (w.a, w.b)}
     spliced, visited = [], set()
     for w in chained:
@@ -278,6 +304,13 @@ def _need_wired(n: Net, ports):
 def apply_redex(net: Net, redex: Redex, *, owned: bool = False) -> list[Net]:
     """Apply one reduction step; returns the resulting summands.
 
+    A redex applies to the net it was found on (by `find_redexes` or the
+    index of `normalize`) and to copies of that net, as long as the level
+    on its path still holds the very wire and cells it was found at: they
+    share those objects.  On any other net, for instance one parsed from
+    the serialized net, or once an edit has replaced its wire or one of its
+    cells, even by an equal object, it raises StaleRedex.
+
     By default `net` is left as it was: a reduct is a copy of the levels on
     the redex's path and shares every other level, cell and wire with `net`.
     With `owned`, the caller holds the only reference to `net` and gives it
@@ -285,19 +318,20 @@ def apply_redex(net: Net, redex: Redex, *, owned: bool = False) -> list[Net]:
     `nd`, as the second one; the first is built on a copy).  Box levels on
     the path are still copies, since box contents are shared.
     """
-    lvl = _level(net, redex.path)
     try:
-        cx = lvl.cell_by_id(redex.cells[0])
-        cy = lvl.cell_by_id(redex.cells[1])
+        lvl = _level(net, redex.path)
     except KeyError as exc:
-        raise StaleRedex(str(exc)) from exc
+        raise StaleRedex(f"no box {exc} on the redex's path") from None
+    cut, cx, cy = redex.cut, redex.cx, redex.cy
     px, py = redex.wire
-    cut = lvl.wire_at(px) if lvl.is_wired(px) else None
-    if cut is None or cut.other(px) != py:
-        raise StaleRedex("cut wire vanished")
-    check = _classify(lvl, cut)
-    if check is None or check[2] != redex.rule:
-        raise StaleRedex("wire no longer matches the rule")
+    owner = lvl.owner()
+    if not (
+        lvl.is_wired(px)
+        and lvl.wire_at(px) is cut
+        and owner.get(px, _NOBODY)[0] is cx
+        and owner.get(py, _NOBODY)[0] is cy
+    ):
+        raise StaleRedex("the net no longer holds the redex's wire and cells")
     # the rules below re-end or splice the wires at these ports
     _need_wired(lvl, cx.aux + cy.aux)
 

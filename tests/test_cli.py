@@ -186,6 +186,21 @@ def test_malformed_term_is_65(tmp_path, capsys):
     assert main(["check", prog]) == 65
 
 
+@pytest.mark.parametrize(
+    "term, error",
+    [
+        ("", "parse error at offset 0: unexpected end of input"),
+        ("((\n", "parse error at offset 3: unexpected end of input"),
+        ("* #", "parse error at offset 2: bad character '#'"),
+    ],
+)
+def test_malformed_term_names_where_it_fails(tmp_path, capsys, term, error):
+    ctx = _write(tmp_path, "R.ctx", "r : Unit\n")
+    assert main(["check", ctx, _write(tmp_path, "M.term", term)]) == 65
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"routenet: {error}\n")
+
+
 def test_budget_exhausted_is_75(tmp_path, capsys, monkeypatch):
     prog = _write(tmp_path, "M.term", r"(\x. x x x) (\x. x x x)")
     monkeypatch.setenv("ROUTENET_BUDGET", "20")

@@ -83,6 +83,27 @@ def test_parse_errors():
             parse_term(bad)
 
 
+@pytest.mark.parametrize(
+    "parse, text, offset, reason",
+    [
+        (parse_term, "", 0, "unexpected end of input"),
+        (parse_term, "(", 1, "unexpected end of input"),
+        (parse_term, "(x", 2, "expected ')', found end of input"),
+        (parse_term, r"\x  ", 4, "expected '.', found end of input"),
+        (parse_term, "* #", 2, "bad character '#'"),
+        (parse_term, "x\t\n@", 3, "bad character '@'"),
+        (parse_type, "", 0, "unexpected end of input in type"),
+        (parse_type, "(Unit", 5, "expected ')', found end of input"),
+        (parse_type, "Unit ->", 7, "unexpected end of input in type"),
+        (parse_type, "Unit  %", 6, "bad character '%' in type"),
+    ],
+)
+def test_parse_errors_name_the_end_of_input_and_the_bad_character(parse, text, offset, reason):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert (exc.value.offset, exc.value.reason) == (offset, reason)
+
+
 # terms via a hypothesis grammar: fmt_term must parse back to the same tree
 _names = st.sampled_from(["x", "y", "z", "f"])
 _values_st = st.deferred(

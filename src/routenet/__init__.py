@@ -65,7 +65,6 @@ from .rewrite import (
     find_redexes,
     normalize,
     reduction_graph,
-    step,
 )
 from .paths import check_acyclic, count_paths, count_paths_all
 from .routing import (

@@ -208,7 +208,7 @@ def _build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if any(len(getattr(args, k, []) or []) > 2 for k in ("files",)):
+    if len(getattr(args, "files", None) or []) > 2:
         print("routenet: expected at most two input files", file=sys.stderr)
         return EX_USAGE
     if args.budget is None:

@@ -401,22 +401,28 @@ def check_confluence(rng: random.Random):
     if len(sinks) != 1:
         return False, f"{len(sinks)} distinct normal forms"
     # a sink exists: the graph must be acyclic (weak implies strong)
-    seen, done = set(), set()
-
-    def cyclic(i):
-        if i in done:
-            return False
-        if i in seen:
-            return True
-        seen.add(i)
-        if any(cyclic(j) for j in outgoing[i]):
-            return True
-        done.add(i)
-        return False
-
-    if cyclic(0):
+    if _reaches_cycle(outgoing, 0):
         return False, "sink exists but the graph has a cycle"
     return True, "confluence"
+
+
+def _reaches_cycle(outgoing: dict, start) -> bool:
+    """Whether a cycle is reachable from `start` in `outgoing` (node ->
+    successors): a depth-first search on a stack of its own, not Python's."""
+    on_path = {start: True}  # False once the node is done
+    stack = [(start, iter(outgoing[start]))]
+    while stack:
+        i, succ = stack[-1]
+        j = next(succ, None)
+        if j is None:
+            stack.pop()
+            on_path[i] = False
+        elif on_path.get(j):
+            return True
+        elif j not in on_path:
+            on_path[j] = True
+            stack.append((j, iter(outgoing[j])))
+    return False
 
 
 def check_simulation(name: str):

@@ -446,18 +446,27 @@ def parse_type(text: str) -> TypeExpr:
 
 
 def parse_region_ctx(text: str) -> RegionCtx:
+    """`r : type` lines and `#` comments; errors give line and offset."""
     ctx: RegionCtx = {}
-    for k, line in enumerate(text.splitlines()):
-        line = line.split("#", 1)[0].strip()
+    start = 0  # the offset of the line in text
+    for k, raw in enumerate(text.splitlines(keepends=True)):
+        code = raw.split("#", 1)[0]
+        line = code.strip()
+        at = start + len(code) - len(code.lstrip())  # the line's first character
+        start += len(raw)
         if not line:
             continue
         if ":" not in line:
-            raise ParseError(f"line {k + 1}: expected 'r : type'")
+            raise ParseError(f"line {k + 1}: expected 'r : type'", at)
         name, ty = line.split(":", 1)
-        name = name.strip()
-        if name in ctx:
-            raise ParseError(f"line {k + 1}: reference {name!r} declared twice")
-        ctx[name] = parse_type(ty)
+        ref = name.strip()
+        if ref in ctx:
+            raise ParseError(f"line {k + 1}: reference {ref!r} declared twice", at)
+        try:
+            ctx[ref] = parse_type(ty)
+        except ParseError as exc:
+            offset = at + len(name) + 1 + exc.offset
+            raise ParseError(f"line {k + 1}: {exc.reason}", offset) from None
     return ctx
 
 

@@ -555,7 +555,7 @@ class Builder:
     ids, adds, removes and replaces cells and wires, re-ends wires and copies
     one net into another.  A rewrite rule removes its redex through the
     level itself (`_cut` in rewrite.py), since removing allocates nothing,
-    and makes its builder after that.
+    and makes its builder after that; `_rebuild` makes canonical nets whole.
 
     Numbering contract:
 
@@ -663,28 +663,6 @@ class Builder:
         for w in n.wires:
             self.wire(w.a + off, w.b + off, w.ty)
         return off
-
-
-def left_comb(b: Builder, sym: str, leaves: list[int], ty: Formula) -> tuple[int, int]:
-    """Join two or more dangling leaf ports by a left comb of binary `sym`
-    cells: each cell takes the previous result and the next leaf.
-
-    Per cell, in order, it allocates a cell id, the principal port and the
-    port where that cell's result wire ends, which is the next cell's first
-    aux.  A result wire carries the !-formula `ty` out of a cocontraction
-    and into a contraction.  Returns the last cell's principal and its result
-    port; the wire between them is left to the caller."""
-    pr, acc = None, leaves[0]
-    for leaf in leaves[1:]:
-        if pr is not None:  # the previous cell's result wire
-            if sym == "Cocontraction":
-                b.wire(pr, acc, ty)
-            else:
-                b.wire(acc, pr, ty)
-        pr = b.port()
-        b.cell_on(sym, pr, [acc, leaf])
-        acc = b.port()
-    return pr, acc
 
 
 # ---------------------------------------------------------------------------
@@ -849,7 +827,7 @@ def _validate(net: Net, out: list[str], where: str):
 # gives, so pruning changes no byte and keeps symmetric nets polynomial.  The
 # canonical certificate decides equality and comes first: flattening and
 # labelling make it, and make every check of the net's wiring.  A concrete
-# representative (left combs, dense port numbering) is rebuilt from the
+# representative (left combs, numbered by `_rebuild`) is rebuilt from the
 # labelling only when the certificate is new to the caller's table of
 # certificate -> canonical net; otherwise the table's net is returned.  Nets
 # with one certificate rebuild to the same bytes, so the two agree.
@@ -1273,57 +1251,67 @@ def _certificate(nodes, edges, order):
 
 
 def _rebuild(nodes, edges, pos) -> Net:
-    """Build the concrete canonical representative: one wire per edge in
-    certificate order, then the cells in position order, n-ary nodes as left
-    combs whose last cell takes over the root wire.  `_flatten` has checked
-    the wiring: every port has its own wire and every n-ary node at least
-    two leaves."""
-    b = Builder()
-    wire_of: dict[int, Wire] = {}
-    slots: dict[int, dict] = {n: {"a": []} for n in nodes}
-    for k, (_, e0, e1) in enumerate(_oriented(edges, pos)):
-        p0, p1 = b.port(), b.port()
-        if e0.ty_text <= e1.ty_text:
-            wire_of[p0] = wire_of[p1] = b.wire(p0, p1, e0.ty)
-        else:
-            wire_of[p0] = wire_of[p1] = b.wire(p1, p0, e1.ty)
-        for e, p, other in ((e0, p0, e1), (e1, p1, e0)):
+    """Build the concrete canonical representative, making each cell and
+    wire once.  Its numbering, which `routenet reduce` prints:
+
+    * edge k in certificate order is the wire on ports 2k + 1, at its end
+      with the lesser (position, slot text), and 2k + 2;
+    * cells take ids 1, 2, ... in position order;
+    * an n-ary node becomes a left comb of binary cells over its leaves,
+      ordered by the position of the far node, then by edge.  Each comb cell
+      takes the next two ports after the edges': its principal, then the end
+      of the wire into the next cell's first aux.  The last principal takes
+      over the root wire, so the root port and the last cell's second port
+      stay unused;
+    * every wire reads its formula in the direction whose text is least (a
+      formula and its dual never share a text), and the wires are listed by
+      their first port.
+
+    `_flatten` has checked the wiring: every port has its own wire and every
+    n-ary node at least two leaves."""
+
+    def wire(p, q, near, far):  # near: the edge end at p
+        return Wire(p, q, near.ty) if near.ty_text <= far.ty_text else Wire(q, p, far.ty)
+
+    oriented = _oriented(edges, pos)
+    slots: dict[int, dict] = {n: {"a": []} for n in nodes}  # node -> slot -> port
+    for k, (_, e0, e1) in enumerate(oriented):
+        for e, p, far in ((e0, 2 * k + 1, e1), (e1, 2 * k + 2, e0)):
             if e.slot == "a":
-                slots[e.node]["a"].append((pos[other.node], k, p))
+                slots[e.node]["a"].append((pos[far.node], k, p))
             else:
                 slots[e.node][e.slot] = p
 
-    comb_root: dict[int, int] = {}  # root port -> principal of its comb
-    for n in sorted(nodes, key=lambda n: pos[n]):
-        node = nodes[n]
+    cells, wires, free = [], [], []
+    port = 2 * len(oriented)
+    for n in sorted(nodes, key=pos.__getitem__):
+        node, at = nodes[n], slots[n]
         if node.sym == "free":
-            continue
-        if node.sym in _NEUTRAL:
-            leaves = [p for (_, _, p) in sorted(slots[n]["a"])]
+            free.append((node.key[1], at["f"]))
+        elif node.sym in _NEUTRAL:
             sym = "Contraction" if node.sym == "NContr" else "Cocontraction"
-            root = slots[n]["p"]
-            into = wire_of[root].toward(root)
-            comb_root[root], _ = left_comb(
-                b, sym, leaves, into if sym == "Contraction" else dual(into)
-            )
+            root = at["p"]
+            _, e0, e1 = oriented[(root - 1) // 2]
+            near, far = (e0, e1) if root % 2 else (e1, e0)
+            leaves = [p for *_, p in sorted(at["a"])]
+            acc = leaves[0]
+            for i, leaf in enumerate(leaves[1:], 2):
+                cells.append(Cell(len(cells) + 1, sym, port + 1, [acc, leaf]))
+                if i < len(leaves):  # the result wire into the next cell
+                    wires.append(wire(port + 1, port + 2, near, far))
+                acc = port = port + 2
+            at["p"] = port - 1  # the last cell's principal ends the root wire
         else:
-            ordered = [(s, p) for s, p in slots[n].items() if isinstance(s, tuple)]
-            aux = [p for (s, p) in sorted(ordered, key=lambda kv: kv[0][1])]
+            aux = sorted((s[1], p) for s, p in at.items() if isinstance(s, tuple))
             inner = None if node.inner is None else _contents(node.inner)
-            b.cell_on(node.sym, slots[n]["p"], aux, inner)
+            cells.append(Cell(len(cells) + 1, node.sym, at["p"], [p for _, p in aux], inner))
 
-    free = sorted((nodes[n].key[1], slots[n]["f"]) for n in nodes if nodes[n].sym == "free")
-    wires = []
-    for w in b.net.wires:
-        a, c = comb_root.get(w.a, w.a), comb_root.get(w.b, w.b)
-        # a comb over an ill-typed tree may carry its formula against the
-        # canonical reading direction
-        if fmt_formula(w.ty) <= fmt_formula(dual(w.ty)):
-            wires.append(Wire(a, c, w.ty))
-        else:
-            wires.append(Wire(c, a, dual(w.ty)))
-    wires.sort(key=lambda w: (w.a, w.b))
-    return Net(b.net.cells, wires, [(p, lbl) for (lbl, p) in free])
+    for k, (_, e0, e1) in enumerate(oriented):
+        p0 = slots[e0.node]["p"] if e0.slot == "p" else 2 * k + 1
+        p1 = slots[e1.node]["p"] if e1.slot == "p" else 2 * k + 2
+        wires.append(wire(p0, p1, e0, e1))
+    wires.sort(key=lambda w: w.a)
+    return Net(cells, wires, [(p, lbl) for lbl, p in sorted(free)])
 
 
 def canonicalize_with_cert(net: Net, known: dict | None = None):

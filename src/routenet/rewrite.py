@@ -414,14 +414,6 @@ def apply_redex(net: Net, redex: Redex, *, owned: bool = False) -> list[Net]:
 # Strategies
 
 
-def step(net: Net, policy: str = ANYDEPTH_EER):
-    """Apply the least redex under (depth, cell ids, wire); None if normal."""
-    rs = find_redexes(net, policy)
-    if not rs:
-        return None
-    return apply_redex(net, rs[0])
-
-
 def normal_nets(x, budget: int = 10000, policy: str = ANYDEPTH_EER):
     """Yield the normal nets that reducing `x` reaches, raw, in the order
     they are found; nets equal up to structural equivalence may repeat.

@@ -56,7 +56,6 @@ from .proofnet import (
     canonicalize,
     dual,
     fmt_formula,
-    left_comb,
 )
 from .rewrite import normal_nets
 
@@ -105,15 +104,22 @@ def build_area(area: RoutingArea) -> Net:
             if len(leaves) == 1:
                 free.append((leaves[0], label))
                 continue
-            if leaves:
-                pr, q = left_comb(b, sym, leaves, A)
-            else:
-                pr, q = b.cell(neutral, 0).principal, b.port()
-            # the free end q of the root wire: !A flows in at an input
-            if sym == "Contraction":
-                b.wire(q, pr, A)
-            else:
-                b.wire(pr, q, A)
+            # a left comb, each cell taking the last result and the next
+            # leaf, or one (co)weakening; each cell's result wire ends at a
+            # new port, the next cell's first aux or else the free root
+            q = leaves[0] if leaves else None
+            for leaf in leaves[1:] or [None]:
+                pr = b.port()
+                if leaf is None:
+                    b.cell_on(neutral, pr, [])
+                else:
+                    b.cell_on(sym, pr, [q, leaf])
+                q = b.port()
+                # !A flows into a contraction and out of a cocontraction
+                if sym == "Contraction":
+                    b.wire(q, pr, A)
+                else:
+                    b.wire(pr, q, A)
             free.append((q, label))
     return b.finish(free)
 

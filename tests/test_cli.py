@@ -145,6 +145,18 @@ def test_verify_confluence(capsys):
     assert "result: 5/5 pass" in out
 
 
+def test_confluence_cycle_check_is_iterative():
+    # deeper than the recursion limit and than CONFLUENCE_MAX_NODES
+    from routenet.gen import _reaches_cycle
+
+    n = 5000
+    path = {i: {i + 1} for i in range(n - 1)} | {n - 1: set()}
+    assert not _reaches_cycle(path, 0)
+    assert _reaches_cycle(path | {n - 1: {0}}, 0)
+    # a node met again off the current path closes no cycle
+    assert not _reaches_cycle({0: {1, 2}, 1: {2}, 2: set()}, 0)
+
+
 def test_cli_offers_every_suite(monkeypatch):
     from routenet import gen
     from routenet.cli import _build_parser

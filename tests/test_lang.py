@@ -96,6 +96,12 @@ def test_parse_errors():
         (parse_type, "(Unit", 5, "expected ')', found end of input"),
         (parse_type, "Unit ->", 7, "unexpected end of input in type"),
         (parse_type, "Unit  %", 6, "bad character '%' in type"),
+        # a context file's errors name the line and the offset in the file
+        (parse_region_ctx, "r : Unit\ns : (Unit", 18, "line 2: expected ')', found end of input"),
+        (parse_region_ctx, "# r : (\nr : Unit ->", 19, "line 2: unexpected end of input in type"),
+        (parse_region_ctx, "r : Unit\r\ns : Unit %\n", 19, "line 2: bad character '%' in type"),
+        (parse_region_ctx, "r : Unit\n  bad line # c\n", 11, "line 2: expected 'r : type'"),
+        (parse_region_ctx, "r : Unit\n# again\n r  : Unit\n", 18, "line 3: reference 'r' declared twice"),
     ],
 )
 def test_parse_errors_name_the_end_of_input_and_the_bad_character(parse, text, offset, reason):

@@ -14,14 +14,16 @@ The type-and-effect system assigns every term a type and the set of
 references it may touch; reference contexts must be stratified (no reference
 reachable from its own stored type).  Asked for its inference, a type checker
 returns an `Infer` whose `type_of` and `effect_of` answer for the nodes of
-`inf.term`, an unshared copy of the term it typed: one value object stored at
-two references of different types would otherwise have only one type.
+`inf.term`, the term it typed, copied first if a node object occurs at two
+positions: one value object stored at two references of different types
+would otherwise have only one type.
 """
 from __future__ import annotations
 
 import graphlib
 import itertools
 import re
+from collections import deque
 from dataclasses import dataclass, fields
 
 from .errors import BudgetExhausted, NotStratified, ParseError, TypingError
@@ -499,21 +501,56 @@ class _TMeta(TypeExpr):
         return f"_TMeta({self.id})"
 
 
-@dataclass(frozen=True)
 class _Eff:
-    consts: frozenset[str] = frozenset()
-    evars: frozenset[int] = frozenset()
+    """An effect during inference: a leaf of constant references `consts`
+    and effect variables `evars`, or the union of the two effects in
+    `parts`, which it refers to instead of copying.  A union's `consts` and
+    `evars` are None until `_flatten` builds them.  `value`, the set of
+    references the effect denotes, is known at once for a leaf without
+    variables and is set by `Infer.solve` for the others."""
 
-    def union(self, other: "_Eff") -> "_Eff":
-        return _Eff(self.consts | other.consts, self.evars | other.evars)
+    __slots__ = ("consts", "evars", "parts", "value")
+
+    def __init__(self, consts=frozenset(), evars=frozenset(), parts=None):
+        self.consts = consts
+        self.evars = evars
+        self.parts = parts
+        self.value = consts if parts is None and not evars else None
+
+
+_PURE = _Eff()
+
+
+def _flatten(e: _Eff):
+    """Give a union and the unions below it their `consts` and `evars`.
+    Each is the `|` of its operands' sets, left then right, so the sets
+    iterate in the order that copying them at every union gave."""
+    todo = [e]
+    while todo:
+        u = todo[-1]
+        if u.evars is not None:
+            todo.pop()
+            continue
+        a, b = u.parts
+        if a.evars is None or b.evars is None:
+            todo += [p for p in (b, a) if p.evars is None]
+            continue
+        u.consts = a.consts | b.consts
+        u.evars = a.evars | b.evars
+        todo.pop()
 
 
 class Infer:
     """Shared engine: walks a term, synthesizing (type, effect) per node.
 
-    `type_of` and `effect_of` resolve a node's noted type and effect when
-    asked, after `solve`.  Nodes are noted by identity, so a checker asked
-    for its inference types an unshared copy of its term, kept as `term`."""
+    Effects are shared, not copied: `union` makes a node that refers to its
+    two operands, so the effects of a term take space linear in the term.
+    `solve` flattens only the sides of effect equations into sets, then
+    evaluates every effect once, in the order `made` lists them, which puts
+    operands before the unions over them.  `type_of`, `effect_of` and the
+    checkers' result read those values.  Nodes are noted by identity, so a
+    checker asked for its inference types a term with one node object per
+    position (`_unshared`), kept as `term`."""
 
     def __init__(self, R: RegionCtx):
         ok, _ = check_stratified(R)
@@ -524,6 +561,7 @@ class Infer:
         self.evar_lb: dict[int, frozenset[str]] = {}  # per root variable
         self.evar_alias: dict[int, int] = {}
         self.eqs: list[tuple[_Eff, _Eff]] = []
+        self.made: list[_Eff] = []  # effects valued by `solve`, operands first
         self.annot: dict[int, tuple[TypeExpr, _Eff]] = {}
         self.term: TermA | None = None  # the typed term, when one is kept
 
@@ -535,7 +573,14 @@ class Infer:
     def fresh_e(self) -> _Eff:
         v = next(self.counter)
         self.evar_lb[v] = frozenset()
-        return _Eff(frozenset(), frozenset({v}))
+        e = _Eff(frozenset(), frozenset({v}))
+        self.made.append(e)
+        return e
+
+    def union(self, a: _Eff, b: _Eff) -> _Eff:
+        e = _Eff(None, None, (a, b))
+        self.made.append(e)
+        return e
 
     def resolve(self, t: TypeExpr) -> TypeExpr:
         while isinstance(t, _TMeta) and t.bound is not None:
@@ -599,7 +644,13 @@ class Infer:
 
     def solve(self):
         """Effect equations: alias variable-only sides, then grow lower
-        bounds to a fixpoint, then check every equation holds."""
+        bounds to a fixpoint, then check every equation holds; then value
+        every effect.  The fixpoint visits the equations round-robin: a
+        missing effect goes to the first variable of its side's set, and
+        which one that is depends on what the others already hold."""
+        for a, b in self.eqs:
+            _flatten(a)
+            _flatten(b)
         # alias pure-variable equations
         for a, b in self.eqs:
             if not a.consts and len(a.evars) == 1 and not b.consts and len(b.evars) == 1:
@@ -624,15 +675,24 @@ class Infer:
                     "sub",
                     f"effect mismatch {sorted(self._eval_eff(a))} vs {sorted(self._eval_eff(b))}",
                 )
+        lb = self.evar_lb
+        for e in self.made:
+            if e.parts is None:
+                (v,) = e.evars
+                e.value = lb[self._eroot(v)]
+            else:
+                x, y = e.parts[0].value, e.parts[1].value
+                e.value = x | y if x and y else x or y
 
     def final_type(self, t: TypeExpr) -> TypeExpr:
         t = self.resolve(t)
         if isinstance(t, _TMeta):
             return UnitT()
         if isinstance(t, Arrow):
+            e = t.effect
             return Arrow(
                 self.final_type(t.dom),
-                self._eval_eff(self._as_eff(t.effect)),
+                e.value if isinstance(e, _Eff) else frozenset(e),
                 self.final_type(t.cod),
             )
         if isinstance(t, Reg):
@@ -643,7 +703,7 @@ class Infer:
         return self.final_type(self.annot[id(node)][0])
 
     def effect_of(self, node: TermA) -> frozenset[str]:
-        return self._eval_eff(self.annot[id(node)][1])
+        return self.annot[id(node)][1].value
 
     # -- judgement helpers ---------------------------------------------------
 
@@ -676,7 +736,7 @@ def _subst_r(inf: Infer, env: dict, t: TermA, ty: TypeExpr, e: _Eff, foreign: tu
     for r, vs in t.vals:
         for v in vs:
             _payload(inf, env, r, v, "subst-r", foreign)
-    return inf.note(t, ty, e.union(_Eff(frozenset(r for r, _ in t.vals))))
+    return inf.note(t, ty, inf.union(e, _Eff(frozenset(r for r, _ in t.vals))))
 
 
 def _infer(inf: Infer, env: dict, t: TermA, foreign: tuple):
@@ -684,19 +744,19 @@ def _infer(inf: Infer, env: dict, t: TermA, foreign: tuple):
     if isinstance(t, Var):
         if t.name not in env:
             raise TypingError("var", f"unbound variable {t.name!r}")
-        return inf.note(t, env[t.name], _Eff())
+        return inf.note(t, env[t.name], _PURE)
     if isinstance(t, Star):
-        return inf.note(t, UnitT(), _Eff())
+        return inf.note(t, UnitT(), _PURE)
     if isinstance(t, Lam):
         a = inf.fresh_t()
         ty, e = _infer(inf, {**env, t.var: a}, t.body, foreign)
-        return inf.note(t, Arrow(a, e, ty), _Eff())
+        return inf.note(t, Arrow(a, e, ty), _PURE)
     if isinstance(t, Get):
         return inf.note(t, inf.ref_type(t.ref, "get"), _Eff(frozenset({t.ref})))
     if isinstance(t, Par):
         _, e1 = _infer(inf, env, t.left, foreign)
         _, e2 = _infer(inf, env, t.right, foreign)
-        return inf.note(t, Behavior(), e1.union(e2))
+        return inf.note(t, Behavior(), inf.union(e1, e2))
     if isinstance(t, foreign):
         raise TypingError("?", f"unknown term {t!r}")
     if isinstance(t, (App, LamSubst)):
@@ -705,7 +765,7 @@ def _infer(inf: Infer, env: dict, t: TermA, foreign: tuple):
         beta = inf.fresh_t()
         lat = inf.fresh_e()
         inf.unify(f, Arrow(a, lat, beta), "app")
-        e = e1.union(e2).union(lat)
+        e = inf.union(inf.union(e1, e2), lat)
         if isinstance(t, App):
             return inf.note(t, beta, e)
         return _subst_r(inf, env, t, beta, e, foreign)
@@ -717,7 +777,7 @@ def _infer(inf: Infer, env: dict, t: TermA, foreign: tuple):
         return inf.note(t, UnitT(), _Eff(frozenset({t.ref})))
     if isinstance(t, Store):
         _payload(inf, env, t.ref, t.value, "store", foreign)
-        return inf.note(t, Behavior(), _Eff())
+        return inf.note(t, Behavior(), _PURE)
     if isinstance(t, VarSubst):
         env2 = dict(env)
         for x, v in t.subst:
@@ -734,17 +794,35 @@ def _infer(inf: Infer, env: dict, t: TermA, foreign: tuple):
         for s in t.terms[1:]:
             ty2, e2 = _infer(inf, env, s, foreign)
             inf.unify(ty, ty2, "sum")
-            e = e.union(e2)
+            e = inf.union(e, e2)
         return inf.note(t, ty, e)
     raise TypingError("?", f"unknown term {t!r}")
 
 
-def _unshared(t):
+def _copy(t):
     """A copy of t with its own node object at every position."""
     if isinstance(t, tuple):
-        return tuple(map(_unshared, t))
+        return tuple(map(_copy, t))
     if isinstance(t, TermA):
-        return type(t)(*map(_unshared, (getattr(t, f.name) for f in fields(t))))
+        return type(t)(*map(_copy, (getattr(t, f.name) for f in fields(t))))
+    return t
+
+
+def _unshared(t: TermA) -> TermA:
+    """t itself if no node object occurs at two of its positions, else a
+    copy with one node object per position.  Parser output never shares a
+    node; the IR shares the store values it injects."""
+    seen = set()
+    todo = [t]
+    while todo:
+        s = todo.pop()
+        if isinstance(s, tuple):
+            todo += s
+        elif isinstance(s, TermA):
+            if id(s) in seen:
+                return _copy(t)
+            seen.add(id(s))
+            todo += vars(s).values()
     return t
 
 
@@ -754,7 +832,7 @@ def _typecheck(R: RegionCtx, gamma: dict, t: TermA, want_infer: bool, foreign: t
         t = inf.term = _unshared(t)
     ty, e = _infer(inf, dict(gamma), t, foreign)
     inf.solve()
-    result = (inf.final_type(ty), inf._eval_eff(e))
+    result = (inf.final_type(ty), e.value)
     if want_infer:
         return result, inf
     return result
@@ -971,11 +1049,11 @@ def normal_forms(p: TermA, budget: int = 20000):
     tree, stores = split_stores(p)
     start = (tree, tuple(stores))
     seen = {_state_key(*start)}
-    queue = [start]
+    queue = deque([start])
     normals = []
     steps = 0
     while queue:
-        tr, st = queue.pop(0)
+        tr, st = queue.popleft()
         succs = _thread_steps(tr, list(st)) if tr is not None else []
         if not succs:
             normals.append((tr, st))

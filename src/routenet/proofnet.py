@@ -680,20 +680,32 @@ def validate(net: Net) -> list[str]:
 def _bad_fields(net: Net, where: str) -> list[str]:
     """JSON fields of the wrong type, in `net` and its boxes: ports and cell
     ids must be ints, labels and symbols strings."""
-    fields = [(p, int, "free port") for p, _ in net.free]
-    fields += [(lbl, str, "free label") for _, lbl in net.free]
-    out = []
+    out, inner = [], []
+
+    def bad(v, t: type, what: str):
+        out.append(f"{where}BadField: {what} {v!r} is not {t.__name__}")
+
+    for p, _ in net.free:
+        if type(p) is not int:
+            bad(p, int, "free port")
+    for _, lbl in net.free:
+        if type(lbl) is not str:
+            bad(lbl, str, "free label")
     for c in net.cells:
-        fields += [(c.id, int, "cell id"), (c.sym, str, f"cell {c.id!r} sym")]
-        fields += [(p, int, f"cell {c.id!r} port") for p in c.ports()]
+        if type(c.id) is not int:
+            bad(c.id, int, "cell id")
+        if type(c.sym) is not str:
+            bad(c.sym, str, f"cell {c.id!r} sym")
+        for p in c.ports():
+            if type(p) is not int:
+                bad(p, int, f"cell {c.id!r} port")
         if c.inner is not None:
-            out += _bad_fields(c.inner, where + f"box{c.id}/")
-    fields += [(p, int, "wire end") for w in net.wires for p in (w.a, w.b)]
-    return [
-        f"{where}BadField: {what} {v!r} is not {t.__name__}"
-        for v, t, what in fields
-        if type(v) is not t
-    ] + out
+            inner += _bad_fields(c.inner, where + f"box{c.id}/")
+    for w in net.wires:
+        for p in (w.a, w.b):
+            if type(p) is not int:
+                bad(p, int, "wire end")
+    return out + inner
 
 
 def _validate(net: Net, out: list[str], where: str):

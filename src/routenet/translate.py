@@ -235,16 +235,21 @@ def _area_ports(b: Builder, area: Net):
 
 
 class _Translator:
-    def __init__(self, R: RegionCtx, inf: Infer):
+    def __init__(self, R: RegionCtx, inf: Infer, fmlas: dict | None = None):
         self.R = R
         self.inf = inf
         self.b = Builder()
+        # type -> formula, shared with the translators of boxed subterms
+        self.fmlas = {} if fmlas is None else fmlas
 
     def wtype(self, r: str) -> Formula:
-        return ref_wire_type(r, self.R)
+        return bang(self.fmla(self.R[r]))
 
     def fmla(self, t: TypeExpr) -> Formula:
-        return _ttype(t, self.R)
+        f = self.fmlas.get(t)
+        if f is None:
+            f = self.fmlas[t] = _ttype(t, self.R)
+        return f
 
     # -- value boxing -------------------------------------------------------
 
@@ -252,7 +257,7 @@ class _Translator:
         """A value as a standalone net, free ports in the order `_box`
         takes: the `main` output wire, then one wire per captured variable
         (values are pure, so no reference wires)."""
-        sub = _Translator(self.R, self.inf)
+        sub = _Translator(self.R, self.inf, self.fmlas)
         iface = sub.tr(v)
         if any(not (k == "out" or k.startswith("v:")) for k in iface):
             raise DerivationMismatch("injected values must be pure")
@@ -267,7 +272,7 @@ class _Translator:
     def inject_ends(self, r: str, values) -> tuple[list[int], Iface]:
         """Producer ends (one per stored value) emitting !X_r, together with
         the interface of any variables the values capture."""
-        xr = _ttype(self.R[r], self.R)
+        xr = self.fmla(self.R[r])
         ends = []
         var_iface: Iface = {}
         for v in values:
@@ -338,7 +343,7 @@ class _Translator:
         out_tys = ws + [self.fmla(arrow.cod)]
         content = self.fmla(arrow).left
 
-        sub = _Translator(self.R, self.inf)
+        sub = _Translator(self.R, self.inf, self.fmlas)
         iface = sub.tr(t.body)
         ib = sub.b
 

@@ -1,7 +1,10 @@
 """Source language: parsing, types and effects, stratification, interpreter."""
+from dataclasses import dataclass
+
 import pytest
 from hypothesis import given, strategies as st
 
+from routenet import lang
 from routenet.errors import BudgetExhausted, NotStratified, ParseError, TypingError
 from routenet.gen import PROGRAM_SUITE
 from routenet.lang import (
@@ -40,6 +43,7 @@ from routenet.lang import (
     value_trees,
     values,
 )
+from routenet.translate import compile_program
 
 # ---------------------------------------------------------------------------
 # term syntax
@@ -247,6 +251,184 @@ def test_each_language_rejects_the_others_nodes():
             with pytest.raises(TypingError) as exc:
                 typecheck_amadio(R, {}, t)
             assert exc.value.rule == "?"
+
+
+def test_a_checker_copies_its_term_only_if_a_node_is_shared():
+    R = parse_region_ctx("r : Unit")
+    p = parse_term("get r || get r || r <= *")
+    _, inf = typecheck_amadio(R, {}, p, want_infer=True)
+    assert inf.term is p  # parser output shares no node
+    ir = embed_lthis(p, R)
+    # both gets receive the one embedded store value
+    assert ir.left.vals[0][1][0] is ir.right.vals[0][1][0]
+    _, inf = typecheck_lthis(R, {}, ir, want_infer=True)
+    assert inf.term is not ir and inf.term == ir
+    assert inf.term.left.vals[0][1][0] is not inf.term.right.vals[0][1][0]
+
+
+# ---------------------------------------------------------------------------
+# effect bookkeeping against eagerly copied effect sets
+#
+# The oracle is the bookkeeping that `Infer` replaced: every union copied its
+# operands' sets, and each effect was evaluated whenever it was asked for.
+# It runs the same walker, so the type and effect variables are numbered
+# alike and the lower bounds can be compared variable by variable.
+
+
+@dataclass(frozen=True)
+class _EagerEff:
+    consts: frozenset = frozenset()
+    evars: frozenset = frozenset()
+
+    def union(self, other):
+        return _EagerEff(self.consts | other.consts, self.evars | other.evars)
+
+
+class _EagerInfer(lang.Infer):
+    def fresh_e(self):
+        v = next(self.counter)
+        self.evar_lb[v] = frozenset()
+        return _EagerEff(frozenset(), frozenset({v}))
+
+    def union(self, a, b):
+        return _EagerEff(a.consts, a.evars).union(b)
+
+    @staticmethod
+    def _as_eff(e):
+        return e if isinstance(e, (_EagerEff, lang._Eff)) else _EagerEff(frozenset(e))
+
+    def _eval_eff(self, e):
+        out = e.consts
+        for v in e.evars:
+            out = out | self.evar_lb[self._eroot(v)]
+        return out
+
+    def solve(self):
+        for a, b in self.eqs:
+            if not a.consts and len(a.evars) == 1 and not b.consts and len(b.evars) == 1:
+                ra, rb = self._eroot(next(iter(a.evars))), self._eroot(next(iter(b.evars)))
+                if ra != rb:
+                    self.evar_alias[ra] = rb
+                    self.evar_lb[rb] |= self.evar_lb.pop(ra)
+        changed = True
+        while changed:
+            changed = False
+            for a, b in self.eqs:
+                for side, other in ((a, b), (b, a)):
+                    missing = self._eval_eff(other) - self._eval_eff(side)
+                    if missing and side.evars:
+                        self.evar_lb[self._eroot(next(iter(side.evars)))] |= missing
+                        changed = True
+        for a, b in self.eqs:
+            if self._eval_eff(a) != self._eval_eff(b):
+                raise TypingError("sub", "effect mismatch")
+
+    def final_type(self, t):
+        t = self.resolve(t)
+        if isinstance(t, lang._TMeta):
+            return UnitT()
+        if isinstance(t, Arrow):
+            return Arrow(
+                self.final_type(t.dom),
+                self._eval_eff(self._as_eff(t.effect)),
+                self.final_type(t.cod),
+            )
+        if isinstance(t, lang.Reg):
+            return lang.Reg(t.ref, self.final_type(t.ty))
+        return t
+
+    def effect_of(self, node):
+        return self._eval_eff(self.annot[id(node)][1])
+
+
+def _nodes(t):
+    todo, out = [t], []
+    while todo:
+        s = todo.pop()
+        if isinstance(s, tuple):
+            todo += s
+        elif isinstance(s, lang.TermA):
+            out.append(s)
+            todo += vars(s).values()
+    return out
+
+
+def _agrees_with_eager_sets(check, R, t, foreign):
+    """Assert that `check` types every node of t as the oracle does; returns
+    whether some effect variable received a missing effect."""
+    result, inf = check(R, {}, t, want_infer=True)
+    assert check(R, {}, t) == result
+    eager = _EagerInfer(R)
+    ty, e = lang._infer(eager, {}, inf.term, foreign)
+    eager.solve()
+    assert result == (eager.final_type(ty), eager._eval_eff(e))
+    assert (inf.evar_lb, inf.evar_alias) == (eager.evar_lb, eager.evar_alias)
+    assert inf.annot.keys() == eager.annot.keys()
+    for node in _nodes(inf.term):
+        assert inf.effect_of(node) == eager.effect_of(node)
+        assert inf.type_of(node) == eager.type_of(node)
+    return any(inf.evar_lb.values())
+
+
+def _chain(depth: int) -> str:
+    src = "*"
+    for k in range(depth):
+        src = rf"(\v{k}. v{k}) ({src})"
+    return src
+
+
+# The missing {r} goes to one of the two latent effects of f, the first that
+# the side's variable set yields; the other choice types f as
+# Unit -{}> (Unit -{r}> Unit).
+_SPLIT_LATENT = ("split-latent", "s : Unit -{r}> Unit\nr : Unit", r"\f. set s (\u. f u *)")
+
+_EFFECT_CASES = (
+    [(name, ctx, src) for name, ctx, src in PROGRAM_SUITE]
+    + [_SPLIT_LATENT]
+    + [(f"readers-{k}", "r : Unit", " || ".join(["set r *"] + ["get r"] * k)) for k in range(1, 7)]
+    + [(f"chain-{d}", "", _chain(d)) for d in (40, 80, 120, 160, 200)]
+)
+
+
+@pytest.mark.parametrize("name, ctx, src", _EFFECT_CASES, ids=[c[0] for c in _EFFECT_CASES])
+def test_shared_effects_agree_with_eager_sets(name, ctx, src):
+    R, p = parse_region_ctx(ctx), parse_term(src)
+    _agrees_with_eager_sets(typecheck_amadio, R, p, lang._IR_ONLY)
+    _agrees_with_eager_sets(typecheck_lthis, R, embed_lthis(p, R), lang._SOURCE_ONLY)
+
+
+def test_the_suite_programs_that_assign_missing_effects():
+    assigned = {
+        name
+        for name, ctx, src in PROGRAM_SUITE
+        if _agrees_with_eager_sets(
+            typecheck_amadio, parse_region_ctx(ctx), parse_term(src), lang._IR_ONLY
+        )
+    }
+    assert assigned == {
+        "latent-set", "latent-get", "captured-set", "stored-effectful-fn", "ho-latent"
+    }
+    _, ctx, src = _SPLIT_LATENT
+    ty, _ = typecheck_amadio(parse_region_ctx(ctx), {}, parse_term(src))
+    assert fmt_type(ty) == "((Unit -{r}> (Unit -{}> Unit)) -{s}> Unit)"
+
+
+def test_effect_variable_lookups_grow_linearly_with_chain_depth(monkeypatch):
+    calls = [0]
+    eroot = lang.Infer._eroot
+
+    def counted(self, v):
+        calls[0] += 1
+        return eroot(self, v)
+
+    monkeypatch.setattr(lang.Infer, "_eroot", counted)
+    counts = []
+    for depth in (50, 100, 200):
+        calls[0] = 0
+        compile_program(parse_term(_chain(depth)), {})
+        counts.append(calls[0])
+    # eagerly copied effect sets made these ratios 3.2 and 3.5
+    assert counts[1] <= 2.2 * counts[0] and counts[2] <= 2.2 * counts[1]
 
 
 # ---------------------------------------------------------------------------

@@ -252,6 +252,27 @@ def test_validate_flags_unwired_port():
     assert validate(bad)
 
 
+def test_validate_names_each_field_of_the_wrong_type_in_order():
+    inner = Net([Cell("c", "One", 1.0)], [Wire(1.0, 2, ONE)], [(2, "main")])
+    bad = Net(
+        [Cell(1, "Box", "1", [], inner), Cell(2.5, 7, 3, [4, None])],
+        [Wire("1", 2, bang(ONE)), Wire(3, 4, ONE)],
+        [("2", "out"), (5, 6)],
+    )
+    assert validate(bad) == [
+        "BadField: free port '2' is not int",
+        "BadField: free label 6 is not str",
+        "BadField: cell 1 port '1' is not int",
+        "BadField: cell id 2.5 is not int",
+        "BadField: cell 2.5 sym 7 is not str",
+        "BadField: cell 2.5 port None is not int",
+        "BadField: wire end '1' is not int",
+        "box1/BadField: cell id 'c' is not int",
+        "box1/BadField: cell 'c' port 1.0 is not int",
+        "box1/BadField: wire end 1.0 is not int",
+    ]
+
+
 # ---------------------------------------------------------------------------
 # canonical form
 

@@ -59,7 +59,6 @@ from .proofnet import (
 from .rewrite import (
     ALL,
     ANYDEPTH_EER,
-    SURFACE,
     Redex,
     apply_redex,
     find_redexes,

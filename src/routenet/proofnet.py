@@ -284,32 +284,21 @@ class Net:
     and its labelled free ports.  `cells` and `wires` read as tuples, and
     assigning either replaces it whole; `free` is a plain list.
 
-    `copy()` copies the level's containers and shares its cells, wires and
-    box contents, so no cell, wire or box content is ever edited in place:
-    `Builder` edits the containers of one level and replaces a changed cell
-    or wire in its position.  Whoever holds the only reference to a level may
-    edit it that way; `normalize` rewrites the surface levels of the copies
-    it made itself (`apply_redex(..., owned=True)` in rewrite.py), and every
-    other caller edits a copy.
+    Invariant: a `Cell` or `Wire` object, once in a net, never changes.
+    `copy()` shares the level's cells, wires and box contents, and `Builder`
+    edits only the containers of one level, putting a changed cell or wire
+    in the old one's position.  Whoever holds the only reference to a level
+    may edit it that way (`apply_redex(..., owned=True)` in rewrite.py);
+    every other caller edits a copy.  The redex index rests on the
+    invariant: a redex holds exactly while its level still holds, by
+    identity, the wire and the two cells it was classified from.
 
-    Invariant: a `Cell` or `Wire` object, once in a net, never changes.  The
-    redex index rests on it: a redex stays valid exactly while its level
-    still holds the wire and the two cells it was classified from, which
-    rewrite.py tells by identity.  Wires keep their key (their place in the
-    list) when replaced, and a key is never used twice in one level.
-
-    From the first query by port or cell id on, the net keeps these indexes
-    current as the Builder edits it:
-
-    * port -> wire, port -> (cell, slot) with slot 'p' or an aux index, and
-      cell id -> cell;
-    * the highest wired port and the highest cell id, which the Builder's
-      numbering contract reads.
-
-    `redexes` holds the rewriter's redex candidates for this level (see
-    rewrite.py), and `touched` the ports edited since those were last
-    brought up to date; both are copied with the net.  A candidate names its
-    wire by its key in `_wires`, where rewrite.py looks it up.
+    From the first query by port or cell id on, the net keeps current the
+    maps port -> wire, port -> (cell, slot) with slot 'p' or an aux index,
+    and cell id -> cell, and the highest wired port and cell id, which the
+    Builder's numbering contract reads.  `redexes` holds the rewriter's
+    candidates for this level, and `touched` the ports edited since those
+    were brought up to date; both are copied with the net.
 
     Box contents remember their canonical form: certifying a net stores
     (free list, labelled contents, certificate) on the inner net of each of
@@ -496,11 +485,10 @@ class Net:
         """The wire ending at `port`; KeyError if there is none."""
         return self._wires[self._indexed()._wire_key[port]]
 
-    def wires_at(self, ports) -> dict[int, Wire]:
-        """The distinct wires ending at `ports`, by their keys in the level,
-        in list order."""
+    def wires_at(self, ports) -> list[Wire]:
+        """The distinct wires ending at `ports`, in list order."""
         wire_key, wires = self._indexed()._wire_key, self._wires
-        return {k: wires[k] for k in sorted({wire_key[p] for p in ports if p in wire_key})}
+        return [wires[k] for k in sorted({wire_key[p] for p in ports if p in wire_key})]
 
     def wire_of(self) -> dict[int, Wire]:
         wires = self._wires
@@ -933,7 +921,8 @@ def _flatten(net: Net):
     loose = None  # the first unwired port, raised once the wires are read
 
     port_node: dict[int, tuple[int, object]] = {}
-    # keyed by label only: the interface is a labelled set, not a sequence
+    # keyed by label only: a net's interface is a labelled set (a box's
+    # contents add the position where it matters, see _contents_cert)
     for p, lbl in net.free:
         nodes[nid] = node = _FlatNode(("free", lbl), "free")
         if p not in wired or p in port_node:
@@ -1058,13 +1047,21 @@ def _flatten(net: Net):
 def _contents_cert(inner: Net):
     """The certificate of a box's contents, read from and stored in the slot
     `Net` keeps for it.  A new entry holds the labelled contents in place of
-    the canonical net, which `_contents` rebuilds from them on first use."""
+    the canonical net, which `_contents` rebuilds from them on first use.
+
+    The rules and `validate` match door i with aux port i, so the free
+    ports of the contents are keyed by their position as well, unless their
+    labels are strictly increasing, as the compiler and the rules make
+    them: then the labels alone give the order."""
     free = tuple(inner.free)
     hit = inner._canon
     if hit is None or hit[0] != free:
         nodes, flat = _flatten(inner)
-        edges = [_ends(e) for e in flat]
-        cert, pos = _canonical_labelling(nodes, edges)
+        labels = [lbl for _, lbl in free]
+        if any(a >= b for a, b in zip(labels, labels[1:])):
+            for i, lbl in enumerate(labels):  # the free ports are nodes 0, 1, ...
+                nodes[i].key = ("free", lbl, i)
+        edges, cert, pos = _labelled(nodes, flat)
         hit = inner._canon = (free, (nodes, edges, pos), cert)
     return hit[2]
 
@@ -1294,12 +1291,12 @@ def _rebuild(nodes, edges, pos) -> Net:
             else:
                 slots[e.node][e.slot] = p
 
-    cells, wires, free = [], [], []
+    cells, wires, free = [], [], []  # free: (key[2:], label, port)
     port = 2 * len(oriented)
     for n in sorted(nodes, key=pos.__getitem__):
         node, at = nodes[n], slots[n]
         if node.sym == "free":
-            free.append((node.key[1], at["f"]))
+            free.append((node.key[2:], node.key[1], at["f"]))
         elif node.sym in _NEUTRAL:
             sym = "Contraction" if node.sym == "NContr" else "Cocontraction"
             root = at["p"]
@@ -1323,7 +1320,7 @@ def _rebuild(nodes, edges, pos) -> Net:
         p1 = slots[e1.node]["p"] if e1.slot == "p" else 2 * k + 2
         wires.append(wire(p0, p1, e0, e1))
     wires.sort(key=lambda w: w.a)
-    return Net(cells, wires, [(p, lbl) for lbl, p in sorted(free)])
+    return Net(cells, wires, [(p, lbl) for _, lbl, p in sorted(free)])
 
 
 def canonicalize_with_cert(net: Net, known: dict | None = None):
@@ -1335,8 +1332,7 @@ def canonicalize_with_cert(net: Net, known: dict | None = None):
     checks of the net's wiring come before the lookup, so a hit skips none.
     """
     nodes, flat = _flatten(net)
-    edges = [_ends(e) for e in flat]
-    cert, pos = _canonical_labelling(nodes, edges)
+    edges, cert, pos = _labelled(nodes, flat)
     if known is None:
         return _rebuild(nodes, edges, pos), cert
     canon = known.get(cert)
@@ -1352,33 +1348,34 @@ def canonicalize(net: Net) -> Net:
 def certificate(net: Net):
     """The certificate of `net`, with every check of `canonicalize_with_cert`
     and no net rebuilt: it labels `net` and the contents of its boxes."""
-    nodes, flat = _flatten(net)
-    return _canonical_labelling(nodes, [_ends(e) for e in flat])[0]
+    return _labelled(*_flatten(net))[1]
 
 
-def _invariant(keys, ends):
-    """The multiset of node `keys` and the multiset of unordered pairs of
-    edge ends {(slot, far slot, formula), (far slot, slot, dual formula)},
-    from the (slot, far slot, formula) of one end of each edge in `ends`."""
-    pairs = Counter(frozenset(((s0, s1, ty), (s1, s0, dual(ty)))) for s0, s1, ty in ends)
-    return frozenset(Counter(keys).items()), frozenset(pairs.items())
+def _labelled(nodes, flat):
+    """(edge ends, certificate, node -> position) of the net flattened to
+    (nodes, flat): the one step that labels a net."""
+    edges = [_ends(e) for e in flat]
+    cert, pos = _canonical_labelling(nodes, edges)
+    return edges, cert, pos
 
 
-def invariant(cert):
-    """An isomorphism invariant of the nets with certificate `cert`, which
-    `certificate_among` reads off a flattened net without labelling it: the
-    certificate lists every node key, and every edge as the slot texts of
-    its ends and the text of the formula read from one of them.  Nets with
-    different invariants thus have different certificates."""
-    node_part, entries = cert
-    slot = {text: s for s, text in _SLOT_TEXT.items()}
-    formula = {text: parse_formula(text) for text in {entry[-1] for entry in entries}}
-    return _invariant(node_part, ((slot[a], slot[b], formula[t]) for _, _, a, b, t in entries))
+def invariant(net: Net):
+    """An isomorphism invariant of `net`, read off its flattening without
+    labelling it; see `_flat_invariant`."""
+    return _flat_invariant(*_flatten(net))
 
 
 def _flat_invariant(nodes, flat):
-    """`invariant` of the certificate of the net flattened to (nodes, flat)."""
-    return _invariant((node.key for node in nodes.values()), ((e.s0, e.s1, e.ty) for e in flat))
+    """The multiset of node keys and the multiset of unordered pairs of edge
+    ends {(slot, far slot, formula), (far slot, slot, dual formula)} of the
+    net flattened to (nodes, flat).  The certificate lists every node key,
+    and every edge as the slot texts of its ends and the text of the
+    formula read from one of them, so this is a function of the
+    certificate: nets with different invariants have different
+    certificates."""
+    pairs = Counter(frozenset(((e.s0, e.s1, e.ty), (e.s1, e.s0, dual(e.ty)))) for e in flat)
+    keys = Counter(node.key for node in nodes.values())
+    return frozenset(keys.items()), frozenset(pairs.items())
 
 
 def certificate_among(net: Net, invariants):
@@ -1388,7 +1385,7 @@ def certificate_among(net: Net, invariants):
     nodes, flat = _flatten(net)
     if _flat_invariant(nodes, flat) not in invariants:
         return None
-    return _canonical_labelling(nodes, [_ends(e) for e in flat])[0]
+    return _labelled(nodes, flat)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ from .proofnet import (
     invariant,
 )
 
-SURFACE = "surface"
 ANYDEPTH_EER = "anydepth_eer"
 ALL = "all"
 
@@ -110,7 +109,7 @@ def _redex(path: tuple[int, ...], w: Wire, cand) -> Redex:
     return Redex(path, rule, wire, cells, door, w, cx, cy)
 
 
-def find_redexes(net: Net, policy: str = SURFACE) -> list[Redex]:
+def find_redexes(net: Net, policy: str = ANYDEPTH_EER) -> list[Redex]:
     out: list[Redex] = []
 
     def walk(n: Net, path: tuple[int, ...]):
@@ -118,15 +117,12 @@ def find_redexes(net: Net, policy: str = SURFACE) -> list[Redex]:
             hit = _classify(n, w)
             if hit is None:
                 continue
-            if path and policy == SURFACE:
-                continue
             if path and policy == ANYDEPTH_EER and hit[2] not in _DEEP_RULES:
                 continue
             out.append(_redex(path, w, hit))
-        if policy != SURFACE:
-            for c in n.cells:
-                if c.sym == "Box":
-                    walk(c.inner, path + (c.id,))
+        for c in n.cells:
+            if c.sym == "Box":
+                walk(c.inner, path + (c.id,))
 
     walk(net, ())
     return sorted(out, key=Redex.key)
@@ -135,21 +131,16 @@ def find_redexes(net: Net, policy: str = SURFACE) -> list[Redex]:
 # ---------------------------------------------------------------------------
 # Redex index
 #
-# Each level of a net carries its redex candidates, as two heaps ordered like
+# Each level of a net carries its redex candidates in two heaps ordered like
 # Redex.key within the level: the rules that also fire inside boxes under
-# ANYDEPTH_EER (e, er), and the others.  A candidate holds the wire it was
-# classified from, that wire's key in the level and the two cells at its
-# ends.  A redex only depends on those three objects, and no cell or wire is
-# edited in place (see Net), so a candidate stays valid exactly while the
-# level still holds the wire under its key and the cells at its ports: three
-# lookups and identity tests, with no classification.  The Builder records
-# the ports that an edit touches; before a level is searched, the wires at
-# those ports are classified and pushed, so every redex of the level is
-# among the candidates.  Candidates that an edit has undone stay in the
-# heaps until they reach the top, where the check drops them.  Candidates of
-# one wire and cells tie on the heap order, and the push count breaks the
-# tie, so objects are never compared.  Box contents are shared between a net
-# and its reducts, and so are their candidates.
+# ANYDEPTH_EER (e, er), and the others.  A candidate keeps the wire and the
+# two cells it was classified from; since no cell or wire is edited in place
+# (see Net), it is a redex exactly while its level `_holds` them.  Before a
+# level is searched, the wires at the ports its edits touched are
+# classified and pushed, so every redex of the level is a candidate; stale
+# candidates are dropped when they reach the top.  The push count breaks
+# ties, so objects are never compared.  Box contents, and so their
+# candidates, are shared between a net and its reducts.
 
 _PUSHES = count()
 
@@ -159,37 +150,44 @@ def _candidates(n: Net) -> tuple[list, list]:
     heaps = n.redexes
     if heaps is None:
         heaps = n.redexes = ([], [])
-        for k, w in n._wires.items():
-            _push(heaps, k, w, _classify(n, w))
+        for w in n.wires:
+            _push(heaps, w, _classify(n, w))
     elif n.touched:
-        for k, w in n.wires_at(n.touched).items():
-            _push(heaps, k, w, _classify(n, w))
+        for w in n.wires_at(n.touched):
+            _push(heaps, w, _classify(n, w))
         n.touched.clear()
     return heaps
 
 
-def _push(heaps, k: int, w: Wire, cand):
-    """Push the candidate `cand` of wire `w`, whose key is `k`, as the heap
-    entry (cells, ports, k, push count, w, cand)."""
+def _push(heaps, w: Wire, cand):
+    """Push the candidate `cand` of wire `w` as the heap entry (cells, ports,
+    push count, w, cand)."""
     if cand is not None:
         h = heaps[0] if cand[2] in _DEEP_RULES else heaps[1]
-        heapq.heappush(h, (cand[0], cand[1], k, next(_PUSHES), w, cand))
+        heapq.heappush(h, (cand[0], cand[1], next(_PUSHES), w, cand))
+
+
+def _holds(level: Net, x: int, y: int, wire: Wire, cx: Cell, cy: Cell) -> bool:
+    """Whether `level` still holds the redex classified from `wire`, on
+    ports x and y of cells cx and cy."""
+    owner = level.owner()
+    return (
+        level.is_wired(x)
+        and level.wire_at(x) is wire
+        and owner.get(x, _NOBODY)[0] is cx
+        and owner.get(y, _NOBODY)[0] is cy
+    )
 
 
 def _least_at(n: Net, deep_only: bool):
     """The level's least valid heap entry (of rule e or er only, when
     `deep_only`), or None."""
     heaps = _candidates(n)
-    wires, owner = n._wires, n.owner()
     best = None
     for h in heaps[:1] if deep_only else heaps:
         while h:
-            _, (x, y), k, _, w, cand = h[0]
-            if (
-                wires.get(k) is w
-                and owner.get(x, _NOBODY)[0] is cand[4]
-                and owner.get(y, _NOBODY)[0] is cand[5]
-            ):
+            _, (x, y), _, w, cand = h[0]
+            if _holds(n, x, y, w, cand[4], cand[5]):
                 break
             heapq.heappop(h)
         if h and (best is None or h[0] < best):
@@ -202,9 +200,7 @@ def _least(net: Net, policy: str) -> Redex | None:
     surface first, then the boxes depth by depth in path order."""
     hit = _least_at(net, False)
     if hit is not None:
-        return _redex((), *hit[4:])
-    if policy == SURFACE:
-        return None
+        return _redex((), *hit[3:])
     deep_only = policy == ANYDEPTH_EER
     levels = [((), net)]
     while levels:
@@ -216,7 +212,7 @@ def _least(net: Net, policy: str) -> Redex | None:
         for path, n in levels:
             hit = _least_at(n, deep_only)
             if hit is not None:
-                return _redex(path, *hit[4:])
+                return _redex(path, *hit[3:])
     return None
 
 
@@ -261,7 +257,7 @@ def _resplice(b: Builder, dead: set[int], pairs: dict[int, int]):
     wires, appended in the list order of their first wire; all-dead chains
     and cycles vanish.
     """
-    chained = b.net.wires_at(dead).values()
+    chained = b.net.wires_at(dead)
     wire_at = {p: w for w in chained for p in (w.a, w.b)}
     spliced, visited = [], set()
     for w in chained:
@@ -324,13 +320,7 @@ def apply_redex(net: Net, redex: Redex, *, owned: bool = False) -> list[Net]:
         raise StaleRedex(f"no box {exc} on the redex's path") from None
     cut, cx, cy = redex.cut, redex.cx, redex.cy
     px, py = redex.wire
-    owner = lvl.owner()
-    if not (
-        lvl.is_wired(px)
-        and lvl.wire_at(px) is cut
-        and owner.get(px, _NOBODY)[0] is cx
-        and owner.get(py, _NOBODY)[0] is cy
-    ):
+    if not _holds(lvl, px, py, cut, cx, cy):
         raise StaleRedex("the net no longer holds the redex's wire and cells")
     # the rules below re-end or splice the wires at these ports
     _need_wired(lvl, cx.aux + cy.aux)
@@ -519,7 +509,7 @@ def reduction_graph(x, policy: str = ALL, max_nodes: int = 2000):
                         red = NetSum(red, known)
                     else:
                         if held is None:
-                            held = {invariant(c) for c in known}
+                            held = {invariant(n) for n in known.values()}
                         red = _held_sum(red, known, held)
                     made[k] = red
                 if red is None:

@@ -42,6 +42,18 @@ def test_check_type_error_exits_1(tmp_path, capsys):
     assert "type error" in capsys.readouterr().out
 
 
+def test_compile_refuses_a_lambda_returning_a_behaviour(tmp_path, capsys):
+    """`(\\x. x || x) *` type checks, but a λ whose body is a behaviour has no
+    formula, so `compile` exits 1."""
+    prog = _write(tmp_path, "M.term", "(\\x. x || x) *\n")
+    assert main(["check", prog]) == 0
+    assert "type: B" in capsys.readouterr().out
+    assert main(["compile", prog]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "behaviours have no standalone formula" in captured.err
+
+
 def test_compile_emits_parseable_net(tmp_path, capsys):
     prog = _write(tmp_path, "M.term", "*\n")
     assert main(["compile", prog]) == 0

@@ -504,6 +504,57 @@ def test_canonicalize_idempotent():
         assert serialize(canonicalize(c1)) == serialize(c1)
 
 
+def _two_door_box(doors) -> Net:
+    """A box emitting !1 whose doors, listed after the content in the order
+    of `doors` as (label, "w" or "d") pairs, feed a Weakening and a
+    Dereliction; door i meets the outer free port x, then y."""
+    inner = Net(
+        [Cell(1, "One", 1), Cell(2, "Weakening", 3), Cell(3, "One", 5), Cell(4, "Dereliction", 7, [6])],
+        [Wire(1, 2, ONE), Wire(3, 4, whynot(ONE)), Wire(5, 6, ONE), Wire(7, 8, whynot(ONE))],
+        [(2, "main")] + [({"w": 4, "d": 8}[cell], lbl) for lbl, cell in doors],
+    )
+    net = Net(
+        [Cell(1, "Box", 1, [2, 3], inner)],
+        [Wire(1, 12, bang(ONE)), Wire(10, 2, bang(BOT)), Wire(11, 3, bang(BOT))],
+        [(12, "out"), (10, "x"), (11, "y")],
+    )
+    assert validate(net) == []
+    return net
+
+
+@pytest.mark.parametrize("a, b", [("a", "b"), ("v:a", "v:b"), ("v:x", "v:x")])
+def test_box_doors_are_certified_by_position(a, b):
+    """The rules and `validate` match door i with aux port i, so listing
+    the doors of one box in another order, with the outer wiring kept,
+    gives another net and another certificate: also when the labels sort
+    before the content's, follow the compiler's v: form, or repeat."""
+    n1 = _two_door_box([(a, "w"), (b, "d")])
+    n2 = _two_door_box([(b, "d"), (a, "w")])
+    assert certificate(n1) != certificate(n2)
+    assert len(normalize([n1, n2])) == 2
+    for n in (n1, n2):
+        canon = canonicalize(n)
+        assert validate(canon) == [] and certificate(canon) == certificate(n)
+        assert serialize(canonicalize(canon)) == serialize(canon)
+
+
+def test_reduce_prints_a_box_with_early_door_labels_it_accepts(tmp_path, capsys):
+    """Door labels that sort before the content's keep their door order in
+    the canonical box, so `routenet reduce` accepts its own output."""
+    from routenet.cli import main
+
+    first_in = tmp_path / "n.json"
+    first_in.write_bytes(serialize(_two_door_box([("a", "w"), ("b", "d")])))
+    assert main(["reduce", str(first_in)]) == 0
+    first = capsys.readouterr().out
+    (net,) = parse(first.encode())
+    assert validate(net) == []
+    again_in = tmp_path / "nf.json"
+    again_in.write_text(first)
+    assert main(["reduce", str(again_in)]) == 0
+    assert capsys.readouterr().out == first
+
+
 # ---------------------------------------------------------------------------
 # certificates without rebuilding, and the invariant read before labelling
 
@@ -557,14 +608,10 @@ def _reordered(n: Net, rng: random.Random) -> Net:
     return Net(cells, wires, free)
 
 
-def _flat_invariant(n: Net):
-    return proofnet._flat_invariant(*proofnet._flatten(n))
-
-
 @pytest.fixture(scope="module")
 def capped_graphs():
     """The capped inputs of the benchmark's `graph` workload: per program,
-    the certificates its nodes hold and the raw reducts of those summands."""
+    the summands its nodes hold, by certificate, and their raw reducts."""
     out = {}
     for name in ("latent-get", "stored-fn", "two-readers"):
         net = compile_program(*reversed(suite_program(name)))
@@ -572,15 +619,14 @@ def capped_graphs():
         assert truncated
         summands = {cert: m for s in nodes for cert, m in s.items()}
         raw = [r for m in summands.values() for x in find_redexes(m, ALL) for r in apply_redex(m, x)]
-        out[name] = (set(summands), raw)
+        out[name] = (summands, raw)
     return out
 
 
 def test_invariant_is_a_function_of_the_certificate(capped_graphs):
-    """The invariant read off a flattened net equals `invariant` of its
-    certificate, so nets with one certificate have one invariant: on every
-    raw reduct of the capped graph programs, on their canonical nets, on
-    seeded typed nets, and on reordered copies of each."""
+    """Nets with one certificate have one invariant: on every raw reduct of
+    the capped graph programs, on their canonical nets, on seeded typed
+    nets, and on reordered copies of each."""
     rng = random.Random(11)
     nets = [r for _, raw in capped_graphs.values() for r in raw]
     nets += [canonicalize(r) for r in nets]
@@ -588,9 +634,7 @@ def test_invariant_is_a_function_of_the_certificate(capped_graphs):
     nets += [_reordered(n, rng) for n in nets]
     by_cert: dict = {}
     for n in nets:
-        cert = certificate(n)
-        assert _flat_invariant(n) == proofnet.invariant(cert)
-        by_cert.setdefault(cert, set()).add(_flat_invariant(n))
+        by_cert.setdefault(certificate(n), set()).add(proofnet.invariant(n))
     assert all(len(invariants) == 1 for invariants in by_cert.values())
     assert len(nets) > 4000 and len(by_cert) > 400
 
@@ -599,8 +643,8 @@ def test_a_refuted_reduct_is_no_held_summand(capped_graphs):
     """A raw reduct whose invariant no node's summand has is not one of
     them; and most reducts that are not held are refuted so."""
     for name, (held, raw) in capped_graphs.items():
-        invariants = {proofnet.invariant(cert) for cert in held}
-        refuted = [r for r in raw if _flat_invariant(r) not in invariants]
+        invariants = {proofnet.invariant(m) for m in held.values()}
+        refuted = [r for r in raw if proofnet.invariant(r) not in invariants]
         assert all(certificate(r) not in held for r in refuted)
         assert all(proofnet.certificate_among(r, invariants) is None for r in refuted)
         others = [r for r in raw if certificate(r) not in held]

@@ -28,7 +28,6 @@ from routenet.proofnet import (
 from routenet.rewrite import (
     ALL,
     ANYDEPTH_EER,
-    SURFACE,
     apply_redex,
     find_redexes,
     normalize,
@@ -303,7 +302,7 @@ def test_unwired_port_to_reend_is_a_stale_redex(make, unwire):
 
 
 def test_surface_policy_ignores_deep_redexes():
-    # an m-redex inside a box reduces under ALL but not under SURFACE/EER
+    # an m-redex inside a box reduces under ALL but not under the default EER
     inner = Net(
         [Cell(1, "One", 1), Cell(2, "Tensor", 6, [4, 5]), Cell(3, "Par", 7, [8, 9])],
         [
@@ -318,8 +317,7 @@ def test_surface_policy_ignores_deep_redexes():
     # close it off: doors would complicate things, so test redex search only
     n = Net([Cell(1, "Box", 11, [12, 13], inner)], [], [])
     assert [r.rule for r in find_redexes(n, ALL) if r.path] == ["m"]
-    assert find_redexes(n, SURFACE) == []
-    assert find_redexes(n, ANYDEPTH_EER) == []
+    assert find_redexes(n) == find_redexes(n, ANYDEPTH_EER) == []
 
 
 def test_budget_exhaustion_carries_partial():

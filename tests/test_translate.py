@@ -15,9 +15,11 @@ from routenet.lang import (
     SumL,
     UpSubst,
     Var,
+    VarSubst,
     parse_region_ctx,
     parse_term,
     parse_type,
+    step,
     typecheck_lthis,
 )
 from routenet.proofnet import (
@@ -35,7 +37,7 @@ from routenet.proofnet import (
     validate,
     whynot,
 )
-from routenet.rewrite import normalize
+from routenet.rewrite import normal_certs, normalize
 from routenet.translate import (
     _Translator,
     close,
@@ -227,3 +229,49 @@ def test_one_value_object_stored_at_references_of_two_types_compiles():
     shared = DownSubst((("s", (v,)), ("t", (v,))), Get("s"))
     distinct = DownSubst((("s", (v,)), ("t", (Lam("x", Var("x")),))), Get("s"))
     assert serialize(translate(shared, R)) == serialize(translate(distinct, R))
+
+
+def test_variable_substitution_translates_as_the_substituted_term():
+    """A VarSubst of x := * has the normal forms of its body with * put for
+    x: a used variable, an unused one, one a λ captures, and one a λ is
+    applied to."""
+    R = parse_region_ctx("")
+    x, ident = Var("x"), Lam("y", Var("y"))
+    for body, substituted in (
+        (x, Star()),
+        (Star(), Star()),
+        (Lam("y", x), Lam("y", Star())),
+        (LamSubst((), ident, x), LamSubst((), ident, Star())),
+    ):
+        got = translate(VarSubst((("x", Star()),), body), R)
+        assert normal_certs(got) == normal_certs(translate(substituted, R)), body
+
+
+def _cells(net: Net):
+    """The cells of `net` and of its boxes, at every depth."""
+    for c in net.cells:
+        yield c
+        if c.inner is not None:
+            yield from _cells(c.inner)
+
+
+@pytest.mark.parametrize(
+    "ctx, src",
+    [
+        ("", r"(\x. (\y. x) x) *"),
+        ("", r"(\f. f (f *)) (\u. u)"),
+        ("r : Unit", r"(\x. (\y. set r x) x) * || get r"),
+    ],
+)
+def test_a_variable_used_twice_compiles_through_a_contraction(ctx, src):
+    """Programs whose translation joins two uses of one variable in a
+    contraction compile to valid nets whose normal forms hold the values,
+    and every step of the program keeps to those normal forms."""
+    R, P = parse_region_ctx(ctx), parse_term(src)
+    net = compile_program(P, R)
+    assert validate(net) == []
+    assert any(c.sym == "Contraction" for c in _cells(net))
+    certs = normal_certs(net)
+    assert value_certs(P, R) <= certs
+    for reduct in step(P):
+        assert normal_certs(compile_program(reduct, R)) <= certs, reduct

@@ -1051,14 +1051,16 @@ def _contents_cert(inner: Net):
 
     The rules and `validate` match door i with aux port i, so the free
     ports of the contents are keyed by their position as well, unless their
-    labels are strictly increasing, as the compiler and the rules make
-    them: then the labels alone give the order."""
+    labels are strings in strictly increasing order, as the compiler and
+    the rules make them: then the labels alone give the order."""
     free = tuple(inner.free)
     hit = inner._canon
     if hit is None or hit[0] != free:
         nodes, flat = _flatten(inner)
         labels = [lbl for _, lbl in free]
-        if any(a >= b for a, b in zip(labels, labels[1:])):
+        if not all(type(lbl) is str for lbl in labels) or any(
+            a >= b for a, b in zip(labels, labels[1:])
+        ):
             for i, lbl in enumerate(labels):  # the free ports are nodes 0, 1, ...
                 nodes[i].key = ("free", lbl, i)
         edges, cert, pos = _labelled(nodes, flat)

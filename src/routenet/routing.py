@@ -11,8 +11,12 @@ The operations on areas are made of three steps, each written once:
 
 * feedback (`feedback`) checks a net and wires outputs back into inputs,
   all pairs in one pass, leaving the cuts it makes unreduced;
-* reduction (`_normal_net`) reaches the one normal net within the fixed
-  budget of `BUDGET` rewriting steps;
+* reduction (`_normal_net`) reaches the one normal net: it first fires
+  each cut of a cocontraction tree against a contraction tree as one
+  n-ary bialgebra step over both whole trees (`_tree_cuts`), which builds
+  the grid of crossings at once, then runs `normal_nets` within the fixed
+  budget of `BUDGET` rewriting steps for what is left, such as the
+  payload copies of `transit`;
 * reading (`_crossings`) takes a net as two forests and a matching: one
   walk from the free ports gives each leaf of the contraction trees and
   of the cocontraction trees its root, past the neutral (co)weakening
@@ -46,6 +50,7 @@ from .errors import (
 from .multirel import LabelSet, Multirelation
 from .paths import check_acyclic, count_paths_all
 from .proofnet import (
+    _NOBODY,
     Builder,
     Cell,
     Net,
@@ -59,7 +64,17 @@ from .proofnet import (
 )
 from .rewrite import normal_nets
 
-_STRUCTURAL = {"Contraction", "Cocontraction", "Weakening", "Coweakening"}
+# each tree symbol -> its nullary (co)weakening
+_NEUTRAL = {"Contraction": "Weakening", "Cocontraction": "Coweakening"}
+# each structural symbol -> the kind of tree it is a node of; routing nets
+# hold only these cells
+_KIND = {
+    "Contraction": "Contraction",
+    "Weakening": "Contraction",
+    "Cocontraction": "Cocontraction",
+    "Coweakening": "Cocontraction",
+}
+_TREE_PAIR = {"Cocontraction", "Contraction"}  # the kinds a tree cut joins
 
 BUDGET = 10000  # rewriting steps for one area operation
 
@@ -95,33 +110,35 @@ def build_area(area: RoutingArea) -> Net:
                 out_leaves[o].append(v)
 
     free = []
-    trees = (
-        (in_leaves, "Contraction", "Weakening"),
-        (out_leaves, "Cocontraction", "Coweakening"),
-    )
-    for leaves_of, sym, neutral in trees:
+    for leaves_of, sym in ((in_leaves, "Contraction"), (out_leaves, "Cocontraction")):
         for label, leaves in leaves_of.items():
-            if len(leaves) == 1:
-                free.append((leaves[0], label))
-                continue
-            # a left comb, each cell taking the last result and the next
-            # leaf, or one (co)weakening; each cell's result wire ends at a
-            # new port, the next cell's first aux or else the free root
-            q = leaves[0] if leaves else None
-            for leaf in leaves[1:] or [None]:
-                pr = b.port()
-                if leaf is None:
-                    b.cell_on(neutral, pr, [])
-                else:
-                    b.cell_on(sym, pr, [q, leaf])
-                q = b.port()
-                # !A flows into a contraction and out of a cocontraction
-                if sym == "Contraction":
-                    b.wire(q, pr, A)
-                else:
-                    b.wire(pr, q, A)
-            free.append((q, label))
+            free.append((_comb(b, sym, leaves, A), label))
     return b.finish(free)
+
+
+def _comb(b: Builder, sym: str, leaves: list[int], A: "Formula") -> int:
+    """A left comb of `sym` cells on the dangling wire ends `leaves`, each
+    cell taking the last result and the next leaf: a bare wire for one leaf
+    and a (co)weakening for none.  Returns the comb's root, the dangling
+    end of the wire out of its last cell (or the one leaf)."""
+    if len(leaves) == 1:
+        return leaves[0]
+    q = leaves[0] if leaves else None
+    for leaf in leaves[1:] or [None]:
+        pr = b.port()
+        if leaf is None:
+            b.cell_on(_NEUTRAL[sym], pr, [])
+        else:
+            b.cell_on(sym, pr, [q, leaf])
+        # each cell's result wire ends at a new port, the next cell's first
+        # aux or else the root; !A flows into a contraction and out of a
+        # cocontraction
+        q = b.port()
+        if sym == "Contraction":
+            b.wire(q, pr, A)
+        else:
+            b.wire(pr, q, A)
+    return q
 
 
 def gamma(payload: "Formula" = bang(ONE)) -> Net:
@@ -150,7 +167,7 @@ def is_routing_net(n: Net) -> bool:
 def _structural(n: Net):
     """The one !A on every wire of a net of structural cells only (!1 if
     it has no wire), or None if the net is not one."""
-    if any(c.sym not in _STRUCTURAL for c in n.cells):
+    if any(c.sym not in _KIND for c in n.cells):
         return None
     payload = None
     for w in n.wires:
@@ -254,14 +271,105 @@ def _forest(n: Net, wire_of, roots, sym: str, neutral: str, visited: set) -> dic
 
 
 def _normal_net(n: Net, what: str) -> Net:
-    """The one raw normal net of `n`.  Nets are counted up to equivalence,
-    as a NetSum counts them; `what` names the operation in the error."""
-    nets = list(normal_nets(n, BUDGET))
+    """The one raw normal net of `n`: its tree cuts fired whole, then
+    `normal_nets`.  Nets are counted up to equivalence, as a NetSum counts
+    them; `what` names the operation in the error."""
+    nets = list(normal_nets(_tree_cuts(n), BUDGET))
     if len(nets) != 1:
         count = len(NetSum(nets))
         if count != 1:
             raise NotAreaShaped(f"{what} {count} summands")
     return nets[0]
+
+
+def _tree_cuts(n: Net) -> Net:
+    """`n` with each cut between the principals of a cocontraction tree
+    and a contraction tree fired as one n-ary bialgebra step, on a copy;
+    `n` itself if it has no such cut.  A tree is a cell and the cells of
+    its kind, (co)weakenings included, whose principals hang from its aux
+    ports.  A tree with n leaves against one with m leaves becomes the
+    n x m grid that (n - 1)(m - 1) binary `ba` steps reach, up to
+    associativity and neutrality: a contraction comb with m leaves on each
+    leaf wire of the cocontraction tree, a cocontraction comb with n leaves
+    on each leaf wire of the contraction tree, and leaf j of contraction
+    comb i wired to leaf i of cocontraction comb j.  Arity 0 makes a comb
+    a (co)weakening, as `s1`, `s2` and `eps_ww` do.  A cut whose trees meet
+    a cell twice, an unwired aux port or each other by a wire, or lost a
+    cell to a tree fired before, is left to `normal_nets`."""
+    owner = n.owner()
+    cuts = []
+    for w in n.wires:
+        (x, sx), (y, sy) = owner.get(w.a, _NOBODY), owner.get(w.b, _NOBODY)
+        if sx == sy == "p" and {_KIND.get(x.sym), _KIND.get(y.sym)} == _TREE_PAIR:
+            cuts.append((w, x, y) if _KIND[x.sym] == "Cocontraction" else (w, y, x))
+    if not cuts:
+        return n
+    n = n.copy()
+    b, owner = Builder(n), n.owner()
+    for cut, x, y in cuts:
+        if any(owner.get(c.principal, _NOBODY)[0] is not c for c in (x, y)):
+            continue  # a tree fired before took a cell of this cut
+        xt, yt = _tree(n, x), _tree(n, y)
+        if xt is None or yt is None:
+            continue
+        (x_cells, x_wires, x_leaves), (y_cells, y_wires, y_leaves) = xt, yt
+        x_ends = set(x_leaves)
+        if any(n.wire_at(p).other(p) in x_ends for p in y_leaves):
+            continue  # a cycle through the cut, which reduction never ends
+        for c in x_cells + y_cells:
+            b.remove_cell(c)
+        for w in [cut] + x_wires + y_wires:
+            b.remove_wire(w)
+        bang_b = cut.toward(y.principal)  # the !B flowing out of x, as in `ba`
+        rows = [[] for _ in x_leaves]
+        cols = [[] for _ in y_leaves]
+        for row in rows:
+            for col in cols:
+                u, v = b.port(), b.port()
+                b.wire(u, v, bang_b)
+                row.append(u)
+                col.append(v)
+        for leaf, row in zip(x_leaves, rows):
+            _join(b, leaf, _comb(b, "Contraction", row, bang_b))
+        for leaf, col in zip(y_leaves, cols):
+            _join(b, leaf, _comb(b, "Cocontraction", col, bang_b))
+    return n
+
+
+def _tree(n: Net, root: Cell):
+    """(cells, inner wires, leaves) of the tree of `root`: the walk goes
+    down from its aux ports through wires into principals of cells of its
+    kind, and a leaf is an aux port at which it stops, left to right.
+    None if a cell is met twice or an aux port has no wire."""
+    owner, kind = n.owner(), _KIND[root.sym]
+    cells, wires, leaves, seen = [root], [], [], {root.id}
+    stack = list(reversed(root.aux))
+    while stack:
+        p = stack.pop()
+        try:
+            w = n.wire_at(p)
+        except KeyError:
+            return None
+        cell, slot = owner.get(w.other(p), _NOBODY)
+        if slot != "p" or _KIND.get(cell.sym) != kind:
+            leaves.append(p)
+            continue
+        if cell.id in seen:
+            return None
+        seen.add(cell.id)
+        cells.append(cell)
+        wires.append(w)
+        stack.extend(reversed(cell.aux))
+    return cells, wires, leaves
+
+
+def _join(b: Builder, p: int, q: int):
+    """Join the wires dangling at ports p and q into one, which keeps the
+    formula of p's wire."""
+    wp, wq = b.wire_at(p), b.wire_at(q)
+    b.remove_wire(wp)
+    b.remove_wire(wq)
+    b.wire(wp.other(p), wq.other(q), wp.toward(p))
 
 
 def semantics(n: Net) -> Multirelation:

@@ -538,6 +538,28 @@ def test_box_doors_are_certified_by_position(a, b):
         assert serialize(canonicalize(canon)) == serialize(canon)
 
 
+def test_a_box_with_a_door_label_that_is_no_string_is_certified_by_position():
+    """`validate` refuses a free label of box contents that is no string,
+    and the library still certifies and canonicalizes such a net: the
+    contents are keyed by position, since labels of several types have no
+    order to give."""
+    inner = Net(
+        [Cell(1, "One", 1), Cell(2, "Weakening", 3), Cell(3, "One", 5), Cell(4, "Dereliction", 7, [6])],
+        [Wire(1, 2, ONE), Wire(3, 4, whynot(ONE)), Wire(5, 6, ONE), Wire(7, 8, whynot(ONE))],
+        [(2, "main"), (4, 7), (8, "a")],
+    )
+    net = Net(
+        [Cell(1, "Box", 1, [2, 3], inner)],
+        [Wire(1, 12, bang(ONE)), Wire(10, 2, bang(BOT)), Wire(11, 3, bang(BOT))],
+        [(12, "out"), (10, "x"), (11, "y")],
+    )
+    assert validate(net) == ["box1/BadField: free label 7 is not str"]
+    canon = canonicalize(net)
+    assert certificate(canon) == certificate(net)
+    assert [lbl for _, lbl in canon.cells[0].inner.free] == ["main", 7, "a"]
+    assert serialize(canonicalize(canon)) == serialize(canon)
+
+
 def test_reduce_prints_a_box_with_early_door_labels_it_accepts(tmp_path, capsys):
     """Door labels that sort before the content's keep their door order in
     the canonical box, so `routenet reduce` accepts its own output."""

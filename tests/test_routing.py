@@ -1,13 +1,29 @@
 """Routing areas: construction, recognition, trace, composition, transit."""
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
-from routenet import gen, proofnet, routing
-from routenet.errors import CycleRisk, NotAreaShaped, RoutenetError, UnknownLabel, UnwiredPort
+from routenet import gen, proofnet, rewrite, routing
+from routenet.errors import (
+    BudgetExhausted,
+    CycleRisk,
+    NotAreaShaped,
+    RoutenetError,
+    StaleRedex,
+    UnknownLabel,
+    UnwiredPort,
+)
 from routenet.gen import gen_relation, gen_routing_net
-from routenet.multirel import comm_relation, coproduct, from_rows, rows_of, trace_formula
+from routenet.multirel import (
+    comm_relation,
+    compose,
+    coproduct,
+    from_rows,
+    rows_of,
+    trace_formula,
+)
 from routenet.paths import check_acyclic
 from routenet.proofnet import (
     Builder,
@@ -18,12 +34,13 @@ from routenet.proofnet import (
     bang,
     canonical_equal,
     canonicalize,
+    certificate,
     dual,
     serialize,
     tensor,
     validate,
 )
-from routenet.rewrite import ALL, find_redexes, normal_nets
+from routenet.rewrite import ALL, find_redexes, normal_certs, normal_nets
 from routenet.routing import (
     RoutingArea,
     _crossings,
@@ -373,23 +390,27 @@ def _zero_pair(n: Net):
 def test_reader_on_raw_normal_nets_equals_canonical_read_area():
     """The reader on raw normal nets against the reader on their canonical
     forms: 200 generator nets and a raw trace of each, the raw steps of
-    seeded compositions, and the hand-built nets above."""
+    seeded compositions, each trace and step also as `_normal_net` leaves
+    it (tree cuts fired whole), and the hand-built nets above."""
     corpus = [make() for make, _ in HAND_BUILT.values()]
     for seed in range(200):
         net = gen_routing_net(random.Random(seed))
         corpus.append(_one_raw_normal_net(net))
         pair = _zero_pair(net)
         if pair is not None:
-            corpus.append(_one_raw_normal_net(feedback(net, [pair])))
+            fed = feedback(net, [pair])
+            corpus += [_one_raw_normal_net(fed), routing._normal_net(fed, "trace produced")]
     for seed in range(40):
         rng = random.Random(seed)
         r = gen_relation(rng, max_in=3, max_out=3, exact=True)
         s = gen_relation(rng, max_in=3, max_out=3, exact=True)
         n = juxtapose(build_area(RoutingArea(r)), build_area(RoutingArea(s)))
         for o, i in zip(r.codomain, s.domain):
-            n = _one_raw_normal_net(feedback(n, [("R." + i, "L." + o)]))
+            fed = feedback(n, [("R." + i, "L." + o)])
+            corpus.append(routing._normal_net(fed, "trace produced"))
+            n = _one_raw_normal_net(fed)
             corpus.append(n)
-    assert len(corpus) > 400
+    assert len(corpus) > 600
     # raw normal forms do hold the leaves that canonical form removes
     assert sum(_neutral_leaves(m) > 0 for m in corpus) > 50
     for m in corpus:
@@ -415,6 +436,155 @@ def test_transit_on_raw_normal_nets_delivers_the_path_semantics():
         rel = path_semantics(m)
         for i in rel.domain:
             assert transit(m, i) == {o: rel(i, o) for o in rel.codomain}
+
+
+# ---------------------------------------------------------------------------
+# Tree cuts fired whole: the n-ary bialgebra step of `_normal_net`
+
+AREA_SUITES = (
+    "trace", "compose", "paths", "transit", "characterize", "path-preservation", "paths-area",
+)
+
+
+def _empty_tree_cuts():
+    """rule -> an area with a zero column x or a zero row b, x fed back
+    into b: the one redex is a cut of a tree against an empty tree."""
+    rows = {"s1": [[0, 1], [0, 2]], "s2": [[2, 1], [0, 0]], "eps_ww": [[0, 1], [0, 0]]}
+    return {
+        rule: feedback(build_area(RoutingArea(from_rows(["a", "b"], ["x", "y"], r))), [("b", "x")])
+        for rule, r in rows.items()
+    }
+
+
+def test_tree_cuts_reach_the_normal_form_of_the_binary_rules(monkeypatch):
+    """The binary rules alone as the oracle: on every net that the area
+    suites hand to `_normal_net` at their default counts, on 300
+    `gen_cut_net` nets and on a cut against each kind of empty tree,
+    `normal_certs` finds one normal form, and it is that of `_normal_net`."""
+    nets = []
+    real = routing._normal_net
+    monkeypatch.setattr(routing, "_normal_net", lambda n, what: nets.append(n) or real(n, what))
+    for suite in AREA_SUITES:
+        assert all(ok for _, ok, _ in gen.run_suite(suite, 7, gen.SUITES[suite].cases)), suite
+    monkeypatch.undo()
+    assert len(nets) > 500
+    nets += [gen.gen_cut_net(random.Random(seed)) for seed in range(300)]
+    for rule, net in _empty_tree_cuts().items():
+        assert [r.rule for r in find_redexes(net)] == [rule]
+        nets.append(net)
+    for n in nets:
+        (cert,) = normal_certs(n)
+        assert certificate(routing._normal_net(n, "reduced to")) == cert
+
+
+def _rules_fired(monkeypatch) -> Counter:
+    fired = Counter()
+    real = rewrite.apply_redex
+    monkeypatch.setattr(
+        rewrite, "apply_redex", lambda net, r, **kw: fired.update([r.rule]) or real(net, r, **kw)
+    )
+    return fired
+
+
+def test_area_operations_fire_no_binary_tree_rule(monkeypatch):
+    """Composing 3 x 3 areas with entries up to 3 and tracing a zero entry
+    of a 4 x 4 area take no `ba`, `s1`, `s2` or `eps_ww` step: each tree
+    cut is one step outside the binary rules.  Transit of a boxed One fires
+    only `d`, and `er` where the payload meets an empty row."""
+    fired = _rules_fired(monkeypatch)
+    for seed in range(20):
+        rng = random.Random(seed)
+        r = gen_relation(rng, max_in=3, max_out=3, max_entry=3, exact=True)
+        s = gen_relation(rng, max_in=3, max_out=3, max_entry=3, exact=True)
+        s = s.relabel(dict(zip(s.domain, r.codomain)), {o: "z" + o for o in s.codomain})
+        net = compose_areas(
+            build_area(RoutingArea(r)), list(r.codomain), build_area(RoutingArea(s)), list(s.domain)
+        )
+        assert semantics(net) == compose(r, s)
+        t = gen_relation(rng, max_in=4, max_out=4, exact=True)
+        zeros = [(i, o) for i in t.domain for o in t.codomain if t(i, o) == 0]
+        if zeros:
+            i, o = rng.choice(zeros)
+            assert semantics(trace_net(build_area(RoutingArea(t)), i, o)) == trace_formula(t, i, o)
+    assert not fired
+    r = from_rows(["a", "b", "c"], ["x", "y"], [[2, 3], [0, 0], [1, 0]])
+    for i in r.domain:
+        assert transit(build_area(RoutingArea(r)), i) == {o: r(i, o) for o in r.codomain}
+    assert set(fired) == {"d", "er"}
+
+
+def test_a_tree_cut_takes_cells_of_any_arity():
+    """A unary cocontraction cut against a contraction, which `validate`
+    refuses and the binary `ba` rule cannot fire: `semantics` reduces it
+    with the tree step and agrees with `path_semantics`."""
+    b = Builder()
+    qi, qx, qy = b.port(), b.port(), b.port()
+    k, c = b.cell("Cocontraction", 1), b.cell("Contraction", 2)
+    b.wire(qi, k.aux[0], A)
+    b.wire(k.principal, c.principal, A)
+    b.wire(c.aux[0], qx, A)
+    b.wire(c.aux[1], qy, A)
+    net = b.finish([(qi, "i"), (qx, "x"), (qy, "y")])
+    assert validate(net) == ["BadArity: cell 1 Cocontraction arity 1"]
+    assert semantics(net) == path_semantics(net) == from_rows(["i"], ["x", "y"], [[1, 1]])
+
+
+def _broken_tree_payloads():
+    """Payloads with cuts the tree step leaves alone: a cocontraction in
+    the tree of transit's cut with an unwired aux port, one whose aux port
+    1 is wired into its own principal, which so ends two wires, a boxed One
+    beside a well-typed cut whose trees are wired to each other, a cycle
+    that reduction never ends, and a cut whose root another tree takes."""
+    payloads = {}
+    for name in ("unwired-aux", "own-principal"):
+        b = Builder()
+        q, k = b.port(), b.cell("Cocontraction", 2)
+        b.wire(k.principal, q, A)
+        b.wire(b.cell("Coweakening", 0).principal, k.aux[0], A)
+        if name == "own-principal":
+            b.wire(k.aux[1], k.principal, A)
+        payloads[name] = b.finish([(q, "out")])
+    b = Builder()
+    k, c = b.cell("Cocontraction", 2), b.cell("Contraction", 2)
+    b.wire(k.principal, c.principal, A)
+    b.wire(c.aux[0], k.aux[1], A)
+    b.wire(b.cell("Coweakening", 0).principal, k.aux[0], A)
+    b.wire(c.aux[1], b.cell("Weakening", 0).principal, A)
+    off = b.merge(boxed_one())
+    payloads["cycle"] = b.finish([(boxed_one().free[0][0] + off, "out")])
+    assert validate(payloads["cycle"]) == []
+    # the principal of a coweakening cut against a contraction also ends a
+    # wire into the tree of transit's cut, which takes the coweakening
+    b = Builder()
+    q, k = b.port(), b.cell("Cocontraction", 2)
+    z, c = b.cell("Coweakening", 0), b.cell("Contraction", 2)
+    b.wire(k.principal, q, A)
+    b.wire(b.cell("Coweakening", 0).principal, k.aux[0], A)
+    b.wire(z.principal, c.principal, A)
+    b.wire(z.principal, k.aux[1], A)
+    for aux in c.aux:
+        b.wire(aux, b.cell("Weakening", 0).principal, A)
+    payloads["taken-root"] = b.finish([(q, "out")])
+    return payloads
+
+
+@pytest.mark.parametrize(
+    "name, error, message",
+    [
+        ("unwired-aux", StaleRedex, r"ports \[\d+\] not wired"),
+        ("own-principal", RoutenetError, "transit disturbed the area"),
+        ("cycle", BudgetExhausted, "reduction budget exhausted"),
+        ("taken-root", RoutenetError, "transit disturbed the area"),
+    ],
+)
+def test_a_tree_cut_on_a_broken_tree_is_left_to_the_binary_rules(name, error, message):
+    """The tree step does not fire a cut whose tree has an unwired aux port
+    or meets a cell twice, whose trees are wired to each other, or whose
+    cell a tree fired before took, so the rewriter meets the net as it is."""
+    net = build_area(RoutingArea(from_rows(["a"], ["x"], [[2]])))
+    with pytest.raises(error, match=message) as exc:
+        transit(net, "a", _broken_tree_payloads()[name])
+    assert type(exc.value) is error
 
 
 def _payloads():

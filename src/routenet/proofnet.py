@@ -622,21 +622,24 @@ class Builder:
         w = self.wire_at(q)
         self.net._replace_wire(q, Wire(newp, w.b, w.ty) if w.a == q else Wire(w.a, newp, w.ty))
 
+    def join(self, p: int, q: int):
+        """Join the wires dangling at ports p and q into one, which keeps
+        the formula of p's wire: what flowed toward p flows past q."""
+        wp, wq = self.wire_at(p), self.wire_at(q)
+        self.remove_wire(wp)
+        self.remove_wire(wq)
+        self.wire(wp.other(p), wq.other(q), wp.toward(p))
+
     def fuse(self, q1: int, q2: int):
         """Join two dangling ends; their formulas must be dual."""
         w1, w2 = self.wire_at(q1), self.wire_at(q2)
         if w1 is w2:
             raise DerivationMismatch("cannot fuse the two ends of one wire")
-        t1 = w1.toward(q1)
-        if t1 != dual(w2.toward(q2)):
+        if w1.toward(q1) != dual(w2.toward(q2)):
             raise DerivationMismatch(
-                f"interface type clash: {t1!r} vs {w2.toward(q2)!r}"
+                f"interface type clash: {w1.toward(q1)!r} vs {w2.toward(q2)!r}"
             )
-        far1, far2 = w1.other(q1), w2.other(q2)
-        self.remove_wire(w1)
-        self.remove_wire(w2)
-        # t1 flows out of side 1 and into side 2, i.e. toward far2
-        self.wire(far1, far2, t1)
+        self.join(q1, q2)
 
     def merge(self, n: Net) -> int:
         """Copy the cells and wires of `n` in (not its free list), sharing

@@ -7,6 +7,10 @@ formal sum of nets: most rules produce one net, the codereliction/
 cocontraction-versus-dereliction rule produces two, and the coweakening-
 versus-dereliction rule produces the empty sum.
 
+The bialgebra rule `ba` and its (co)weakening cases `s1`, `s2` and `eps_ww`
+share one right-hand side for any arity, `bialgebra`, which `routing` also
+fires on whole (co)contraction trees.
+
 Exponential rules only fire on closed boxes (no auxiliary doors).
 """
 from __future__ import annotations
@@ -21,6 +25,7 @@ from .proofnet import (
     _NOBODY,
     Builder,
     Cell,
+    Formula,
     Net,
     NetSum,
     Wire,
@@ -290,6 +295,58 @@ def _resplice(b: Builder, dead: set[int], pairs: dict[int, int]):
 # Rule application
 
 
+def bialgebra(b: Builder, xs: list[int], ys: list[int], ty: Formula):
+    """Build with `b` the bialgebra right-hand side at any arity, in place
+    of a removed cut of a cocontraction side against a contraction side:
+    `xs` are the dangling ends that entered the first, `ys` those that
+    left the second, and `ty` is the !B the cut carried.  A contraction
+    comb with len(ys) leaves hangs on each x and a cocontraction comb with
+    len(xs) leaves on each y, and leaf j of comb i meets leaf i of comb j.
+    A comb with no leaves is a (co)weakening (`s1`, `s2`, `eps_ww`), one
+    with one leaf the end itself.  On binary cells, ports, cell ids and
+    wires come in the order of the binary `ba`: every x, then every y."""
+    if not xs or not ys:
+        for x in xs:
+            b.reend(x, b.cell("Weakening", 0).principal)
+        for y in ys:
+            b.reend(y, b.cell("Coweakening", 0).principal)
+        return
+    rows = [_comb(b, "Contraction", x, len(ys), ty) for x in xs]
+    cols = [_comb(b, "Cocontraction", y, len(xs), ty) for y in ys]
+    many_x, many_y = len(xs) > 1, len(ys) > 1
+    for i, row in enumerate(rows):
+        for j, col in enumerate(cols):
+            p, q = row[j], col[i]
+            if many_x and many_y:
+                b.wire(p, q, ty)
+            elif many_x:  # each row is its end x alone
+                b.reend(p, q)
+            elif many_y:  # each column is its end y alone
+                b.reend(q, p)
+            else:
+                b.join(p, q)
+
+
+def _comb(b: Builder, sym: str, end: int, k: int, ty: Formula) -> list[int]:
+    """The k >= 1 leaves of a comb of binary `sym` cells hung on the
+    dangling end `end`: `end` itself for k = 1; else the first cell takes
+    the wire of `end`, each next one hangs on the last leaf by a new wire,
+    `ty` flowing into a contraction's principal and out of a
+    cocontraction's, and a cell's two aux ports take its leaf's place."""
+    leaves = [end]
+    for _ in range(k - 1):
+        c = b.cell(sym, 2)
+        leaf = leaves.pop()
+        if leaf == end:
+            b.reend(end, c.principal)
+        elif sym == "Contraction":
+            b.wire(leaf, c.principal, ty)
+        else:
+            b.wire(c.principal, leaf, ty)
+        leaves += c.aux
+    return leaves
+
+
 def _need_wired(n: Net, ports):
     """Raise StaleRedex unless every port in `ports` ends a wire of `n`."""
     loose = [p for p in ports if not n.is_wired(p)]
@@ -343,7 +400,11 @@ def apply_redex(net: Net, redex: Redex, *, owned: bool = False) -> list[Net]:
         return res
 
     out, lvl = _open(net, redex.path, owned)
-    if rule == "m":
+    if rule in ("ba", "s1", "s2", "eps_ww"):  # most steps, so tested first
+        b = _cut(lvl, [cx, cy], cut)
+        bialgebra(b, cx.aux, cy.aux, cut.toward(cy.principal))
+
+    elif rule == "m":
         b = _cut(lvl, [cx, cy])
         pairs = {}
         for a, c in zip(cx.aux, cy.aux):
@@ -363,7 +424,7 @@ def apply_redex(net: Net, redex: Redex, *, owned: bool = False) -> list[Net]:
         for aux in cy.aux:
             b.reend(aux, b.cell("Box", 0, cx.inner).principal)
 
-    elif rule in ("er", "eps_ww"):
+    elif rule == "er":
         _cut(lvl, [cx, cy], cut)
 
     elif rule == "c":
@@ -377,23 +438,6 @@ def apply_redex(net: Net, redex: Redex, *, owned: bool = False) -> list[Net]:
         _need_wired(inner, [door_port])
         inner.free = inner.free[: door + 1] + inner.free[door + 2 :]
         ib.reend(door_port, ib.cell("Box", 0, cx.inner).principal)
-
-    elif rule == "ba":
-        b = _cut(lvl, [cx, cy], cut)
-        bang_b = cut.toward(cy.principal)  # the !B flowing out of cx
-        contr = [b.cell("Contraction", 2) for _ in cx.aux]
-        cocontr = [b.cell("Cocontraction", 2) for _ in cy.aux]
-        for aux, c in zip(cx.aux + cy.aux, contr + cocontr):
-            b.reend(aux, c.principal)
-        for i in (0, 1):
-            for j in (0, 1):
-                b.wire(contr[i].aux[j], cocontr[j].aux[i], bang_b)
-
-    elif rule in ("s2", "s1"):
-        b = _cut(lvl, [cx, cy], cut)
-        cap_sym = "Weakening" if rule == "s2" else "Coweakening"
-        for aux in (cx if rule == "s2" else cy).aux:
-            b.reend(aux, b.cell(cap_sym, 0).principal)
 
     else:
         raise StaleRedex(f"unknown rule {rule}")

@@ -13,15 +13,17 @@ The operations on areas are made of three steps, each written once:
   all pairs in one pass, leaving the cuts it makes unreduced;
 * reduction (`_normal_net`) reaches the one normal net: it first fires
   each cut of a cocontraction tree against a contraction tree as one
-  n-ary bialgebra step over both whole trees (`_tree_cuts`), which builds
-  the grid of crossings at once, then runs `normal_nets` within the fixed
-  budget of `BUDGET` rewriting steps for what is left, such as the
-  payload copies of `transit`;
+  n-ary bialgebra step over both whole trees (`_tree_cuts`), which hands
+  the leaves of both to `rewrite.bialgebra`, the right-hand side the
+  binary rules share, then runs `normal_nets` within the fixed budget of
+  `BUDGET` rewriting steps for what is left, such as the payload copies
+  of `transit`;
 * reading (`_crossings`) takes a net as two forests and a matching: one
-  walk from the free ports gives each leaf of the contraction trees and
-  of the cocontraction trees its root, past the neutral (co)weakening
-  leaves and unary nodes that canonical form would remove, and the
-  crossing wires must match the leaves of the two forests one to one.
+  walk (`_forest`, which also gathers the trees of a tree cut) from the
+  free ports gives each leaf of the contraction trees and of the
+  cocontraction trees its root, past the neutral (co)weakening leaves
+  and unary nodes that canonical form would remove, and the crossing
+  wires must match the leaves of the two forests one to one.
 
 A net the reader accepts is acyclic and has no cut, so it is its own
 normal form: `read_area` reads the raw net it is given, and `semantics`
@@ -62,7 +64,7 @@ from .proofnet import (
     dual,
     fmt_formula,
 )
-from .rewrite import normal_nets
+from .rewrite import bialgebra, normal_nets
 
 # each tree symbol -> its nullary (co)weakening
 _NEUTRAL = {"Contraction": "Weakening", "Cocontraction": "Coweakening"}
@@ -223,45 +225,45 @@ def _crossings(n: Net, ins, outs) -> dict[tuple[int, int], int]:
     """Wires from the tree of each input port to the tree of each output
     port: each leaf of the contraction forest meets its own leaf of the
     cocontraction forest, and the forests hold every cell (or NotAreaShaped)."""
-    wire_of, visited = n.wire_of(), set()
-    src = _forest(n, wire_of, [p for p, _ in ins], "Contraction", "Weakening", visited)
-    dst = _forest(n, wire_of, [p for p, _ in outs], "Cocontraction", "Coweakening", visited)
+    seen = set()
+    src = _forest(n, [p for p, _ in ins], "Contraction", seen)
+    dst = _forest(n, [p for p, _ in outs], "Cocontraction", seen)
     routes: dict[tuple[int, int], int] = {}
     for leaf, pi in src.items():
-        po = dst.pop(wire_of[leaf].other(leaf), None)
+        po = dst.pop(n.wire_at(leaf).other(leaf), None)
         if po is None:
             raise NotAreaShaped(f"input {dict(n.free)[pi]} leaks outside the output trees")
         routes[(pi, po)] = routes.get((pi, po), 0) + 1
     if dst:
         raise NotAreaShaped(f"output {dict(n.free)[dst.popitem()[1]]} meets no input tree")
-    if visited != {c.id for c in n.cells}:
+    if seen != {c.id for c in n.cells}:
         raise NotAreaShaped("stray cells outside the tree-of-trees shape")
     return routes
 
 
-def _forest(n: Net, wire_of, roots, sym: str, neutral: str, visited: set) -> dict[int, int]:
-    """Each leaf port of the trees of `sym` cells on the free ports `roots`
-    -> its root.  The walk goes down through `sym` principals; a `neutral`
-    leaf is visited and has no wire; any other far end makes the port a
-    leaf, the root itself too.  A cell met twice is NotAreaShaped."""
-    owner = n.owner()
+def _forest(n: Net, roots, kind: str, seen: set) -> dict[int, int]:
+    """Each leaf port of the trees of `kind` on the wired ports `roots` ->
+    its root, left to right.  The walk goes down from a port over its wire
+    into the principal of a cell of that kind, (co)weakenings included,
+    adds the cell's id to `seen` and goes on from its aux ports; any other
+    far end makes the port a leaf, the root itself too.  A cell already in
+    `seen` is NotAreaShaped, an unwired aux port UnwiredPort."""
+    owner, wire_at, is_wired = n.owner(), n.wire_at, n.is_wired
     leaves: dict[int, int] = {}
     for root in roots:
         stack = [root]
         while stack:
             p = stack.pop()
-            cell, slot = owner.get(wire_of[p].other(p), (None, None))
-            if slot != "p" or cell.sym not in (sym, neutral):
+            cell, slot = owner.get(wire_at(p).other(p), _NOBODY)
+            if slot != "p" or _KIND.get(cell.sym) != kind:
                 leaves[p] = root
                 continue
-            if cell.id in visited:
+            if cell.id in seen:
                 raise NotAreaShaped(f"{cell.sym} cell {cell.id} met twice")
-            visited.add(cell.id)
-            if cell.sym == neutral:
-                continue
+            seen.add(cell.id)
             for k, a in enumerate(cell.aux):
-                if a not in wire_of:
-                    raise UnwiredPort(f"{sym} cell {cell.id} has an unwired aux port {k}")
+                if not is_wired(a):
+                    raise UnwiredPort(f"{kind} cell {cell.id} has an unwired aux port {k}")
             stack.extend(reversed(cell.aux))
     return leaves
 
@@ -287,15 +289,10 @@ def _tree_cuts(n: Net) -> Net:
     and a contraction tree fired as one n-ary bialgebra step, on a copy;
     `n` itself if it has no such cut.  A tree is a cell and the cells of
     its kind, (co)weakenings included, whose principals hang from its aux
-    ports.  A tree with n leaves against one with m leaves becomes the
-    n x m grid that (n - 1)(m - 1) binary `ba` steps reach, up to
-    associativity and neutrality: a contraction comb with m leaves on each
-    leaf wire of the cocontraction tree, a cocontraction comb with n leaves
-    on each leaf wire of the contraction tree, and leaf j of contraction
-    comb i wired to leaf i of cocontraction comb j.  Arity 0 makes a comb
-    a (co)weakening, as `s1`, `s2` and `eps_ww` do.  A cut whose trees meet
-    a cell twice, an unwired aux port or each other by a wire, or lost a
-    cell to a tree fired before, is left to `normal_nets`."""
+    ports; the step removes both trees and the cut and hands their leaves
+    to `rewrite.bialgebra`.  A cut whose trees meet a cell twice, an
+    unwired aux port or each other by a wire, or lost a cell to a tree
+    fired before, is left to `normal_nets`."""
     owner = n.owner()
     cuts = []
     for w in n.wires:
@@ -309,67 +306,22 @@ def _tree_cuts(n: Net) -> Net:
     for cut, x, y in cuts:
         if any(owner.get(c.principal, _NOBODY)[0] is not c for c in (x, y)):
             continue  # a tree fired before took a cell of this cut
-        xt, yt = _tree(n, x), _tree(n, y)
-        if xt is None or yt is None:
-            continue
-        (x_cells, x_wires, x_leaves), (y_cells, y_wires, y_leaves) = xt, yt
-        x_ends = set(x_leaves)
-        if any(n.wire_at(p).other(p) in x_ends for p in y_leaves):
-            continue  # a cycle through the cut, which reduction never ends
-        for c in x_cells + y_cells:
-            b.remove_cell(c)
-        for w in [cut] + x_wires + y_wires:
-            b.remove_wire(w)
-        bang_b = cut.toward(y.principal)  # the !B flowing out of x, as in `ba`
-        rows = [[] for _ in x_leaves]
-        cols = [[] for _ in y_leaves]
-        for row in rows:
-            for col in cols:
-                u, v = b.port(), b.port()
-                b.wire(u, v, bang_b)
-                row.append(u)
-                col.append(v)
-        for leaf, row in zip(x_leaves, rows):
-            _join(b, leaf, _comb(b, "Contraction", row, bang_b))
-        for leaf, col in zip(y_leaves, cols):
-            _join(b, leaf, _comb(b, "Cocontraction", col, bang_b))
-    return n
-
-
-def _tree(n: Net, root: Cell):
-    """(cells, inner wires, leaves) of the tree of `root`: the walk goes
-    down from its aux ports through wires into principals of cells of its
-    kind, and a leaf is an aux port at which it stops, left to right.
-    None if a cell is met twice or an aux port has no wire."""
-    owner, kind = n.owner(), _KIND[root.sym]
-    cells, wires, leaves, seen = [root], [], [], {root.id}
-    stack = list(reversed(root.aux))
-    while stack:
-        p = stack.pop()
+        seen = set()
         try:
-            w = n.wire_at(p)
-        except KeyError:
-            return None
-        cell, slot = owner.get(w.other(p), _NOBODY)
-        if slot != "p" or _KIND.get(cell.sym) != kind:
-            leaves.append(p)
+            # from each side of the cut, the walk goes down the other tree
+            xs = list(_forest(n, [y.principal], "Cocontraction", seen))
+            ys = list(_forest(n, [x.principal], "Contraction", seen))
+        except (NotAreaShaped, UnwiredPort):
             continue
-        if cell.id in seen:
-            return None
-        seen.add(cell.id)
-        cells.append(cell)
-        wires.append(w)
-        stack.extend(reversed(cell.aux))
-    return cells, wires, leaves
-
-
-def _join(b: Builder, p: int, q: int):
-    """Join the wires dangling at ports p and q into one, which keeps the
-    formula of p's wire."""
-    wp, wq = b.wire_at(p), b.wire_at(q)
-    b.remove_wire(wp)
-    b.remove_wire(wq)
-    b.wire(wp.other(p), wq.other(q), wp.toward(p))
+        if not set(xs).isdisjoint(n.wire_at(p).other(p) for p in ys):
+            continue  # a cycle through the cut, which reduction never ends
+        for cid in seen:
+            c = n.cell_by_id(cid)
+            if n.is_wired(c.principal):  # the cut is at two principals
+                b.remove_wire(n.wire_at(c.principal))
+            b.remove_cell(c)
+        bialgebra(b, xs, ys, cut.toward(y.principal))
+    return n
 
 
 def semantics(n: Net) -> Multirelation:
@@ -432,12 +384,9 @@ def feedback(a: Net, pairs: list[tuple[str, str]]) -> Net:
     fed = set(sum(links, ()))
     n.free = [(p, l) for p, l in n.free if p not in fed]
     for pi, po in links:
-        # two distinct wires: one joining pi and po would be a path
-        wa, wb = b.wire_at(pi), b.wire_at(po)
-        b.remove_wire(wa)
-        b.remove_wire(wb)
+        # two distinct wires, since one joining pi and po would be a path;
         # flow leaves the net at o and re-enters at i
-        b.wire(wb.other(po), wa.other(pi), wb.toward(po))
+        b.join(po, pi)
     return n
 
 
@@ -521,14 +470,13 @@ def transit(a: Net, i: str, payload: Net | None = None):
     # each payload copy hangs on a leaf of an output tree; replacing every
     # copy by a coweakening must give the area back
     label, counts = dict(outs), {l: 0 for _, l in outs}
-    wire_of = m.wire_of()
-    root_of = _forest(m, wire_of, list(label), "Cocontraction", "Coweakening", set())
+    root_of = _forest(m, list(label), "Cocontraction", set())
     residual = m.copy()
     b = Builder(residual)
     for c in m.cells:
         if c.sym != "Box":
             continue
-        po = root_of.get(wire_of[c.principal].other(c.principal))
+        po = root_of.get(m.wire_at(c.principal).other(c.principal))
         if po is None:
             raise NotAreaShaped("payload copy not delivered to an output")
         counts[label[po]] += 1

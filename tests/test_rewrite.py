@@ -1,16 +1,19 @@
 """Cut elimination: every rule exercised on a hand-built redex, with the
 expected result constructed independently and compared canonically."""
+import itertools
 import random
 from collections import Counter
 
 import pytest
 
-from routenet import proofnet, rewrite
+from routenet import proofnet, rewrite, routing
 from routenet.errors import BudgetExhausted, StaleRedex
 from routenet.gen import PROGRAM_SUITE, gen_typed_net, suite_program
 from routenet.lang import parse_region_ctx, parse_term
+from routenet.multirel import from_rows
 from routenet.proofnet import (
     BOT,
+    Builder,
     Cell,
     Net,
     NetSum,
@@ -18,6 +21,7 @@ from routenet.proofnet import (
     Wire,
     bang,
     canonical_equal,
+    certificate,
     dual,
     parse,
     serialize,
@@ -33,7 +37,7 @@ from routenet.rewrite import (
     normalize,
     reduction_graph,
 )
-from routenet.routing import path_semantics
+from routenet.routing import path_semantics, semantics
 from routenet.translate import compile_program
 
 A = bang(ONE)
@@ -281,6 +285,40 @@ def test_coweakening_weakening_cancels():
     _check(n)
     (m,) = _single(n, "eps_ww")
     assert canonical_equal(m, Net())
+
+
+def _cocontraction_against_contraction(k: int, l: int) -> Net:
+    """A cocontraction with k aux ports cut against a contraction with l:
+    free inputs i0, i1, ... enter the first, outputs o0, o1, ... leave the
+    second."""
+    b = Builder()
+    x, y = b.cell("Cocontraction", k), b.cell("Contraction", l)
+    b.wire(x.principal, y.principal, A)
+    free = []
+    for j, aux in enumerate(x.aux):
+        q = b.port()
+        b.wire(q, aux, A)
+        free.append((q, f"i{j}"))
+    for j, aux in enumerate(y.aux):
+        q = b.port()
+        b.wire(aux, q, A)
+        free.append((q, f"o{j}"))
+    return b.finish(free)
+
+
+@pytest.mark.parametrize("k, l", list(itertools.product(range(4), repeat=2)))
+def test_bialgebra_fires_at_any_arity(k, l):
+    """A k-ary cocontraction against an l-ary contraction reduces by
+    `rewrite.bialgebra` to one well-formed net, the normal net of the
+    routing tree step, which relates every input to every output once by
+    `semantics` and by path counting alike."""
+    n = _cocontraction_against_contraction(k, l)
+    nf = normalize(n)
+    (m,) = nf.summands
+    _check(m)
+    assert nf.certs() == {certificate(routing._normal_net(n, "reduced to"))}
+    ins, outs = [f"i{j}" for j in range(k)], [f"o{j}" for j in range(l)]
+    assert semantics(n) == path_semantics(n) == from_rows(ins, outs, [[1] * l] * k)
 
 
 @pytest.mark.parametrize(

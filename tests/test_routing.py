@@ -515,8 +515,9 @@ def test_area_operations_fire_no_binary_tree_rule(monkeypatch):
 
 def test_a_tree_cut_takes_cells_of_any_arity():
     """A unary cocontraction cut against a contraction, which `validate`
-    refuses and the binary `ba` rule cannot fire: `semantics` reduces it
-    with the tree step and agrees with `path_semantics`."""
+    refuses: `semantics` reduces it with the tree step and agrees with
+    `path_semantics`.  The `ba` rule fires on such cells too, through the
+    same `rewrite.bialgebra` (`test_bialgebra_fires_at_any_arity`)."""
     b = Builder()
     qi, qx, qy = b.port(), b.port(), b.port()
     k, c = b.cell("Cocontraction", 1), b.cell("Contraction", 2)
@@ -527,6 +528,73 @@ def test_a_tree_cut_takes_cells_of_any_arity():
     net = b.finish([(qi, "i"), (qx, "x"), (qy, "y")])
     assert validate(net) == ["BadArity: cell 1 Cocontraction arity 1"]
     assert semantics(net) == path_semantics(net) == from_rows(["i"], ["x", "y"], [[1, 1]])
+
+
+def _merge_into_parent(n: Net, rng: random.Random):
+    """Merge a random (co)contraction of `n` into the cell of its kind whose
+    aux port its principal is wired to, which then has arity 3 or more;
+    nothing if there is no such pair."""
+    owner, pairs = n.owner(), []
+    for c in n.cells:
+        if c.sym in ("Contraction", "Cocontraction"):
+            parent, k = owner.get(n.wire_at(c.principal).other(c.principal), (None, "p"))
+            if k != "p" and parent.sym == c.sym:
+                pairs.append((c, parent, k))
+    if pairs:
+        c, parent, k = rng.choice(pairs)
+        b = Builder(n)
+        b.remove_wire(n.wire_at(c.principal))
+        b.remove_cell(c)
+        aux = parent.aux[:k] + c.aux + parent.aux[k + 1 :]
+        b.replace_cell(Cell(parent.id, parent.sym, parent.principal, aux))
+
+
+def _unary_cells_on_wires(n: Net, rng: random.Random):
+    """Put a unary contraction or cocontraction, each the identity, on
+    about a quarter of the wires of `n`."""
+    b = Builder(n)
+    for w in list(n.wires):
+        if rng.random() < 0.25:
+            # the !A flows from src to dst, into a contraction's principal
+            # and out of a cocontraction's
+            src, dst, bang_a = (w.a, w.b, w.ty) if w.ty.kind == "bang" else (w.b, w.a, dual(w.ty))
+            c = b.cell(rng.choice(("Contraction", "Cocontraction")), 1)
+            ends = [c.principal, c.aux[0]]
+            if c.sym == "Cocontraction":
+                ends.reverse()
+            b.remove_wire(w)
+            b.wire(src, ends[0], bang_a)
+            b.wire(ends[1], dst, bang_a)
+
+
+def test_tree_cuts_on_cells_of_any_arity_agree_with_path_counting(monkeypatch):
+    """300 `gen_cut_net` nets, with (co)contractions merged into their
+    parents and unary cells put on some wires, so that the tree step
+    builds combs with three or more leaves and joins single leaves: the
+    relation of `semantics` is the path count, which shares no code with
+    `rewrite.bialgebra`, and the normal net of `_normal_net` is the one
+    that the rules reach step by step."""
+    shapes = []
+    real = routing.bialgebra
+
+    def bialgebra(b, xs, ys, ty):
+        shapes.append((len(xs), len(ys)))
+        real(b, xs, ys, ty)
+
+    monkeypatch.setattr(routing, "bialgebra", bialgebra)
+    arities = Counter()
+    for seed in range(300):
+        rng = random.Random(seed)
+        n = gen.gen_cut_net(rng)
+        for _ in range(rng.randint(1, 3)):
+            _merge_into_parent(n, rng)
+        _unary_cells_on_wires(n, rng)
+        arities.update(len(c.aux) for c in n.cells)
+        assert semantics(n) == path_semantics(n)
+        assert normal_certs(n) == {certificate(routing._normal_net(n, "reduced to"))}
+    assert arities[1] > 300 and sum(v for k, v in arities.items() if k >= 3) > 300
+    assert sum(max(s) >= 3 for s in shapes) > 100
+    assert sum(1 in s and 0 not in s for s in shapes) > 100
 
 
 def _broken_tree_payloads():

@@ -2,6 +2,7 @@
 concurrent call-by-value λ-calculus with global references into nets."""
 
 from .errors import (
+    BadPayload,
     BudgetExhausted,
     CycleRisk,
     CyclicNet,

@@ -55,6 +55,10 @@ class UnwiredPort(RoutenetError):
     port that no free port or cell owns."""
 
 
+class BadPayload(RoutenetError):
+    """A payload handed to `routing.transit` is not a well-formed net."""
+
+
 class NotAreaShaped(RoutenetError):
     """A normal routing net failed to decompose as a routing area."""
 

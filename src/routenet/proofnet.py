@@ -1047,6 +1047,47 @@ def _flatten(net: Net):
     return nodes, edges
 
 
+# the n-ary node over the leaves of a tree, and the cell of a tree without
+# any, by whether the tree's root is an input
+_TREE_NODE = {True: ("NContr", "Weakening"), False: ("NCocontr", "Coweakening")}
+
+
+def _flat_area(free, inputs, crossings: dict, payload: Formula):
+    """What `_flatten` returns for a normal routing area, built from its
+    interface and its crossings alone: `free` is the area's free list,
+    `inputs` the set of its input ports, `crossings` the number of crossing
+    wires per (input port, output port) pair, and `payload` the !A that
+    every wire carries from the inputs to the outputs.
+
+    One free node per entry of `free`, in order; one n-ary node per tree
+    with two or more leaves, on an edge from its root, and a (co)weakening
+    for a tree with none; then one edge per crossing between the "a" slots
+    of the nodes of its two trees, or the free node of a tree with one
+    leaf, which the tree's root edge becomes.  Every edge reads `payload`
+    in the direction of flow."""
+    leaves = Counter()
+    for (pi, po), k in crossings.items():
+        leaves[pi] += k
+        leaves[po] += k
+    nodes = {nid: _FlatNode(("free", lbl), "free") for nid, (_, lbl) in enumerate(free)}
+    ends: dict[int, tuple[int, object]] = {}  # root port -> where its crossings end
+    edges: list[_FlatEdge] = []
+    for root, (p, _) in enumerate(free):
+        into = p in inputs
+        if leaves[p] == 1:
+            ends[p] = (root, "f")
+            continue
+        n_ary, empty = _TREE_NODE[into]
+        sym, nid = n_ary if leaves[p] else empty, len(nodes)
+        nodes[nid] = _FlatNode(("cell", sym), sym)
+        edge = (root, "f", nid, "p") if into else (nid, "p", root, "f")
+        edges.append(_FlatEdge(*edge, payload))
+        ends[p] = (nid, "a")
+    for (pi, po), k in crossings.items():
+        edges += [_FlatEdge(*ends[pi], *ends[po], payload) for _ in range(k)]
+    return nodes, edges
+
+
 def _contents_cert(inner: Net):
     """The certificate of a box's contents, read from and stored in the slot
     `Net` keeps for it.  A new entry holds the labelled contents in place of

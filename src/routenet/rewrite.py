@@ -303,7 +303,8 @@ def bialgebra(b: Builder, xs: list[int], ys: list[int], ty: Formula):
     comb with len(ys) leaves hangs on each x and a cocontraction comb with
     len(xs) leaves on each y, and leaf j of comb i meets leaf i of comb j.
     A comb with no leaves is a (co)weakening (`s1`, `s2`, `eps_ww`), one
-    with one leaf the end itself.  On binary cells, ports, cell ids and
+    with one leaf the end itself; a lone x and a lone y that end one wire
+    close a loop, which vanishes.  On binary cells, ports, cell ids and
     wires come in the order of the binary `ba`: every x, then every y."""
     if not xs or not ys:
         for x in xs:
@@ -323,6 +324,8 @@ def bialgebra(b: Builder, xs: list[int], ys: list[int], ty: Formula):
                 b.reend(p, q)
             elif many_y:  # each column is its end y alone
                 b.reend(q, p)
+            elif (w := b.wire_at(p)) is b.wire_at(q):
+                b.remove_wire(w)  # x and y end one wire: the loop vanishes
             else:
                 b.join(p, q)
 

@@ -10,31 +10,40 @@ when the !A flows from it into the net, an output when it flows out, and
 The operations on areas are made of three steps, each written once:
 
 * feedback (`feedback`) checks a net and wires outputs back into inputs,
-  all pairs in one pass, leaving the cuts it makes unreduced;
-* reduction (`_normal_net`) reaches the one normal net: it first fires
+  all pairs in one pass, leaving the cuts it makes unreduced.  A cycle
+  closed by feedback runs from a fed input to a fed output, so every fed
+  input and fed output must have no path between them: the crossings of a
+  plain area (`_area_crossings`) are its path counts, and any other net is
+  checked acyclic and counted by `count_paths_all`;
+* reduction (`_normal_area`) reaches the one normal net: it first fires
   each cut of a cocontraction tree against a contraction tree as one
   n-ary bialgebra step over both whole trees (`_tree_cuts`), which hands
   the leaves of both to `rewrite.bialgebra`, the right-hand side the
-  binary rules share, then runs `normal_nets` within the fixed budget of
-  `BUDGET` rewriting steps for what is left, such as the payload copies
-  of `transit`;
+  binary rules share.  A plain area is then its own normal form and comes
+  back with its crossings; anything else, such as the payload copies of
+  `transit`, goes through `normal_nets` within the fixed budget of
+  `BUDGET` rewriting steps;
 * reading (`_crossings`) takes a net as two forests and a matching: one
   walk (`_forest`, which also gathers the trees of a tree cut) from the
   free ports gives each leaf of the contraction trees and of the
   cocontraction trees its root, past the neutral (co)weakening leaves
   and unary nodes that canonical form would remove, and the crossing
-  wires must match the leaves of the two forests one to one.
+  wires must match the leaves of the two forests one to one.  A plain
+  area is a net the reader accepts whose wires also pair its ports one
+  to one and carry !A from the input side, as `_flatten` checks.
 
 A net the reader accepts is acyclic and has no cut, so it is its own
 normal form: `read_area` reads the raw net it is given, and `semantics`
 reads its net first and checks, reduces and reads again only a net the
 reader refuses.  `trace_net` and `compose_areas` are feedback, then
-reduction, then canonical form, which only builds the nets they return;
-composition feeds all its pairs back at once, as the vanishing axiom of
-traced monoidal categories allows.  `transit` reduces an area with a
-payload fed in and finds the payload copies on the leaves of the same
-walk.  `path_semantics` counts free-to-free paths instead, and agrees with
-`semantics` on routing nets.
+reduction, then canonical form (`_canonical`), which only builds the nets
+they return: a plain area's labelling input is built from its crossings
+(`proofnet._flat_area`), and any other net is canonicalized.  Composition
+feeds all its pairs back at once, as the vanishing axiom of traced
+monoidal categories allows.  `transit` validates its payload, reduces an
+area with the payload fed in and finds the payload copies on the leaves
+of the same walk.  `path_semantics` counts free-to-free paths instead,
+and agrees with `semantics` on routing nets.
 """
 from __future__ import annotations
 
@@ -42,6 +51,7 @@ from dataclasses import dataclass, field
 
 from . import multirel
 from .errors import (
+    BadPayload,
     CycleRisk,
     CyclicNet,
     NotAreaShaped,
@@ -59,10 +69,14 @@ from .proofnet import (
     NetSum,
     ONE,
     Wire,
+    _flat_area,
+    _labelled,
+    _rebuild,
     bang,
-    canonicalize,
+    canonicalize_with_cert,
     dual,
     fmt_formula,
+    validate,
 )
 from .rewrite import bialgebra, normal_nets
 
@@ -77,6 +91,8 @@ _KIND = {
     "Coweakening": "Cocontraction",
 }
 _TREE_PAIR = {"Cocontraction", "Contraction"}  # the kinds a tree cut joins
+# (symbol, principal?) of the cell ports that !A leaves a cell by
+_SOURCE = {("Contraction", False), ("Cocontraction", True), ("Coweakening", True)}
 
 BUDGET = 10000  # rewriting steps for one area operation
 
@@ -268,20 +284,73 @@ def _forest(n: Net, roots, kind: str, seen: set) -> dict[int, int]:
     return leaves
 
 
+def _area_crossings(n: Net, ins, outs) -> dict[tuple[int, int], int]:
+    """The crossings of a plain area: a net the reader accepts whose wires
+    pair its free and cell ports one to one, !A flowing along each out of
+    an input, an aux port of a contraction tree or the principal of a
+    cocontraction tree.  A plain area is acyclic and has no cut, its
+    crossings are its path counts, and `_flatten` reads it as `_flat_area`
+    builds it from them.  Any other net is NotAreaShaped (or UnwiredPort,
+    as the reader says), and the general passes decide on it."""
+    crossings = _crossings(n, ins, outs)
+    owner, free = n.owner(), {p for p, _ in n.free}
+    if (
+        len(free) != len(n.free)
+        or not free.isdisjoint(owner)
+        or len(owner) != sum(1 + len(c.aux) for c in n.cells)
+        or 2 * len(n.wires) != len(owner) + len(free)
+    ):
+        raise NotAreaShaped("ports and wires do not pair up")
+    starts = {p for p, _ in ins}
+    for w in n.wires:
+        s, t = (w.a, w.b) if w.ty.kind == "bang" else (w.b, w.a)
+        (cs, ss), (ct, st) = owner.get(s, _NOBODY), owner.get(t, _NOBODY)
+        from_s = s in starts if cs is None else (cs.sym, ss == "p") in _SOURCE
+        into_t = t in free and t not in starts if ct is None else (ct.sym, st == "p") not in _SOURCE
+        if not (from_s and into_t):
+            raise NotAreaShaped("!A flows against a wire")
+    return crossings
+
+
 # ---------------------------------------------------------------------------
 # Semantics
 
 
 def _normal_net(n: Net, what: str) -> Net:
-    """The one raw normal net of `n`: its tree cuts fired whole, then
-    `normal_nets`.  Nets are counted up to equivalence, as a NetSum counts
-    them; `what` names the operation in the error."""
-    nets = list(normal_nets(_tree_cuts(n), BUDGET))
+    """The one raw normal net of `n`; see `_normal_area`."""
+    return _normal_area(n, what)[0]
+
+
+def _normal_area(n: Net, what: str):
+    """(the one raw normal net of `n`, its crossings or None).  Its tree
+    cuts are fired whole; a plain area is then its own normal form, given
+    with its crossings, and anything else goes through `normal_nets`, with
+    None.  Nets are counted up to equivalence, as a NetSum counts them;
+    `what` names the operation in the error."""
+    n = _tree_cuts(n)
+    if _structural(n) is not None:
+        try:
+            return n, _area_crossings(n, *free_io(n))
+        except (NotAreaShaped, UnwiredPort):
+            pass  # not a plain area: the rewriter decides
+    nets = list(normal_nets(n, BUDGET))
     if len(nets) != 1:
         count = len(NetSum(nets))
         if count != 1:
             raise NotAreaShaped(f"{what} {count} summands")
-    return nets[0]
+    return nets[0], None
+
+
+def _canonical(n: Net, crossings) -> tuple[Net, object]:
+    """(canonical net, certificate) of the normal net `n`: labelled straight
+    from its `crossings` when `_normal_area` gave them, else canonicalized.
+    The two give the same bytes and certificate on a plain area."""
+    if crossings is None:
+        return canonicalize_with_cert(n)
+    ins, _ = free_io(n)
+    nodes, flat = _flat_area(n.free, {p for p, _ in ins}, crossings, _structural(n))
+    edges, cert, pos = _labelled(nodes, flat)
+    return _rebuild(nodes, edges, pos), cert
 
 
 def _tree_cuts(n: Net) -> Net:
@@ -370,14 +439,24 @@ def feedback(a: Net, pairs: list[tuple[str, str]]) -> Net:
         links = [(in_port.pop(i), out_port.pop(o)) for i, o in pairs]
     except KeyError as e:
         raise UnknownLabel(e.args[0]) from None
-    # path counting checks acyclicity, the rest of is_routing_net; a cycle
-    # closed by feedback runs from a fed input to a fed output
+    # a cycle closed by feedback runs from a fed input to a fed output,
+    # whether or not the two are fed into each other, so no such pair may
+    # have a path.  A plain area's crossings are its path counts; any other
+    # net is checked acyclic and its paths counted, which is the rest of
+    # is_routing_net.  Outputs outer and inputs inner, as path counting
+    # lists them, so that max names the same pair
+    sources, targets = [pi for pi, _ in links], [po for _, po in links]
     try:
-        crossings = count_paths_all(a, [pi for pi, _ in links], [po for _, po in links])
-    except CyclicNet:
-        raise NotAreaShaped("not a routing net") from None
-    if any(crossings.values()):
-        i, o = (dict(a.free)[p] for p in max(crossings, key=crossings.get))
+        crossings = _area_crossings(a, ins, outs)
+    except (NotAreaShaped, UnwiredPort):
+        try:
+            paths = count_paths_all(a, sources, targets)
+        except CyclicNet:
+            raise NotAreaShaped("not a routing net") from None
+    else:
+        paths = {(pi, po): crossings.get((pi, po), 0) for po in targets for pi in sources}
+    if any(paths.values()):
+        i, o = (dict(a.free)[p] for p in max(paths, key=paths.get))
         raise CycleRisk(f"semantics({i},{o}) >= 1")
     n = a.copy()
     b = Builder(n)
@@ -392,7 +471,7 @@ def feedback(a: Net, pairs: list[tuple[str, str]]) -> Net:
 
 def trace_net(a: Net, i: str, o: str) -> Net:
     """Wire output o back into input i and normalize; the canonical net."""
-    return canonicalize(_normal_net(feedback(a, [(i, o)]), "trace produced"))
+    return _canonical(*_normal_area(feedback(a, [(i, o)]), "trace produced"))[0]
 
 
 def compose_areas(a: Net, outs: list[str], b: Net, ins: list[str]) -> Net:
@@ -405,14 +484,14 @@ def compose_areas(a: Net, outs: list[str], b: Net, ins: list[str]) -> Net:
     if len(outs) != len(ins):
         raise ValueError("output and input pairing lists differ in length")
     pairs = [("R." + i, "L." + o) for o, i in zip(outs, ins)]
-    n = _normal_net(feedback(juxtapose(a, b), pairs), "trace produced")
+    n, crossings = _normal_area(feedback(juxtapose(a, b), pairs), "trace produced")
     untagged = {}
     for side in free_io(n):
         names = [l[2:] for _, l in side]
         if len(set(names)) == len(names):
             untagged.update(zip((p for p, _ in side), names))
     n.free = [(p, untagged.get(p, l)) for p, l in n.free]
-    return canonicalize(n)
+    return _canonical(n, crossings)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -428,11 +507,13 @@ def boxed_one() -> Net:
 def transit(a: Net, i: str, payload: Net | None = None):
     """Feed one boxed payload into input i and count deliveries per output.
 
-    The payload enters through a fresh cocontraction so the input port stays
-    free.  Returns {output label: copies}; the counts equal row i of the
-    semantics, and the net left over once the copies are removed is checked
-    to be the original area again: the same payload and, port by port, the
-    same crossings, since rewriting keeps the free ports.
+    The payload must have one free port, emitting the area's !A, and pass
+    `validate` (else BadPayload) before it is merged.  It enters through a
+    fresh cocontraction so the input port stays free.  Returns {output
+    label: copies}; the counts equal row i of the semantics, and the net
+    left over once the copies are removed is checked to be the original area
+    again: the same payload and, port by port, the same crossings, since
+    rewriting keeps the free ports.
     """
     if (A := _structural(a)) is None:
         raise RoutenetError("transit needs a normal routing area")
@@ -454,6 +535,8 @@ def transit(a: Net, i: str, payload: Net | None = None):
     pf = payload.free[0][0] if len(payload.free) == 1 else None
     if pf is None or not payload.is_wired(pf) or payload.outward(pf) != A:
         raise RoutenetError(f"payload must have one free port, emitting {fmt_formula(A)}")
+    if problems := validate(payload):
+        raise BadPayload(f"payload is not a well-formed net: {problems[0]}")
     n = a.copy()
     b = Builder(n)
     far = b.wire_at(pi).other(pi)

@@ -321,6 +321,23 @@ def test_bialgebra_fires_at_any_arity(k, l):
     assert semantics(n) == path_semantics(n) == from_rows(ins, outs, [[1] * l] * k)
 
 
+def test_a_unary_bialgebra_loop_vanishes():
+    """A unary cocontraction cut against a unary contraction whose aux
+    ports end one wire: the step joins the two ends of that wire, which
+    close a loop, and the loop vanishes as `_resplice` drops cycles.  The
+    free wire beside the cut stays."""
+    b = Builder()
+    k, c = b.cell("Cocontraction", 1), b.cell("Contraction", 1)
+    b.wire(k.principal, c.principal, A)
+    b.wire(c.aux[0], k.aux[0], A)
+    i, o = b.port(), b.port()
+    b.wire(i, o, A)
+    n = b.finish([(i, "i"), (o, "o")])
+    (m,) = normalize(n).summands
+    assert canonical_equal(m, Net([], [Wire(1, 2, A)], [(1, "i"), (2, "o")]))
+    assert validate(m) == []
+
+
 @pytest.mark.parametrize(
     "make, unwire",
     [(_box_against_contraction, 4), (_cocontr_against_dereliction, 6), (_door_redex, 1)],

@@ -7,6 +7,7 @@ import pytest
 
 from routenet import gen, proofnet, rewrite, routing
 from routenet.errors import (
+    BadPayload,
     BudgetExhausted,
     CycleRisk,
     NotAreaShaped,
@@ -34,6 +35,7 @@ from routenet.proofnet import (
     bang,
     canonical_equal,
     canonicalize,
+    canonicalize_with_cert,
     certificate,
     dual,
     serialize,
@@ -262,20 +264,22 @@ def test_composition_is_canonical_under_its_own_labels():
 
 
 def test_compose_checks_and_reduces_once_whatever_the_pairs(monkeypatch):
+    """One check, one reduction and one canonical form for three pairs:
+    feedback reads the crossings of the juxtaposed areas instead of
+    counting paths, reduction reads those of the plain area it reaches
+    instead of running the rewriter, and the canonical form is labelled
+    from them instead of canonicalized."""
     r = from_rows(["a"], ["x", "y", "z"], [[1, 2, 3]])
     s = from_rows(["x", "y", "z"], ["o"], [[1], [1], [2]])
-    calls = _canonicalize_calls(monkeypatch)
-    counted = []
-    for name in ("_normal_net", "count_paths_all"):
-        real = getattr(routing, name)
-        monkeypatch.setattr(
-            routing, name, lambda *args, real=real, name=name: counted.append(name) or real(*args)
-        )
+    steps = (
+        "_area_crossings", "count_paths_all", "_normal_area", "normal_nets", "_canonical",
+        "canonicalize_with_cert",
+    )
+    counted = _calls(monkeypatch, *((routing, name) for name in steps))
     net = compose_areas(
         build_area(RoutingArea(r)), ["x", "y", "z"], build_area(RoutingArea(s)), ["x", "y", "z"]
     )
-    assert sorted(counted) == ["_normal_net", "count_paths_all"]
-    assert len(calls) == 1
+    assert counted == ["_area_crossings", "_normal_area", "_area_crossings", "_canonical"]
     assert rows_of(read_area(net).rel) == [[9]]
 
 
@@ -439,6 +443,142 @@ def test_transit_on_raw_normal_nets_delivers_the_path_semantics():
 
 
 # ---------------------------------------------------------------------------
+# Plain areas: their crossings are their path counts, their normal form and
+# their canonical form
+
+
+def _agrees_with_canonicalize(n: Net, crossings) -> bool:
+    """Whether the canonical net labelled from the crossings of `n` has the
+    bytes and the certificate that `canonicalize` gives."""
+    assert crossings is not None
+    net, cert = routing._canonical(n, crossings)
+    want, want_cert = canonicalize_with_cert(n)
+    return serialize(net) == serialize(want) and cert == want_cert
+
+
+def test_canonical_form_from_crossings_equals_canonicalize():
+    """On 2,400 `gen_area` areas at two seeds, 1 x 1 to 4 x 4 with entries
+    0 to 3, a third of them of payload !(1*1) and a third !!1, each as built
+    and as the raw normal net of a trace at a zero entry: the net labelled
+    from the crossings has the bytes and the certificate of `canonicalize`."""
+    payloads = [bang(ONE), bang(tensor(ONE, ONE)), bang(bang(ONE))]
+    shapes = Counter()
+    for seed in (1, 7):
+        rng = random.Random(seed)
+        for k in range(1200):
+            r = gen.gen_relation(rng)
+            a = build_area(RoutingArea(r, payloads[k % 3]))
+            assert _agrees_with_canonicalize(a, routing._area_crossings(a, *free_io(a))), (seed, k)
+            rows = [[r(i, o) for o in r.codomain] for i in r.domain]
+            shapes.update(
+                {
+                    "zero row": any(not any(row) for row in rows),
+                    "zero column": any(not any(col) for col in zip(*rows)),
+                    "single unit": any(1 in row for row in rows),
+                }
+            )
+            zeros = [(i, o) for i in r.domain for o in r.codomain if r(i, o) == 0]
+            if zeros:
+                traced = feedback(a, [rng.choice(zeros)])
+                assert _agrees_with_canonicalize(*routing._normal_area(traced, "traced")), (seed, k)
+                shapes["traced"] += 1
+    assert min(shapes.values()) > 300, shapes
+
+
+def test_area_suites_return_the_canonical_form_of_their_normal_areas(monkeypatch):
+    """Every net that trace_net and compose_areas return in the seven area
+    suites at their default counts is labelled from its crossings, with the
+    bytes and the certificate of `canonicalize`."""
+    normal = []
+    real = routing._canonical
+    monkeypatch.setattr(routing, "_canonical", lambda n, c: normal.append((n, c)) or real(n, c))
+    for suite in AREA_SUITES:
+        assert all(ok for _, ok, _ in gen.run_suite(suite, 7, gen.SUITES[suite].cases)), suite
+    monkeypatch.undo()
+    assert len(normal) > 250
+    for n, crossings in normal:
+        assert _agrees_with_canonicalize(n, crossings)
+
+
+def test_feedback_checks_every_fed_pair_against_a_cycle():
+    """Pairs can close a cycle across each other: fed back 1 -> 1 and
+    2 -> 2, gamma runs 2 into 1 and 1 into 2.  The pair named is the first
+    greatest in path counting's order, outputs outer and inputs inner."""
+    with pytest.raises(CycleRisk) as exc:
+        feedback(gamma(), [("1", "1"), ("2", "2")])
+    assert str(exc.value) == "semantics(2,1) >= 1"
+    a = build_area(RoutingArea(from_rows(["a", "b"], ["x", "y"], [[0, 2], [2, 0]])))
+    with pytest.raises(CycleRisk) as exc:
+        feedback(a, [("a", "x"), ("b", "y")])
+    assert str(exc.value) == "semantics(b,x) >= 1"
+
+
+def test_feedback_counts_paths_on_a_net_the_reader_refuses(monkeypatch):
+    """A fed-back net not yet reduced still has its cut, so the reader
+    refuses it and feedback counts paths: a -> y runs through the fed
+    pair, c -> y does not.  A cyclic net is no routing net."""
+    r = from_rows(["a", "b", "c"], ["x", "y", "z"], [[2, 0, 0], [0, 2, 0], [0, 0, 2]])
+    n = feedback(build_area(RoutingArea(r)), [("b", "x")])
+    assert find_redexes(n, ALL)
+    counted = _calls(monkeypatch, (routing, "count_paths_all"))
+    with pytest.raises(CycleRisk) as exc:
+        feedback(n, [("a", "y")])
+    assert str(exc.value) == "semantics(a,y) >= 1"
+    fed = feedback(n, [("c", "y")])
+    assert counted == ["count_paths_all"] * 2
+    assert semantics(fed) == from_rows(["a"], ["z"], [[8]])
+    cyclic, i, o = _non_areas()["cyclic"]
+    with pytest.raises(NotAreaShaped, match="not a routing net"):
+        feedback(cyclic, [(i, o)])
+
+
+def _stray_wire() -> Net:
+    """gamma with a wire between two ports that no cell or free port owns."""
+    g = gamma()
+    top = g.max_port()
+    return Net(g.cells, list(g.wires) + [Wire(top + 1, top + 2, A)], g.free)
+
+
+def _reversed_crossing() -> Net:
+    """A 2 x 2 area with a crossing between two trees of two leaves along
+    which !A flows backwards, which `validate` refuses."""
+    a = build_area(RoutingArea(from_rows(["a", "b"], ["x", "y"], [[2, 1], [1, 2]])))
+    owner = a.owner()
+    wires = list(a.wires)
+    k = next(
+        k for k, w in enumerate(wires) if all(owner.get(p, ("", "p"))[1] != "p" for p in (w.a, w.b))
+    )
+    wires[k] = Wire(wires[k].a, wires[k].b, dual(wires[k].ty))
+    return Net(a.cells, wires, a.free)
+
+
+def test_nets_the_reader_accepts_but_that_are_not_plain_take_the_general_passes():
+    """The reader does not look at stray wires or at the direction of !A;
+    `_flatten` does.  Such nets are not plain areas, so trace_net and
+    compose_areas give what path counting, the rewriter and `canonicalize`
+    give: UnwiredPort for the stray wire, and for the reversed crossing a
+    net other than the one its crossings would build."""
+    stray, backwards = _stray_wire(), _reversed_crossing()
+    assert validate(backwards) != []
+    for net in (stray, backwards):
+        ins, outs = free_io(net)
+        _crossings(net, ins, outs)
+        with pytest.raises(NotAreaShaped):
+            routing._area_crossings(net, ins, outs)
+    with pytest.raises(UnwiredPort, match="is no free or cell port"):
+        trace_net(stray, "1", "1")
+    ins, outs = free_io(backwards)
+    built, _ = routing._canonical(backwards, _crossings(backwards, ins, outs))
+    assert serialize(built) != serialize(canonicalize(backwards))
+    other = build_area(RoutingArea(from_rows(["x"], ["z"], [[1]])))
+    composed = compose_areas(backwards, ["x"], other, ["x"])
+    fed = feedback(juxtapose(backwards, other), [("R.x", "L.x")])
+    reduced = routing._normal_net(fed, "trace produced")
+    reduced.free = [(p, l[2:]) for p, l in reduced.free]
+    assert serialize(composed) == serialize(canonicalize(reduced))
+
+
+# ---------------------------------------------------------------------------
 # Tree cuts fired whole: the n-ary bialgebra step of `_normal_net`
 
 AREA_SUITES = (
@@ -458,12 +598,12 @@ def _empty_tree_cuts():
 
 def test_tree_cuts_reach_the_normal_form_of_the_binary_rules(monkeypatch):
     """The binary rules alone as the oracle: on every net that the area
-    suites hand to `_normal_net` at their default counts, on 300
-    `gen_cut_net` nets and on a cut against each kind of empty tree,
+    suites hand to reduction (`_normal_area`) at their default counts, on
+    300 `gen_cut_net` nets and on a cut against each kind of empty tree,
     `normal_certs` finds one normal form, and it is that of `_normal_net`."""
     nets = []
-    real = routing._normal_net
-    monkeypatch.setattr(routing, "_normal_net", lambda n, what: nets.append(n) or real(n, what))
+    real = routing._normal_area
+    monkeypatch.setattr(routing, "_normal_area", lambda n, what: nets.append(n) or real(n, what))
     for suite in AREA_SUITES:
         assert all(ok for _, ok, _ in gen.run_suite(suite, 7, gen.SUITES[suite].cases)), suite
     monkeypatch.undo()
@@ -645,10 +785,13 @@ def _broken_tree_payloads():
         ("taken-root", RoutenetError, "transit disturbed the area"),
     ],
 )
-def test_a_tree_cut_on_a_broken_tree_is_left_to_the_binary_rules(name, error, message):
+def test_a_tree_cut_on_a_broken_tree_is_left_to_the_binary_rules(name, error, message, monkeypatch):
     """The tree step does not fire a cut whose tree has an unwired aux port
     or meets a cell twice, whose trees are wired to each other, or whose
-    cell a tree fired before took, so the rewriter meets the net as it is."""
+    cell a tree fired before took, so the rewriter meets the net as it is.
+    Transit's `validate` of its payload, which refuses three of these, is
+    switched off to let them through."""
+    monkeypatch.setattr(routing, "validate", lambda net: [])
     net = build_area(RoutingArea(from_rows(["a"], ["x"], [[2]])))
     with pytest.raises(error, match=message) as exc:
         transit(net, "a", _broken_tree_payloads()[name])
@@ -684,31 +827,51 @@ def test_transit_checks_its_payload(name):
     assert str(exc.value) == "payload must have one free port, emitting !1"
 
 
-def _canonicalize_calls(monkeypatch):
+@pytest.mark.parametrize("name", ["own-principal", "taken-root", "unwired-aux"])
+def test_transit_validates_its_payload(name):
+    """A payload that `validate` refuses is refused before it is merged,
+    by BadPayload with the first problem, not deep in the rewriter."""
+    payload = _broken_tree_payloads()[name]
+    problems = validate(payload)
+    net = build_area(RoutingArea(from_rows(["a"], ["x"], [[2]])))
+    with pytest.raises(BadPayload) as exc:
+        transit(net, "a", payload)
+    assert str(exc.value) == f"payload is not a well-formed net: {problems[0]}"
+
+
+def _calls(monkeypatch, *where):
+    """The names of the calls made to each (module, name) in `where`, in
+    the order they are made."""
     calls = []
-    real = proofnet.canonicalize_with_cert
-    monkeypatch.setattr(
-        proofnet,
-        "canonicalize_with_cert",
-        lambda n, known=None: calls.append(1) or real(n, known),
-    )
+    for module, name in where:
+        real = getattr(module, name)
+        monkeypatch.setattr(
+            module,
+            name,
+            lambda *args, real=real, name=name, **kw: calls.append(name) or real(*args, **kw),
+        )
     return calls
 
 
 def test_area_operations_canonicalize_only_the_nets_they_return(monkeypatch):
+    """semantics and transit label no net; trace_net and compose_areas
+    label the net they return once each, from its crossings, and flatten
+    nothing."""
     r = from_rows(["a", "b"], ["x", "y"], [[2, 0], [1, 3]])
     s = from_rows(["x", "y"], ["z"], [[1], [2]])
     net, other = build_area(RoutingArea(r)), build_area(RoutingArea(s))
-    calls = _canonicalize_calls(monkeypatch)
+    calls = _calls(
+        monkeypatch, (proofnet, "_flatten"), (proofnet, "_labelled"), (routing, "_labelled")
+    )
     assert semantics(net) == r
     assert transit(net, "b") == {"x": 1, "y": 3}
     assert calls == []
     trace_net(net, "a", "y")
-    assert len(calls) == 1
+    assert calls == ["_labelled"]
     composed = compose_areas(net, ["x", "y"], other, ["x", "y"])
-    assert len(calls) == 2
+    assert calls == ["_labelled"] * 2
     assert semantics(composed) == from_rows(["a", "b"], ["z"], [[2], [7]])
-    assert len(calls) == 2
+    assert calls == ["_labelled"] * 2
 
 
 def test_semantics_walks_a_normal_area_once(monkeypatch):

@@ -12,33 +12,36 @@ The operations on areas are made of three steps, each written once:
 * feedback (`feedback`) checks a net and wires outputs back into inputs,
   all pairs in one pass, leaving the cuts it makes unreduced.  A cycle
   closed by feedback runs from a fed input to a fed output, so every fed
-  input and fed output must have no path between them: the crossings of a
-  plain area (`_area_crossings`) are its path counts, and any other net is
-  checked acyclic and counted by `count_paths_all`;
+  input and fed output must have no path between them: the crossings of
+  an area are its path counts, and any other net is checked acyclic and
+  counted by `count_paths_all`;
 * reduction (`_normal_area`) reaches the one normal net: it first fires
   each cut of a cocontraction tree against a contraction tree as one
   n-ary bialgebra step over both whole trees (`_tree_cuts`), which hands
   the leaves of both to `rewrite.bialgebra`, the right-hand side the
-  binary rules share.  A plain area is then its own normal form and comes
-  back with its crossings; anything else, such as the payload copies of
-  `transit`, goes through `normal_nets` within the fixed budget of
-  `BUDGET` rewriting steps;
-* reading (`_crossings`) takes a net as two forests and a matching: one
-  walk (`_forest`, which also gathers the trees of a tree cut) from the
-  free ports gives each leaf of the contraction trees and of the
-  cocontraction trees its root, past the neutral (co)weakening leaves
-  and unary nodes that canonical form would remove, and the crossing
-  wires must match the leaves of the two forests one to one.  A plain
-  area is a net the reader accepts whose wires also pair its ports one
-  to one and carry !A from the input side, as `_flatten` checks.
+  binary rules share.  An area is then its own normal form; anything
+  else, such as the payload copies of `transit`, goes through
+  `normal_nets` within the fixed budget of `BUDGET` rewriting steps.
+  The normal net comes back with its crossings, or None if it is not an
+  area;
+* reading (`_crossings`) is the one test of what an area is: it takes a
+  net as two forests and a matching.  One walk (`_forest`, which also
+  gathers the trees of a tree cut) from the free ports gives each leaf of
+  the contraction trees and of the cocontraction trees its root, past the
+  neutral (co)weakening leaves and unary nodes that canonical form would
+  remove, and checks that !A flows along each wire it passes from the
+  input side.  The crossing wires must match the leaves of the two
+  forests one to one, and the ports and wires must pair one to one.
 
-A net the reader accepts is acyclic and has no cut, so it is its own
-normal form: `read_area` reads the raw net it is given, and `semantics`
-reads its net first and checks, reduces and reads again only a net the
-reader refuses.  `trace_net` and `compose_areas` are feedback, then
-reduction, then canonical form (`_canonical`), which only builds the nets
-they return: a plain area's labelling input is built from its crossings
-(`proofnet._flat_area`), and any other net is canonicalized.  Composition
+An area is acyclic and has no cut, so it is its own normal form, and the
+normal nets of routing nets are exactly the areas (the source paper's
+Theorem `mrarea-charact`): `read_area` reads the raw net it is given,
+and `semantics` reads its net first and checks, reduces and takes the
+crossings of the reduced net only for a net the reader refuses.
+`trace_net` and `compose_areas` are feedback, then reduction, then
+canonical form (`_canonical`), which only builds the nets they return,
+labelling the input built from the crossings (`proofnet._flat_area`);
+a net that does not reduce to an area is NotAreaShaped.  Composition
 feeds all its pairs back at once, as the vanishing axiom of traced
 monoidal categories allows.  `transit` validates its payload, reduces an
 area with the payload fed in and finds the payload copies on the leaves
@@ -73,7 +76,6 @@ from .proofnet import (
     _labelled,
     _rebuild,
     bang,
-    canonicalize_with_cert,
     dual,
     fmt_formula,
     validate,
@@ -91,8 +93,6 @@ _KIND = {
     "Coweakening": "Cocontraction",
 }
 _TREE_PAIR = {"Cocontraction", "Contraction"}  # the kinds a tree cut joins
-# (symbol, principal?) of the cell ports that !A leaves a cell by
-_SOURCE = {("Contraction", False), ("Cocontraction", True), ("Coweakening", True)}
 
 BUDGET = 10000  # rewriting steps for one area operation
 
@@ -239,8 +239,11 @@ def _relation(ins, outs, counts: dict[tuple[int, int], int]) -> Multirelation:
 
 def _crossings(n: Net, ins, outs) -> dict[tuple[int, int], int]:
     """Wires from the tree of each input port to the tree of each output
-    port: each leaf of the contraction forest meets its own leaf of the
-    cocontraction forest, and the forests hold every cell (or NotAreaShaped)."""
+    port, or NotAreaShaped if `n` is not an area: each leaf of the
+    contraction forest meets its own leaf of the cocontraction forest, the
+    forests hold every cell, and the ports and wires pair one to one, so
+    that every wire is one the walk passes.  An area is acyclic and has no
+    cut, and its crossings are its path counts."""
     seen = set()
     src = _forest(n, [p for p, _ in ins], "Contraction", seen)
     dst = _forest(n, [p for p, _ in outs], "Cocontraction", seen)
@@ -252,8 +255,16 @@ def _crossings(n: Net, ins, outs) -> dict[tuple[int, int], int]:
         routes[(pi, po)] = routes.get((pi, po), 0) + 1
     if dst:
         raise NotAreaShaped(f"output {dict(n.free)[dst.popitem()[1]]} meets no input tree")
-    if seen != {c.id for c in n.cells}:
+    cells, owner, free = n.cells, n.owner(), {p for p, _ in n.free}
+    if len(seen) != len(cells):
         raise NotAreaShaped("stray cells outside the tree-of-trees shape")
+    if (
+        len(free) != len(n.free)
+        or not free.isdisjoint(owner)
+        or len(owner) != sum(1 + len(c.aux) for c in cells)
+        or 2 * len(n.wires) != len(owner) + len(free)
+    ):
+        raise NotAreaShaped("ports and wires do not pair up")
     return routes
 
 
@@ -262,15 +273,22 @@ def _forest(n: Net, roots, kind: str, seen: set) -> dict[int, int]:
     its root, left to right.  The walk goes down from a port over its wire
     into the principal of a cell of that kind, (co)weakenings included,
     adds the cell's id to `seen` and goes on from its aux ports; any other
-    far end makes the port a leaf, the root itself too.  A cell already in
-    `seen` is NotAreaShaped, an unwired aux port UnwiredPort."""
+    far end makes the port a leaf, the root itself too.  !A flows out of
+    each port the walk leaves by in a contraction tree and into it in a
+    cocontraction tree, so along every wire from an input, a contraction's
+    aux port or a cocontraction's principal.  A wire against the flow or a
+    cell already in `seen` is NotAreaShaped, an unwired aux port UnwiredPort."""
     owner, wire_at, is_wired = n.owner(), n.wire_at, n.is_wired
+    outward = kind == "Contraction"
     leaves: dict[int, int] = {}
     for root in roots:
         stack = [root]
         while stack:
             p = stack.pop()
-            cell, slot = owner.get(wire_at(p).other(p), _NOBODY)
+            w = wire_at(p)
+            if ((w.a == p) == (w.ty.kind == "bang")) != outward:
+                raise NotAreaShaped("!A flows against a wire")
+            cell, slot = owner.get(w.other(p), _NOBODY)
             if slot != "p" or _KIND.get(cell.sym) != kind:
                 leaves[p] = root
                 continue
@@ -284,69 +302,45 @@ def _forest(n: Net, roots, kind: str, seen: set) -> dict[int, int]:
     return leaves
 
 
-def _area_crossings(n: Net, ins, outs) -> dict[tuple[int, int], int]:
-    """The crossings of a plain area: a net the reader accepts whose wires
-    pair its free and cell ports one to one, !A flowing along each out of
-    an input, an aux port of a contraction tree or the principal of a
-    cocontraction tree.  A plain area is acyclic and has no cut, its
-    crossings are its path counts, and `_flatten` reads it as `_flat_area`
-    builds it from them.  Any other net is NotAreaShaped (or UnwiredPort,
-    as the reader says), and the general passes decide on it."""
-    crossings = _crossings(n, ins, outs)
-    owner, free = n.owner(), {p for p, _ in n.free}
-    if (
-        len(free) != len(n.free)
-        or not free.isdisjoint(owner)
-        or len(owner) != sum(1 + len(c.aux) for c in n.cells)
-        or 2 * len(n.wires) != len(owner) + len(free)
-    ):
-        raise NotAreaShaped("ports and wires do not pair up")
-    starts = {p for p, _ in ins}
-    for w in n.wires:
-        s, t = (w.a, w.b) if w.ty.kind == "bang" else (w.b, w.a)
-        (cs, ss), (ct, st) = owner.get(s, _NOBODY), owner.get(t, _NOBODY)
-        from_s = s in starts if cs is None else (cs.sym, ss == "p") in _SOURCE
-        into_t = t in free and t not in starts if ct is None else (ct.sym, st == "p") not in _SOURCE
-        if not (from_s and into_t):
-            raise NotAreaShaped("!A flows against a wire")
-    return crossings
-
-
 # ---------------------------------------------------------------------------
 # Semantics
 
 
-def _normal_net(n: Net, what: str) -> Net:
-    """The one raw normal net of `n`; see `_normal_area`."""
-    return _normal_area(n, what)[0]
-
-
 def _normal_area(n: Net, what: str):
-    """(the one raw normal net of `n`, its crossings or None).  Its tree
-    cuts are fired whole; a plain area is then its own normal form, given
-    with its crossings, and anything else goes through `normal_nets`, with
-    None.  Nets are counted up to equivalence, as a NetSum counts them;
-    `what` names the operation in the error."""
+    """(the one raw normal net of `n`, its crossings, or None if it is not
+    an area).  Its tree cuts are fired whole; an area is then its own
+    normal form, and anything else, such as the payload copies of
+    `transit`, goes through `normal_nets` and is read after it.  Nets are
+    counted up to equivalence, as a NetSum counts them; `what` names the
+    operation in the error."""
     n = _tree_cuts(n)
-    if _structural(n) is not None:
-        try:
-            return n, _area_crossings(n, *free_io(n))
-        except (NotAreaShaped, UnwiredPort):
-            pass  # not a plain area: the rewriter decides
-    nets = list(normal_nets(n, BUDGET))
-    if len(nets) != 1:
-        count = len(NetSum(nets))
-        if count != 1:
-            raise NotAreaShaped(f"{what} {count} summands")
-    return nets[0], None
+    if (crossings := _crossings_of(n)) is None:
+        nets = list(normal_nets(n, BUDGET))
+        if len(nets) != 1:
+            count = len(NetSum(nets))
+            if count != 1:
+                raise NotAreaShaped(f"{what} {count} summands")
+        n = nets[0]
+        crossings = _crossings_of(n)
+    return n, crossings
+
+
+def _crossings_of(n: Net):
+    """The crossings of `n` if it is an area, else None."""
+    if _structural(n) is None:
+        return None
+    try:
+        return _crossings(n, *free_io(n))
+    except (NotAreaShaped, UnwiredPort):
+        return None
 
 
 def _canonical(n: Net, crossings) -> tuple[Net, object]:
-    """(canonical net, certificate) of the normal net `n`: labelled straight
-    from its `crossings` when `_normal_area` gave them, else canonicalized.
-    The two give the same bytes and certificate on a plain area."""
+    """(canonical net, certificate) of the normal net `n`, labelled
+    straight from its `crossings`, with the bytes and the certificate that
+    `canonicalize` gives; NotAreaShaped if `_normal_area` gave None."""
     if crossings is None:
-        return canonicalize_with_cert(n)
+        raise NotAreaShaped("trace produced a net that is no area")
     ins, _ = free_io(n)
     nodes, flat = _flat_area(n.free, {p for p, _ in ins}, crossings, _structural(n))
     edges, cert, pos = _labelled(nodes, flat)
@@ -395,7 +389,8 @@ def _tree_cuts(n: Net) -> Net:
 
 def semantics(n: Net) -> Multirelation:
     """The multirelation of a routing net: read at once if `n` is a normal
-    area, else checked acyclic, reduced and read."""
+    area, else checked acyclic and reduced, and read from the crossings
+    of the normal net."""
     if _structural(n) is None:
         raise NotAreaShaped("not a routing net")
     try:
@@ -404,7 +399,12 @@ def semantics(n: Net) -> Multirelation:
         pass  # not normal, or not an area: the full path decides
     if not check_acyclic(n):
         raise NotAreaShaped("not a routing net")
-    return _read(_normal_net(n, "routing net reduced to"))
+    n, crossings = _normal_area(n, "routing net reduced to")
+    ins, outs = free_io(n)
+    _check_labels(ins, outs)
+    if crossings is None:
+        raise NotAreaShaped("routing net reduced to a net that is no area")
+    return _relation(ins, outs, crossings)
 
 
 def path_semantics(n: Net) -> Multirelation:
@@ -441,13 +441,13 @@ def feedback(a: Net, pairs: list[tuple[str, str]]) -> Net:
         raise UnknownLabel(e.args[0]) from None
     # a cycle closed by feedback runs from a fed input to a fed output,
     # whether or not the two are fed into each other, so no such pair may
-    # have a path.  A plain area's crossings are its path counts; any other
-    # net is checked acyclic and its paths counted, which is the rest of
+    # have a path.  An area's crossings are its path counts; any other net
+    # is checked acyclic and its paths counted, which is the rest of
     # is_routing_net.  Outputs outer and inputs inner, as path counting
     # lists them, so that max names the same pair
     sources, targets = [pi for pi, _ in links], [po for _, po in links]
     try:
-        crossings = _area_crossings(a, ins, outs)
+        crossings = _crossings(a, ins, outs)
     except (NotAreaShaped, UnwiredPort):
         try:
             paths = count_paths_all(a, sources, targets)
@@ -518,15 +518,10 @@ def transit(a: Net, i: str, payload: Net | None = None):
     if (A := _structural(a)) is None:
         raise RoutenetError("transit needs a normal routing area")
     ins, outs = free_io(a)
-
-    def crossings(n: Net):
-        try:
-            return _crossings(n, ins, outs)
-        except NotAreaShaped:
-            return None
-
-    if (before := crossings(a)) is None:
-        raise RoutenetError("transit needs a normal routing area")
+    try:
+        before = _crossings(a, ins, outs)
+    except NotAreaShaped:
+        raise RoutenetError("transit needs a normal routing area") from None
     if payload is None:
         payload = boxed_one()
     pi = next((p for p, l in ins if l == i), None)
@@ -548,7 +543,7 @@ def transit(a: Net, i: str, payload: Net | None = None):
     off = b.merge(payload)
     b.reend(pf + off, cc.aux[1])
 
-    m = _normal_net(n, "transit produced")
+    m, _ = _normal_area(n, "transit produced")  # its payload copies make it no area
 
     # each payload copy hangs on a leaf of an output tree; replacing every
     # copy by a coweakening must give the area back
@@ -564,6 +559,6 @@ def transit(a: Net, i: str, payload: Net | None = None):
             raise NotAreaShaped("payload copy not delivered to an output")
         counts[label[po]] += 1
         b.replace_cell(Cell(c.id, "Coweakening", c.principal, c.aux))
-    if _structural(residual) != A or crossings(residual) != before:
+    if _structural(residual) != A or _crossings_of(residual) != before:
         raise RoutenetError("transit disturbed the area")
     return counts

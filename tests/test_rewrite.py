@@ -316,7 +316,7 @@ def test_bialgebra_fires_at_any_arity(k, l):
     nf = normalize(n)
     (m,) = nf.summands
     _check(m)
-    assert nf.certs() == {certificate(routing._normal_net(n, "reduced to"))}
+    assert nf.certs() == {certificate(routing._normal_area(n, "reduced to")[0])}
     ins, outs = [f"i{j}" for j in range(k)], [f"o{j}" for j in range(l)]
     assert semantics(n) == path_semantics(n) == from_rows(ins, outs, [[1] * l] * k)
 

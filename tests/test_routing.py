@@ -266,20 +266,16 @@ def test_composition_is_canonical_under_its_own_labels():
 def test_compose_checks_and_reduces_once_whatever_the_pairs(monkeypatch):
     """One check, one reduction and one canonical form for three pairs:
     feedback reads the crossings of the juxtaposed areas instead of
-    counting paths, reduction reads those of the plain area it reaches
-    instead of running the rewriter, and the canonical form is labelled
-    from them instead of canonicalized."""
+    counting paths, reduction reads those of the area it reaches instead
+    of running the rewriter, and the canonical form is labelled from them."""
     r = from_rows(["a"], ["x", "y", "z"], [[1, 2, 3]])
     s = from_rows(["x", "y", "z"], ["o"], [[1], [1], [2]])
-    steps = (
-        "_area_crossings", "count_paths_all", "_normal_area", "normal_nets", "_canonical",
-        "canonicalize_with_cert",
-    )
+    steps = ("_crossings", "count_paths_all", "_normal_area", "normal_nets", "_canonical")
     counted = _calls(monkeypatch, *((routing, name) for name in steps))
     net = compose_areas(
         build_area(RoutingArea(r)), ["x", "y", "z"], build_area(RoutingArea(s)), ["x", "y", "z"]
     )
-    assert counted == ["_area_crossings", "_normal_area", "_area_crossings", "_canonical"]
+    assert counted == ["_crossings", "_normal_area", "_crossings", "_canonical"]
     assert rows_of(read_area(net).rel) == [[9]]
 
 
@@ -394,7 +390,7 @@ def _zero_pair(n: Net):
 def test_reader_on_raw_normal_nets_equals_canonical_read_area():
     """The reader on raw normal nets against the reader on their canonical
     forms: 200 generator nets and a raw trace of each, the raw steps of
-    seeded compositions, each trace and step also as `_normal_net` leaves
+    seeded compositions, each trace and step also as `_normal_area` leaves
     it (tree cuts fired whole), and the hand-built nets above."""
     corpus = [make() for make, _ in HAND_BUILT.values()]
     for seed in range(200):
@@ -403,7 +399,7 @@ def test_reader_on_raw_normal_nets_equals_canonical_read_area():
         pair = _zero_pair(net)
         if pair is not None:
             fed = feedback(net, [pair])
-            corpus += [_one_raw_normal_net(fed), routing._normal_net(fed, "trace produced")]
+            corpus += [_one_raw_normal_net(fed), routing._normal_area(fed, "trace produced")[0]]
     for seed in range(40):
         rng = random.Random(seed)
         r = gen_relation(rng, max_in=3, max_out=3, exact=True)
@@ -411,7 +407,7 @@ def test_reader_on_raw_normal_nets_equals_canonical_read_area():
         n = juxtapose(build_area(RoutingArea(r)), build_area(RoutingArea(s)))
         for o, i in zip(r.codomain, s.domain):
             fed = feedback(n, [("R." + i, "L." + o)])
-            corpus.append(routing._normal_net(fed, "trace produced"))
+            corpus.append(routing._normal_area(fed, "trace produced")[0])
             n = _one_raw_normal_net(fed)
             corpus.append(n)
     assert len(corpus) > 600
@@ -443,8 +439,8 @@ def test_transit_on_raw_normal_nets_delivers_the_path_semantics():
 
 
 # ---------------------------------------------------------------------------
-# Plain areas: their crossings are their path counts, their normal form and
-# their canonical form
+# Areas: their crossings are their path counts, their normal form and their
+# canonical form
 
 
 def _agrees_with_canonicalize(n: Net, crossings) -> bool:
@@ -468,7 +464,7 @@ def test_canonical_form_from_crossings_equals_canonicalize():
         for k in range(1200):
             r = gen.gen_relation(rng)
             a = build_area(RoutingArea(r, payloads[k % 3]))
-            assert _agrees_with_canonicalize(a, routing._area_crossings(a, *free_io(a))), (seed, k)
+            assert _agrees_with_canonicalize(a, _crossings(a, *free_io(a))), (seed, k)
             rows = [[r(i, o) for o in r.codomain] for i in r.domain]
             shapes.update(
                 {
@@ -552,34 +548,83 @@ def _reversed_crossing() -> Net:
     return Net(a.cells, wires, a.free)
 
 
-def test_nets_the_reader_accepts_but_that_are_not_plain_take_the_general_passes():
-    """The reader does not look at stray wires or at the direction of !A;
-    `_flatten` does.  Such nets are not plain areas, so trace_net and
-    compose_areas give what path counting, the rewriter and `canonicalize`
-    give: UnwiredPort for the stray wire, and for the reversed crossing a
-    net other than the one its crossings would build."""
-    stray, backwards = _stray_wire(), _reversed_crossing()
-    assert validate(backwards) != []
-    for net in (stray, backwards):
-        ins, outs = free_io(net)
-        _crossings(net, ins, outs)
-        with pytest.raises(NotAreaShaped):
-            routing._area_crossings(net, ins, outs)
-    with pytest.raises(UnwiredPort, match="is no free or cell port"):
-        trace_net(stray, "1", "1")
-    ins, outs = free_io(backwards)
-    built, _ = routing._canonical(backwards, _crossings(backwards, ins, outs))
-    assert serialize(built) != serialize(canonicalize(backwards))
+def test_area_operations_refuse_stray_wires_and_backward_crossings():
+    """A stray wire and a crossing along which !A runs backwards make nets
+    that `validate` refuses and the reader does too: read_area, semantics,
+    trace_net (of the net beside another area) and compose_areas raise
+    NotAreaShaped or UnwiredPort, and transit says that it needs an area."""
     other = build_area(RoutingArea(from_rows(["x"], ["z"], [[1]])))
-    composed = compose_areas(backwards, ["x"], other, ["x"])
-    fed = feedback(juxtapose(backwards, other), [("R.x", "L.x")])
-    reduced = routing._normal_net(fed, "trace produced")
-    reduced.free = [(p, l[2:]) for p, l in reduced.free]
-    assert serialize(composed) == serialize(canonicalize(reduced))
+    for net in (_stray_wire(), _reversed_crossing()):
+        assert validate(net) != []
+        ins, outs = free_io(net)
+        i, o = ins[0][1], outs[0][1]
+        with pytest.raises(NotAreaShaped):
+            _crossings(net, ins, outs)
+        for op in (
+            read_area,
+            semantics,
+            lambda n: trace_net(juxtapose(n, other), "R.x", "L." + o),
+            lambda n: compose_areas(n, [o], other, ["x"]),
+        ):
+            with pytest.raises((NotAreaShaped, UnwiredPort)):
+                op(net)
+        with pytest.raises(RoutenetError, match="transit needs a normal routing area") as exc:
+            transit(net, i)
+        assert type(exc.value) is RoutenetError
+
+
+def _mutants(a: Net, rng: random.Random) -> dict:
+    """name -> a mutant of the area `a`: one wire's formula turned round
+    with `dual`, a stray wire added, and the far ends of two wires swapped."""
+    wires = list(a.wires)
+    k = rng.randrange(len(wires))
+    flip = wires[:k] + [Wire(wires[k].a, wires[k].b, dual(wires[k].ty))] + wires[k + 1 :]
+    top = a.max_port()
+    x, y = rng.sample(range(len(wires)), 2) if len(wires) > 1 else (0, 0)
+    swap = list(wires)
+    swap[x] = Wire(wires[x].a, wires[y].b, wires[x].ty)
+    swap[y] = Wire(wires[y].a, wires[x].b, wires[y].ty)
+    stray = wires + [Wire(top + 1, top + 2, A)]
+    mutated = {"flip": flip, "stray": stray, "swap": swap}
+    return {name: Net(a.cells, w, a.free) for name, w in mutated.items()}
+
+
+def test_area_operations_on_mutated_areas():
+    """1,500 `gen_relation` areas at each of seeds 1 and 7, each mutated
+    three ways: read_area and semantics accept no mutant that `validate`
+    refuses, and every area operation returns or raises a RoutenetError."""
+    other = build_area(RoutingArea(from_rows(["x"], ["z"], [[1]])))
+    refused, read = Counter(), Counter()
+    for seed in (1, 7):
+        rng = random.Random(seed)
+        for _ in range(1500):
+            r = gen_relation(rng)
+            a = build_area(RoutingArea(r))
+            i, o = rng.choice(list(r.domain)), rng.choice(list(r.codomain))
+            ops = (
+                read_area,
+                semantics,
+                lambda n: trace_net(n, i, o),
+                lambda n: compose_areas(n, [o], other, ["x"]),
+                lambda n: transit(n, i),
+            )
+            for name, m in _mutants(a, rng).items():
+                valid = validate(m) == []
+                refused[name] += not valid
+                for op in ops:
+                    try:
+                        op(m)
+                    except RoutenetError:
+                        continue
+                    if op in (read_area, semantics):
+                        assert valid, (seed, name, op.__name__)
+                        read[name] += 1
+    assert refused["stray"] == 3000 and refused["flip"] > 2500, refused
+    assert read["swap"] > 1000, read
 
 
 # ---------------------------------------------------------------------------
-# Tree cuts fired whole: the n-ary bialgebra step of `_normal_net`
+# Tree cuts fired whole: the n-ary bialgebra step of `_normal_area`
 
 AREA_SUITES = (
     "trace", "compose", "paths", "transit", "characterize", "path-preservation", "paths-area",
@@ -600,7 +645,7 @@ def test_tree_cuts_reach_the_normal_form_of_the_binary_rules(monkeypatch):
     """The binary rules alone as the oracle: on every net that the area
     suites hand to reduction (`_normal_area`) at their default counts, on
     300 `gen_cut_net` nets and on a cut against each kind of empty tree,
-    `normal_certs` finds one normal form, and it is that of `_normal_net`."""
+    `normal_certs` finds one normal form, and it is that of `_normal_area`."""
     nets = []
     real = routing._normal_area
     monkeypatch.setattr(routing, "_normal_area", lambda n, what: nets.append(n) or real(n, what))
@@ -614,7 +659,7 @@ def test_tree_cuts_reach_the_normal_form_of_the_binary_rules(monkeypatch):
         nets.append(net)
     for n in nets:
         (cert,) = normal_certs(n)
-        assert certificate(routing._normal_net(n, "reduced to")) == cert
+        assert certificate(routing._normal_area(n, "reduced to")[0]) == cert
 
 
 def _rules_fired(monkeypatch) -> Counter:
@@ -712,7 +757,7 @@ def test_tree_cuts_on_cells_of_any_arity_agree_with_path_counting(monkeypatch):
     parents and unary cells put on some wires, so that the tree step
     builds combs with three or more leaves and joins single leaves: the
     relation of `semantics` is the path count, which shares no code with
-    `rewrite.bialgebra`, and the normal net of `_normal_net` is the one
+    `rewrite.bialgebra`, and the normal net of `_normal_area` is the one
     that the rules reach step by step."""
     shapes = []
     real = routing.bialgebra
@@ -731,7 +776,7 @@ def test_tree_cuts_on_cells_of_any_arity_agree_with_path_counting(monkeypatch):
         _unary_cells_on_wires(n, rng)
         arities.update(len(c.aux) for c in n.cells)
         assert semantics(n) == path_semantics(n)
-        assert normal_certs(n) == {certificate(routing._normal_net(n, "reduced to"))}
+        assert normal_certs(n) == {certificate(routing._normal_area(n, "reduced to")[0])}
     assert arities[1] > 300 and sum(v for k, v in arities.items() if k >= 3) > 300
     assert sum(max(s) >= 3 for s in shapes) > 100
     assert sum(1 in s and 0 not in s for s in shapes) > 100
@@ -875,39 +920,37 @@ def test_area_operations_canonicalize_only_the_nets_they_return(monkeypatch):
 
 
 def test_semantics_walks_a_normal_area_once(monkeypatch):
-    """semantics reads a normal area at once: no acyclicity check and no
-    reduction.  A net the reader refuses takes the full path."""
-    counted = []
-    for name in ("_normal_net", "check_acyclic"):
-        real = getattr(routing, name)
-        monkeypatch.setattr(
-            routing, name, lambda *args, real=real, name=name: counted.append(name) or real(*args)
-        )
+    """semantics reads a normal area at once: one walk, no acyclicity
+    check and no reduction.  A net the reader refuses takes the full path,
+    and the reduced net is walked once, its crossings giving the relation."""
+    steps = ("_crossings", "check_acyclic", "_normal_area", "normal_nets")
+    counted = _calls(monkeypatch, *((routing, name) for name in steps))
     r = from_rows(["a", "b"], ["x", "y"], [[2, 0], [1, 3]])
     s = from_rows(["x", "y"], ["z"], [[1], [2]])
     net, other = build_area(RoutingArea(r)), build_area(RoutingArea(s))
     assert semantics(net) == r
-    assert counted == []
+    assert counted == ["_crossings"]
     composed = compose_areas(net, ["x", "y"], other, ["x", "y"])
     counted.clear()
     assert semantics(composed) == from_rows(["a", "b"], ["z"], [[2], [7]])
-    assert counted == []
+    assert counted == ["_crossings"]
+    counted.clear()
     cut, _, _ = _non_areas()["cut"]
     assert semantics(cut) == trace_formula(
         coproduct(from_rows(["a"], ["x"], [[2]]), from_rows(["i"], ["o", "p"], [[2, 0]])),
         "R.i",
         "L.x",
     )
-    assert sorted(counted) == ["_normal_net", "check_acyclic"]
+    assert counted == ["_crossings", "check_acyclic", "_normal_area", "_crossings"]
 
 
 def test_semantics_checks_reduces_and_reads_fed_back_areas(monkeypatch):
     """The full path of semantics on 100 seeded areas, each with a zero
     entry (i, o) fed back and left unreduced: semantics and path_semantics
-    both give the trace formula, and most of the nets are reduced first."""
-    reduced = []
-    real = routing._normal_net
-    monkeypatch.setattr(routing, "_normal_net", lambda *args: reduced.append(1) or real(*args))
+    both give the trace formula, most of the nets are reduced first, and
+    each reduced net is walked once, without the rewriter."""
+    counted = _calls(monkeypatch, *((routing, name) for name in ("_crossings", "_normal_area")))
+    walks = Counter()
     checked, seed = 0, 0
     while checked < 100:
         rng, seed = random.Random(seed), seed + 1
@@ -918,10 +961,14 @@ def test_semantics_checks_reduces_and_reads_fed_back_areas(monkeypatch):
         i, o = rng.choice(zeros)
         net = feedback(build_area(RoutingArea(r)), [(i, o)])
         want = trace_formula(r, i, o)
+        counted.clear()
         assert semantics(net) == want, seed
+        walks[tuple(counted)] += 1
         assert path_semantics(net) == want, seed
         checked += 1
-    assert len(reduced) > 50
+    reduced = ("_crossings", "_normal_area", "_crossings")
+    assert set(walks) <= {("_crossings",), reduced}, walks
+    assert walks[reduced] > 50
 
 
 # The function of `gen` to which each suite first hands its generated net.

@@ -835,10 +835,7 @@ def _validate(net: Net, out: list[str], where: str):
 # certificate -> canonical net; otherwise the table's net is returned.  Nets
 # with one certificate rebuild to the same bytes, so the two agree.
 # `certificate` labels and never rebuilds, box contents included: a box's
-# contents are rebuilt only when a net holding the box is.  An invariant
-# read off the flattened net before labelling (`invariant`) tells nets apart
-# without labelling them; it is a function of the certificate, so nets with
-# different invariants have different certificates.
+# contents are rebuilt only when a net holding the box is.
 
 
 class _FlatNode:
@@ -907,8 +904,10 @@ def _flatten(net: Net):
     Raises UnwiredPort for a free or cell port without a wire of its own
     (none ends there, another free or cell port is the same port, or the
     port is two wire ends), for a wire end that no free or cell port owns,
-    and CyclicNet for a (co)contraction tree that feeds its own root: an
-    edge from the principal of a flattened node into its own aux."""
+    CyclicNet for a (co)contraction tree that feeds its own root: an
+    edge from the principal of a flattened node into its own aux, and
+    DerivationMismatch for a unary (co)contraction node whose two edges
+    carry formulas it cannot type, which no splice could join."""
     wired = net._indexed()._wire_key
     if len(wired) < 2 * len(net.wires):  # some port is two wire ends
         ends: set[int] = set()
@@ -1032,11 +1031,19 @@ def _flatten(net: Net):
                 if ep is ea:  # the principal looped onto the only aux
                     raise CyclicNet("a (co)contraction tree feeds its own root")
                 (xn, xs, xty) = ep.end(1 - ip)  # xty reads x -> principal
-                (yn, ys, _) = ea.end(1 - ia)
-                # the new edge y -> x carries what flowed out of the principal
+                (yn, ys, yty) = ea.end(1 - ia)
+                # the new edge y -> x carries what flowed out of the
+                # principal, which a unary node types as what flows into
+                # its aux
+                if yty is not (ty := dual(xty)):
+                    c = nodes[n].cell
+                    raise DerivationMismatch(
+                        f"{c.sym} cell {c.id}, left unary, takes {fmt_formula(yty)} "
+                        f"into its aux and gives {fmt_formula(ty)} out of its principal"
+                    )
                 edges.remove(ep)
                 edges.remove(ea)
-                edges.append(spliced := _FlatEdge(yn, ys, xn, xs, dual(xty)))
+                edges.append(spliced := _FlatEdge(yn, ys, xn, xs, ty))
                 del nodes[n]
                 return [spliced]
         return None
@@ -1405,35 +1412,6 @@ def _labelled(nodes, flat):
     return edges, cert, pos
 
 
-def invariant(net: Net):
-    """An isomorphism invariant of `net`, read off its flattening without
-    labelling it; see `_flat_invariant`."""
-    return _flat_invariant(*_flatten(net))
-
-
-def _flat_invariant(nodes, flat):
-    """The multiset of node keys and the multiset of unordered pairs of edge
-    ends {(slot, far slot, formula), (far slot, slot, dual formula)} of the
-    net flattened to (nodes, flat).  The certificate lists every node key,
-    and every edge as the slot texts of its ends and the text of the
-    formula read from one of them, so this is a function of the
-    certificate: nets with different invariants have different
-    certificates."""
-    pairs = Counter(frozenset(((e.s0, e.s1, e.ty), (e.s1, e.s0, dual(e.ty)))) for e in flat)
-    keys = Counter(node.key for node in nodes.values())
-    return frozenset(keys.items()), frozenset(pairs.items())
-
-
-def certificate_among(net: Net, invariants):
-    """`certificate(net)` when its invariant is in `invariants`, else None and
-    `net` is not labelled: then no certificate whose invariant is there is
-    the certificate of `net`.  `net` is flattened once for both."""
-    nodes, flat = _flatten(net)
-    if _flat_invariant(nodes, flat) not in invariants:
-        return None
-    return _labelled(nodes, flat)[1]
-
-
 # ---------------------------------------------------------------------------
 # Sums of nets
 
@@ -1456,14 +1434,6 @@ class NetSum:
         else:
             canon, cert = canonicalize_with_cert(net, known)
             self._by_cert.setdefault(cert, canon)
-
-    @classmethod
-    def of(cls, certs, known: dict) -> "NetSum":
-        """The sum of the canonical nets that `known` holds for `certs`, in
-        their order; nothing is canonicalized."""
-        s = cls()
-        s._by_cert = {cert: known[cert] for cert in certs}
-        return s
 
     def union(self, other: "NetSum") -> "NetSum":
         """Both sums; on a shared certificate this sum's summand is kept,

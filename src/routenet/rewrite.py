@@ -30,8 +30,6 @@ from .proofnet import (
     NetSum,
     Wire,
     certificate,
-    certificate_among,
-    invariant,
 )
 
 ANYDEPTH_EER = "anydepth_eer"
@@ -522,27 +520,20 @@ def reduction_graph(x, policy: str = ALL, max_nodes: int = 2000):
     A reduct's canonical net is rebuilt only the first time its certificate
     appears in the call; after that, every sum holds the one net kept for it.
 
-    Once the graph holds `max_nodes` nodes, a successor is a node only if
-    every reduct in it equals a summand some node holds, and nothing new is
-    kept.  So a later reduct is compared with those summands and never
-    rebuilt: one whose invariant no held summand has is not labelled at all,
-    and the others are labelled and looked up by certificate.  A reduct
-    that matches no held summand sets `truncated` and adds no edge, for
-    every node that holds its summand.
+    The search stops at the first successor that would be node
+    `max_nodes` + 1 and returns `truncated` True: the graph then holds the
+    first `max_nodes` nodes in breadth-first order and the edges found
+    before the stop, among them.
     """
     start = x if isinstance(x, NetSum) else NetSum([x] if isinstance(x, Net) else x)
-    # certificate -> its canonical net; every one is held by a node, since
-    # each reduct canonicalized before the graph is full joins a node
-    known = dict(start.items())
+    known = dict(start.items())  # certificate -> its canonical net
     index = {start.certs(): 0}
     nodes = [start]
     edges = set()
     queue = deque([0])
-    truncated = False
-    # summand certificate -> per redex, in order: the raw reduct nets, their
-    # NetSum once used, or None once no node can hold them
+    # summand certificate -> per redex, in order: the raw reduct nets, or
+    # their NetSum once used
     reducts: dict = {}
-    held = None  # the invariants of the known summands, once the graph is full
     while queue:
         i = queue.popleft()
         s = nodes[i]
@@ -552,36 +543,14 @@ def reduction_graph(x, policy: str = ALL, max_nodes: int = 2000):
             made = reducts[cert]
             for k, red in enumerate(made):
                 if isinstance(red, list):
-                    if len(nodes) < max_nodes:
-                        red = NetSum(red, known)
-                    else:
-                        if held is None:
-                            held = {invariant(n) for n in known.values()}
-                        red = _held_sum(red, known, held)
-                    made[k] = red
-                if red is None:
-                    truncated = True
-                    continue
+                    red = made[k] = NetSum(red, known)
                 nxt = s.without(cert).union(red)
                 key = nxt.certs()
                 if key not in index:
                     if len(nodes) >= max_nodes:
-                        truncated = True
-                        continue
+                        return nodes, edges, True
                     index[key] = len(nodes)
                     nodes.append(nxt)
                     queue.append(index[key])
                 edges.add((i, index[key]))
-    return nodes, edges, truncated
-
-
-def _held_sum(nets: list[Net], known: dict, held: set) -> NetSum | None:
-    """The sum of `nets` from the canonical nets of `known`, or None when one
-    of them has no certificate there; `held` are the invariants of `known`."""
-    certs = []
-    for n in nets:
-        cert = certificate_among(n, held)
-        if cert not in known:  # None too
-            return None
-        certs.append(cert)
-    return NetSum.of(certs, known)
+    return nodes, edges, False

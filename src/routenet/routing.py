@@ -13,7 +13,8 @@ The operations on areas are made of three steps, each written once:
   all pairs in one pass, leaving the cuts it makes unreduced.  A cycle
   closed by feedback runs from a fed input to a fed output, so every fed
   input and fed output must have no path between them: the crossings of
-  an area are its path counts, and any other net is checked acyclic and
+  an area are its path counts, and any other net has the direction of
+  !A checked on each wire (`_check_flow`), then is checked acyclic and
   counted by `count_paths_all`;
 * reduction (`_normal_area`) reaches the one normal net: it first fires
   each cut of a cocontraction tree against a contraction tree as one
@@ -442,13 +443,15 @@ def feedback(a: Net, pairs: list[tuple[str, str]]) -> Net:
     # a cycle closed by feedback runs from a fed input to a fed output,
     # whether or not the two are fed into each other, so no such pair may
     # have a path.  An area's crossings are its path counts; any other net
-    # is checked acyclic and its paths counted, which is the rest of
-    # is_routing_net.  Outputs outer and inputs inner, as path counting
-    # lists them, so that max names the same pair
+    # has its flow checked, since paths ignore formulas, then is checked
+    # acyclic and its paths counted, which is the rest of is_routing_net.
+    # Outputs outer and inputs inner, as path counting lists them, so that
+    # max names the same pair
     sources, targets = [pi for pi, _ in links], [po for _, po in links]
     try:
         crossings = _crossings(a, ins, outs)
     except (NotAreaShaped, UnwiredPort):
+        _check_flow(a)
         try:
             paths = count_paths_all(a, sources, targets)
         except CyclicNet:
@@ -467,6 +470,27 @@ def feedback(a: Net, pairs: list[tuple[str, str]]) -> Net:
         # flow leaves the net at o and re-enters at i
         b.join(po, pi)
     return n
+
+
+def _check_flow(n: Net):
+    """NotAreaShaped unless !A runs along every wire of the structural net
+    `n` from an input, a contraction's aux port, or a cocontraction's or
+    coweakening's principal into an output, a contraction's or weakening's
+    principal, or a cocontraction's aux port: the direction that `_forest`
+    checks on the wires of an area, and that path counting, which reads no
+    formula, cannot see.  A wire end that no free or cell port owns is
+    UnwiredPort."""
+    owner, free = n.owner(), {p for p, _ in n.free}
+    for w in n.wires:
+        src, dst = (w.a, w.b) if w.ty.kind == "bang" else (w.b, w.a)
+        for p, into in ((src, False), (dst, True)):
+            if p in free:
+                continue
+            cell, slot = owner.get(p, _NOBODY)
+            if cell is None:
+                raise UnwiredPort(f"wire end {p} is no free or cell port")
+            if (_KIND[cell.sym] == "Contraction") != ((slot == "p") == into):
+                raise NotAreaShaped("!A flows against a wire")
 
 
 def trace_net(a: Net, i: str, o: str) -> Net:

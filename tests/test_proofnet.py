@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from routenet import proofnet
-from routenet.errors import CyclicNet, ParseError, RoutenetError, UnwiredPort
+from routenet.errors import CyclicNet, DerivationMismatch, ParseError, RoutenetError, UnwiredPort
 from routenet.gen import (
     PROGRAM_SUITE,
     gen_cut_net,
@@ -578,7 +578,7 @@ def test_reduce_prints_a_box_with_early_door_labels_it_accepts(tmp_path, capsys)
 
 
 # ---------------------------------------------------------------------------
-# certificates without rebuilding, and the invariant read before labelling
+# certificates without rebuilding
 
 
 def _fresh(n: Net) -> Net:
@@ -630,48 +630,25 @@ def _reordered(n: Net, rng: random.Random) -> Net:
     return Net(cells, wires, free)
 
 
-@pytest.fixture(scope="module")
-def capped_graphs():
-    """The capped inputs of the benchmark's `graph` workload: per program,
-    the summands its nodes hold, by certificate, and their raw reducts."""
-    out = {}
-    for name in ("latent-get", "stored-fn", "two-readers"):
-        net = compile_program(*reversed(suite_program(name)))
-        nodes, _, truncated = reduction_graph(net, max_nodes=40)
-        assert truncated
-        summands = {cert: m for s in nodes for cert, m in s.items()}
-        raw = [r for m in summands.values() for x in find_redexes(m, ALL) for r in apply_redex(m, x)]
-        out[name] = (summands, raw)
-    return out
-
-
-def test_invariant_is_a_function_of_the_certificate(capped_graphs):
-    """Nets with one certificate have one invariant: on every raw reduct of
-    the capped graph programs, on their canonical nets, on seeded typed
-    nets, and on reordered copies of each."""
-    rng = random.Random(11)
-    nets = [r for _, raw in capped_graphs.values() for r in raw]
-    nets += [canonicalize(r) for r in nets]
-    nets += [gen_typed_net(random.Random(seed)) for seed in range(200)]
-    nets += [_reordered(n, rng) for n in nets]
-    by_cert: dict = {}
-    for n in nets:
-        by_cert.setdefault(certificate(n), set()).add(proofnet.invariant(n))
-    assert all(len(invariants) == 1 for invariants in by_cert.values())
-    assert len(nets) > 4000 and len(by_cert) > 400
-
-
-def test_a_refuted_reduct_is_no_held_summand(capped_graphs):
-    """A raw reduct whose invariant no node's summand has is not one of
-    them; and most reducts that are not held are refuted so."""
-    for name, (held, raw) in capped_graphs.items():
-        invariants = {proofnet.invariant(m) for m in held.values()}
-        refuted = [r for r in raw if proofnet.invariant(r) not in invariants]
-        assert all(certificate(r) not in held for r in refuted)
-        assert all(proofnet.certificate_among(r, invariants) is None for r in refuted)
-        others = [r for r in raw if certificate(r) not in held]
-        assert len(refuted) > 0.8 * len(others), name
-
+def test_a_unary_node_joins_only_dual_formulas():
+    """A unary (co)contraction splices into one edge only when it types:
+    what flows out of its principal is what flows into its aux.  In this
+    wire-swap mutant of a typed net, a Contraction and an ill-typed
+    Cocontraction, each left unary by a neutral leaf, lie between a Box and
+    a Weakening; splicing them in cell order without the check gave the net
+    a certificate that depended on the order of its cells, wires and ports."""
+    n = gen_typed_net(random.Random(413))
+    wires = list(n.wires)
+    # two wires trade far ends: a contraction's aux now meets a
+    # cocontraction's aux, and the coweakening that did meets a weakening
+    (a, b), (c, d) = (wires[0].a, wires[0].b), (wires[3].a, wires[3].b)
+    wires[0], wires[3] = Wire(a, d, wires[0].ty), Wire(c, b, wires[3].ty)
+    mutant = Net(n.cells, wires, n.free)
+    assert any("Cocontraction" in p for p in validate(mutant))
+    rng = random.Random(0)
+    for _ in range(40):
+        with pytest.raises(DerivationMismatch):
+            certificate(_reordered(mutant, rng))
 
 
 # ---------------------------------------------------------------------------

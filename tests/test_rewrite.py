@@ -2,7 +2,7 @@
 expected result constructed independently and compared canonically."""
 import itertools
 import random
-from collections import Counter
+from collections import Counter, deque
 
 import pytest
 
@@ -403,10 +403,11 @@ def test_reduction_graph_nd_diamond():
 def _all_canonicalizing_graph(x, policy=ALL, max_nodes=2000):
     """reduction_graph without sharing: every successor sum reduces its
     summand again and canonicalizes all of its summands from a fresh parse,
-    so no canonical form remembered on a box is read."""
+    so no canonical form remembered on a box is read.  It stops at the
+    first successor that would be node `max_nodes` + 1."""
     start = NetSum([x])
     index = {start.certs(): 0}
-    nodes, edges, queue, truncated = [start], set(), [0], False
+    nodes, edges, queue = [start], set(), [0]
     while queue:
         i = queue.pop(0)
         s = nodes[i]
@@ -417,13 +418,12 @@ def _all_canonicalizing_graph(x, policy=ALL, max_nodes=2000):
                 key = nxt.certs()
                 if key not in index:
                     if len(nodes) >= max_nodes:
-                        truncated = True
-                        continue
+                        return nodes, edges, True
                     index[key] = len(nodes)
                     nodes.append(nxt)
                     queue.append(index[key])
                 edges.add((i, index[key]))
-    return nodes, edges, truncated
+    return nodes, edges, False
 
 
 def _assert_same_graph(net, cap):
@@ -446,127 +446,52 @@ def test_reduction_graph_matches_the_all_canonicalizing_construction(name, cap):
     _assert_same_graph(compile_program(*reversed(suite_program(name))), cap)
 
 
-def _split_summands(monkeypatch) -> tuple[set, set]:
-    """Record, by the id of the summand they reduce, the raw reducts that
-    `reduction_graph` canonicalizes before its graph is full and those it
-    compares with the held summands after; a summand in both is one whose
-    reducts the cap falls among."""
-    origin, before, after = {}, set(), set()
-    real_apply, real_held = rewrite.apply_redex, rewrite._held_sum
-
-    def apply(net, redex, **kw):
-        out = real_apply(net, redex, **kw)
-        origin[id(out)] = (out, id(net))  # keeps `out`, so its id stays its own
-        return out
-
-    class Sum(NetSum):
-        def __init__(self, nets=(), known=None):
-            if id(nets) in origin:
-                before.add(origin[id(nets)][1])
-            super().__init__(nets, known)
-
-    def held_sum(nets, known, held):
-        after.add(origin[id(nets)][1])
-        return real_held(nets, known, held)
-
-    monkeypatch.setattr(rewrite, "apply_redex", apply)
-    monkeypatch.setattr(rewrite, "NetSum", Sum)
-    monkeypatch.setattr(rewrite, "_held_sum", held_sum)
-    return before, after
-
-
-def test_reduction_graph_matches_the_all_canonicalizing_construction_on_typed_nets(monkeypatch):
+def test_reduction_graph_matches_the_all_canonicalizing_construction_on_typed_nets():
     """150 seeded typed nets at caps 2, 3 and 5: many graphs fill up in the
-    middle of a summand's reducts, before the rest are compared with the
-    held summands."""
-    before, after = _split_summands(monkeypatch)
-    truncated = split = 0
+    middle of a summand's reducts."""
+    truncated = 0
     for seed in range(150):
         net = gen_typed_net(random.Random(seed))
         for cap in (2, 3, 5):
-            before.clear(), after.clear()
             truncated += _assert_same_graph(net, cap)
-            split += bool(before & after)
-    assert truncated > 150 and split > 50
-
-
-def _labelled_after_the_cap(monkeypatch):
-    """Patch the labelling so it counts, before and after `reduction_graph`
-    first reads the invariants of the held summands, the labellings of
-    whole nets (box contents left out); returns (counts, the nets handed to
-    `certificate_among`)."""
-    counts, screened, depth = Counter(), [], [0]
-    real_label, real_contents_cert = proofnet._canonical_labelling, proofnet._contents_cert
-    real_invariant, real_among = rewrite.invariant, rewrite.certificate_among
-
-    def label(nodes, edges):
-        if not depth[0]:
-            counts["after" if counts["full"] else "before"] += 1
-        return real_label(nodes, edges)
-
-    def contents_cert(inner):
-        depth[0] += 1
-        try:
-            return real_contents_cert(inner)
-        finally:
-            depth[0] -= 1
-
-    def invariant(cert):
-        counts["full"] = 1
-        return real_invariant(cert)
-
-    def among(net, invariants):
-        screened.append((net, invariants))
-        return real_among(net, invariants)
-
-    monkeypatch.setattr(proofnet, "_canonical_labelling", label)
-    monkeypatch.setattr(proofnet, "_contents_cert", contents_cert)
-    monkeypatch.setattr(rewrite, "invariant", invariant)
-    monkeypatch.setattr(rewrite, "certificate_among", among)
-    return counts, screened
-
-
-def test_a_full_reduction_graph_labels_only_the_reducts_it_cannot_refute(monkeypatch):
-    """On stored-fn at cap 40, whole nets are labelled before the cap, once
-    per summand canonicalized, and after it only for the reducts whose
-    invariant a held summand has: a small share of them."""
-    added = []
-    real_add = NetSum.add
-    monkeypatch.setattr(NetSum, "add", lambda s, net, known=None: added.append(net) or real_add(s, net, known))
-    counts, screened = _labelled_after_the_cap(monkeypatch)
-    net = compile_program(*reversed(suite_program("stored-fn")))
-    _, _, truncated = reduction_graph(net, max_nodes=40)
-    assert truncated and counts["full"]
-    monkeypatch.undo()
-    kept = [n for n, invariants in screened if _flat_invariant(n) in invariants]
-    assert counts["before"] <= len(added)
-    assert counts["after"] <= len(kept) < len(screened) / 4
-
-
-def _flat_invariant(n: Net):
-    return proofnet._flat_invariant(*proofnet._flatten(n))
+    assert truncated > 150
 
 
 @pytest.mark.parametrize("name", ["latent-get", "stored-fn", "two-readers"])
 def test_a_full_reduction_graph_rebuilds_nothing(monkeypatch, name):
-    """No net, and no box's contents, is rebuilt once the graph is full."""
+    """Once the graph holds its 40 nodes, no net and no box's contents is
+    rebuilt but in the reduct of the successor that stops the search, and
+    there at most one per summand."""
     counts = Counter()
-    real_rebuild, real_invariant = proofnet._rebuild, rewrite.invariant
+    made = []  # per reduct sum made once the graph is full: (rebuilds, summands)
+    real_rebuild = proofnet._rebuild
 
     def rebuild(nodes, edges, pos):
-        counts["after" if counts["full"] else "before"] += 1
+        counts["rebuilt"] += 1
         return real_rebuild(nodes, edges, pos)
 
-    def invariant(cert):
-        counts["full"] = 1
-        return real_invariant(cert)
+    class Queue(deque):
+        def append(self, i):
+            if i == 39:  # the 40th node
+                counts["full"] = counts["rebuilt"]
+            super().append(i)
+
+    class Sum(NetSum):
+        def __init__(self, nets=(), known=None):
+            before = counts["rebuilt"]
+            super().__init__(nets, known)
+            if "full" in counts:
+                made.append((counts["rebuilt"] - before, len(nets)))
 
     monkeypatch.setattr(proofnet, "_rebuild", rebuild)
-    monkeypatch.setattr(rewrite, "invariant", invariant)
+    monkeypatch.setattr(rewrite, "deque", Queue)
+    monkeypatch.setattr(rewrite, "NetSum", Sum)
     net = compile_program(*reversed(suite_program(name)))
     _, _, truncated = reduction_graph(net, max_nodes=40)
-    assert truncated and counts["full"] and counts["before"] > 40
-    assert counts["after"] == 0
+    assert truncated and counts["full"] > 40
+    *early, (last, summands) = made or [(0, 0)]
+    assert not any(rebuilt for rebuilt, _ in early) and last <= summands
+    assert counts["rebuilt"] == counts["full"] + last
 
 
 def test_reduction_graph_reduces_each_distinct_summand_once(monkeypatch):

@@ -591,8 +591,8 @@ def _mutants(a: Net, rng: random.Random) -> dict:
 
 def test_area_operations_on_mutated_areas():
     """1,500 `gen_relation` areas at each of seeds 1 and 7, each mutated
-    three ways: read_area and semantics accept no mutant that `validate`
-    refuses, and every area operation returns or raises a RoutenetError."""
+    three ways: no area operation accepts a mutant that `validate`
+    refuses, and every one returns or raises a RoutenetError."""
     other = build_area(RoutingArea(from_rows(["x"], ["z"], [[1]])))
     refused, read = Counter(), Counter()
     for seed in (1, 7):
@@ -611,16 +611,33 @@ def test_area_operations_on_mutated_areas():
             for name, m in _mutants(a, rng).items():
                 valid = validate(m) == []
                 refused[name] += not valid
-                for op in ops:
+                for k, op in enumerate(ops):
                     try:
                         op(m)
                     except RoutenetError:
                         continue
-                    if op in (read_area, semantics):
-                        assert valid, (seed, name, op.__name__)
-                        read[name] += 1
+                    assert valid, (seed, name, k)
+                    read[name] += op in (read_area, semantics)
     assert refused["stray"] == 3000 and refused["flip"] > 2500, refused
     assert read["swap"] > 1000, read
+
+
+def test_feedback_refuses_a_wire_against_the_flow():
+    """A net that is no area is checked for cycles by path counting, which
+    reads no formula; the direction of !A is checked on its own.  Here one
+    wire of a contraction tree is turned round with `dual`, so !A runs from
+    a principal into an aux.  Tracing the zero column o3 into i1 cuts that
+    tree against an empty one, and the step that erases both would erase
+    the wire too and return an area."""
+    a = build_area(RoutingArea(from_rows(["i1"], ["o1", "o2", "o3"], [[2, 1, 0]])))
+    tree = {p for c in a.cells if c.sym == "Contraction" for p in c.ports()}
+    w = next(w for w in a.wires if w.a in tree and w.b in tree)
+    flipped = Net(a.cells, [Wire(v.a, v.b, dual(v.ty)) if v is w else v for v in a.wires], a.free)
+    assert validate(flipped)
+    with pytest.raises(NotAreaShaped, match="against a wire"):
+        feedback(flipped, [("i1", "o3")])
+    with pytest.raises(NotAreaShaped):
+        trace_net(flipped, "i1", "o3")
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import NamedTuple
 from weakref import KeyedRef
 
@@ -308,9 +309,11 @@ class Net:
     met.  Every Builder edit and every assignment of `cells` or `wires`
     clears the entry, `copy()` starts without one, and an entry whose free
     list differs from `free` is not used.  An edit of a box's contents in
-    place would leave stale the entries of the nets above it, which is one
-    more reason box contents are edited only on a copy (`_open` and rule
-    `c` in rewrite.py).
+    place would leave stale the entries of the nets above it, and the
+    summands of every `NetSum` holding such a net, which are rebuilt from
+    the box's contents when first read; that is one more reason box
+    contents are edited only on a copy (`_open` and rule `c` in
+    rewrite.py).
 
     The indexes, the candidates and the canonical form are filled in by
     reads, so nets that share box contents are not to be read or rewritten
@@ -831,9 +834,10 @@ def _validate(net: Net, out: list[str], where: str):
 # canonical certificate decides equality and comes first: flattening and
 # labelling make it, and make every check of the net's wiring.  A concrete
 # representative (left combs, numbered by `_rebuild`) is rebuilt from the
-# labelling only when the certificate is new to the caller's table of
-# certificate -> canonical net; otherwise the table's net is returned.  Nets
-# with one certificate rebuild to the same bytes, so the two agree.
+# labelling when something reads it: `canonicalize` at once, a `NetSum`
+# summand the first time it is read, once per entry of the sum's table,
+# which sums may share.  Nets with one certificate rebuild to the same
+# bytes, so which net of a certificate is rebuilt changes no output.
 # `certificate` labels and never rebuilds, box contents included: a box's
 # contents are rebuilt only when a net holding the box is.
 
@@ -886,11 +890,15 @@ class _SlotTexts(dict):
 _SLOT_TEXT = _SlotTexts()
 
 
+# makes an _End without the NamedTuple constructor's argument handling
+_new_tuple = tuple.__new__
+
+
 def _ends(e: _FlatEdge) -> tuple[_End, _End]:
     back = dual(e.ty)
     return (
-        _End(e.n0, e.s0, _SLOT_TEXT[e.s0], e.ty, fmt_formula(e.ty)),
-        _End(e.n1, e.s1, _SLOT_TEXT[e.s1], back, fmt_formula(back)),
+        _new_tuple(_End, (e.n0, e.s0, _SLOT_TEXT[e.s0], e.ty, fmt_formula(e.ty))),
+        _new_tuple(_End, (e.n1, e.s1, _SLOT_TEXT[e.s1], back, fmt_formula(back))),
     )
 
 
@@ -1292,21 +1300,29 @@ class _Branch:
         return None
 
 
+_FIRST = itemgetter(0)
+
+
 def _oriented(edges, pos):
-    """Each edge read from its lesser end by (position, slot text), as
-    (certificate entry, near end, far end), in certificate order."""
+    """Each edge read from its lesser end by (position, slot text, formula
+    text), as (certificate entry, near end, far end), in certificate order.
+    The formula text decides only between two ends with one node and one
+    slot text, a wire between two unordered aux slots of one n-ary node:
+    a formula and its dual never share a text, so the entry does not
+    depend on the way the wire was read, just as `_rebuild` reads each wire
+    in the direction whose text is least."""
     out = []
     for e0, e1 in edges:
         i, j = pos[e0.node], pos[e1.node]
-        if (i, e0.slot_text) > (j, e1.slot_text):
+        if i > j or i == j and (e0.slot_text, e0.ty_text) > (e1.slot_text, e1.ty_text):
             e0, e1, i, j = e1, e0, j, i
         out.append(((i, j, e0.slot_text, e1.slot_text, e0.ty_text), e0, e1))
-    out.sort(key=lambda t: t[0])
+    out.sort(key=_FIRST)
     return out
 
 
 def _certificate(nodes, edges, order):
-    ranked = sorted(nodes, key=lambda n: order[n])
+    ranked = sorted(nodes, key=order.__getitem__)
     pos = {n: i for i, n in enumerate(ranked)}
     node_part = tuple(nodes[n].key for n in ranked)
     return (node_part, tuple(entry for entry, _, _ in _oriented(edges, pos))), pos
@@ -1376,22 +1392,11 @@ def _rebuild(nodes, edges, pos) -> Net:
     return Net(cells, wires, [(p, lbl) for _, lbl, p in sorted(free)])
 
 
-def canonicalize_with_cert(net: Net, known: dict | None = None):
-    """(canonical net, certificate) of `net`.
-
-    The certificate comes first.  `known` maps certificates to canonical
-    nets: on a hit its net is returned and nothing is rebuilt; on a miss the
-    rebuilt net is stored there.  Without `known` every call rebuilds.  The
-    checks of the net's wiring come before the lookup, so a hit skips none.
-    """
+def canonicalize_with_cert(net: Net):
+    """(canonical net, certificate) of `net`; the certificate comes first."""
     nodes, flat = _flatten(net)
     edges, cert, pos = _labelled(nodes, flat)
-    if known is None:
-        return _rebuild(nodes, edges, pos), cert
-    canon = known.get(cert)
-    if canon is None:
-        canon = known[cert] = _rebuild(nodes, edges, pos)
-    return canon, cert
+    return _rebuild(nodes, edges, pos), cert
 
 
 def canonicalize(net: Net) -> Net:
@@ -1416,8 +1421,39 @@ def _labelled(nodes, flat):
 # Sums of nets
 
 
+class _Summand:
+    """A sum's entry for one certificate: the labelled form (nodes, edges,
+    positions) that `NetSum.add` made the certificate from, until the
+    canonical net is first read; then that net, rebuilt once and kept."""
+
+    __slots__ = ("_net", "_labelled")
+
+    def __init__(self, labelled):
+        self._net, self._labelled = None, labelled
+
+    def net(self) -> Net:
+        net = self._net
+        if net is None:
+            net = self._net = _rebuild(*self._labelled)
+            self._labelled = None
+        return net
+
+
 class NetSum:
-    """An idempotent formal sum of nets; the empty sum is the zero net."""
+    """An idempotent formal sum of nets; the empty sum is the zero net.
+
+    A sum keeps one entry per certificate.  A summand's canonical net is
+    rebuilt the first time something reads it: `summand`, `items`,
+    `summands`, iteration, and through them `serialize`.  Until then its
+    entry holds the labelled form that `add` made the certificate from,
+    and afterwards the rebuilt net, so sums that share an entry (through
+    `union`, `without` or a `known` table) hold one net for it.  Counting,
+    comparing and the certificates read no net.
+
+    The labelled form refers to the box contents of the added net, which a
+    rebuild reads, so a summand's box contents are not edited in place
+    after `add`; the compiler and the rules edit box contents only on a
+    copy (see `Net`)."""
 
     def __init__(self, nets=(), known: dict | None = None):
         self._by_cert: dict = {}
@@ -1426,38 +1462,54 @@ class NetSum:
 
     def add(self, net: Net, known: dict | None = None):
         """Add `net` unless a summand has its certificate.  `known`, a table
-        certificate -> canonical net shared with other sums, supplies the
-        summand when it holds the certificate and learns it when not; by
-        default the sum's own summands are the table."""
-        if known is None:
-            canonicalize_with_cert(net, self._by_cert)
-        else:
-            canon, cert = canonicalize_with_cert(net, known)
-            self._by_cert.setdefault(cert, canon)
+        of entries shared with other sums (empty, or made by `table`),
+        supplies the entry when it holds the certificate and learns it when
+        not; by default the sum's own entries are the table.  The checks of
+        the net's wiring come before the lookup, so a hit skips none."""
+        nodes, flat = _flatten(net)
+        edges, cert, pos = _labelled(nodes, flat)
+        table = self._by_cert if known is None else known
+        entry = table.get(cert)
+        if entry is None:
+            entry = table[cert] = _Summand((nodes, edges, pos))
+        if known is not None:
+            self._by_cert.setdefault(cert, entry)
+
+    def table(self) -> dict:
+        """A new table holding this sum's entries, for `add`'s `known`."""
+        return dict(self._by_cert)
 
     def union(self, other: "NetSum") -> "NetSum":
         """Both sums; on a shared certificate this sum's summand is kept,
         as `add` keeps the summand already there."""
         s = NetSum()
         s._by_cert = dict(self._by_cert)
-        for cert, net in other._by_cert.items():
-            s._by_cert.setdefault(cert, net)
+        for cert, entry in other._by_cert.items():
+            s._by_cert.setdefault(cert, entry)
         return s
 
     def without(self, cert) -> "NetSum":
         """The sum less the summand with certificate `cert`; the summands
         kept are not canonicalized again."""
         s = NetSum()
-        s._by_cert = {c: n for c, n in self._by_cert.items() if c != cert}
+        s._by_cert = {c: e for c, e in self._by_cert.items() if c != cert}
         return s
 
-    def items(self):
+    def summand(self, cert) -> Net:
+        """The canonical summand with certificate `cert`."""
+        return self._by_cert[cert].net()
+
+    def cert_list(self) -> list:
+        """The certificates of the summands, in the order they were added."""
+        return list(self._by_cert)
+
+    def items(self) -> list:
         """(certificate, canonical summand) pairs."""
-        return self._by_cert.items()
+        return [(cert, entry.net()) for cert, entry in self._by_cert.items()]
 
     @property
     def summands(self) -> list[Net]:
-        return list(self._by_cert.values())
+        return [entry.net() for entry in self._by_cert.values()]
 
     def certs(self):
         return frozenset(self._by_cert)
@@ -1469,7 +1521,7 @@ class NetSum:
         return len(self._by_cert)
 
     def __iter__(self):
-        return iter(self._by_cert.values())
+        return (entry.net() for entry in self._by_cert.values())
 
     def __eq__(self, other):
         if not isinstance(other, NetSum):

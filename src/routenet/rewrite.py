@@ -515,10 +515,12 @@ def reduction_graph(x, policy: str = ALL, max_nodes: int = 2000):
     pairs.  A successor keeps the other summands of its node as they are,
     with the reducts joined after them (a node's summand wins over an equal
     reduct).  Each distinct summand is reduced once per call, and each of
-    its reducts is canonicalized the first time it is used: summands with
-    one certificate are the same canonical net, so their reducts are too.
-    A reduct's canonical net is rebuilt only the first time its certificate
-    appears in the call; after that, every sum holds the one net kept for it.
+    its reducts is labelled the first time it is used: summands with one
+    certificate are the same canonical net, so their reducts are too.  The
+    sums of a call share one entry per certificate (see `NetSum`), and a
+    summand's canonical net is rebuilt when it is first read: by the search
+    for the summands it reduces, by the caller for the others.  Every node
+    then holds the one net kept for each certificate.
 
     The search stops at the first successor that would be node
     `max_nodes` + 1 and returns `truncated` True: the graph then holds the
@@ -526,7 +528,7 @@ def reduction_graph(x, policy: str = ALL, max_nodes: int = 2000):
     before the stop, among them.
     """
     start = x if isinstance(x, NetSum) else NetSum([x] if isinstance(x, Net) else x)
-    known = dict(start.items())  # certificate -> its canonical net
+    known = start.table()  # the entries of every certificate met so far
     index = {start.certs(): 0}
     nodes = [start]
     edges = set()
@@ -537,8 +539,9 @@ def reduction_graph(x, policy: str = ALL, max_nodes: int = 2000):
     while queue:
         i = queue.popleft()
         s = nodes[i]
-        for cert, summand in list(s.items()):
+        for cert in s.cert_list():
             if cert not in reducts:
+                summand = s.summand(cert)
                 reducts[cert] = [apply_redex(summand, r) for r in find_redexes(summand, policy)]
             made = reducts[cert]
             for k, red in enumerate(made):

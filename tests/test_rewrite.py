@@ -457,41 +457,66 @@ def test_reduction_graph_matches_the_all_canonicalizing_construction_on_typed_ne
     assert truncated > 150
 
 
-@pytest.mark.parametrize("name", ["latent-get", "stored-fn", "two-readers"])
-def test_a_full_reduction_graph_rebuilds_nothing(monkeypatch, name):
-    """Once the graph holds its 40 nodes, no net and no box's contents is
-    rebuilt but in the reduct of the successor that stops the search, and
-    there at most one per summand."""
-    counts = Counter()
-    made = []  # per reduct sum made once the graph is full: (rebuilds, summands)
-    real_rebuild = proofnet._rebuild
+def _watch_graph(monkeypatch) -> list:
+    """A list that records, in order, ("rebuilt", certificate) for each net
+    rebuilt but box contents, which are rebuilt inside the rebuild of a net
+    that holds the box, and ("reduced", certificate) for each summand the
+    graph search reduces."""
+    events, in_contents = [], []
+    real_rebuild, real_contents = proofnet._rebuild, proofnet._contents
+
+    def contents(inner):
+        in_contents.append(inner)
+        try:
+            return real_contents(inner)
+        finally:
+            in_contents.pop()
 
     def rebuild(nodes, edges, pos):
-        counts["rebuilt"] += 1
+        if not in_contents:
+            events.append(("rebuilt", proofnet._certificate(nodes, edges, pos)[0]))
         return real_rebuild(nodes, edges, pos)
+
+    def searched(net, policy):
+        events.append(("reduced", proofnet.certificate(net)))
+        return find_redexes(net, policy)
+
+    monkeypatch.setattr(proofnet, "_contents", contents)
+    monkeypatch.setattr(proofnet, "_rebuild", rebuild)
+    monkeypatch.setattr(rewrite, "find_redexes", searched)
+    return events
+
+
+def _each_rebuilt_then_reduced(events) -> bool:
+    return events[::2] == [("rebuilt", c) for _, c in events[1::2]] and all(
+        what == "reduced" for what, _ in events[1::2]
+    )
+
+
+@pytest.mark.parametrize("name", ["latent-get", "stored-fn", "two-readers"])
+def test_a_full_reduction_graph_rebuilds_nothing(monkeypatch, name):
+    """A capped search rebuilds only the summands it reduces: the summands
+    of the nodes it never reached and the reduct of the successor that
+    stops it are labelled, and nothing reads them.  Once the graph holds
+    its 40 nodes, nothing is rebuilt but a summand the search still
+    reduces, just before it does."""
+    events = _watch_graph(monkeypatch)
+    full = []
 
     class Queue(deque):
         def append(self, i):
             if i == 39:  # the 40th node
-                counts["full"] = counts["rebuilt"]
+                full.append(len(events))
             super().append(i)
 
-    class Sum(NetSum):
-        def __init__(self, nets=(), known=None):
-            before = counts["rebuilt"]
-            super().__init__(nets, known)
-            if "full" in counts:
-                made.append((counts["rebuilt"] - before, len(nets)))
-
-    monkeypatch.setattr(proofnet, "_rebuild", rebuild)
     monkeypatch.setattr(rewrite, "deque", Queue)
-    monkeypatch.setattr(rewrite, "NetSum", Sum)
     net = compile_program(*reversed(suite_program(name)))
-    _, _, truncated = reduction_graph(net, max_nodes=40)
-    assert truncated and counts["full"] > 40
-    *early, (last, summands) = made or [(0, 0)]
-    assert not any(rebuilt for rebuilt, _ in early) and last <= summands
-    assert counts["rebuilt"] == counts["full"] + last
+    nodes, _, truncated = reduction_graph(net, max_nodes=40)
+    assert truncated and full
+    held = {cert for s in nodes for cert in s.certs()}
+    rebuilt = {cert for what, cert in events if what == "rebuilt"}
+    assert rebuilt == {cert for what, cert in events if what == "reduced"} < held
+    assert _each_rebuilt_then_reduced(events[full[0]:])
 
 
 def test_reduction_graph_reduces_each_distinct_summand_once(monkeypatch):
@@ -513,43 +538,24 @@ def test_reduction_graph_reduces_each_distinct_summand_once(monkeypatch):
 
 @pytest.mark.parametrize("name, cap", [("race", 2000), ("stored-fn", 40)])
 def test_reduction_graph_rebuilds_each_certificate_once(monkeypatch, name, cap):
-    """Summands are rebuilt as canonical nets only for a certificate new to
-    the call.  Box contents are left out: they are rebuilt without a table,
-    once per contents net."""
-    summand_call, built = [], []
-    real_cert, real_rebuild = proofnet.canonicalize_with_cert, proofnet._rebuild
-    real_contents = proofnet._contents
-
-    def canonicalize_with_cert(net, known=None):
-        summand_call.append(known is not None)
-        try:
-            return real_cert(net, known)
-        finally:
-            summand_call.pop()
-
-    def contents(inner):
-        summand_call.append(False)
-        try:
-            return real_contents(inner)
-        finally:
-            summand_call.pop()
-
-    def rebuild(nodes, edges, pos):
-        if summand_call[-1]:
-            built.append(proofnet._certificate(nodes, edges, pos)[0])
-        return real_rebuild(nodes, edges, pos)
-
-    monkeypatch.setattr(proofnet, "canonicalize_with_cert", canonicalize_with_cert)
-    monkeypatch.setattr(proofnet, "_contents", contents)
-    monkeypatch.setattr(proofnet, "_rebuild", rebuild)
+    """During the call a summand's canonical net is rebuilt only just before
+    the search reduces it, so once per certificate; reading the nodes
+    afterwards rebuilds each other certificate once, and every node holds
+    the one net kept for each certificate."""
+    events = _watch_graph(monkeypatch)
     net = compile_program(*reversed(suite_program(name)))
     nodes, _, _ = reduction_graph(net, max_nodes=cap)
-    held = {cert for s in nodes for cert, _ in s.items()}
-    assert len(set(built)) == len(built)  # each certificate at most once
-    assert held <= set(built)
-    # every node holds the one net kept for each certificate
+    assert _each_rebuilt_then_reduced(events)
+    reduced = {cert for _, cert in events}
+    assert len(reduced) == len(events) // 2  # each summand reduced once
+    held = {cert for s in nodes for cert in s.certs()}
+    assert (reduced < held) == (cap < 2000)  # a capped search stops early
+    del events[:]
     one = {}
+    # every node holds the one net kept for each certificate
     assert all(one.setdefault(cert, m) is m for s in nodes for cert, m in s.items())
+    later = [cert for _, cert in events]
+    assert len(set(later)) == len(later) and set(later) == held - reduced
 
 
 def _chain(depth):
@@ -561,9 +567,8 @@ def _chain(depth):
 
 def test_budget_exhaustion_canonicalizes_nothing(monkeypatch):
     calls = []
-    monkeypatch.setattr(
-        proofnet, "canonicalize_with_cert", lambda n, known=None: calls.append(n)
-    )
+    for name in ("_labelled", "_rebuild"):
+        monkeypatch.setattr(proofnet, name, lambda *args, name=name: calls.append(name))
     net = _chain(40)  # one summand, normal only after 80 steps
     with pytest.raises(BudgetExhausted) as exc:
         normalize(net, budget=10)

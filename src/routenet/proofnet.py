@@ -484,6 +484,10 @@ class Net:
     def is_wired(self, port: int) -> bool:
         return port in self._indexed()._wire_key
 
+    def all_wired(self, ports: set[int]) -> bool:
+        """Whether every port in the set `ports` ends a wire."""
+        return self._indexed()._wire_key.keys() >= ports
+
     def wire_at(self, port: int) -> Wire:
         """The wire ending at `port`; KeyError if there is none."""
         return self._wires[self._indexed()._wire_key[port]]

@@ -3,13 +3,15 @@
 A redex is a wire whose two endpoints are principal ports of cells forming a
 reducible pair (or, for the box-commutation rule, the principal of a closed
 box against an auxiliary door of another box).  Reduction of a net yields a
-formal sum of nets: most rules produce one net, the codereliction/
-cocontraction-versus-dereliction rule produces two, and the coweakening-
-versus-dereliction rule produces the empty sum.
+formal sum of nets: most rules produce one net, the cocontraction-versus-
+dereliction rule `nd` produces one per aux port of the cocontraction (two
+on binary cells), and the coweakening-versus-dereliction rule produces the
+empty sum.
 
 The bialgebra rule `ba` and its (co)weakening cases `s1`, `s2` and `eps_ww`
-share one right-hand side for any arity, `bialgebra`, which `routing` also
-fires on whole (co)contraction trees.
+share one right-hand side for any arity, `bialgebra`.  The rules hang
+binary combs on the ends of the cut; `routing` fires the same right-hand
+side on whole (co)contraction trees and hangs one n-ary cell on each end.
 
 Exponential rules only fire on closed boxes (no auxiliary doors).
 """
@@ -20,7 +22,7 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from itertools import count
 
-from .errors import BudgetExhausted, StaleRedex
+from .errors import BudgetExhausted, StaleRedex, UnwiredPort
 from .proofnet import (
     _NOBODY,
     Builder,
@@ -293,25 +295,27 @@ def _resplice(b: Builder, dead: set[int], pairs: dict[int, int]):
 # Rule application
 
 
-def bialgebra(b: Builder, xs: list[int], ys: list[int], ty: Formula):
+def bialgebra(b: Builder, xs: list[int], ys: list[int], ty: Formula, nary: bool = False):
     """Build with `b` the bialgebra right-hand side at any arity, in place
     of a removed cut of a cocontraction side against a contraction side:
     `xs` are the dangling ends that entered the first, `ys` those that
     left the second, and `ty` is the !B the cut carried.  A contraction
     comb with len(ys) leaves hangs on each x and a cocontraction comb with
     len(xs) leaves on each y, and leaf j of comb i meets leaf i of comb j.
-    A comb with no leaves is a (co)weakening (`s1`, `s2`, `eps_ww`), one
-    with one leaf the end itself; a lone x and a lone y that end one wire
-    close a loop, which vanishes.  On binary cells, ports, cell ids and
-    wires come in the order of the binary `ba`: every x, then every y."""
+    A comb is a chain of binary cells, or with `nary` one cell with all
+    its leaves as aux ports (`_comb`).  A comb with no leaves is a
+    (co)weakening (`s1`, `s2`, `eps_ww`), one with one leaf the end
+    itself; a lone x and a lone y that end one wire close a loop, which
+    vanishes.  Ports, cell ids and wires come in the order of the binary
+    `ba`: every x, then every y."""
     if not xs or not ys:
         for x in xs:
             b.reend(x, b.cell("Weakening", 0).principal)
         for y in ys:
             b.reend(y, b.cell("Coweakening", 0).principal)
         return
-    rows = [_comb(b, "Contraction", x, len(ys), ty) for x in xs]
-    cols = [_comb(b, "Cocontraction", y, len(xs), ty) for y in ys]
+    rows = [_comb(b, "Contraction", x, len(ys), ty, nary) for x in xs]
+    cols = [_comb(b, "Cocontraction", y, len(xs), ty, nary) for y in ys]
     many_x, many_y = len(xs) > 1, len(ys) > 1
     for i, row in enumerate(rows):
         for j, col in enumerate(cols):
@@ -328,15 +332,16 @@ def bialgebra(b: Builder, xs: list[int], ys: list[int], ty: Formula):
                 b.join(p, q)
 
 
-def _comb(b: Builder, sym: str, end: int, k: int, ty: Formula) -> list[int]:
-    """The k >= 1 leaves of a comb of binary `sym` cells hung on the
-    dangling end `end`: `end` itself for k = 1; else the first cell takes
-    the wire of `end`, each next one hangs on the last leaf by a new wire,
-    `ty` flowing into a contraction's principal and out of a
-    cocontraction's, and a cell's two aux ports take its leaf's place."""
+def _comb(b: Builder, sym: str, end: int, k: int, ty: Formula, nary: bool) -> list[int]:
+    """The k >= 1 leaves of a comb of `sym` cells hung on the dangling end
+    `end`: `end` itself for k = 1; else the first cell takes the wire of
+    `end` and its aux ports take that leaf's place.  With `nary` the first
+    cell has k aux ports and is the whole comb.  Else each cell is binary,
+    and each next one hangs on the last leaf by a new wire, `ty` flowing
+    into a contraction's principal and out of a cocontraction's."""
     leaves = [end]
-    for _ in range(k - 1):
-        c = b.cell(sym, 2)
+    while len(leaves) < k:
+        c = b.cell(sym, k if nary else 2)
         leaf = leaves.pop()
         if leaf == end:
             b.reend(end, c.principal)
@@ -363,13 +368,16 @@ def apply_redex(net: Net, redex: Redex, *, owned: bool = False) -> list[Net]:
     on its path still holds the very wire and cells it was found at: they
     share those objects.  On any other net, for instance one parsed from
     the serialized net, or once an edit has replaced its wire or one of its
-    cells, even by an equal object, it raises StaleRedex.
+    cells, even by an equal object, it raises StaleRedex.  So it does when
+    an aux port of the two cells has no wire.  Two cells that give one port
+    twice, such as an aux port that also ends the cut at a principal,
+    raise UnwiredPort.
 
     By default `net` is left as it was: a reduct is a copy of the levels on
     the redex's path and shares every other level, cell and wire with `net`.
     With `owned`, the caller holds the only reference to `net` and gives it
     up: its surface level is edited in place and returned as the reduct (at
-    `nd`, as the second one; the first is built on a copy).  Box levels on
+    `nd`, as the last one; the others are built on copies).  Box levels on
     the path are still copies, since box contents are shared.
     """
     try:
@@ -380,23 +388,32 @@ def apply_redex(net: Net, redex: Redex, *, owned: bool = False) -> list[Net]:
     px, py = redex.wire
     if not _holds(lvl, px, py, cut, cx, cy):
         raise StaleRedex("the net no longer holds the redex's wire and cells")
-    # the rules below re-end or splice the wires at these ports
-    _need_wired(lvl, cx.aux + cy.aux)
+    # the rules below re-end or splice the wires at these ports, each of
+    # them once: they must be wired, and no two ports of the two cells may
+    # be one port
+    aux = cx.aux + cy.aux
+    ports = set(aux)
+    if not lvl.all_wired(ports):
+        _need_wired(lvl, aux)  # raises StaleRedex naming the loose ports
+    if len(ports) != len(aux) or cx.principal in ports or cy.principal in ports:
+        raise UnwiredPort(f"cells {cx.id} and {cy.id} give one port twice")
 
     rule = redex.rule
     if rule == "zero_wd":
         return []
     if rule == "nd":
         res = []
-        for i in (0, 1):
-            # the copy for reduct 0 is made before the net is edited
-            alt, lv = _open(net, redex.path, owned and i == 1)
+        for i, leaf in enumerate(cx.aux):
+            # the copies for all reducts but the last are made before the
+            # net is edited
+            alt, lv = _open(net, redex.path, owned and i == len(cx.aux) - 1)
             _cut(lv, [cx], cut)
             # re-end onto the dereliction first, so that py counts as used
-            # when the builder picks the weakening's port
-            Builder(lv).reend(cx.aux[i], py)
+            # when the builder picks the weakenings' ports
+            Builder(lv).reend(leaf, py)
             b = Builder(lv)
-            b.reend(cx.aux[1 - i], b.cell("Weakening", 0).principal)
+            for other in cx.aux[:i] + cx.aux[i + 1 :]:
+                b.reend(other, b.cell("Weakening", 0).principal)
             res.append(alt)
         return res
 
@@ -414,6 +431,8 @@ def apply_redex(net: Net, redex: Redex, *, owned: bool = False) -> list[Net]:
         _resplice(b, set(cx.ports()) | set(cy.ports()), pairs)
 
     elif rule == "e":
+        if len(cy.aux) != 1:
+            raise StaleRedex(f"dereliction {cy.id} has {len(cy.aux)} aux ports")
         b = _cut(lvl, [cx, cy])
         off = b.merge(cx.inner)
         f0 = cx.inner.free[0][0] + off
@@ -430,8 +449,10 @@ def apply_redex(net: Net, redex: Redex, *, owned: bool = False) -> list[Net]:
 
     elif rule == "c":
         # cx: closed box entering through door redex.door of box cy
-        b = _cut(lvl, [cx], cut)
         door = redex.door
+        if door + 1 >= len(cy.inner.free):
+            raise StaleRedex(f"box {cy.id} has no content port for door {door}")
+        b = _cut(lvl, [cx], cut)
         inner = cy.inner.copy()
         b.replace_cell(Cell(cy.id, cy.sym, cy.principal, cy.aux[:door] + cy.aux[door + 1 :], inner))
         ib = Builder(inner)

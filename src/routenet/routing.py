@@ -20,9 +20,10 @@ The operations on areas are made of three steps, each written once:
   each cut of a cocontraction tree against a contraction tree as one
   n-ary bialgebra step over both whole trees (`_tree_cuts`), which hands
   the leaves of both to `rewrite.bialgebra`, the right-hand side the
-  binary rules share.  An area is then its own normal form; anything
-  else, such as the payload copies of `transit`, goes through
-  `normal_nets` within the fixed budget of `BUDGET` rewriting steps.
+  binary rules share, and hangs one n-ary cell on each leaf end where the
+  rules hang a comb of binary cells.  An area is then its own normal
+  form; anything else, such as the payload copies of `transit`, goes
+  through `normal_nets` within the fixed budget of `BUDGET` rewriting steps.
   The normal net comes back with its crossings, or None if it is not an
   area;
 * reading (`_crossings`) is the one test of what an area is: it takes a
@@ -354,9 +355,14 @@ def _tree_cuts(n: Net) -> Net:
     `n` itself if it has no such cut.  A tree is a cell and the cells of
     its kind, (co)weakenings included, whose principals hang from its aux
     ports; the step removes both trees and the cut and hands their leaves
-    to `rewrite.bialgebra`.  A cut whose trees meet a cell twice, an
-    unwired aux port or each other by a wire, or lost a cell to a tree
-    fired before, is left to `normal_nets`."""
+    to `rewrite.bialgebra`, which hangs one contraction with an aux port
+    per leaf of the contraction tree on each leaf end of the cocontraction
+    tree, and one cocontraction with an aux port per leaf of the
+    cocontraction tree on each leaf end of the contraction tree.  The
+    canonical form and the reader see trees, not the cells that make
+    them, so every result is the one that binary combs give.  A cut whose
+    trees meet a cell twice, an unwired aux port or each other by a wire,
+    or lost a cell to a tree fired before, is left to `normal_nets`."""
     owner = n.owner()
     cuts = []
     for w in n.wires:
@@ -384,7 +390,7 @@ def _tree_cuts(n: Net) -> Net:
             if n.is_wired(c.principal):  # the cut is at two principals
                 b.remove_wire(n.wire_at(c.principal))
             b.remove_cell(c)
-        bialgebra(b, xs, ys, cut.toward(y.principal))
+        bialgebra(b, xs, ys, cut.toward(y.principal), nary=True)
     return n
 
 

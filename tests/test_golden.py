@@ -4,8 +4,11 @@ construction or rewriting shows any change in port or cell numbering.
 The raw reduction traces and one-step reducts are not canonicalized, so they
 pin the exact ports and cell ids each rule allocates; the normal forms pin
 the canonical representatives.  The `canonical/...` entries pin, for each of
-several hundred raw nets, both the canonical net and its certificate.  To
-print the table after an intended change of output bytes:
+several hundred raw nets, both the canonical net and its certificate.  The
+`areas/...` entries pin what the area operations return on seeded areas:
+the nets of `trace_net` and `compose_areas`, the `semantics` of fed-back
+areas, and the texts of the CycleRisk and NotAreaShaped errors they raise.
+To print the table after an intended change of output bytes:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -13,18 +16,30 @@ import hashlib
 import json
 import random
 
+from routenet.errors import RoutenetError
 from routenet.gen import (
     PROGRAM_SUITE,
+    gen_cut_net,
     gen_relation,
     gen_routing_net,
     gen_typed_net,
     suite_program,
 )
 from routenet.lang import parse_region_ctx, parse_term
-from routenet.multirel import from_rows
-from routenet.proofnet import canonicalize_with_cert, serialize
+from routenet.multirel import from_rows, to_text
+from routenet.proofnet import Net, Wire, canonicalize_with_cert, dual, serialize
 from routenet.rewrite import ALL, ANYDEPTH_EER, apply_redex, find_redexes, normalize
-from routenet.routing import RoutingArea, build_area, compose_areas, juxtapose, transit
+from routenet.routing import (
+    RoutingArea,
+    build_area,
+    compose_areas,
+    feedback,
+    juxtapose,
+    read_area,
+    semantics,
+    trace_net,
+    transit,
+)
 from routenet.translate import compile_program
 
 MATRICES = {
@@ -36,6 +51,7 @@ MATRICES = {
 # Every 10th net of each raw trace pins its canonical net and certificate.
 TRACE_PICK_STEP = 10
 CANONICAL_SEEDS = 80
+AREA_SEEDS = 24
 
 
 def _programs():
@@ -94,6 +110,77 @@ def _compositions():
         )
 
 
+def _area_text(op) -> bytes:
+    """The bytes of what `op()` returns, or the type and text of the
+    RoutenetError, such as CycleRisk or NotAreaShaped, that it raises."""
+    try:
+        out = op()
+    except RoutenetError as exc:
+        return f"{type(exc).__name__}: {exc}".encode()
+    if isinstance(out, Net):
+        return serialize(out)
+    if isinstance(out, dict):  # transit counts
+        return json.dumps(out, sort_keys=True).encode()
+    return to_text(out).encode()
+
+
+def _mutated(a: Net, rng: random.Random) -> list[Net]:
+    """`a` with a random end of one wire swapped with a random end of
+    another, twice, and `a` with one wire's formula turned round."""
+    out = []
+    for _ in range(2):
+        wires = list(a.wires)
+        x, y = rng.sample(range(len(wires)), 2)
+        ends = {k: [wires[k].a, wires[k].b] for k in (x, y)}
+        i, j = rng.randrange(2), rng.randrange(2)
+        ends[x][i], ends[y][j] = ends[y][j], ends[x][i]
+        for k, (p, q) in ends.items():
+            wires[k] = Wire(p, q, wires[k].ty)
+        out.append(Net(a.cells, wires, a.free))
+    wires = list(a.wires)
+    k = rng.randrange(len(wires))
+    wires[k] = Wire(wires[k].a, wires[k].b, dual(wires[k].ty))
+    return out + [Net(a.cells, wires, a.free)]
+
+
+def _area_results(seed: int):
+    """Yield (kind, output bytes) for the area operations on the areas of
+    `seed`: a trace of every pair of a 4 x 4 area (CycleRisk where the
+    entry is not 0), a full and a partial composition of two 3 x 3 areas,
+    the semantics of two fed-back `gen_cut_net` nets and of each pair of
+    the 3 x 3 area fed back alone, and five operations on three mutants of
+    the 4 x 4 area."""
+    rng = random.Random(seed)
+    t = gen_relation(rng, exact=True)
+    a = build_area(RoutingArea(t))
+    yield "trace", b"\n".join(
+        _area_text(lambda: trace_net(a, i, o)) for i in t.domain for o in t.codomain
+    )
+    r = gen_relation(rng, max_in=3, max_out=3, exact=True)
+    s = gen_relation(rng, max_in=3, max_out=3, exact=True)
+    s = s.relabel(dict(zip(s.domain, r.codomain)), {o: "z" + o[1:] for o in s.codomain})
+    b, c = build_area(RoutingArea(r)), build_area(RoutingArea(s))
+    outs = list(r.codomain)
+    yield "compose", b"\n".join(
+        _area_text(lambda: compose_areas(b, outs[:k], c, list(s.domain)[:k])) for k in (3, 1 + seed % 2)
+    )
+    fed = [gen_cut_net(rng), gen_cut_net(rng)]
+    fed += [feedback(b, [(i, o)]) for i in r.domain for o in outs if r(i, o) == 0]
+    yield "semantics", b"\n".join(_area_text(lambda: semantics(n)) for n in fed)
+    ops = (
+        lambda n, i, o: read_area(n).rel,
+        lambda n, i, o: semantics(n),
+        trace_net,
+        lambda n, i, o: compose_areas(n, [o], b, [list(r.domain)[0]]),
+        lambda n, i, o: transit(n, i),
+    )
+    texts = []
+    for m in _mutated(a, rng):
+        i, o = rng.choice(list(t.domain)), rng.choice(list(t.codomain))
+        texts += [_area_text(lambda: op(m, i, o)) for op in ops]
+    yield "errors", b"\n".join(texts)
+
+
 def golden_outputs():
     """Yield (name, output bytes) for every pinned input."""
     suite = {name for name, _, _ in PROGRAM_SUITE}
@@ -129,6 +216,9 @@ def golden_outputs():
                 yield f"canonical/{kind}-{seed}-{k}", _canonical(m)
     for seed, net in _compositions():
         yield f"canonical/compose-{seed}", _canonical(net)
+    for seed in range(AREA_SEEDS):
+        for kind, data in _area_results(seed):
+            yield f"areas/{kind}-{seed}", data
 
 
 def digests() -> dict[str, str]:
@@ -786,6 +876,102 @@ GOLDEN = {
     "canonical/compose-1": "627e9d84f5185788289cff13ec3485dd4069215b0344e3ca92bdc4b1800344b3",
     "canonical/compose-2": "569b86d7838705a5830dca03b88073dd27ad1d74e37c2958d114996aa9c720c0",
     "canonical/compose-3": "c317d0d9c0112cf67315aa8beeb5bf2ef9fe928afa844e2df8bcb66c300cbb57",
+    "areas/trace-0": "0fd0433eda138a543c8dd06a7527f4dc2f26bb659f08eaf6af4d769d69de621b",
+    "areas/compose-0": "769427aa432ab9f1f6036f0db6008d40c40fccaa8a3cce2f8af058798b09f32f",
+    "areas/semantics-0": "5e1ca8b8d79713a6d43658137ad152f871545d47a604f2fa8509894db7986b25",
+    "areas/errors-0": "170f4aff60b4025d248a5850cb4674616cac79de41fb114ec9b867240c4a9c5d",
+    "areas/trace-1": "02d16097e98e2f2d6463c485276695984ee34e89c6622d3aa8eaaacdfa4f4b58",
+    "areas/compose-1": "3d381692599277d8a232004b03f3470533f6a412c2ba055a75e38d1149296d81",
+    "areas/semantics-1": "135cf90525afce70ce26d69f516c27c4d4116949eb608bc2b866f6c972f2843c",
+    "areas/errors-1": "600495d41fc34adf7e07fbce8ff16ff8cae7c268f5425619d220961166425e41",
+    "areas/trace-2": "0b37c2078a8037565870bd55917ac555f11956c09154d10b408d278a3c0ded02",
+    "areas/compose-2": "f9f32bc6d7848e3fb11510b982ca2ed8fa2f9e447caaa9412c67511e1b49c1b1",
+    "areas/semantics-2": "e90984187253698e2f2d8e8337da55d34b23b6eadd05a4abe778ec8a7fcfc9e5",
+    "areas/errors-2": "2c8fa66f7a015ff440a50db2dba51973b83c509ff0a3a9ec155ef3bdcd61fc76",
+    "areas/trace-3": "401b49415c9ecd2efae00b3c9e0684aff445630907ad558522bd5ab864398462",
+    "areas/compose-3": "2018252e6dd19f2c740231e628ac73ee7916df3c432ee875926487ab4d6c01b3",
+    "areas/semantics-3": "fbe079858c8131b8c23ed2fafefb88838c951cbbc4b701921c96b80fdb56ba40",
+    "areas/errors-3": "2c5e1af7fb1e39ab8110d6365e846e584771b1bc6b78d21bfbe82913e8a9b935",
+    "areas/trace-4": "4c8e6d23fd7d048d085c3183c6205975a4beac5eae587d79ffd92b7700b5d8f8",
+    "areas/compose-4": "c721839e9c9b4e4bf9f552cb455851734b52a58951bc2f42c5de231c220ce169",
+    "areas/semantics-4": "3725c9987faea222661be123c8c5dfc113307ba132b27f4983f00db26b3cbb76",
+    "areas/errors-4": "1571faff6b4f62d308d90aaba25bc1630af0e25fcda6eebb55d55a823269780f",
+    "areas/trace-5": "5020c71c7371160b2022e59121e7b9a175ba57200621c59907daf171cc360ade",
+    "areas/compose-5": "28d777c70b839b6cb27125c616a7408f5ca0baae70dcc0c517e07a2c98855532",
+    "areas/semantics-5": "3623850481fcea3aa481c081e653377baccaa78167ed488e4e39eebbf1ab4a78",
+    "areas/errors-5": "346e224f140951ff07417f71a80c461c207e981e9a9d8ba969a26ee13dd8e335",
+    "areas/trace-6": "1d236cd8ed98773cbee88c0e290ef88a3066c640a899be09a6a437395df0051f",
+    "areas/compose-6": "071a10081e1a2aef44f21872ae446496e7bf3ea0f4d7a4ec4231cbd7e228072d",
+    "areas/semantics-6": "cda3a3b29b56e6cc849a5dba7f96b8fece9889ddb8f551beeee163e7b5924aca",
+    "areas/errors-6": "ed1a3db7b647b247853ee305fc0b55ea837ab3e99cc64dfc57502f7fb6e8730e",
+    "areas/trace-7": "4d8bcc8c6bfd5e8510892720d54a4a696f6847e2a3ccadf19b5f19e9554ce35c",
+    "areas/compose-7": "19d84d02ba8fb8f8c4f4268125c278bc358b246486cd618df9539d02067fd531",
+    "areas/semantics-7": "cba56c1384be84bccdafd374d543ed2035997f071d8eb5c224bd6e0b1aac1215",
+    "areas/errors-7": "03efba4565ba198e56083aadae6785adbbb9c3b78a77f49336a8721ab4521555",
+    "areas/trace-8": "a2fe1b4e4f77db424b80c5fe0797fdbfbf6c1975576381793c90d5ac3cb3105b",
+    "areas/compose-8": "9b2b9c223a61e6fde147a52f74064d02dfe0979a3a70f95bcbadb2aef46800ac",
+    "areas/semantics-8": "453cbbccf26009e8dab77640cfca5ab51beb66c99d8736458837c4b77fc9dd2b",
+    "areas/errors-8": "e584ac3d739c2b35fc13afa65b6033dba2b9237c08a7c24f8ce5d27493589794",
+    "areas/trace-9": "7b8a69a06cb4d13fd0c8fb4e732eac9a89006ef487acff1047e718da180b2264",
+    "areas/compose-9": "9e7c7dfdba6751a2790557adf9f87d4d64c88e5d71770301816cc268ad345a8f",
+    "areas/semantics-9": "a4f4c76cd613e118ef5fccd4e7994da6a4dd0e12fcf511d04f07c9837049aa37",
+    "areas/errors-9": "c04b49eda8e84e766d3e68c1c67a6b03ca2947269771999902f9792ccb985fc2",
+    "areas/trace-10": "970be9a08c745b2d02ac7c99bd2a742642edb645ca15cce4853cc397e5386d25",
+    "areas/compose-10": "bc18e7e2c4a70dce8820cae05ae808be1669a5c3d68f78c2086a5b8abbb7a151",
+    "areas/semantics-10": "ef4c92518b7f8e7f0b18016b7634f31e97558567523f876376b5e50c5a389887",
+    "areas/errors-10": "f123e8e9a83eb28ec4773c98386342e636aa58b1fda2022af6ac4892466daaf3",
+    "areas/trace-11": "526190f9d9fb9e412734e1e97370b912182e1079debdc93029d078f39febad8b",
+    "areas/compose-11": "ad0dd4142d44460c17dccfb03ce2ae1dfcb955ca3375026ed9108cfececeaa1b",
+    "areas/semantics-11": "fe8799c30e25cbc48bd701c2e3fe67e2a36d74dc402d466b380948f1d45835ed",
+    "areas/errors-11": "37ee75efd16497d5101720fa2d006224e2c6880213e946b1bee72f42d15ab8ac",
+    "areas/trace-12": "e2fbf42b06297d0e3e5e4b03440a52f9371f6ccf2c79d59355fce1354724d852",
+    "areas/compose-12": "535d414bad21ccc8716573f68ce16ce9d0f3e061bfc5ff7bbc129a5d5421d4c9",
+    "areas/semantics-12": "58ce2e7d07c8e0dddb8aceff766f60a5158bd6492aeed8d8f5900447957f1830",
+    "areas/errors-12": "8bbfa37b9686bcf16a3825f890df3804fea61479a154ec9037b8bbac885c6fdb",
+    "areas/trace-13": "2f98c6fd792976166aaffa1c87c5c496bc11ea8186cad163ecbcfa51515847a7",
+    "areas/compose-13": "f298de60baf3cb651ac2cce1b811395b85db4ce6a185a45ca1dd9b3b49cc930a",
+    "areas/semantics-13": "57f95d3b4f92130f67ab81cab2c379a559fd2d2611617d1d043b147321f13f62",
+    "areas/errors-13": "f300a1714ce51ef934df7eb770a41a587cacda2c39af8af42bf0158f60db0176",
+    "areas/trace-14": "46e1ce18d07d5c3c6b243003533db896315acf283cd773ac04d6a374c1d1aecf",
+    "areas/compose-14": "2f874e32fa3ccd0af9c52347ce835af6bc8832f8810e35daaa750f1f64c18c72",
+    "areas/semantics-14": "07f2d4e6a8904ff59327c384a1048adc0b73998c4abbf8a20a6175c95b751b23",
+    "areas/errors-14": "72db4a4d73e084416f73df99785dcf9a5546415d5827c8cc9d974908c2e807b6",
+    "areas/trace-15": "fc5921c64e9c0c5ad63b8cf1d4108d72c36fe8702818324b73df6849171f3b9f",
+    "areas/compose-15": "7804cdf06701a7abf3e0913465d6b3991427a2f12d128808eb865327b385a188",
+    "areas/semantics-15": "850ce5addda0f269c89b07547f5f6b3c1a6a8c977ffadafe28a740c304f7652b",
+    "areas/errors-15": "207eb22840f1831d62786c9eff9154975f0dd699b13925a3916489861110d264",
+    "areas/trace-16": "a3efb11a3c9282077a246c74fb8b23eee0577c06d27ba142b98baa0658df98fc",
+    "areas/compose-16": "48449e8006f8fec342afe1094f6a2374c04cbe1588c32765e8515e3b8fdd6441",
+    "areas/semantics-16": "7931d188bbd8abe41ab209db6ee2bce0c4a5593d49c072a31e6aeb5957c275c9",
+    "areas/errors-16": "0fd052ff3244e32490a889d518c1c545811a76cd9e89646d4666a7f80e69596a",
+    "areas/trace-17": "fbdda41a3c74cfd1c7df6c0186bf9176658078141b8e6ac223b733005d78eccc",
+    "areas/compose-17": "e6e174f72fd6a93b24f8b6ca19ffe16dcb1cf91217fbea3db6dec8f2b9195db3",
+    "areas/semantics-17": "2d3f7de5800542dbbd36df1ecc584ce299d5d483286ea65586bb32f54dff42d5",
+    "areas/errors-17": "207eb22840f1831d62786c9eff9154975f0dd699b13925a3916489861110d264",
+    "areas/trace-18": "2178fc007ccb2414d53176409136e0187258c301d9960494dd8f96f796d0fea8",
+    "areas/compose-18": "3df970f529656f08f4bb1682b1c399d3e126cb7e67cf666d78dc29a17530d248",
+    "areas/semantics-18": "378893719ae0c4adb6d0ad6b951ff76c6cb476a21aa2a32175f273115726416e",
+    "areas/errors-18": "207eb22840f1831d62786c9eff9154975f0dd699b13925a3916489861110d264",
+    "areas/trace-19": "07aaf7c29f06449f3fc00076d37eb3752cefc7086793bdc69902f3bfe8dc7ded",
+    "areas/compose-19": "185730a6623a415494324da42f1af5720de91e9b19b46dbacea96bc03d1254ff",
+    "areas/semantics-19": "2b457fa65b7d4a4e2d79438afe8bd05d0c4564fa99f3b1b2fad93cc7955c42d9",
+    "areas/errors-19": "207eb22840f1831d62786c9eff9154975f0dd699b13925a3916489861110d264",
+    "areas/trace-20": "f30590589f8c6bd3a0759fa4cb951aa89b971c83025ab4757989850001d786e7",
+    "areas/compose-20": "1fcea2fe161780f6626805b6791d8eb5dba684f22a93c7ebaaf10be0012a7fa5",
+    "areas/semantics-20": "a607a004f3dd40eba3db427d32ecaf3e6edb5b72ac83feab173206be23a4a545",
+    "areas/errors-20": "63c6539adac2529f50e914da0892847c1a05c28b69a22e6ad01dc5957e17b355",
+    "areas/trace-21": "e1fd7c65ef232cf69bb68c47ad1104b1a6d2ac07ed581da4cbb659cc114e83c4",
+    "areas/compose-21": "fa86e7f88ed1bf1f1412b432db3300fff98b24000e86ffd19ea331fc01bf6a6b",
+    "areas/semantics-21": "c23cbe954eebf24578a78aca31904bb52bc9097e456b66c42fb58a078cf7cff1",
+    "areas/errors-21": "e945294dbc78c4415db494bde8905a1a9d78e9785531d6cfb11a12576548337d",
+    "areas/trace-22": "b5f0de0ebb9b060ae16775e5074b96e50868065bae7414dac2c2c56829607627",
+    "areas/compose-22": "88aecdbc1a2115c535571c71a0b5d4ed9221eb3a4944cdd34ee0975b86593f60",
+    "areas/semantics-22": "cfbfaa8754aa521dcad4cc8dfabdfa3c16301b204eb318aa0beed9ac2acad649",
+    "areas/errors-22": "1f8e4b0cf57466eac19480ec94a01afc15632fb6dbd15a273b7c35a023a953ea",
+    "areas/trace-23": "328bc936a4efa49bebee8cd08c1825c7238ca41d8e97b0f18253138ca234d60e",
+    "areas/compose-23": "d144789c425fb6b4078b1eb4d27b49ab5f29784a0eab0330522c905b70a8f9c9",
+    "areas/semantics-23": "2c876c2631530ff28285454b695419b6c734ff9a8f70400b1a3e9f63ee4fe007",
+    "areas/errors-23": "6a7fac46d330befc2c5cc929b6dafb71ec041f64ae4c985822d4c300b5e0ab02",
 }
 
 

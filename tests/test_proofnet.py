@@ -3,6 +3,7 @@ import copy
 import gc
 import pickle
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -978,6 +979,57 @@ def _swap_mutants(n: Net, rng: random.Random, count: int = 3):
         for k, (a, b) in ends.items():
             out[k] = Wire(a, b, wires[k].ty)
         yield Net(n.cells, out, n.free)
+
+
+def _dropped_wire(n: Net, rng: random.Random) -> Net:
+    """`n` without one random wire."""
+    wires = list(n.wires)
+    if wires:
+        del wires[rng.randrange(len(wires))]
+    return Net(n.cells, wires, n.free)
+
+
+def _arity_changed(n: Net, rng: random.Random) -> Net:
+    """`n` with one random cell given one aux port fewer, or one more: a
+    random port number up to the net's highest, which may be a port of
+    that cell or of another."""
+    cells = list(n.cells)
+    k = rng.randrange(len(cells))
+    c = cells[k]
+    if c.aux and rng.random() < 0.5:
+        aux = c.aux[:-1]
+    else:
+        aux = c.aux + [rng.randint(1, n.max_port())]
+    cells[k] = Cell(c.id, c.sym, c.principal, aux, c.inner)
+    return Net(cells, n.wires, n.free)
+
+
+def test_normal_form_and_certificates_of_mutated_nets():
+    """Wire-swap, dropped-wire and arity-change mutants of `gen_typed_net`
+    and `gen_cut_net` nets at seeds 0-399: `normalize` (budget 300),
+    `canonicalize` and `certificate` each return or raise a RoutenetError.
+    Before the rules checked that the two cells of a redex give no port
+    twice, `normalize` raised a KeyError on 15 arity-change mutants, where
+    the rule re-ended a wire it had already moved or removed."""
+    ops = (lambda m: normalize(m, budget=300), canonicalize, certificate)
+    calls, twice, raised = 0, 0, Counter()
+    for seed in range(400):
+        for make in (gen_typed_net, gen_cut_net):
+            n = make(random.Random(seed))
+            rng = random.Random(seed)
+            mutants = [*_swap_mutants(n, rng), _dropped_wire(n, rng), _arity_changed(n, rng)]
+            for m in mutants:
+                for op in ops:
+                    calls += 1
+                    try:
+                        op(m)
+                    except RoutenetError as exc:
+                        raised[type(exc).__name__] += 1
+                        twice += "give one port twice" in str(exc)
+    # 11,523 calls, 5,975 of them raise; the check of the redex's ports
+    # refuses 16 arity-change mutants
+    assert calls > 11000 and sum(raised.values()) > 5500, raised
+    assert twice >= 15
 
 
 def _rebuilt(rebuild, nodes, edges, pos):

@@ -208,6 +208,45 @@ def test_nd_weakening_port_avoids_the_dereliction_principal():
         assert canonical_equal(m, _single(_cocontr_against_dereliction(), "nd")[0])
 
 
+def _boxes_against_dereliction(k: int) -> tuple[Net, list[int], int]:
+    """A cocontraction of k closed !1 boxes cut against a dereliction, the
+    principals of the boxes in aux order, and that of the dereliction."""
+    b = Builder()
+    cc, d = b.cell("Cocontraction", k), b.cell("Dereliction", 1)
+    b.wire(cc.principal, d.principal, bang(ONE))
+    boxes = []
+    for aux in cc.aux:
+        box = one_box()
+        off = b.merge(box)
+        b.reend(box.free[0][0] + off, aux)
+        boxes.append(box.cells[0].principal + off)
+    q = b.port()
+    b.wire(q, d.aux[0], BOT)
+    return b.finish([(q, "x")]), boxes, d.principal
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_nd_fires_at_any_arity(k):
+    """`nd` on a cocontraction with k aux ports, which `validate` refuses
+    unless k = 2, makes one summand per aux port: in summand i the
+    dereliction takes box i and each other box meets a weakening.  A
+    cocontraction with no aux port gives the empty sum, as a coweakening
+    does (`zero_wd`)."""
+    n, boxes, der = _boxes_against_dereliction(k)
+    assert (validate(n) == []) == (k == 2)
+    res = _single(n, "nd")
+    assert len(res) == k
+    for box, m in zip(boxes, res):
+        _check(m)
+        assert m.wire_at(der).other(der) == box
+        assert Counter(c.sym for c in m.cells) == Counter(
+            {"Box": k, "Dereliction": 1, "Weakening": k - 1}
+        )
+    # every summand normalizes to the One that a box holds
+    want = normalize(_cocontr_against_dereliction()).certs() if k else frozenset()
+    assert normalize(n).certs() == want
+
+
 def test_coweakening_dereliction_is_zero():
     n = Net(
         [Cell(1, "Coweakening", 1), Cell(2, "Dereliction", 2, [3])],

@@ -772,16 +772,17 @@ def _unary_cells_on_wires(n: Net, rng: random.Random):
 def test_tree_cuts_on_cells_of_any_arity_agree_with_path_counting(monkeypatch):
     """300 `gen_cut_net` nets, with (co)contractions merged into their
     parents and unary cells put on some wires, so that the tree step
-    builds combs with three or more leaves and joins single leaves: the
+    hangs cells with three or more aux ports and joins single leaves: the
     relation of `semantics` is the path count, which shares no code with
     `rewrite.bialgebra`, and the normal net of `_normal_area` is the one
     that the rules reach step by step."""
     shapes = []
     real = routing.bialgebra
 
-    def bialgebra(b, xs, ys, ty):
+    def bialgebra(b, xs, ys, ty, nary=False):
+        assert nary
         shapes.append((len(xs), len(ys)))
-        real(b, xs, ys, ty)
+        real(b, xs, ys, ty, nary)
 
     monkeypatch.setattr(routing, "bialgebra", bialgebra)
     arities = Counter()
@@ -797,6 +798,28 @@ def test_tree_cuts_on_cells_of_any_arity_agree_with_path_counting(monkeypatch):
     assert arities[1] > 300 and sum(v for k, v in arities.items() if k >= 3) > 300
     assert sum(max(s) >= 3 for s in shapes) > 100
     assert sum(1 in s and 0 not in s for s in shapes) > 100
+
+
+@pytest.mark.parametrize("k, l", [(2, 2), (2, 3), (3, 4), (4, 2)])
+def test_a_tree_cut_hangs_one_cell_on_each_leaf_end(k, l):
+    """Output o, whose tree of k leaves all come from input j, fed back
+    into input i, whose tree of l leaves all go to output p: a cut of a
+    cocontraction tree with k leaves against a contraction tree with l.
+    The tree step builds k + l cells, one contraction with l aux ports on
+    each of the k leaf ends and one cocontraction with k aux ports on each
+    of the l, while `apply_redex` at the roots still hangs binary combs."""
+    r = from_rows(["i", "j"], ["o", "p"], [[0, l], [k, 0]])
+    net = feedback(build_area(RoutingArea(r)), [("i", "o")])
+    reduced = routing._tree_cuts(net)
+    made = [c for c in reduced.cells if c.id > max(c.id for c in net.cells)]
+    shapes = Counter((c.sym, len(c.aux)) for c in made)
+    assert shapes == {("Contraction", l): k, ("Cocontraction", k): l}
+    assert semantics(reduced) == semantics(net) == from_rows(["j"], ["p"], [[k * l]])
+    (redex,) = [x for x in find_redexes(net, ALL) if x.rule == "ba"]
+    (step,) = rewrite.apply_redex(net, redex)
+    # the roots are binary, so the step trades them for four binary cells
+    assert {len(c.aux) for c in step.cells} == {2}
+    assert len(step.cells) == len(net.cells) + 2
 
 
 def _broken_tree_payloads():

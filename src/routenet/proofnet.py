@@ -297,9 +297,11 @@ class Net:
     From the first query by port or cell id on, the net keeps current the
     maps port -> wire, port -> (cell, slot) with slot 'p' or an aux index,
     and cell id -> cell, and the highest wired port and cell id, which the
-    Builder's numbering contract reads.  `redexes` holds the rewriter's
-    candidates for this level, and `touched` the ports edited since those
-    were brought up to date; both are copied with the net.
+    Builder's numbering contract reads.  An edit updates only the entries it
+    changes: re-ending a wire moves the entry of the one end it moves.
+    `redexes` holds the rewriter's candidates for this level, and `touched`
+    the ports edited since those were brought up to date; both are copied
+    with the net.
 
     Box contents remember their canonical form: certifying a net stores
     (free list, labelled contents, certificate) on the inner net of each of
@@ -472,13 +474,6 @@ class Net:
         k = self._indexed()._wire_key[w.a]
         self._unindex_wire(k, self._wires.pop(k))
 
-    def _replace_wire(self, port: int, w: Wire):
-        self._canon = None
-        k = self._indexed()._wire_key[port]
-        self._unindex_wire(k, self._wires[k])
-        self._wires[k] = w
-        self._index_wire(k, w)
-
     # -- queries ------------------------------------------------------------
 
     def is_wired(self, port: int) -> bool:
@@ -523,12 +518,6 @@ class Net:
     def cell_by_id(self, cid: int) -> Cell:
         return self._cells[self._indexed()._cell_key[cid]]
 
-    def free_port(self, label: str) -> int:
-        for p, l in self.free:
-            if l == label:
-                return p
-        raise KeyError(label)
-
     def outward(self, port: int) -> Formula:
         """Formula carried out of the net through a free port."""
         return self.wire_at(port).toward(port)
@@ -566,9 +555,11 @@ class Builder:
 
     New cells only need names fresh for the net they join, and a rewrite
     rule only touches the wires at its interface, so rules, area algebra
-    and the compiler all build through this class.  The builder edits `net`
-    itself, so it is given a net that no one else reads: a new one, a copy,
-    or one its caller owns.
+    and the compiler all build through this class.  `cell` takes its ports
+    as one range, principal first, and `reend` looks its wire up once and
+    takes only the moved end out of the index.  The
+    builder edits `net` itself, so it is given a net that no one else reads:
+    a new one, a copy, or one its caller owns.
 
     Invariant: edits never change a cell or wire object in place; a changed
     one is a new object put in the old one's position.  Nets copied from one
@@ -593,7 +584,9 @@ class Builder:
 
     def cell(self, sym: str, naux: int, inner: Net | None = None) -> Cell:
         """A new cell on fresh ports, principal first."""
-        return self.cell_on(sym, self.port(), [self.port() for _ in range(naux)], inner)
+        p = self.nport + 1
+        self.nport = p + naux
+        return self.cell_on(sym, p, list(range(p + 1, p + 1 + naux)), inner)
 
     def cell_on(self, sym: str, principal: int, aux: list[int], inner: Net | None = None) -> Cell:
         """A new cell on the given ports."""
@@ -625,9 +618,17 @@ class Builder:
         return self.wire_at(q).toward(q)
 
     def reend(self, q: int, newp: int):
-        """Move the end of the wire at q to port newp, keeping its formula."""
-        w = self.wire_at(q)
-        self.net._replace_wire(q, Wire(newp, w.b, w.ty) if w.a == q else Wire(w.a, newp, w.ty))
+        """Move the end of the wire at q to port newp, keeping its formula:
+        one lookup, and a new wire in the old one's position whose moved end
+        alone leaves the index.  `_index_wire` writes the other end's entry
+        too, so on a net that gives a port two wires (which `validate`
+        refuses) the port names the re-ended one."""
+        net = self.net
+        net._canon = None
+        k = net._indexed()._wire_key.pop(q)
+        w = net._wires[k]
+        w = net._wires[k] = Wire(newp, w.b, w.ty) if w.a == q else Wire(w.a, newp, w.ty)
+        net._index_wire(k, w)
 
     def join(self, p: int, q: int):
         """Join the wires dangling at ports p and q into one, which keeps
@@ -1517,9 +1518,6 @@ class NetSum:
 
     def certs(self):
         return frozenset(self._by_cert)
-
-    def is_zero(self) -> bool:
-        return not self._by_cert
 
     def __len__(self):
         return len(self._by_cert)

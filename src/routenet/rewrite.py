@@ -76,10 +76,10 @@ def _closed(c: Cell) -> bool:
     return c.sym == "Box" and not c.aux
 
 
-def _classify(net: Net, w: Wire):
-    """The redex on wire `w` as a candidate ((id_x, id_y), (port_x, port_y),
-    rule, door, cell_x, cell_y), or None."""
-    owner = net.owner()
+def _classify(owner: dict, w: Wire):
+    """The redex on wire `w` of the level whose `owner()` is `owner`, as a
+    candidate ((id_x, id_y), (port_x, port_y), rule, door, cell_x, cell_y),
+    or None."""
     ea, eb = owner.get(w.a), owner.get(w.b)
     if ea is None or eb is None:
         return None
@@ -118,8 +118,9 @@ def find_redexes(net: Net, policy: str = ANYDEPTH_EER) -> list[Redex]:
     out: list[Redex] = []
 
     def walk(n: Net, path: tuple[int, ...]):
+        owner = n.owner()
         for w in n.wires:
-            hit = _classify(n, w)
+            hit = _classify(owner, w)
             if hit is None:
                 continue
             if path and policy == ANYDEPTH_EER and hit[2] not in _DEEP_RULES:
@@ -146,20 +147,34 @@ def find_redexes(net: Net, policy: str = ANYDEPTH_EER) -> list[Redex]:
 # candidates are dropped when they reach the top.  The push count breaks
 # ties, so objects are never compared.  Box contents, and so their
 # candidates, are shared between a net and its reducts.
+#
+# A step reads each index entry once: the search reads a level's `_maps`
+# once and checks every candidate it tries against them, and the touched
+# ports name their wires straight through the wire-key map.
 
 _PUSHES = count()
 
 
-def _candidates(n: Net) -> tuple[list, list]:
-    """The level's candidate heaps, brought up to date with its edits."""
+def _maps(level: Net) -> tuple[dict, dict, dict]:
+    """The level's indexes, built if need be: port -> wire key, wire key ->
+    wire, and port -> (cell, slot)."""
+    owner = level.owner()
+    return level._wire_key, level._wires, owner
+
+
+def _candidates(n: Net, maps) -> tuple[list, list]:
+    """The level's candidate heaps, brought up to date with its edits;
+    `maps` are the level's `_maps`."""
+    wire_key, wires, owner = maps
     heaps = n.redexes
     if heaps is None:
         heaps = n.redexes = ([], [])
-        for w in n.wires:
-            _push(heaps, w, _classify(n, w))
+        for w in wires.values():
+            _push(heaps, w, _classify(owner, w))
     elif n.touched:
-        for w in n.wires_at(n.touched):
-            _push(heaps, w, _classify(n, w))
+        for k in {wire_key[p] for p in n.touched if p in wire_key}:
+            w = wires[k]
+            _push(heaps, w, _classify(owner, w))
         n.touched.clear()
     return heaps
 
@@ -172,13 +187,14 @@ def _push(heaps, w: Wire, cand):
         heapq.heappush(h, (cand[0], cand[1], next(_PUSHES), w, cand))
 
 
-def _holds(level: Net, x: int, y: int, wire: Wire, cx: Cell, cy: Cell) -> bool:
-    """Whether `level` still holds the redex classified from `wire`, on
-    ports x and y of cells cx and cy."""
-    owner = level.owner()
+def _holds(maps, x: int, y: int, wire: Wire, cx: Cell, cy: Cell) -> bool:
+    """Whether the level whose `_maps` are `maps` still holds the redex
+    classified from `wire`, on ports x and y of cells cx and cy."""
+    wire_key, wires, owner = maps
+    k = wire_key.get(x)
     return (
-        level.is_wired(x)
-        and level.wire_at(x) is wire
+        k is not None
+        and wires[k] is wire
         and owner.get(x, _NOBODY)[0] is cx
         and owner.get(y, _NOBODY)[0] is cy
     )
@@ -187,12 +203,13 @@ def _holds(level: Net, x: int, y: int, wire: Wire, cx: Cell, cy: Cell) -> bool:
 def _least_at(n: Net, deep_only: bool):
     """The level's least valid heap entry (of rule e or er only, when
     `deep_only`), or None."""
-    heaps = _candidates(n)
+    maps = _maps(n)
+    heaps = _candidates(n, maps)
     best = None
     for h in heaps[:1] if deep_only else heaps:
         while h:
             _, (x, y), _, w, cand = h[0]
-            if _holds(n, x, y, w, cand[4], cand[5]):
+            if _holds(maps, x, y, w, cand[4], cand[5]):
                 break
             heapq.heappop(h)
         if h and (best is None or h[0] < best):
@@ -386,7 +403,7 @@ def apply_redex(net: Net, redex: Redex, *, owned: bool = False) -> list[Net]:
         raise StaleRedex(f"no box {exc} on the redex's path") from None
     cut, cx, cy = redex.cut, redex.cx, redex.cy
     px, py = redex.wire
-    if not _holds(lvl, px, py, cut, cx, cy):
+    if not _holds(_maps(lvl), px, py, cut, cx, cy):
         raise StaleRedex("the net no longer holds the redex's wire and cells")
     # the rules below re-end or splice the wires at these ports, each of
     # them once: they must be wired, and no two ports of the two cells may

@@ -180,10 +180,6 @@ def delta(payload: "Formula" = bang(ONE)) -> Net:
 # Recognition
 
 
-def is_routing_net(n: Net) -> bool:
-    return _structural(n) is not None and check_acyclic(n)
-
-
 def _structural(n: Net):
     """The one !A on every wire of a net of structural cells only (!1 if
     it has no wire), or None if the net is not one."""
@@ -450,7 +446,7 @@ def feedback(a: Net, pairs: list[tuple[str, str]]) -> Net:
     # whether or not the two are fed into each other, so no such pair may
     # have a path.  An area's crossings are its path counts; any other net
     # has its flow checked, since paths ignore formulas, then is checked
-    # acyclic and its paths counted, which is the rest of is_routing_net.
+    # acyclic and its paths counted.
     # Outputs outer and inputs inner, as path counting lists them, so that
     # max names the same pair
     sources, targets = [pi for pi, _ in links], [po for _, po in links]

@@ -404,7 +404,7 @@ def test_reduce_reads_a_deeply_nested_formula(tmp_path):
     assert got.returncode == 0, got.stderr
     assert "Traceback" not in got.stderr
     (nf,) = parse(got.stdout.encode())
-    assert fmt_formula(nf.outward(nf.free_port("o"))) == ty
+    assert fmt_formula(nf.outward({label: p for p, label in nf.free}["o"])) == ty
     assert canonical_equal(nf, parse(Path(path).read_bytes())[0])
 
 

@@ -8,6 +8,8 @@ several hundred raw nets, both the canonical net and its certificate.  The
 `areas/...` entries pin what the area operations return on seeded areas:
 the nets of `trace_net` and `compose_areas`, the `semantics` of fed-back
 areas, and the texts of the CycleRisk and NotAreaShaped errors they raise.
+The `graph/...` entries pin the `reduction_graph` of each suite program at
+several node caps: every node serialized, the sorted edges and `truncated`.
 To print the table after an intended change of output bytes:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -28,7 +30,14 @@ from routenet.gen import (
 from routenet.lang import parse_region_ctx, parse_term
 from routenet.multirel import from_rows, to_text
 from routenet.proofnet import Net, Wire, canonicalize_with_cert, dual, serialize
-from routenet.rewrite import ALL, ANYDEPTH_EER, apply_redex, find_redexes, normalize
+from routenet.rewrite import (
+    ALL,
+    ANYDEPTH_EER,
+    apply_redex,
+    find_redexes,
+    normalize,
+    reduction_graph,
+)
 from routenet.routing import (
     RoutingArea,
     build_area,
@@ -52,6 +61,7 @@ MATRICES = {
 TRACE_PICK_STEP = 10
 CANONICAL_SEEDS = 80
 AREA_SEEDS = 24
+GRAPH_CAPS = (3, 10, 40, 2000)
 
 
 def _programs():
@@ -94,6 +104,13 @@ def _reducts(net) -> list:
 def _canonical(net) -> bytes:
     canon, cert = canonicalize_with_cert(net)
     return serialize(canon) + b"\n" + repr(cert).encode()
+
+
+def _graph(net, cap: int) -> bytes:
+    nodes, edges, truncated = reduction_graph(net, max_nodes=cap)
+    out = [serialize(s) for s in nodes]
+    out += [repr(sorted(edges)).encode(), repr(truncated).encode()]
+    return b"\n".join(out)
 
 
 def _compositions():
@@ -194,6 +211,9 @@ def golden_outputs():
             nets = [n for res in steps for n in res]
             for k in range(0, len(nets), TRACE_PICK_STEP):
                 yield f"canonical/trace-{name}-{k}", _canonical(nets[k])
+        if name in suite:
+            for cap in GRAPH_CAPS:
+                yield f"graph/{name}-{cap}", _graph(net, cap)
     areas = {}
     for name, (dom, cod, rows) in MATRICES.items():
         area = RoutingArea(from_rows(dom, cod, rows))
@@ -229,44 +249,84 @@ GOLDEN = {
     "compile/unit": "13d42ccac61cd26a69ce9ae36cad2934d1f532806233a0228407a5312382ad26",
     "normalize/unit": "13d42ccac61cd26a69ce9ae36cad2934d1f532806233a0228407a5312382ad26",
     "trace/unit": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "graph/unit-3": "73db7b3bacb2e9826da6fba52c3691fe88ac817831d974b0548e0277891c2f2c",
+    "graph/unit-10": "73db7b3bacb2e9826da6fba52c3691fe88ac817831d974b0548e0277891c2f2c",
+    "graph/unit-40": "73db7b3bacb2e9826da6fba52c3691fe88ac817831d974b0548e0277891c2f2c",
+    "graph/unit-2000": "73db7b3bacb2e9826da6fba52c3691fe88ac817831d974b0548e0277891c2f2c",
     "compile/id-unit": "4e4bae3672ef866fbf26903d95a42dc0db53f41f8c22875ea0f5a0286304dd65",
     "normalize/id-unit": "13d42ccac61cd26a69ce9ae36cad2934d1f532806233a0228407a5312382ad26",
     "trace/id-unit": "974263c8192f2194839e821709849f31f720a9664c6bb5dcb3d34ffaa3a65999",
     "canonical/trace-id-unit-0": "93890b30869911c21afc5b0101d91df0eeb7020b65367cf9dd7a74776e83d323",
+    "graph/id-unit-3": "6a4127f7fef2493ad9b10e1de9c5e119c28482e6a806067cadbde7eb5719ca93",
+    "graph/id-unit-10": "6a4127f7fef2493ad9b10e1de9c5e119c28482e6a806067cadbde7eb5719ca93",
+    "graph/id-unit-40": "6a4127f7fef2493ad9b10e1de9c5e119c28482e6a806067cadbde7eb5719ca93",
+    "graph/id-unit-2000": "6a4127f7fef2493ad9b10e1de9c5e119c28482e6a806067cadbde7eb5719ca93",
     "compile/nested-beta": "80766f6e4544bb73a040221351a8af96471354e54d8401392e6275573a0e4c5d",
     "normalize/nested-beta": "13d42ccac61cd26a69ce9ae36cad2934d1f532806233a0228407a5312382ad26",
     "trace/nested-beta": "5fb838af7bccdbe2efb2befe0e1effe4735a2efc5396fc916543543fd8153f45",
     "canonical/trace-nested-beta-0": "ec6f8cc7a2ac18529adb4770fbd3cab7e4af8e4076d36df8576154433bbed011",
+    "graph/nested-beta-3": "39d5903a9cc2016cd8e0ddc635a398472e971b7f218497d4937b4460046e136c",
+    "graph/nested-beta-10": "11b12eb06dd444b981e6840214b5de14078362d4d19e00e15d9a8c97540826dc",
+    "graph/nested-beta-40": "11b12eb06dd444b981e6840214b5de14078362d4d19e00e15d9a8c97540826dc",
+    "graph/nested-beta-2000": "11b12eb06dd444b981e6840214b5de14078362d4d19e00e15d9a8c97540826dc",
     "compile/first": "e38103b3862ec14af29ee7d58b82feceb941bc806aedba8e33b8e30db20ee35f",
     "normalize/first": "13d42ccac61cd26a69ce9ae36cad2934d1f532806233a0228407a5312382ad26",
     "trace/first": "b82c7c63a4a98947abb8030ab0a5a57bb50f0053893bd20e4fdea50e9d8a1af6",
     "canonical/trace-first-0": "b39d990c5b6d94b29116a48aefa00c638f8794b04322677a44d05037ed077af9",
+    "graph/first-3": "0d4039fe63381d287508966ff6ee9d2b5c1f8d7a86a3777a1d2b630ae5ee64aa",
+    "graph/first-10": "f949034c27a75640c236db6f44b448ef20314f7090ede0747d8b78dc11c8bb00",
+    "graph/first-40": "f949034c27a75640c236db6f44b448ef20314f7090ede0747d8b78dc11c8bb00",
+    "graph/first-2000": "f949034c27a75640c236db6f44b448ef20314f7090ede0747d8b78dc11c8bb00",
     "compile/second": "222ae7734ff467100455b68663547175f7b92ba5856b4dbfcc30b251cfc43ef3",
     "normalize/second": "13d42ccac61cd26a69ce9ae36cad2934d1f532806233a0228407a5312382ad26",
     "trace/second": "5f430e7a89fe99075562aaccedeed3959ef0f8324a1c61e3b1831f1542e93c99",
     "canonical/trace-second-0": "3b691f8b723c233868312b4b4f8ecad787ecf983d6d2938775ea9a42dfca79a7",
+    "graph/second-3": "f7a9983cd9020cccfb0e721af1ed61b2a54848bbf084e1b8828a1efe4386b0cc",
+    "graph/second-10": "72f12c4a1529edaf7f185c301e63c61e8a2d560bb2191362417bb25fbcd8395e",
+    "graph/second-40": "72f12c4a1529edaf7f185c301e63c61e8a2d560bb2191362417bb25fbcd8395e",
+    "graph/second-2000": "72f12c4a1529edaf7f185c301e63c61e8a2d560bb2191362417bb25fbcd8395e",
     "compile/apply-id": "3eb2371d2cb83c142d95a02307bb561aefb627e9ae65fc4476282b92d4cd0871",
     "normalize/apply-id": "13d42ccac61cd26a69ce9ae36cad2934d1f532806233a0228407a5312382ad26",
     "trace/apply-id": "4cca4a7261ed05c604be1b9bf032bf892c47f7320b16537d93d9039c1e2cb8ff",
     "canonical/trace-apply-id-0": "4dacead123b5af0d55d5bdf2f68fcbc21384cb3c074eb4889b1074eb9d21a19e",
+    "graph/apply-id-3": "3b69d149b4f59fa0b93c4e6f6266063e83f7d2f814ed2b6a6930e0d148fb8802",
+    "graph/apply-id-10": "f777f6a094c9aa3bb55e66861146832bafd844daa2ad3be00606ed08d2b38670",
+    "graph/apply-id-40": "f777f6a094c9aa3bb55e66861146832bafd844daa2ad3be00606ed08d2b38670",
+    "graph/apply-id-2000": "f777f6a094c9aa3bb55e66861146832bafd844daa2ad3be00606ed08d2b38670",
     "compile/discard": "35afe5eeb0b8389673148fe2b97381b7d951253e815851d3a8bcd86d7287bf63",
     "normalize/discard": "13d42ccac61cd26a69ce9ae36cad2934d1f532806233a0228407a5312382ad26",
     "trace/discard": "7b81f7efcd5fe0b4b1dba644d5d2fea756acddcd8d6a49c3d8f16ed6ca010a9a",
     "canonical/trace-discard-0": "d066dbcb4b9d4bdf967c5db47346225cfc4f39ff8b28f8008f967b986c2db087",
+    "graph/discard-3": "c3ddbe3552912054094d93dc300eae834dc7679c5e3a6ff4669207b180af69c7",
+    "graph/discard-10": "ca0eab0ed7fd55e3b3201b25d1b97f6d243fefc30e84a6dced576126e238e080",
+    "graph/discard-40": "ca0eab0ed7fd55e3b3201b25d1b97f6d243fefc30e84a6dced576126e238e080",
+    "graph/discard-2000": "ca0eab0ed7fd55e3b3201b25d1b97f6d243fefc30e84a6dced576126e238e080",
     "compile/set-get": "9eea791df0bae00f47bc17adbdcca4daa329f982cfd665aaddf9cb2a835f742f",
     "normalize/set-get": "9f2c3c82452ea003062b209bab8be27d6e4df548d3019a8d19719fa24c5a22e6",
     "trace/set-get": "8ddc759c63ee95745d157a739482d40c24a394117202b3ff72ef541165c54c63",
     "canonical/trace-set-get-0": "5ace1a950f0af2ec0bed9943d3c0c751d4e8c8369132680870ebe9dad864d810",
     "canonical/trace-set-get-10": "fa63b3b17818be864c49c179f798b59eab1175fc82ce7c5100f3ae646bd8ff05",
+    "graph/set-get-3": "950016c72e7202bcc87615820f00b0f6359e6d2d56a8e0ec991a7973c5f84025",
+    "graph/set-get-10": "fc851715bb3f8e6cf7be26bacefcdb89ada105f944d629affa506f871222eefa",
+    "graph/set-get-40": "c95c04bd8c4dc952048d608d573d0caac0acbb35aa25227a8114c55628dc931b",
+    "graph/set-get-2000": "c95c04bd8c4dc952048d608d573d0caac0acbb35aa25227a8114c55628dc931b",
     "compile/store-get": "6540be7649c7df8f15443a0e3430cfb0bcb44ffd3e126949bd0989d6c0e70e67",
     "normalize/store-get": "13d42ccac61cd26a69ce9ae36cad2934d1f532806233a0228407a5312382ad26",
     "trace/store-get": "b4b017a6592cf8e9c3120becbd6fd3896a4aebf55691641fdd78cc14256bc4ef",
     "canonical/trace-store-get-0": "d72b69418d0f97613d09429bbe7257aba730c06ee8066c87fc4533da78293f0e",
+    "graph/store-get-3": "cec2a9e2cb20d6b214b2ad05bf9052c0859faf74bc0383dd4f2d530bc87946f5",
+    "graph/store-get-10": "62f0b50e5d1d7d2609efab21b388e77d237fd08c856a92eb1516e9ab6b3cbc01",
+    "graph/store-get-40": "62f0b50e5d1d7d2609efab21b388e77d237fd08c856a92eb1516e9ab6b3cbc01",
+    "graph/store-get-2000": "62f0b50e5d1d7d2609efab21b388e77d237fd08c856a92eb1516e9ab6b3cbc01",
     "compile/race": "3449e45b554ba2b5a0d311e2256b229018501c404bd48b82a07a7f8ab35a0f8c",
     "normalize/race": "0b79c75558c04d0365045f0085d49e285b4b62dd4cf5b9a4ea64bd46d162d636",
     "trace/race": "73e156eb4447da2291b4c70b1f31672d53415a50ed1669d5edbf69354beaf66d",
     "canonical/trace-race-0": "aa8d656f3c086a6c70dced36ed7d9f4fd9a5e3f35774537650ee0319f2821caf",
     "canonical/trace-race-10": "e7cecd006462df5342d747deb4934b283dbe85f263c892a395b738a274a58236",
+    "graph/race-3": "809a5540f76eb9e08806e5b1056364c0d8002d3a3ac4de2528951b7f21b6ebbf",
+    "graph/race-10": "71fbf9ca2f72246a2524a0aaac21489d11df4fa18feee92ccc6886ce5fe52d9e",
+    "graph/race-40": "bbaea0ed9e0ffef60133944c1fb15ebaf594aada82d996f9c1edf7137c5bb4ab",
+    "graph/race-2000": "6b9217f2f047351fc32b3fdc3fd6f2dc2254ef6427a59cf8e9ae276eb8b664cc",
     "compile/latent-set": "63da830f25fd0fd16246bb786a0d877414b497c14d6ebcc79a9d7eba22aadf94",
     "normalize/latent-set": "9f2c3c82452ea003062b209bab8be27d6e4df548d3019a8d19719fa24c5a22e6",
     "trace/latent-set": "4763c51abb24a8cb2359525d1f2866524c04b4e03e082bf6e07619e4b1f5e085",
@@ -281,6 +341,10 @@ GOLDEN = {
     "canonical/trace-latent-set-80": "2f3aae55546125c40310bed5decf193a9df5412bb895f10cc4e1af394c22a160",
     "canonical/trace-latent-set-90": "f0b039d66368037a7da9d0c908375648a12527c61e52e9e8d7d504c3a5daef11",
     "canonical/trace-latent-set-100": "9b62bcbcfaf9d5efd47987ba24a010aeeb9144502241aa8310dcc8a105554913",
+    "graph/latent-set-3": "91d776490d311eb325ad5eb8a209d37ed65338d27f096cfda597be6288a813a9",
+    "graph/latent-set-10": "2c56ea8cd9177aa48198f9e35d3d46164a3358fb84c82c26a77101083c9eb3dc",
+    "graph/latent-set-40": "3d9bd821eed7a34b01ba10374b8cecb3def8b09b2940b03f7240fcae8742349e",
+    "graph/latent-set-2000": "e3c0ecbca126492b0a34be897a235dacaf6c12e6be9c188c2fcf9d5b7a5ab4f8",
     "compile/latent-get": "91f7841fb601ed21f94b566f55f3a1d14bc4b29d23e5d33855b9114c83c6648b",
     "normalize/latent-get": "13d42ccac61cd26a69ce9ae36cad2934d1f532806233a0228407a5312382ad26",
     "trace/latent-get": "f06080a1bdf7218d857033bc30144311179e52b58a25c4491ce65ac08ea8ebdb",
@@ -292,6 +356,10 @@ GOLDEN = {
     "canonical/trace-latent-get-50": "349d09ef6116eb86bdfab587f62e3993f41070720fff8c549666276bb9f790a4",
     "canonical/trace-latent-get-60": "fa418592f16b3eac2d6c682f14133244d1296613531b4ea2e58c0a27e2a3feab",
     "canonical/trace-latent-get-70": "c0d11e200a88a938e2c9a385b378cb9f6938bc326d04e49f06c68249757355a6",
+    "graph/latent-get-3": "5a5d1593b23b5f144ce755fc895fa7417520707140a96147689a2c448fea8ecb",
+    "graph/latent-get-10": "6dedc1ba1f0eaa01fd6cbee68b6da8612439272c9663c4df116aab36e6c065c1",
+    "graph/latent-get-40": "c4bd988d94ae0356c101d9c4c1df75b9618e54e235cdebb29404f6c6c1adaea1",
+    "graph/latent-get-2000": "0420c8ebbf3d633367f8ef317a4a33a34c0a91cfafc1eaa8d7d85c03acbe7c94",
     "compile/captured-set": "dd8bf9bc8963ef49bb0ebf80c31247e4551a40f49561b10a74e429093de5a324",
     "normalize/captured-set": "9f2c3c82452ea003062b209bab8be27d6e4df548d3019a8d19719fa24c5a22e6",
     "trace/captured-set": "dd039af320d6e441900ee03334548b6b7ff93b9c9218826c7d01bb7e2b8fda05",
@@ -322,6 +390,10 @@ GOLDEN = {
     "canonical/trace-captured-set-240": "6b12f9cc8a9838e1bb04d2830737c6eb43a713573e4e6c740a7a37b69442035e",
     "canonical/trace-captured-set-250": "f5beb491f62650e927c7fed5aa708c7a96efb2f45a06e88af37ebbd160b9b7f3",
     "canonical/trace-captured-set-260": "de99db1f5891b2ae4b2ade9d34846dcbd2829845e1657f0649e5cdb595716839",
+    "graph/captured-set-3": "1466b0e0ba826935a7d23f98d8b46d736bb58b3d4f045311120a2563c0c76568",
+    "graph/captured-set-10": "254f143d14fac7d1c466771f567542bb3b10dc40594837dc67805103005536be",
+    "graph/captured-set-40": "f8b0dd5cf3d38772f05880ee9c62ae929169f03eed2f975fafa8ef18dff5dbb8",
+    "graph/captured-set-2000": "c7a8db7ac351c69047065349a062fba0e2ea372ac34ce85954f6a1ce26dd7ee8",
     "compile/two-readers": "5471921465d3a3f92cce08362221c9a9ff6969d8db0e483b35fede60070c03e4",
     "normalize/two-readers": "01633a367dc7e654446a6f011cee1bbbed8638a9a38279b7822cc4d2f885d369",
     "trace/two-readers": "a2cd89eaa94b8bf7daaffe8981d389991a564b00d7250c6e078848ba9106c030",
@@ -337,6 +409,10 @@ GOLDEN = {
     "canonical/trace-two-readers-90": "8dcd16874566dc09f4acdddd47cfa227df33bc4629d0fdb1ad434f7638c68c27",
     "canonical/trace-two-readers-100": "21df83adebb46a5e7fea01d049b483adf79fbd4b4950a1577576bb3fb34f460d",
     "canonical/trace-two-readers-110": "466af6dddbd3834a3df24f56ba2589c93de7320ebed9852ac29b0ce1f105353f",
+    "graph/two-readers-3": "dda165cc788181ed7bf2eb398ef5493579c62553cd22ccc3f1903d2c5d8bc099",
+    "graph/two-readers-10": "2ee30dcb6ddeb87df5a79069dee774462d0700bb4d04d7b6fd51b1e3556ef87e",
+    "graph/two-readers-40": "b7a3be92f95bac64e527e284eec36e8b3c822ce105412826c7500a87d750dae4",
+    "graph/two-readers-2000": "9a83a6c543c4d794dacd2f23360c2b398a26ca9d949a1f1638806e480a1e163d",
     "compile/stored-fn": "5e213bf68af7311dd930c56b23b54bbd96018e1659c324dd643bb7da4126610d",
     "normalize/stored-fn": "9f2c3c82452ea003062b209bab8be27d6e4df548d3019a8d19719fa24c5a22e6",
     "trace/stored-fn": "6f46216cf6a49284764a8ef21090faa44990d7e30f7de1f1464fd112beff65cf",
@@ -349,6 +425,10 @@ GOLDEN = {
     "canonical/trace-stored-fn-60": "206a62909d27ee0f640a4cb96fcaa86ad355070e70893442b569b8086828cd4f",
     "canonical/trace-stored-fn-70": "c4e8eb444a97fe543f3104114ada025d86d9baafd42c4f469ba7e5f8a7caacea",
     "canonical/trace-stored-fn-80": "3674999af8b94c2dc3d4b979ee82a97e7f2157e04ec519dcf2ed7efd17629b18",
+    "graph/stored-fn-3": "d3c65541fcbb512ec3c2171665bd22451cf538d2072189044fba86ed2dba79a9",
+    "graph/stored-fn-10": "637152f954f8a982057c3b30fbd7787a24af70d27ba101eba6c400f7ce222fef",
+    "graph/stored-fn-40": "a35416441a05c1b8bc9274686ee51117115af8b02f63f62969c757aade478e6f",
+    "graph/stored-fn-2000": "966a09b184d3e24371cb91ef998aad946e472ee1af45a074cd7a3617847bb48d",
     "compile/stored-effectful-fn": "7286960c99ab737bb5e05219967a4052aabdef052958d79d61afc30abd70131c",
     "normalize/stored-effectful-fn": "9f2c3c82452ea003062b209bab8be27d6e4df548d3019a8d19719fa24c5a22e6",
     "trace/stored-effectful-fn": "ef6dbf1dd88174d1582aa68793ed1ada6ecdc2ff420b96e183cbfdfc9b2b0c16",
@@ -373,6 +453,10 @@ GOLDEN = {
     "canonical/trace-stored-effectful-fn-180": "98e84dbc48a45fb6fb99b3e4c55bd791a7ab8d3e6e8d6ea9a462efb15ec27715",
     "canonical/trace-stored-effectful-fn-190": "22ae698f418591b48da22cfbe277d4c210e9304587fc3afa0f89d50207ecb6ce",
     "canonical/trace-stored-effectful-fn-200": "81377de8015e4bf92873957c069cd7cd8363811235e142f1cb06dc57d49cbcb7",
+    "graph/stored-effectful-fn-3": "a15c4806af72d993fe44bc0feb24f9c4485d0f47c278eb199d629d3094d3f020",
+    "graph/stored-effectful-fn-10": "a9b0234e9f2a61b3ed90a6e0938e8cdb72805c7791e437a14d92a24223138e46",
+    "graph/stored-effectful-fn-40": "29c9e1c2bed53f2278c89c15d4e4424c6a04dc0fbc47ca0e40065162c631b339",
+    "graph/stored-effectful-fn-2000": "d0b2cdcc2e166d848b37fd83ab937ac305535c3f614acf2e9c3e0b8f1ce1ff1a",
     "compile/two-refs": "679e1b5e7ad00edcc5f2e8940f29bd47455afd9bd9cfd1f43d69048a758b5b33",
     "normalize/two-refs": "01633a367dc7e654446a6f011cee1bbbed8638a9a38279b7822cc4d2f885d369",
     "trace/two-refs": "efb6610daecd74b856c4f7270e3f416b587836d4cc2122ccdfc8819d93c30149",
@@ -463,6 +547,10 @@ GOLDEN = {
     "canonical/trace-two-refs-840": "9062c80cb3c271e1ecb43b04572c61c335bc037badf3214e84f74e444aa4f09d",
     "canonical/trace-two-refs-850": "8a1cfc36bcd64d69143dea60151271ed086524f437d0173aad15540618d95121",
     "canonical/trace-two-refs-860": "36e3a2754b64761d33bb21eadd8ea82a92964f2e97149bec909a50f99136d0fb",
+    "graph/two-refs-3": "49b55aaa9332da390d457ecb446b85582847b939780d2b32c26fd48ad1352f47",
+    "graph/two-refs-10": "1e8a0341a2bdb9c33126314854302a9a7d44cfd25cca43fa323c3654f031bf1a",
+    "graph/two-refs-40": "cabf08941ebc35affef3ef1c849b922a8970aeea5978747398f3f9a81b6c96c2",
+    "graph/two-refs-2000": "26c97a63edfa7ad099fa6e0dd70b52149c676eb3d90ee6ce1f1c48e501313952",
     "compile/ho-latent": "fbf78a364046624a67107aa1b8f62257812be9bf7434d8da0890d8170d816e73",
     "normalize/ho-latent": "9f2c3c82452ea003062b209bab8be27d6e4df548d3019a8d19719fa24c5a22e6",
     "trace/ho-latent": "c61e94c14bc7d707a6f097ff3bbb74a1d6b3dd5bd834d536f91a082fea5cce09",
@@ -493,6 +581,10 @@ GOLDEN = {
     "canonical/trace-ho-latent-240": "a939920c17d84f349b6e82e620878298456d7f50f158144727f242c2b9661ee0",
     "canonical/trace-ho-latent-250": "2aab5ba3908871ea5025e9723b2a2075d0d95ba6a318b1ce9c234eacc98ba2ba",
     "canonical/trace-ho-latent-260": "22e0452c18ccc2b347924ef32a8a8ef13f2e0aa6af6188017ff15b928fbe1014",
+    "graph/ho-latent-3": "e48aee12206c059e84e3a81d1343396679c52e643faa4bd5075544ddf4c0ab7e",
+    "graph/ho-latent-10": "0abec093eb33c9c3690c1eab30372fb8aca7a07b2c0de8d38a428651560e9300",
+    "graph/ho-latent-40": "8d63969926c6fd81319205f667834c2318dd954a45ce0e9c32ca80a358c3cf2e",
+    "graph/ho-latent-2000": "0e45ba35cc799ceaa6efc59fa2786fb67ba1930a8b8c7319137d716a26075b8d",
     "compile/proj": "ba5a3f6b3ff3091810d71db5355d1d1a05cdca1310aae051a6d56e2d67b86498",
     "normalize/proj": "0b79c75558c04d0365045f0085d49e285b4b62dd4cf5b9a4ea64bd46d162d636",
     "trace/proj": "035b53356bbb3bd56fe94ba8f5c6502e44601ba91441514151113d80c37a7025",
@@ -558,6 +650,10 @@ GOLDEN = {
     "canonical/trace-proj-590": "fd4f617235c5f7b64e1e5130e7d58abf2df40aa08b636a32ade7a94a0ecc3ef0",
     "canonical/trace-proj-600": "caa0d661c63cd7bd69f2247e5c9fbade4ce93e3df233e583cd428b42e6115b8c",
     "canonical/trace-proj-610": "caa0d661c63cd7bd69f2247e5c9fbade4ce93e3df233e583cd428b42e6115b8c",
+    "graph/proj-3": "9dfddd28a930f49ad8227775b5cca9bd2334ca782d82ca847ed089e506c8ea84",
+    "graph/proj-10": "8aa466b1c641c7bac20ffabf2357f05e9f392322b0a1c58c551fad08d912db34",
+    "graph/proj-40": "31bcc584a53184e3240b2b27df34e9e0022d0a102011affb78c442a55e8bb218",
+    "graph/proj-2000": "8e0a46f94ffff0ffab7bd0319952e428d268255a12deb520d015027f14b64b6e",
     "compile/readers-1": "9eea791df0bae00f47bc17adbdcca4daa329f982cfd665aaddf9cb2a835f742f",
     "compile/readers-2": "5471921465d3a3f92cce08362221c9a9ff6969d8db0e483b35fede60070c03e4",
     "compile/readers-3": "8bd3176fd1da6e353fe6dd295be48280381ce9bbe755a6e5ffba6f68242cbcbf",

@@ -86,8 +86,8 @@ def test_contraction_fans_out():
 def test_area_multiplicity_equals_path_count():
     r = from_rows(["i"], ["o"], [[3]])
     net = build_area(RoutingArea(r))
-    pi = net.free_port("i")
-    po = net.free_port("o")
+    ports = {label: p for p, label in net.free}
+    pi, po = ports["i"], ports["o"]
     assert count_paths(net, pi, po) == 3
     assert count_paths_exhaustive(net, pi, po) == 3
 

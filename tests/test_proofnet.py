@@ -1111,7 +1111,7 @@ def test_box_cache_follows_edits_of_the_contents():
 def test_netsum_idempotent_and_zero():
     s = NetSum([boxed_one(), boxed_one()])
     assert len(s) == 1
-    assert NetSum().is_zero()
+    assert len(NetSum()) == 0
     assert s.union(NetSum()) == s
 
 

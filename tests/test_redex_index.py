@@ -231,7 +231,7 @@ def test_classify_agrees_with_the_two_orientation_oracle():
                 # each wire from both ends, so every case meets both orders
                 for v in (w, Wire(w.b, w.a, dual(w.ty))):
                     want = _classify_both_ways(lvl, v)
-                    assert rewrite._classify(lvl, v) == want
+                    assert rewrite._classify(owner, v) == want
                 if want is not None:
                     rules[want[2]] += 1
                 ends = [owner.get(w.a), owner.get(w.b)]
@@ -390,7 +390,7 @@ def test_a_redex_applies_to_its_net_and_its_copies_only():
             b.remove_wire(cut)
             b.wire(cut.a, cut.b, cut.ty)
             in_place = net.copy()
-            in_place._replace_wire(cut.a, Wire(cut.a, cut.b, cut.ty))
+            Builder(in_place).reend(cut.a, cut.a)
             for m in (moved, in_place):
                 assert m.wire_at(r.wire[0]) == cut
                 with pytest.raises(StaleRedex):
@@ -448,3 +448,48 @@ def test_no_cell_or_wire_changes_in_place():
         compose_areas(a, outs, b, ins)
     assert {k: _fields(o) for k, o in objects.items()} == before
 
+
+
+def _indexes(n: Net) -> tuple:
+    """What the indexes of level `n` answer, by object identity: owner(),
+    wire_of(), max_port(), max_cid() and cell_by_id up to the highest id."""
+
+    def cell(cid):
+        try:
+            return id(n.cell_by_id(cid))
+        except KeyError:
+            return None
+
+    top = n.max_cid()
+    return (
+        {p: (id(c), slot) for p, (c, slot) in n.owner().items()},
+        {p: id(w) for p, w in n.wire_of().items()},
+        n.max_port(),
+        top,
+        [cell(cid) for cid in range(top + 2)],
+    )
+
+
+def test_incremental_indexes_equal_fresh_ones(monkeypatch):
+    """After every reduct `normalize` makes, each level on the redex's path
+    answers index queries as a net built afresh from its cells, wires and
+    free ports: the rules edit the indexes in place, one end or one cell at
+    a time."""
+    checked = [0]
+    apply = rewrite.apply_redex
+
+    def checking(n, r, *args, **kwargs):
+        res = apply(n, r, *args, **kwargs)
+        for m in res:
+            for depth in range(len(r.path) + 1):
+                lvl = rewrite._level(m, r.path[:depth])
+                fresh = Net(lvl.cells, lvl.wires, lvl.free)
+                assert _indexes(lvl) == _indexes(fresh), (r.rule, r.path[:depth])
+            checked[0] += 1
+        return res
+
+    monkeypatch.setattr(rewrite, "apply_redex", checking)
+    for name, net, policy in INPUTS:
+        if not name.startswith("chain-"):
+            normalize(net, budget=BUDGET, policy=policy)
+    assert checked[0] >= 7000, checked[0]

@@ -54,7 +54,6 @@ from routenet.routing import (
     feedback,
     free_io,
     gamma,
-    is_routing_net,
     juxtapose,
     path_semantics,
     read_area,
@@ -281,6 +280,12 @@ def test_compose_checks_and_reduces_once_whatever_the_pairs(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # Reading areas from raw normal nets
+
+
+def is_routing_net(n: Net) -> bool:
+    """Whether `n` is a net of structural cells only, one !A on every wire,
+    and acyclic."""
+    return _structural(n) is not None and check_acyclic(n)
 
 
 def _check_normal_routing(n: Net):

@@ -51,6 +51,11 @@ from routenet.translate import (
 from routenet.lang import embed_lthis
 
 
+def _outward(net: Net, label: str):
+    """The formula `net` carries out through its free port `label`."""
+    return net.outward({l: p for p, l in net.free}[label])
+
+
 def _compile(ctx: str, src: str) -> Net:
     return compile_program(parse_term(src), parse_region_ctx(ctx))
 
@@ -126,10 +131,10 @@ def test_interface_labels_of_open_translation():
     # the reference wires carry the stored type under one exponential:
     # ro emits the boxed value, ri consumes it
     w = ref_wire_type("r", R)
-    assert net.outward(net.free_port("ro:r")) == w
-    assert net.outward(net.free_port("ri:r")) == dual(w)
+    assert _outward(net, "ro:r") == w
+    assert _outward(net, "ri:r") == dual(w)
     # a two-thread program's output pairs the branch outputs structurally
-    assert fmt_formula(net.outward(net.free_port("out"))) == "(!1%!1)"
+    assert fmt_formula(_outward(net, "out")) == "(!1%!1)"
 
 
 def test_closed_program_interface_is_out_only():
@@ -165,7 +170,7 @@ def test_certificate_needs_no_canonicalize_first():
 def test_starved_get_compiles_to_zero():
     # a lone get can never fire: its net normalizes to the empty sum
     nf = normalize(_compile("r : Unit", "get r"))
-    assert nf.is_zero()
+    assert len(nf) == 0
 
 
 def test_race_summands_cover_both_values():
@@ -185,7 +190,7 @@ def test_upward_substitution_of_no_values_exposes_an_empty_stream():
     net = translate(UpSubst((("r", ()),), Star()), R)
     assert validate(net) == []
     assert [l for _, l in net.free] == ["out", "ri:r", "ro:r"]
-    assert net.outward(net.free_port("ro:r")) == ref_wire_type("r", R)
+    assert _outward(net, "ro:r") == ref_wire_type("r", R)
     assert sorted(c.sym for c in net.cells) == ["Box", "Coweakening", "Weakening"]
 
 

@@ -303,19 +303,8 @@ class Net:
     the ports edited since those were brought up to date; both are copied
     with the net.
 
-    Box contents remember their canonical form: certifying a net stores
-    (free list, labelled contents, certificate) on the inner net of each of
-    its boxes, canonicalizing it replaces the labelled contents by the
-    canonical net rebuilt from them and gives that canonical inner net the
-    same entry, and the entry is read back the next time that inner net is
-    met.  Every Builder edit and every assignment of `cells` or `wires`
-    clears the entry, `copy()` starts without one, and an entry whose free
-    list differs from `free` is not used.  An edit of a box's contents in
-    place would leave stale the entries of the nets above it, and the
-    summands of every `NetSum` holding such a net, which are rebuilt from
-    the box's contents when first read; that is one more reason box
-    contents are edited only on a copy (`_open` and rule `c` in
-    rewrite.py).
+    The inner net of a box keeps the `_Canon` entry of its contents (see
+    `_contents_entry`).
 
     The indexes, the candidates and the canonical form are filled in by
     reads, so nets that share box contents are not to be read or rewritten
@@ -839,12 +828,10 @@ def _validate(net: Net, out: list[str], where: str):
 # canonical certificate decides equality and comes first: flattening and
 # labelling make it, and make every check of the net's wiring.  A concrete
 # representative (left combs, numbered by `_rebuild`) is rebuilt from the
-# labelling when something reads it: `canonicalize` at once, a `NetSum`
-# summand the first time it is read, once per entry of the sum's table,
-# which sums may share.  Nets with one certificate rebuild to the same
-# bytes, so which net of a certificate is rebuilt changes no output.
-# `certificate` labels and never rebuilds, box contents included: a box's
-# contents are rebuilt only when a net holding the box is.
+# labelling when something reads it (`_Canon`).  Nets with one certificate
+# rebuild to the same bytes, so which net of a certificate is rebuilt
+# changes no output.  `certificate` labels and never rebuilds, box contents
+# included: a box's contents are rebuilt only when a net holding the box is.
 
 
 class _FlatNode:
@@ -937,7 +924,7 @@ def _flatten(net: Net):
 
     port_node: dict[int, tuple[int, object]] = {}
     # keyed by label only: a net's interface is a labelled set (a box's
-    # contents add the position where it matters, see _contents_cert)
+    # contents add the position where it matters, see _contents_entry)
     for p, lbl in net.free:
         nodes[nid] = node = _FlatNode(("free", lbl), "free")
         if p not in wired or p in port_node:
@@ -946,7 +933,7 @@ def _flatten(net: Net):
         nid += 1
     for c in net.cells:
         if c.sym == "Box":
-            node = _FlatNode(("cell", "Box", _contents_cert(c.inner)), "Box", c.inner, c)
+            node = _FlatNode(("cell", "Box", _contents_entry(c.inner).cert), "Box", c.inner, c)
         elif c.sym in _NARY:
             node = _FlatNode(("cell", _NARY[c.sym]), _NARY[c.sym], cell=c)
         else:
@@ -1017,9 +1004,11 @@ def _flatten(net: Net):
     def degenerate():
         # Degenerate n-ary nodes: arity 0 becomes the neutral cell, arity 1
         # dissolves by splicing its principal edge with its only aux edge.
-        # Their edge ends, in edge order, are read from one index.  Returns
-        # the edges that may now simplify, or None when no node is
-        # degenerate.
+        # Their edge ends, in edge order, are read from one index.  Every
+        # unary node is typed before the first is spliced: a splice can
+        # hand another a neutral leaf, which would leave it nullary
+        # unchecked.  Returns the edges that may now simplify, or None when
+        # no node is degenerate.
         ends_at = {n: [] for n, node in nodes.items() if node.sym in _NEUTRAL}
         if not ends_at:
             return None
@@ -1028,9 +1017,10 @@ def _flatten(net: Net):
                 ends_at[e.n0].append((e, 0, e.s0))
             if e.n1 in ends_at:
                 ends_at[e.n1].append((e, 1, e.s1))
+        splice = None
         for n, at in ends_at.items():
             aux_edges = [(e, i) for e, i, s in at if s == "a"]
-            if len(aux_edges) == 0:
+            if len(aux_edges) == 0 and splice is None:
                 node = nodes[n]
                 node.sym = _NEUTRAL[node.sym]
                 node.key = ("cell", node.sym)
@@ -1054,12 +1044,15 @@ def _flatten(net: Net):
                         f"{c.sym} cell {c.id}, left unary, takes {fmt_formula(yty)} "
                         f"into its aux and gives {fmt_formula(ty)} out of its principal"
                     )
-                edges.remove(ep)
-                edges.remove(ea)
-                edges.append(spliced := _FlatEdge(yn, ys, xn, xs, ty))
-                del nodes[n]
-                return [spliced]
-        return None
+                splice = splice or (n, ep, ea, _FlatEdge(yn, ys, xn, xs, ty))
+        if splice is None:
+            return None
+        n, ep, ea, spliced = splice
+        edges.remove(ep)
+        edges.remove(ea)
+        edges.append(spliced)
+        del nodes[n]
+        return [spliced]
 
     simplify(edges)
     while (made := degenerate()) is not None:
@@ -1108,10 +1101,12 @@ def _flat_area(free, inputs, crossings: dict, payload: Formula):
     return nodes, edges
 
 
-def _contents_cert(inner: Net):
-    """The certificate of a box's contents, read from and stored in the slot
-    `Net` keeps for it.  A new entry holds the labelled contents in place of
-    the canonical net, which `_contents` rebuilds from them on first use.
+def _contents_entry(inner: Net) -> "_Canon":
+    """The entry of a box's contents, labelled on first use and kept in
+    `inner._canon` with the free list it was labelled for.  Every Builder
+    edit and every assignment of `cells` or `wires` clears it, `copy()`
+    starts without one, and an entry made for another free list is not
+    used.
 
     The rules and `validate` match door i with aux port i, so the free
     ports of the contents are keyed by their position as well, unless their
@@ -1127,22 +1122,18 @@ def _contents_cert(inner: Net):
         ):
             for i, lbl in enumerate(labels):  # the free ports are nodes 0, 1, ...
                 nodes[i].key = ("free", lbl, i)
-        edges, cert, pos = _labelled(nodes, flat)
-        hit = inner._canon = (free, (nodes, edges, pos), cert)
-    return hit[2]
+        hit = inner._canon = (free, _labelled(nodes, flat))
+    return hit[1]
 
 
 def _contents(inner: Net) -> Net:
-    """The canonical net of a box's contents, rebuilt once and kept in the
-    slot.  The canonical net also gets an entry for itself, since reducts
-    share it with their parents; that relies on canonicalize returning a
-    canonical net byte for byte."""
-    cert = _contents_cert(inner)
-    free, canon, _ = inner._canon
-    if not isinstance(canon, Net):
-        canon = _rebuild(*canon)
-        canon._canon = (tuple(canon.free), canon, cert)
-        inner._canon = (free, canon, cert)
+    """The canonical net of a box's contents.  On its rebuild it gets the
+    same entry, since reducts share it with their parents; that relies on
+    canonicalize returning a canonical net byte for byte."""
+    entry = _contents_entry(inner)
+    canon = entry.net()
+    if canon._canon is None:  # just rebuilt
+        canon._canon = (tuple(canon.free), entry)
     return canon
 
 
@@ -1399,9 +1390,8 @@ def _rebuild(nodes, edges, pos) -> Net:
 
 def canonicalize_with_cert(net: Net):
     """(canonical net, certificate) of `net`; the certificate comes first."""
-    nodes, flat = _flatten(net)
-    edges, cert, pos = _labelled(nodes, flat)
-    return _rebuild(nodes, edges, pos), cert
+    entry = _labelled(*_flatten(net))
+    return entry.net(), entry.cert
 
 
 def canonicalize(net: Net) -> Net:
@@ -1411,30 +1401,35 @@ def canonicalize(net: Net) -> Net:
 def certificate(net: Net):
     """The certificate of `net`, with every check of `canonicalize_with_cert`
     and no net rebuilt: it labels `net` and the contents of its boxes."""
-    return _labelled(*_flatten(net))[1]
+    return _labelled(*_flatten(net)).cert
 
 
-def _labelled(nodes, flat):
-    """(edge ends, certificate, node -> position) of the net flattened to
-    (nodes, flat): the one step that labels a net."""
+def _labelled(nodes, flat) -> "_Canon":
+    """The entry of the net flattened to (nodes, flat): the one step that
+    labels a net."""
     edges = [_ends(e) for e in flat]
     cert, pos = _canonical_labelling(nodes, edges)
-    return edges, cert, pos
+    return _Canon(cert, (nodes, edges, pos))
 
 
-# ---------------------------------------------------------------------------
-# Sums of nets
+class _Canon:
+    """A net's canonical entry: its certificate, and the labelled form
+    (nodes, edge ends, node -> position) it was made from until `net()`
+    first reads the canonical net; then that net, rebuilt once and kept.
+    `_labelled` makes every entry.  A `NetSum` keeps one per certificate,
+    in a table that sums may share, and a box's contents keep one
+    (`_contents_entry`).
 
+    Invariant: an entry is not edited in place after labelling.  Its
+    labelled form refers to the box contents of the labelled net, which a
+    rebuild reads, so those are not edited in place either; the compiler
+    and the rules edit box contents only on a copy (`_open` and rule `c`
+    in rewrite.py).  Every holder of an entry thus reads one net from it."""
 
-class _Summand:
-    """A sum's entry for one certificate: the labelled form (nodes, edges,
-    positions) that `NetSum.add` made the certificate from, until the
-    canonical net is first read; then that net, rebuilt once and kept."""
+    __slots__ = ("cert", "_net", "_labelled")
 
-    __slots__ = ("_net", "_labelled")
-
-    def __init__(self, labelled):
-        self._net, self._labelled = None, labelled
+    def __init__(self, cert, labelled):
+        self.cert, self._net, self._labelled = cert, None, labelled
 
     def net(self) -> Net:
         net = self._net
@@ -1444,21 +1439,18 @@ class _Summand:
         return net
 
 
+# ---------------------------------------------------------------------------
+# Sums of nets
+
+
 class NetSum:
     """An idempotent formal sum of nets; the empty sum is the zero net.
 
-    A sum keeps one entry per certificate.  A summand's canonical net is
-    rebuilt the first time something reads it: `summand`, `items`,
-    `summands`, iteration, and through them `serialize`.  Until then its
-    entry holds the labelled form that `add` made the certificate from,
-    and afterwards the rebuilt net, so sums that share an entry (through
-    `union`, `without` or a `known` table) hold one net for it.  Counting,
-    comparing and the certificates read no net.
-
-    The labelled form refers to the box contents of the added net, which a
-    rebuild reads, so a summand's box contents are not edited in place
-    after `add`; the compiler and the rules edit box contents only on a
-    copy (see `Net`)."""
+    A sum keeps one `_Canon` entry per certificate, which sums may share
+    (through `union`, `without` or a `known` table).  A summand's canonical
+    net is rebuilt the first time something reads it: `summand`,
+    `summands`, iteration, and through them `serialize`.  Counting,
+    comparing and the certificates read no net."""
 
     def __init__(self, nets=(), known: dict | None = None):
         self._by_cert: dict = {}
@@ -1471,12 +1463,12 @@ class NetSum:
         supplies the entry when it holds the certificate and learns it when
         not; by default the sum's own entries are the table.  The checks of
         the net's wiring come before the lookup, so a hit skips none."""
-        nodes, flat = _flatten(net)
-        edges, cert, pos = _labelled(nodes, flat)
+        new = _labelled(*_flatten(net))
+        cert = new.cert
         table = self._by_cert if known is None else known
         entry = table.get(cert)
         if entry is None:
-            entry = table[cert] = _Summand((nodes, edges, pos))
+            entry = table[cert] = new
         if known is not None:
             self._by_cert.setdefault(cert, entry)
 
@@ -1507,10 +1499,6 @@ class NetSum:
     def cert_list(self) -> list:
         """The certificates of the summands, in the order they were added."""
         return list(self._by_cert)
-
-    def items(self) -> list:
-        """(certificate, canonical summand) pairs."""
-        return [(cert, entry.net()) for cert, entry in self._by_cert.items()]
 
     @property
     def summands(self) -> list[Net]:

@@ -76,7 +76,6 @@ from .proofnet import (
     Wire,
     _flat_area,
     _labelled,
-    _rebuild,
     bang,
     dual,
     fmt_formula,
@@ -340,9 +339,8 @@ def _canonical(n: Net, crossings) -> tuple[Net, object]:
     if crossings is None:
         raise NotAreaShaped("trace produced a net that is no area")
     ins, _ = free_io(n)
-    nodes, flat = _flat_area(n.free, {p for p, _ in ins}, crossings, _structural(n))
-    edges, cert, pos = _labelled(nodes, flat)
-    return _rebuild(nodes, edges, pos), cert
+    entry = _labelled(*_flat_area(n.free, {p for p, _ in ins}, crossings, _structural(n)))
+    return entry.net(), entry.cert
 
 
 def _tree_cuts(n: Net) -> Net:

@@ -648,19 +648,26 @@ def test_a_unary_node_joins_only_dual_formulas():
     wire-swap mutant of a typed net, a Contraction and an ill-typed
     Cocontraction, each left unary by a neutral leaf, lie between a Box and
     a Weakening; splicing them in cell order without the check gave the net
-    a certificate that depended on the order of its cells, wires and ports."""
+    a certificate that depended on the order of its cells, wires and ports.
+    With !(1*1), the other wire's formula, on the wire between the two aux
+    ports, the Contraction is the ill-typed one: splicing the Cocontraction
+    first would hand it the Weakening and leave it nullary unchecked, so
+    every unary node is typed before the first splice."""
     n = gen_typed_net(random.Random(413))
     wires = list(n.wires)
     # two wires trade far ends: a contraction's aux now meets a
     # cocontraction's aux, and the coweakening that did meets a weakening
     (a, b), (c, d) = (wires[0].a, wires[0].b), (wires[3].a, wires[3].b)
-    wires[0], wires[3] = Wire(a, d, wires[0].ty), Wire(c, b, wires[3].ty)
-    mutant = Net(n.cells, wires, n.free)
-    assert any("Cocontraction" in p for p in validate(mutant))
-    rng = random.Random(0)
-    for _ in range(40):
-        with pytest.raises(DerivationMismatch):
-            certificate(_reordered(mutant, rng))
+    assert fmt_formula(wires[3].ty) == "!(1*1)"
+    for ty, ill in ((wires[0].ty, "Cocontraction"), (wires[3].ty, "Contraction")):
+        swapped = list(wires)
+        swapped[0], swapped[3] = Wire(a, d, ty), Wire(c, b, wires[3].ty)
+        mutant = Net(n.cells, swapped, n.free)
+        assert [p.split()[-1] for p in validate(mutant)] == [ill]
+        rng = random.Random(0)
+        for _ in range(40):
+            with pytest.raises(DerivationMismatch):
+                certificate(_reordered(mutant, rng))
 
 
 def test_a_wire_between_two_unordered_slots_of_one_node_is_read_one_way():
@@ -843,28 +850,27 @@ def corpus():
     return nets
 
 
-def _counting(monkeypatch):
-    calls = []
-    real = proofnet.canonicalize_with_cert
-
-    def counted(net):
-        calls.append(net)
-        return real(net)
-
-    monkeypatch.setattr(proofnet, "canonicalize_with_cert", counted)
-    return calls
-
-
 def test_warm_box_cache_gives_the_cold_canonical_form(corpus, monkeypatch):
+    """Canonicalized once, a net labels only its top level the next time:
+    the contents of every box are read from the entry they keep, with the
+    bytes and the certificate of a cold run.  So does the canonical net,
+    whose box contents were rebuilt from that entry and were handed it."""
     assert sum(c.sym == "Box" for n in corpus for c in n.cells) > 100
-    calls = _counting(monkeypatch)
+    calls = []
+    real = proofnet._labelled
+    monkeypatch.setattr(
+        proofnet, "_labelled", lambda nodes, flat: calls.append(nodes) or real(nodes, flat)
+    )
     for n in corpus:
         cold = proofnet.canonicalize_with_cert(parse(serialize(n))[0])
         proofnet.canonicalize_with_cert(n)
         del calls[:]
         warm = proofnet.canonicalize_with_cert(n)
-        assert len(calls) == 1  # every box's contents read from the cache
+        assert len(calls) == 1  # the top level
         assert (serialize(warm[0]), warm[1]) == (serialize(cold[0]), cold[1])
+        del calls[:]
+        assert proofnet.canonicalize_with_cert(warm[0])[1] == cold[1]
+        assert len(calls) == 1
 
 
 def test_canonicalize_returns_a_canonical_net_byte_for_byte(corpus):

@@ -526,6 +526,11 @@ def _watch_graph(monkeypatch) -> list:
     return events
 
 
+def _items(s: NetSum) -> list:
+    """(certificate, canonical summand) pairs of `s`, in the order added."""
+    return [(cert, s.summand(cert)) for cert in s.cert_list()]
+
+
 def _each_rebuilt_then_reduced(events) -> bool:
     return events[::2] == [("rebuilt", c) for _, c in events[1::2]] and all(
         what == "reduced" for what, _ in events[1::2]
@@ -569,7 +574,7 @@ def test_reduction_graph_reduces_each_distinct_summand_once(monkeypatch):
     net = compile_program(*reversed(suite_program("race")))
     nodes, _, truncated = reduction_graph(net)
     assert not truncated
-    held = [cert for s in nodes for cert, _ in s.items()]
+    held = [cert for s in nodes for cert, _ in _items(s)]
     certs = [proofnet.certificate(n) for n in searched]
     assert len(set(certs)) == len(certs) and set(certs) == set(held)  # each one, once
     assert len(certs) < len(held)
@@ -592,7 +597,7 @@ def test_reduction_graph_rebuilds_each_certificate_once(monkeypatch, name, cap):
     del events[:]
     one = {}
     # every node holds the one net kept for each certificate
-    assert all(one.setdefault(cert, m) is m for s in nodes for cert, m in s.items())
+    assert all(one.setdefault(cert, m) is m for s in nodes for cert, m in _items(s))
     later = [cert for _, cert in events]
     assert len(set(later)) == len(later) and set(later) == held - reduced
 

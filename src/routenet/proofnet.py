@@ -835,13 +835,14 @@ def _validate(net: Net, out: list[str], where: str):
 
 
 class _FlatNode:
-    __slots__ = ("key", "sym", "inner", "cell")
+    __slots__ = ("key", "sym", "inner", "cell", "text")
 
-    def __init__(self, key, sym, inner=None, cell=None):
+    def __init__(self, key, sym, inner=None, cell=None, text=None):
         self.key = key  # hashable initial colour
         self.sym = sym
         self.inner = inner  # the box's contents, as the cell holds them
         self.cell = cell  # the cell the node was made from; None if free
+        self.text = text  # repr(key) if made in advance: a box's, see _Canon
 
     def unwired(self, what: str) -> UnwiredPort:
         if self.cell is None:
@@ -933,7 +934,8 @@ def _flatten(net: Net):
         nid += 1
     for c in net.cells:
         if c.sym == "Box":
-            node = _FlatNode(("cell", "Box", _contents_entry(c.inner).cert), "Box", c.inner, c)
+            entry = _contents_entry(c.inner)
+            node = _FlatNode(("cell", "Box", entry.cert), "Box", c.inner, c, entry.box_text())
         elif c.sym in _NARY:
             node = _FlatNode(("cell", _NARY[c.sym]), _NARY[c.sym], cell=c)
         else:
@@ -1189,21 +1191,26 @@ def _coded(nodes, edges):
 
     Each edge end is coded by the rank of its (slot text, far slot text,
     formula text) among those of the net, times a width above every colour,
-    so refinement sorts integers in the order of the texts.  A node's
-    initial colour is the rank of the repr of its key."""
-    halves = [
-        (u.node, (u.slot_text, v.slot_text, u.ty_text), v.node)
-        for e0, e1 in edges
-        for u, v in ((e0, e1), (e1, e0))
-    ]
+    so refinement sorts integers in the order of the texts; a node lists
+    its ends in edge order.  A node's initial colour is the rank of the
+    text of its key, its repr: a box's is kept on its contents entry
+    (`_Canon.box_text`), the others are made here.  Labels are strings, as
+    `validate` asks, so keys are tuples of strings, integers and
+    certificates made of those: two keys have one text exactly when they
+    are equal."""
     width = len(nodes) + 1  # above every colour, individualized ones too
-    code = {t: i * width for i, t in enumerate(sorted({t for _, t, _ in halves}))}
+    ends = [
+        ((e0.slot_text, e1.slot_text, e0.ty_text), (e1.slot_text, e0.slot_text, e1.ty_text))
+        for e0, e1 in edges
+    ]
+    code = {t: i * width for i, t in enumerate(sorted({t for pair in ends for t in pair}))}
     adj: dict[int, list] = {n: [] for n in nodes}
-    for u, t, v in halves:
-        adj[u].append((code[t], v))
-    keys = sorted({node.key for node in nodes.values()}, key=repr)
-    rank = {k: i for i, k in enumerate(keys)}
-    return adj, {n: rank[node.key] for n, node in nodes.items()}
+    for (e0, e1), (t0, t1) in zip(edges, ends):
+        adj[e0.node].append((code[t0], e1.node))
+        adj[e1.node].append((code[t1], e0.node))
+    texts = {n: node.text or repr(node.key) for n, node in nodes.items()}
+    rank = {t: i for i, t in enumerate(sorted(set(texts.values())))}
+    return adj, {n: rank[t] for n, t in texts.items()}
 
 
 def _canonical_labelling(nodes, edges):
@@ -1318,10 +1325,15 @@ def _oriented(edges, pos):
 
 
 def _certificate(nodes, edges, order):
-    ranked = sorted(nodes, key=order.__getitem__)
-    pos = {n: i for i, n in enumerate(ranked)}
+    """(certificate, node -> position) of a discrete colouring `order`.
+    Refinement ranks colours densely, so a discrete colouring numbers the
+    nodes 0, 1, ...: each node's colour is its position, and inverting the
+    map lists the nodes in position order without a sort."""
+    ranked = [None] * len(order)
+    for n, i in order.items():
+        ranked[i] = n
     node_part = tuple(nodes[n].key for n in ranked)
-    return (node_part, tuple(entry for entry, _, _ in _oriented(edges, pos))), pos
+    return (node_part, tuple(entry for entry, _, _ in _oriented(edges, order))), order
 
 
 def _rebuild(nodes, edges, pos) -> Net:
@@ -1418,7 +1430,8 @@ class _Canon:
     first reads the canonical net; then that net, rebuilt once and kept.
     `_labelled` makes every entry.  A `NetSum` keeps one per certificate,
     in a table that sums may share, and a box's contents keep one
-    (`_contents_entry`).
+    (`_contents_entry`), which also keeps the key text of the box
+    (`box_text`).
 
     Invariant: an entry is not edited in place after labelling.  Its
     labelled form refers to the box contents of the labelled net, which a
@@ -1426,10 +1439,20 @@ class _Canon:
     and the rules edit box contents only on a copy (`_open` and rule `c`
     in rewrite.py).  Every holder of an entry thus reads one net from it."""
 
-    __slots__ = ("cert", "_net", "_labelled")
+    __slots__ = ("cert", "_net", "_labelled", "_text")
 
     def __init__(self, cert, labelled):
-        self.cert, self._net, self._labelled = cert, None, labelled
+        self.cert, self._net, self._labelled, self._text = cert, None, labelled, None
+
+    def box_text(self) -> str:
+        """The text `_coded` ranks a box holding these contents by, the repr
+        of its node key, made on first use: it spells out the whole
+        certificate, so each labelling of a net holding the box reads it
+        here instead of formatting it again."""
+        text = self._text
+        if text is None:
+            text = self._text = repr(("cell", "Box", self.cert))
+        return text
 
     def net(self) -> Net:
         net = self._net

@@ -36,6 +36,7 @@ from .proofnet import (
 
 ANYDEPTH_EER = "anydepth_eer"
 ALL = "all"
+_POLICIES = (ANYDEPTH_EER, ALL)
 
 _DEEP_RULES = {"e", "er"}
 
@@ -114,7 +115,15 @@ def _redex(path: tuple[int, ...], w: Wire, cand) -> Redex:
     return Redex(path, rule, wire, cells, door, w, cx, cy)
 
 
+def _check_policy(policy: str):
+    if policy not in _POLICIES:
+        raise ValueError(
+            f"unknown policy {policy!r}: expected ANYDEPTH_EER ({ANYDEPTH_EER!r}) or ALL ({ALL!r})"
+        )
+
+
 def find_redexes(net: Net, policy: str = ANYDEPTH_EER) -> list[Redex]:
+    _check_policy(policy)
     out: list[Redex] = []
 
     def walk(n: Net, path: tuple[int, ...]):
@@ -498,10 +507,13 @@ def normal_nets(x, budget: int = 10000, policy: str = ANYDEPTH_EER):
     (`apply_redex(..., owned=True)`) and copies it only at an `nd` split.
     The budget counts rule applications over the whole sum; running out
     raises BudgetExhausted carrying the unfinished raw nets and the steps
-    taken per rule.
+    taken per rule.  An unknown policy raises ValueError at the call.
     """
-    if isinstance(x, Net):
-        x = [x]
+    _check_policy(policy)
+    return _normal_nets([x] if isinstance(x, Net) else x, budget, policy)
+
+
+def _normal_nets(x, budget: int, policy: str):
     # Intermediate nets are kept raw: canonicalizing every intermediate
     # step would dominate the running time, and the budget bounds any work
     # duplicated by converging branches.
@@ -552,19 +564,25 @@ def reduction_graph(x, policy: str = ALL, max_nodes: int = 2000):
     (nodes, edges, truncated) with nodes[0] the start and edges as index
     pairs.  A successor keeps the other summands of its node as they are,
     with the reducts joined after them (a node's summand wins over an equal
-    reduct).  Each distinct summand is reduced once per call, and each of
-    its reducts is labelled the first time it is used: summands with one
-    certificate are the same canonical net, so their reducts are too.  The
-    sums of a call share one entry per certificate (see `NetSum`), and a
-    summand's canonical net is rebuilt when it is first read: by the search
-    for the summands it reduces, by the caller for the others.  Every node
-    then holds the one net kept for each certificate.
+    reduct).  Its key, its set of certificates, is its node's less the
+    reduced one joined with the reduct's, and its sum is built only when
+    that key is a new node's.  Each distinct summand is reduced once per
+    call, and each of its reducts is labelled the first time it is used:
+    summands with one certificate are the same canonical net, so their
+    reducts are too.  The sums of a call share one entry per certificate
+    (see `NetSum`), and a summand's canonical net is rebuilt when it is
+    first read: by the search for the summands it reduces, by the caller
+    for the others.  Every node then holds the one net kept for each
+    certificate.
 
     The search stops at the first successor that would be node
     `max_nodes` + 1 and returns `truncated` True: the graph then holds the
     first `max_nodes` nodes in breadth-first order and the edges found
-    before the stop, among them.
+    before the stop, among them.  `max_nodes` below 1 raises ValueError.
     """
+    _check_policy(policy)
+    if max_nodes < 1:
+        raise ValueError(f"max_nodes must be at least 1, not {max_nodes!r}")
     start = x if isinstance(x, NetSum) else NetSum([x] if isinstance(x, Net) else x)
     known = start.table()  # the entries of every certificate met so far
     index = {start.certs(): 0}
@@ -577,21 +595,23 @@ def reduction_graph(x, policy: str = ALL, max_nodes: int = 2000):
     while queue:
         i = queue.popleft()
         s = nodes[i]
+        held = s.certs()
         for cert in s.cert_list():
             if cert not in reducts:
                 summand = s.summand(cert)
                 reducts[cert] = [apply_redex(summand, r) for r in find_redexes(summand, policy)]
             made = reducts[cert]
+            rest = held - {cert}
             for k, red in enumerate(made):
                 if isinstance(red, list):
                     red = made[k] = NetSum(red, known)
-                nxt = s.without(cert).union(red)
-                key = nxt.certs()
-                if key not in index:
+                key = rest | red.certs()
+                j = index.get(key)
+                if j is None:  # a new node: only now build its sum
                     if len(nodes) >= max_nodes:
                         return nodes, edges, True
-                    index[key] = len(nodes)
-                    nodes.append(nxt)
-                    queue.append(index[key])
-                edges.add((i, index[key]))
+                    j = index[key] = len(nodes)
+                    nodes.append(s.without(cert).union(red))
+                    queue.append(j)
+                edges.add((i, j))
     return nodes, edges, False

@@ -764,13 +764,11 @@ def _trace_nets():
         yield from nets[::10]
 
 
-def test_labelling_equals_the_unpruned_search():
-    """Refining only around a split gives the colours of signing every node,
-    and pruning by automorphisms gives the certificate and position map of
-    the search that visits every leaf: on seeded typed and routing nets,
-    their one-step reducts, built areas, and the raw trace nets of at most
-    30 flattened nodes on which the unpruned search takes at most 300
-    refinements."""
+@pytest.fixture(scope="module")
+def oracle_flat():
+    """The flattened oracle nets: seeded typed and routing nets, their
+    one-step reducts, built areas, and the raw trace nets of at most 30
+    flattened nodes."""
     nets = []
     for seed in range(150):
         rng = random.Random(seed)
@@ -781,9 +779,16 @@ def test_labelling_equals_the_unpruned_search():
         rows = [[rng.randint(0, 2) for _ in range(3)] for _ in range(2)]
         nets.append(build_area(RoutingArea(from_rows(["a", "b"], ["x", "y", "z"], rows))))
     flat = [proofnet._flatten(n) for n in nets]
-    flat += [f for f in map(proofnet._flatten, _trace_nets()) if len(f[0]) <= 30]
+    return flat + [f for f in map(proofnet._flatten, _trace_nets()) if len(f[0]) <= 30]
+
+
+def test_labelling_equals_the_unpruned_search(oracle_flat):
+    """Refining only around a split gives the colours of signing every node,
+    and pruning by automorphisms gives the certificate and position map of
+    the search that visits every leaf: on the oracle nets on which the
+    unpruned search takes at most 300 refinements."""
     compared = 0
-    for nodes, fe in flat:
+    for nodes, fe in oracle_flat:
         edges = [proofnet._ends(e) for e in fe]
         try:
             want = _reference_labelling(nodes, edges, budget=300)
@@ -792,6 +797,32 @@ def test_labelling_equals_the_unpruned_search():
         assert proofnet._canonical_labelling(nodes, edges) == want
         compared += 1
     assert compared > 590
+
+
+def _sorted_rank_certificate(nodes, edges, order):
+    """`_certificate` by sorting the nodes by colour and numbering them in
+    that order."""
+    ranked = sorted(nodes, key=order.__getitem__)
+    pos = {n: i for i, n in enumerate(ranked)}
+    node_part = tuple(nodes[n].key for n in ranked)
+    return (node_part, tuple(entry for entry, _, _ in proofnet._oriented(edges, pos))), pos
+
+
+def test_certificate_reads_positions_off_a_discrete_colouring(oracle_flat):
+    """On the oracle nets, for the labelling's own colouring and for a
+    seeded renumbering of the nodes, `_certificate` gives the certificate
+    and position map of sorting the nodes by colour; the map it returns is
+    the colouring itself."""
+    rng = random.Random(0)
+    for nodes, fe in oracle_flat:
+        edges = [proofnet._ends(e) for e in fe]
+        _, pos = proofnet._canonical_labelling(nodes, edges)
+        shuffled = list(nodes)
+        rng.shuffle(shuffled)
+        for order in (pos, {n: i for i, n in enumerate(shuffled)}):
+            cert, got = proofnet._certificate(nodes, edges, order)
+            assert (cert, got) == _sorted_rank_certificate(nodes, edges, order)
+            assert got is order
 
 
 def _disjoint_pairs(k: int) -> Net:
@@ -871,6 +902,35 @@ def test_warm_box_cache_gives_the_cold_canonical_form(corpus, monkeypatch):
         del calls[:]
         assert proofnet.canonicalize_with_cert(warm[0])[1] == cold[1]
         assert len(calls) == 1
+
+
+def test_a_box_key_text_is_made_once_per_contents_entry(corpus, monkeypatch):
+    """The text a labelling ranks a box node by spells out the certificate
+    of its contents, so it is kept on their entry: labelling a net again,
+    labelling another net that holds the same boxes, and labelling the
+    canonical net, whose box contents were handed the same entries, format
+    no box key again."""
+    made = []
+
+    def counting(x):
+        if type(x) is tuple and x[:2] == ("cell", "Box"):
+            made.append(id(x[2]))
+        return repr(x)
+
+    monkeypatch.setattr(proofnet, "repr", counting, raising=False)
+    formatted = 0
+    for n in corpus:
+        fresh = parse(serialize(n))[0]
+        twin = Net(fresh.cells, fresh.wires, fresh.free)  # the same box cells
+        del made[:]
+        certificate(fresh)
+        first = len(made)
+        certificate(twin)
+        canon, _ = proofnet.canonicalize_with_cert(fresh)
+        certificate(canon)
+        assert len(made) == first == len(set(made))
+        formatted += first
+    assert formatted > 100
 
 
 def test_canonicalize_returns_a_canonical_net_byte_for_byte(corpus):

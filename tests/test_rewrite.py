@@ -609,6 +609,45 @@ def _chain(depth):
     return compile_program(parse_term(src), parse_region_ctx(""))
 
 
+@pytest.mark.parametrize("name, cap", [("race", 2000), ("stored-fn", 40)])
+def test_reduction_graph_builds_a_sum_only_for_a_new_node(monkeypatch, name, cap):
+    """A successor's key comes from certificate sets, so the search joins a
+    node's sum with a reduct only to make a new node: one `union` per node
+    but the start, on an uncapped and a capped graph."""
+    joined = []
+    real = NetSum.union
+    monkeypatch.setattr(NetSum, "union", lambda s, o: joined.append(1) or real(s, o))
+    net = compile_program(*reversed(suite_program(name)))
+    nodes, edges, truncated = reduction_graph(net, max_nodes=cap)
+    assert truncated == (cap < 2000) and len(edges) > len(nodes)
+    assert len(joined) == len(nodes) - 1
+
+
+@pytest.mark.parametrize("cap", [0, -3])
+def test_reduction_graph_refuses_a_cap_below_one(cap):
+    net = compile_program(*reversed(suite_program("race")))
+    with pytest.raises(ValueError, match="max_nodes"):
+        reduction_graph(net, max_nodes=cap)
+    nodes, edges, truncated = reduction_graph(net, max_nodes=1)
+    assert (len(nodes), edges, truncated) == (1, set(), True)
+
+
+def test_an_unknown_policy_is_refused_at_the_call():
+    """Every entry point that takes a policy names the two there are; a
+    generator of normal nets refuses it before the first net."""
+    net = compile_program(*reversed(suite_program("race")))
+    calls = [
+        lambda: find_redexes(net, "typo"),
+        lambda: rewrite.normal_nets(net, policy="typo"),
+        lambda: normalize(net, policy="typo"),
+        lambda: rewrite.normal_certs(net, policy="typo"),
+        lambda: reduction_graph(net, policy="typo"),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="ANYDEPTH_EER.*ALL"):
+            call()
+
+
 def test_budget_exhaustion_canonicalizes_nothing(monkeypatch):
     calls = []
     for name in ("_labelled", "_rebuild"):
